@@ -96,11 +96,17 @@ def _solve_opts(cfg: RunConfig, geom) -> SolveOptions:
     return replace(cfg.solver, bracket=(cfg.bracket_lo, hi))
 
 
-def _j_or_nan(cfg, geom, state):
+def _state_row(cfg, lam, geom, state, iterations, method, category):
+    """One ROW_HEADER line for a solved element state."""
     try:
-        return J_lambda(geom, cfg.polar, cfg.correction, state)
+        j = J_lambda(geom, cfg.polar, cfg.correction, state)
     except (DesignEvaluationError, BemError):
-        return math.nan
+        j = math.nan
+    return ",".join([
+        _fmt(lam), _fmt(state.phi), _fmt(state.phi - geom.gamma), _fmt(state.a),
+        _fmt(state.a_prime), _fmt(state.tip_factor), _fmt(state.residual),
+        str(iterations), method, _fmt(j), category,
+    ])
 
 
 def cmd_solve(cfg: RunConfig, method: str, jobs: int, out_path) -> int:
@@ -138,12 +144,8 @@ def cmd_solve(cfg: RunConfig, method: str, jobs: int, out_path) -> int:
             category = (classify_root(geom, cfg.polar, cfg.correction, state.phi, state)
                         if report.converged else "not_converged")
             ok = ok and report.converged
-            j = _j_or_nan(cfg, geom, state)
-            rows.append(",".join([
-                _fmt(float(lam)), _fmt(state.phi), _fmt(state.phi - geom.gamma),
-                _fmt(state.a), _fmt(state.a_prime), _fmt(state.tip_factor),
-                _fmt(state.residual), str(report.iterations), name, _fmt(j), category,
-            ]))
+            rows.append(_state_row(cfg, float(lam), geom, state, report.iterations, name,
+                                   category))
         return rows, ok
 
     results = _map_ordered(run_one, list(cfg.lambdas), jobs)
@@ -165,16 +167,8 @@ def cmd_scan(cfg: RunConfig, jobs: int, out_path) -> int:
         except BemError as exc:
             log.warning("lambda=%g: %s", lam, exc)
             return []
-        rows = []
-        for rec in roots.records:
-            state = rec.state
-            j = _j_or_nan(cfg, geom, state)
-            rows.append(",".join([
-                _fmt(float(lam)), _fmt(state.phi), _fmt(state.phi - geom.gamma),
-                _fmt(state.a), _fmt(state.a_prime), _fmt(state.tip_factor),
-                _fmt(state.residual), "0", "scan", _fmt(j), rec.category,
-            ]))
-        return rows
+        return [_state_row(cfg, float(lam), geom, rec.state, 0, "scan", rec.category)
+                for rec in roots.records]
 
     results = _map_ordered(run_one, list(cfg.lambdas), jobs)
     lines = [ROW_HEADER]
@@ -302,7 +296,8 @@ def build_parser():
                        ("check", "existence and convergence condition report")]:
         cmd = sub.add_parser(name, help=desc)
         cmd.add_argument("--config", required=True, help="path to key=value config")
-        cmd.add_argument("--out", default=None, help="output file (default stdout)")
+        cmd.add_argument("--out", default=None,
+                         help="output file (default: output.path of the config, else stdout)")
         if name == "solve":
             cmd.add_argument("--method", default="all",
                              choices=sorted(METHODS) + ["all"])
@@ -323,16 +318,17 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 
+    out = args.out or cfg.output_path
     try:
         if args.command == "solve":
-            return cmd_solve(cfg, args.method, args.jobs, args.out)
+            return cmd_solve(cfg, args.method, args.jobs, out)
         if args.command == "scan":
-            return cmd_scan(cfg, args.jobs, args.out)
+            return cmd_scan(cfg, args.jobs, out)
         if args.command == "design":
-            return cmd_design(cfg, args.jobs, args.out)
+            return cmd_design(cfg, args.jobs, out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.out)
-        return cmd_check(cfg, args.out)
+            return cmd_sweep(cfg, out)
+        return cmd_check(cfg, out)
     except BemError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INCOMPLETE

@@ -155,9 +155,7 @@ def parse_config(path) -> RunConfig:
             cfg[key] = default
 
     base = Path(path).parent
-    polar_path = Path(cfg["polar.path"])
-    if not polar_path.is_absolute():
-        polar_path = base / polar_path
+    polar_path = base / cfg["polar.path"]  # an absolute path replaces base
     if not polar_path.exists():
         raise ConfigError(f"polar file not found: {polar_path}")
 
@@ -222,5 +220,5 @@ def parse_config(path) -> RunConfig:
         design_step=cfg["design.step"], design_tol=cfg["design.tol"],
         design_max_steps=cfg["design.max_steps"],
         sweep_grid_n=cfg["sweep.grid_n"], sweep_refine=cfg["sweep.refine"],
-        output_path=cfg["output.path"],
+        output_path=str(base / cfg["output.path"]) if cfg["output.path"] else None,
     )

@@ -37,13 +37,8 @@ from .model import (
     ElementGeometry,
     FlowState,
     TurbineConfig,
-    effective_tip_factor,
-    effective_tip_factor_prime,
-    mu_D_c,
-    mu_D_c_prime,
+    _tip,
     mu_G,
-    mu_L_c,
-    mu_L_c_prime,
     recover_induction,
     residual,
 )
@@ -86,10 +81,6 @@ class OptimizeResult:
     grad_norm: float
     j_history: list = None  # objective value after each accepted step
     message: str = ""
-
-    @property
-    def point(self) -> DesignPoint:
-        return DesignPoint(self.gamma, self.chord, self.phi_opt, self.J)
 
 
 @dataclass(frozen=True)
@@ -244,12 +235,13 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     lam, theta = geom.lam, geom.theta
     s, c = math.sin(phi), math.cos(phi)
     cot = c / s
-    f = effective_tip_factor(geom, corr, phi)
-    fp = effective_tip_factor_prime(geom, corr, phi)
-    muL = mu_L_c(geom, polar, corr, phi)
-    muD = mu_D_c(geom, polar, corr, phi)
-    dmuL = mu_L_c_prime(geom, polar, corr, phi)
-    dmuD = mu_D_c_prime(geom, polar, corr, phi)
+    f, fp = _tip(geom, corr, phi)
+    pieces = _objective_pieces(geom, polar, corr, state)
+    _, cl, cd, dcl, dcd, _, ratio, dratio = pieces
+    quarter = 0.25 * geom.solidity
+    muL, muD = quarter * cl / f, quarter * cd / f
+    dmuL = quarter * (dcl / f - cl * fp / (f * f))
+    dmuD = quarter * (dcd / f - cd * fp / (f * f))
     nu = 1.0 - a
     excess = a - corr.a_c
     psi = corr.psi(excess, f)
@@ -271,7 +263,6 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     m[1, 2] = ap / (nu * nu)
     m[2, 2] = 1.0 / nu
 
-    _, cl, cd, dcl, dcd, _, ratio, dratio = _objective_pieces(geom, polar, corr, state)
     scale = 1.0 if lambda_max is None else 8.0 * lam ** 3 / lambda_max ** 2
     drag_gain = 1.0 - ratio * cot
     b = np.array([
@@ -290,18 +281,17 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     p = np.linalg.solve(m, b)
     p_printed = np.linalg.solve(m, b_printed)
 
-    grad = _design_gradient(geom, polar, corr, state, p, scale)
-    grad_printed = _design_gradient(geom, polar, corr, state, p_printed, scale)
+    grad = _design_gradient(geom, state, p, scale, f, pieces)
+    grad_printed = _design_gradient(geom, state, p_printed, scale, f, pieces)
     return AdjointState(p=p, M=m, b=b, grad=grad, grad_printed=grad_printed,
                         scale=scale, at_threshold=abs(excess) < 1e-9)
 
 
-def _design_gradient(geom, polar, corr, state, p, scale):
+def _design_gradient(geom, state, p, scale, f, pieces):
     phi, a, ap = state.phi, state.a, state.a_prime
     lam = geom.lam
     s, c = math.sin(phi), math.cos(phi)
-    f = effective_tip_factor(geom, corr, phi)
-    _, cl, cd, dcl, dcd, cot, ratio, dratio = _objective_pieces(geom, polar, corr, state)
+    _, cl, cd, dcl, dcd, cot, ratio, dratio = pieces
     # alpha-derivatives of mu^c at fixed phi (twist enters through alpha only)
     quarter = 0.25 * geom.solidity / f
     muL_a, muD_a = quarter * dcl, quarter * dcd

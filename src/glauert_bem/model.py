@@ -19,9 +19,6 @@ whose ingredients (the universal curve ``mu_G``, the implicit axial map
 ``tau``, the Prandtl tip factor and the high-induction corrections) all
 live here.  Everything is a pure function of immutable inputs, so model
 evaluation is safe to run concurrently across elements.
-
-Note on notation: the reciprocal 1/tan (cotangent) appears in several
-formulas; helper code spells it ``_cot``.
 """
 
 from __future__ import annotations
@@ -50,10 +47,6 @@ DEFAULT_A_C = {
     "buhl": 0.4,
     "wilson_spera": 1.0 / 3.0,
 }
-
-
-def _cot(x):
-    return math.cos(x) / math.sin(x)
 
 
 @dataclass(frozen=True)
@@ -236,43 +229,38 @@ class LoadsReport:
 # tip loss
 
 
-def _tip_exponent(geom: ElementGeometry) -> float:
+def _decay(geom: ElementGeometry, phi: float):
+    """(exp(-k/sin(phi)), k, sin(phi)) of the Prandtl formula, domain-checked."""
+    s = math.sin(phi)
+    if s <= 0.0:
+        raise DomainError(f"tip loss undefined for sin(phi) <= 0 (phi={phi:g})")
     if geom.tip_radius is None:
         raise ValidationError("tip loss requires a tip_radius on the element geometry")
     ratio = geom.r / geom.tip_radius
-    return 0.5 * geom.blade_count * (1.0 - ratio) / ratio
+    k = 0.5 * geom.blade_count * (1.0 - ratio) / ratio
+    decay = math.exp(-k / s)
+    if decay >= 1.0:
+        raise TipSingularityError("element at the blade tip: F = 0")
+    return decay, k, s
 
 
 def tip_loss_factor(geom: ElementGeometry, phi: float) -> float:
     """Prandtl tip factor F = (2/pi) acos(exp(-(B/2)(1 - r/R)/((r/R) sin phi)))."""
-    if math.sin(phi) <= 0.0:
-        raise DomainError(f"tip loss undefined for sin(phi) <= 0 (phi={phi:g})")
-    k = _tip_exponent(geom)
-    decay = math.exp(-k / math.sin(phi))
-    if decay >= 1.0:
-        raise TipSingularityError("element at the blade tip: F = 0")
-    return (2.0 / math.pi) * math.acos(decay)
+    return (2.0 / math.pi) * math.acos(_decay(geom, phi)[0])
 
 
-def tip_loss_factor_prime(geom: ElementGeometry, phi: float) -> float:
-    """Analytic dF/dphi of the Prandtl formula."""
-    if math.sin(phi) <= 0.0:
-        raise DomainError(f"tip loss undefined for sin(phi) <= 0 (phi={phi:g})")
-    k = _tip_exponent(geom)
-    s = math.sin(phi)
-    decay = math.exp(-k / s)
-    if decay >= 1.0:
-        raise TipSingularityError("element at the blade tip: F = 0")
+def _tip(geom: ElementGeometry, corr: CorrectionSpec, phi: float):
+    """(F, dF/dphi) from one exponential; (1, 0) with tip loss off."""
+    if not corr.tip_loss:
+        return 1.0, 0.0
+    decay, k, s = _decay(geom, phi)
     d_decay = decay * k * math.cos(phi) / (s * s)
-    return -(2.0 / math.pi) * d_decay / math.sqrt(max(1.0 - decay * decay, 1e-300))
+    return ((2.0 / math.pi) * math.acos(decay),
+            -(2.0 / math.pi) * d_decay / math.sqrt(max(1.0 - decay * decay, 1e-300)))
 
 
 def effective_tip_factor(geom: ElementGeometry, corr: CorrectionSpec, phi: float) -> float:
     return tip_loss_factor(geom, phi) if corr.tip_loss else 1.0
-
-
-def effective_tip_factor_prime(geom: ElementGeometry, corr: CorrectionSpec, phi: float) -> float:
-    return tip_loss_factor_prime(geom, phi) if corr.tip_loss else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -299,23 +287,21 @@ def mu_D_c(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec, phi: 
     return mu_D(geom, polar, phi) / effective_tip_factor(geom, corr, phi)
 
 
+def _mu_c_prime(geom, corr, phi, coef, slope):
+    f, fp = _tip(geom, corr, phi)
+    alpha = phi - geom.gamma
+    return 0.25 * geom.solidity * (slope(alpha) / f - coef(alpha) * fp / (f * f))
+
+
 def mu_L_c_prime(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                  phi: float) -> float:
     """d mu_L^c/dphi using the interpolant derivative and analytic dF/dphi."""
-    f = effective_tip_factor(geom, corr, phi)
-    fp = effective_tip_factor_prime(geom, corr, phi)
-    alpha = phi - geom.gamma
-    quarter_sigma = 0.25 * geom.solidity
-    return quarter_sigma * (polar.cl_prime(alpha) / f - polar.cl(alpha) * fp / (f * f))
+    return _mu_c_prime(geom, corr, phi, polar.cl, polar.cl_prime)
 
 
 def mu_D_c_prime(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                  phi: float) -> float:
-    f = effective_tip_factor(geom, corr, phi)
-    fp = effective_tip_factor_prime(geom, corr, phi)
-    alpha = phi - geom.gamma
-    quarter_sigma = 0.25 * geom.solidity
-    return quarter_sigma * (polar.cd_prime(alpha) / f - polar.cd(alpha) * fp / (f * f))
+    return _mu_c_prime(geom, corr, phi, polar.cd, polar.cd_prime)
 
 
 def mu_G(theta: float, phi: float) -> float:
@@ -338,16 +324,17 @@ def phi_upper(geom: ElementGeometry, polar: PolarTable) -> float:
     return min(geom.theta, polar.beta + geom.gamma)
 
 
-def interval_nonempty(geom: ElementGeometry, polar: PolarTable) -> bool:
-    """Angle-window compatibility: -pi/2 + theta <= beta + gamma."""
-    return -math.pi / 2.0 + geom.theta <= polar.beta + geom.gamma
-
-
 def _clamp_phi(phi: float) -> float:
     """Keep internal evaluations strictly inside (0, pi/2)."""
     if not 0.0 - PHI_EPS < phi < math.pi / 2.0 + PHI_EPS:
         raise DomainError(f"phi={phi:g} outside (0, pi/2)")
     return min(max(phi, PHI_EPS), math.pi / 2.0 - PHI_EPS)
+
+
+def _g(phi, s, t, drag):
+    """g from sin(phi), t = tan(theta - phi) and mu_D^c, as in :func:`g_func`."""
+    ct = math.cos(phi) / s * t
+    return ct + (drag / s) * (1.0 + ct)
 
 
 def g_func(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -359,14 +346,9 @@ def g_func(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     """
     if phi <= 0.0 or phi > geom.theta + PHI_EPS:
         raise DomainError(f"g defined on (0, theta]; got phi={phi:g}")
-    return _g_extended(geom, polar, corr, phi)
-
-
-def _g_extended(geom, polar, corr, phi):
     phi = _clamp_phi(phi)
-    ct = _cot(phi) * math.tan(geom.theta - phi)
     drag = mu_D_c(geom, polar, corr, phi)
-    return ct + (drag / math.sin(phi)) * (1.0 + ct)
+    return _g(phi, math.sin(phi), math.tan(geom.theta - phi), drag)
 
 
 def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float) -> float:
@@ -440,15 +422,57 @@ def _polish_nu(balance, corr, nu, nu0, cap, weight, tip_factor):
     return nu
 
 
+def _evaluate(geom, polar, corr, phi, lift=True):
+    """Every quantity of the corrected scalar equation at one angle, once each.
+
+    Returns ``(phi, sin(phi), F, C_L, mu_L^c, mu_D^c, nu, mu_G^c, residual)``
+    with ``phi`` clamped into (0, pi/2) and ``nu = 1 - tau(phi)``.  With
+    ``lift=False`` the lift coefficient is not evaluated (C_L, mu_L^c and
+    the residual are nan), so the momentum side stays defined wherever the
+    drag side is.  Each expression keeps the operation order of the public
+    helpers (``mu_L_c``, ``mu_D_c``, ``mu_G``, ``g_func``), so the results
+    equal theirs bit for bit.
+    """
+    phi = _clamp_phi(phi)
+    theta = geom.theta
+    quarter = 0.25 * geom.solidity
+    alpha = phi - geom.gamma
+    cl = polar.cl(alpha) if lift else math.nan
+    f = tip_loss_factor(geom, phi) if corr.tip_loss else 1.0
+    lift_c = quarter * cl / f
+    drag = quarter * polar.cd(alpha) / f
+    cos_tp = math.cos(theta - phi)
+    if abs(cos_tp) < PHI_EPS:
+        raise DomainError(f"mu_G pole at theta - phi = +-pi/2 (phi={phi:g})")
+    s = math.sin(phi)
+    t = math.tan(theta - phi)
+    momentum = s * t
+    nu = _axial_nu(_g(phi, s, t, drag), math.sin(theta) * s / cos_tp, corr, f)
+    excess = (1.0 - nu) - corr.a_c
+    if corr.variant != "none" and excess > 0.0:
+        momentum = momentum + (math.cos(theta) * s * s / cos_tp * corr.psi(excess, f)
+                               / (nu * nu))
+    return phi, s, f, cl, lift_c, drag, nu, momentum, lift_c - t * drag - momentum
+
+
+def _trivial(geom, polar, phi):
+    """(C_L, mu_L, mu_D, mu_G, residual) of the plain model on the full interval I."""
+    theta = geom.theta
+    if not (theta - math.pi / 2.0 < phi < theta + math.pi / 2.0):
+        raise DomainError(f"phi={phi:g} outside the momentum-side domain")
+    quarter = 0.25 * geom.solidity
+    cl = polar.cl(phi - geom.gamma)
+    lift = quarter * cl
+    drag = quarter * polar.cd(phi - geom.gamma)
+    value = lift - math.tan(theta - phi) * drag
+    momentum = mu_G(theta, phi)
+    return cl, lift, drag, momentum, value - momentum
+
+
 def tau_nu(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
            phi: float) -> float:
     """1 - tau(phi) at full floating-point precision (tau -> 1 as phi -> 0)."""
-    phi = _clamp_phi(phi)
-    theta = geom.theta
-    rhs = _g_extended(geom, polar, corr, phi)
-    weight = math.sin(theta) * math.sin(phi) / math.cos(theta - phi)
-    f = effective_tip_factor(geom, corr, phi)
-    return _axial_nu(rhs, weight, corr, f)
+    return _evaluate(geom, polar, corr, phi, lift=False)[6]
 
 
 def solve_tau(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -466,19 +490,7 @@ def solve_tau(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
 def mu_G_c(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
            phi: float) -> float:
     """Corrected momentum curve: mu_G plus the high-induction excess term."""
-    phi_c = _clamp_phi(phi)
-    theta = geom.theta
-    base = mu_G(theta, phi_c)
-    if corr.variant == "none":
-        return base
-    nu = tau_nu(geom, polar, corr, phi_c)
-    excess = (1.0 - nu) - corr.a_c
-    if excess <= 0.0:
-        return base
-    f = effective_tip_factor(geom, corr, phi_c)
-    s = math.sin(phi_c)
-    kern = math.cos(theta) * s * s / math.cos(theta - phi_c)
-    return base + kern * corr.psi(excess, f) / (nu * nu)
+    return _evaluate(geom, polar, corr, phi, lift=False)[7]
 
 
 def residual(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -491,25 +503,17 @@ def residual(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     the full angular interval I, which admits negative-lift branches;
     otherwise it requires phi in (0, pi/2).
     """
-    return residual_components(geom, polar, corr, phi).value
+    if corr.is_trivial:
+        return _trivial(geom, polar, phi)[4]
+    return _evaluate(geom, polar, corr, phi)[8]
 
 
 def residual_components(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                         phi: float) -> ResidualBreakdown:
-    theta = geom.theta
     if corr.is_trivial:
-        if not (theta - math.pi / 2.0 < phi < theta + math.pi / 2.0):
-            raise DomainError(f"phi={phi:g} outside the momentum-side domain")
-        lift = mu_L(geom, polar, phi)
-        drag = mu_D(geom, polar, phi)
-        value = lift - math.tan(theta - phi) * drag - mu_G(theta, phi)
-        return ResidualBreakdown(lift, drag, mu_G(theta, phi), 1.0, value)
-    phi_c = _clamp_phi(phi)
-    lift = mu_L_c(geom, polar, corr, phi_c)
-    drag = mu_D_c(geom, polar, corr, phi_c)
-    momentum = mu_G_c(geom, polar, corr, phi_c)
-    f = effective_tip_factor(geom, corr, phi_c)
-    value = lift - math.tan(theta - phi_c) * drag - momentum
+        _, lift, drag, momentum, value = _trivial(geom, polar, phi)
+        return ResidualBreakdown(lift, drag, momentum, 1.0, value)
+    _, _, f, _, lift, drag, _, momentum, value = _evaluate(geom, polar, corr, phi)
     return ResidualBreakdown(lift, drag, momentum, f, value)
 
 
@@ -521,7 +525,6 @@ def recover_induction(geom: ElementGeometry, polar: PolarTable, corr: Correction
     thrust balance is inverted directly, which also covers negative-lift
     roots outside (0, theta].
     """
-    theta = geom.theta
     note = ""
     if abs(phi) < 1e-6 or abs(phi - math.pi / 2.0) < 1e-6:
         note = "phi near a singular angle of the original system"
@@ -530,8 +533,7 @@ def recover_induction(geom: ElementGeometry, polar: PolarTable, corr: Correction
         s = math.sin(phi)
         if s == 0.0:
             raise DomainError("phi = 0: original system undefined")
-        lift = mu_L(geom, polar, phi)
-        drag = mu_D(geom, polar, phi)
+        cl, lift, drag, _, res = _trivial(geom, polar, phi)
         rhs = (lift * math.cos(phi) + drag * s) / (s * s)
         if abs(1.0 + rhs) < 1e-300:
             raise DomainError(f"thrust balance degenerate (a -> inf) at phi={phi:g}")
@@ -539,16 +541,9 @@ def recover_induction(geom: ElementGeometry, polar: PolarTable, corr: Correction
         nu = 1.0 - a
         f = 1.0
     else:
-        phi = _clamp_phi(phi)
-        nu = tau_nu(geom, polar, corr, phi)
+        phi, s, f, cl, lift, drag, nu, _, res = _evaluate(geom, polar, corr, phi)
         a = 1.0 - nu
-        s = math.sin(phi)
-        lift = mu_L_c(geom, polar, corr, phi)
-        drag = mu_D_c(geom, polar, corr, phi)
-        f = effective_tip_factor(geom, corr, phi)
     a_prime = nu * (lift * s - drag * math.cos(phi)) / (geom.lam * s * s)
-    res = residual(geom, polar, corr, phi)
-    cl = polar.cl(phi - geom.gamma)
     lift_sign = (cl > 0.0) - (cl < 0.0)
     return FlowState(phi=float(phi), a=float(a), a_prime=float(a_prime), tip_factor=f,
                      residual=float(res), lift_sign=lift_sign, note=note)

@@ -3,7 +3,7 @@
 A polar is a table of lift/drag coefficients sampled against angle of
 attack (radians).  Evaluation uses a monotone piecewise cubic (PCHIP)
 interpolant, which is C1 and does not overshoot near stall; tables with
-fewer than four samples fall back to piecewise linear interpolation.
+fewer than four samples use piecewise linear interpolation.
 
 Conventions:
   * ``cd`` is defined for every angle: outside the sampled range it is
@@ -11,21 +11,27 @@ Conventions:
   * ``cl`` is only trusted inside the sampled range and raises
     :class:`DomainError` outside it, unless the table was built with
     ``clamp_cl=True``.
+
+A scalar ``float`` (``np.float64`` included) is evaluated in pure Python
+in scipy's ``PPoly`` order, so scalars and arrays give the same bits.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from .errors import DomainError, NoPositiveLiftError, PolarFormatError, ValidationError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# best_glide_angle results for these settings are cached on the table
+_GLIDE_GRID, _GLIDE_TOL = 2048, 1e-10
 
 
 @dataclass(frozen=True)
@@ -37,23 +43,24 @@ class PolarSample:
     cd: float
 
 
-class _LinearInterp:
-    """Piecewise-linear interpolant with the same call protocol as PCHIP."""
+def _rows(fn):
+    """Per-interval coefficients of a PPoly, constant term first."""
+    return fn.c[::-1].T.tolist()
 
-    def __init__(self, x, y):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self.slopes = np.diff(self.y) / np.diff(self.x)
 
-    def __call__(self, x):
-        return np.interp(x, self.x, self.y)
-
-    def derivative(self):
-        return self._derivative
-
-    def _derivative(self, x):
-        idx = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, len(self.slopes) - 1)
-        return self.slopes[idx]
+def _power_sum(left, rows, alpha):
+    """Piecewise polynomial at a scalar in range (NaN gives NaN), summed
+    c0 + c1 s + c2 s^2 + ... as scipy's PPoly does; Horner's rule would
+    differ in the last bit."""
+    if alpha != alpha:
+        return math.nan
+    i = bisect_right(left, alpha) - 1
+    s = alpha - left[i]
+    res, z = 0.0, 1.0
+    for c in rows[i]:
+        res += c * z
+        z *= s
+    return res
 
 
 class PolarTable:
@@ -122,13 +129,16 @@ class PolarTable:
         if alpha.size >= 4:
             self._cl_f = PchipInterpolator(alpha, cl, extrapolate=False)
             self._cd_f = PchipInterpolator(alpha, cd, extrapolate=False)
-            self._cl_df = self._cl_f.derivative()
-            self._cd_df = self._cd_f.derivative()
         else:
-            lin_cl = _LinearInterp(alpha, cl)
-            lin_cd = _LinearInterp(alpha, cd)
-            self._cl_f, self._cl_df = lin_cl, lin_cl.derivative()
-            self._cd_f, self._cd_df = lin_cd, lin_cd.derivative()
+            self._cl_f = PPoly(np.array([np.diff(cl) / dal, cl[:-1]]), alpha, extrapolate=False)
+            self._cd_f = PPoly(np.array([np.diff(cd) / dal, cd[:-1]]), alpha, extrapolate=False)
+        self._cl_df = self._cl_f.derivative()
+        self._cd_df = self._cd_f.derivative()
+        self._lo, self._hi = float(alpha[0]), float(alpha[-1])
+        self._left = alpha[:-1].tolist()
+        self._cl_rows, self._cd_rows = _rows(self._cl_f), _rows(self._cd_f)
+        self._cl_prime_rows, self._cd_prime_rows = _rows(self._cl_df), _rows(self._cd_df)
+        self._best_glide = None  # filled by the first default best_glide_angle call
 
     # -- basic accessors -------------------------------------------------
 
@@ -152,50 +162,51 @@ class PolarTable:
 
     # -- evaluation ------------------------------------------------------
 
-    def _check_cl_domain(self, alpha):
-        arr = np.asarray(alpha, dtype=float)
-        if np.any(arr < self._alpha[0]) or np.any(arr > self._alpha[-1]):
-            raise DomainError(
-                f"cl evaluation outside sampled range [{self.alpha_min:g}, {self.alpha_max:g}]")
+    def _lift(self, alpha, rows, fn):
+        """cl or cl' at alpha: clamped with ``clamp_cl``, else range-checked."""
+        if isinstance(alpha, float):
+            alpha = float(alpha)
+            if alpha < self._lo or alpha > self._hi:
+                if not self.clamp_cl:
+                    raise DomainError(f"cl evaluation outside sampled range "
+                                      f"[{self._lo:g}, {self._hi:g}]")
+                alpha = self._lo if alpha < self._lo else self._hi
+            return _power_sum(self._left, rows, alpha)
+        if self.clamp_cl:
+            alpha = np.clip(alpha, self._lo, self._hi)
+        else:
+            arr = np.asarray(alpha, dtype=float)
+            if np.any(arr < self._lo) or np.any(arr > self._hi):
+                raise DomainError(f"cl evaluation outside sampled range "
+                                  f"[{self._lo:g}, {self._hi:g}]")
+        out = fn(alpha)
+        return float(out) if np.ndim(alpha) == 0 else out
 
     def cl(self, alpha):
         """Lift coefficient at angle of attack ``alpha`` (rad)."""
-        if self.clamp_cl:
-            alpha = np.clip(alpha, self._alpha[0], self._alpha[-1])
-        else:
-            self._check_cl_domain(alpha)
-        out = self._cl_f(alpha)
-        return float(out) if np.isscalar(alpha) or np.ndim(alpha) == 0 else out
+        return self._lift(alpha, self._cl_rows, self._cl_f)
 
     def cl_prime(self, alpha):
         """Derivative dcl/dalpha of the interpolant."""
-        if self.clamp_cl:
-            alpha = np.clip(alpha, self._alpha[0], self._alpha[-1])
-        else:
-            self._check_cl_domain(alpha)
-        out = self._cl_df(alpha)
-        return float(out) if np.isscalar(alpha) or np.ndim(alpha) == 0 else out
+        return self._lift(alpha, self._cl_prime_rows, self._cl_df)
 
     def cd(self, alpha):
         """Drag coefficient; clamped to the nearest sample outside the range."""
-        clipped = np.clip(alpha, self._alpha[0], self._alpha[-1])
-        out = self._cd_f(clipped)
-        return float(out) if np.isscalar(alpha) or np.ndim(alpha) == 0 else out
+        if isinstance(alpha, float):
+            alpha = min(max(float(alpha), self._lo), self._hi)  # NaN stays NaN
+            return _power_sum(self._left, self._cd_rows, alpha)
+        out = self._cd_f(np.clip(alpha, self._lo, self._hi))
+        return float(out) if np.ndim(alpha) == 0 else out
 
     def cd_prime(self, alpha):
         """Derivative dcd/dalpha; zero outside the sampled range (clamping)."""
+        if isinstance(alpha, float):
+            inside = self._lo <= alpha <= self._hi
+            return _power_sum(self._left, self._cd_prime_rows, float(alpha)) if inside else 0.0
         arr = np.asarray(alpha, dtype=float)
-        inside = (arr >= self._alpha[0]) & (arr <= self._alpha[-1])
-        clipped = np.clip(arr, self._alpha[0], self._alpha[-1])
-        out = np.where(inside, self._cd_df(clipped), 0.0)
-        return float(out) if np.isscalar(alpha) or np.ndim(alpha) == 0 else out
-
-    def glide_ratio(self, alpha):
-        """cd(alpha)/cl(alpha); raises when cl vanishes."""
-        lift = self.cl(alpha)
-        if lift == 0.0:
-            raise DomainError(f"cl vanishes at alpha={float(alpha):g}")
-        return self.cd(alpha) / lift
+        inside = (arr >= self._lo) & (arr <= self._hi)
+        out = np.where(inside, self._cd_df(np.clip(arr, self._lo, self._hi)), 0.0)
+        return float(out) if np.ndim(alpha) == 0 else out
 
 
 def load_polar(source, *, beta=None, alpha_s=None, label=None, clamp_cl=False) -> PolarTable:
@@ -246,20 +257,26 @@ def load_polar(source, *, beta=None, alpha_s=None, label=None, clamp_cl=False) -
                       beta=beta, alpha_s=alpha_s, label=name, clamp_cl=clamp_cl)
 
 
-def best_glide_angle(polar: PolarTable, *, grid=2048, tol=1e-10) -> float:
+def best_glide_angle(polar: PolarTable, *, grid=_GLIDE_GRID, tol=_GLIDE_TOL) -> float:
     """Angle in (0, beta] minimizing cd/cl, by grid scan + golden section.
 
-    Raises :class:`NoPositiveLiftError` when cl <= 0 on the whole window.
+    The result for the default ``grid`` and ``tol`` is computed once per
+    table and cached.  Raises :class:`NoPositiveLiftError` when cl <= 0 on
+    the whole window.
     """
+    # Threads may race to fill the cache; each computes the same float.
+    cached = grid == _GLIDE_GRID and tol == _GLIDE_TOL
+    if cached and polar._best_glide is not None:
+        return polar._best_glide
     lo = min(polar.beta, polar.alpha_max) / grid
     hi = min(polar.beta, polar.alpha_max)
     alphas = np.linspace(lo, hi, grid)
-    lift = np.array([polar.cl(a) for a in alphas])
+    lift = polar.cl(alphas)  # the array path gives the scalar path's bits
     positive = lift > 0.0
     if not np.any(positive):
         raise NoPositiveLiftError(f"cl <= 0 everywhere on (0, {polar.beta:g}]")
     ratios = np.full(alphas.shape, np.inf)
-    ratios[positive] = np.array([polar.cd(a) for a in alphas[positive]]) / lift[positive]
+    ratios[positive] = polar.cd(alphas[positive]) / lift[positive]
     k = int(np.argmin(ratios))
 
     a = alphas[max(k - 1, 0)]
@@ -283,7 +300,10 @@ def best_glide_angle(polar: PolarTable, *, grid=2048, tol=1e-10) -> float:
             x2 = a + _GOLDEN * (b - a)
             f2 = ratio(x2)
     best = 0.5 * (a + b)
-    return float(best if ratio(best) <= ratios[k] else alphas[k])
+    best = float(best if ratio(best) <= ratios[k] else alphas[k])
+    if cached:
+        polar._best_glide = best
+    return best
 
 
 def dump_polar(polar: PolarTable, target) -> None:

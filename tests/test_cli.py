@@ -88,6 +88,22 @@ def test_jobs_flag_preserves_output(workdir):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_output_path_from_config_and_out_override(workdir, capsys):
+    cfg = _write_cfg(workdir, "output.path=results/solve.csv\n", name="out.cfg")
+    (workdir / "results").mkdir()
+    assert main(["solve", "--config", cfg, "--method", "fixed"]) == 0
+    assert capsys.readouterr().out == ""  # nothing on stdout: the CSV went to the file
+    target = workdir / "results" / "solve.csv"  # relative to the config's directory
+    assert len(_rows(target)) == 5
+
+    expected = target.read_bytes()
+    target.unlink()
+    override = workdir / "override.csv"
+    assert main(["solve", "--config", cfg, "--method", "fixed", "--out", str(override)]) == 0
+    assert not target.exists()  # --out wins over output.path
+    assert override.read_bytes() == expected
+
+
 def test_bisection_wrong_initial_guess_flag(workdir):
     cfg = _write_cfg(workdir, "run.lambda=2.5\nsolver.bracket_lo=0.3\n"
                               "solver.bracket_hi=0.35\n",

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glauert_bem import (
     CorrectionSpec,
@@ -21,12 +23,14 @@ from glauert_bem import (
     tip_loss_factor,
 )
 from glauert_bem.model import (
+    CORRECTION_VARIANTS,
     g_func,
     mu_D,
     mu_D_c,
     mu_G_prime,
     mu_L,
     mu_L_c,
+    residual_components,
     tau_nu,
 )
 from glauert_bem.solvers import solve_bisection, SolveOptions
@@ -502,6 +506,28 @@ def test_loads_diagnostics_values(linear_polar):
     assert abs(rep.axial_speed - 0.75 * tb.upstream_speed) < 1e-15
     assert abs(rep.torque_per_span
                - 4 * 0.1 * 0.75 * geom.lam * math.pi * geom.r ** 2) < 1e-12
+
+
+_STALL = synthetic_polar("linear_lift_with_stall", slope=6.0, alpha_s=0.3, drop=0.5,
+                         transition=0.05, cd0=0.012, cd2=0.1)  # the stall_polar fixture
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+@settings(max_examples=150, deadline=None, database=None)
+@given(frac=st.floats(min_value=0.01, max_value=1.0))
+def test_entry_points_share_one_evaluation(variant, tip, frac):
+    # a heavily loaded element, so that the high-induction branch is reached
+    geom = make_geom(lam=1.5, gamma=0.05, chord=0.6, r=0.5, tip_radius=1.0)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    phi = frac * geom.theta
+    value = residual(geom, _STALL, corr, phi)
+    state = recover_induction(geom, _STALL, corr, phi)
+    assert state.residual.hex() == value.hex()
+    assert residual_components(geom, _STALL, corr, phi).value.hex() == value.hex()
+    if not corr.is_trivial:  # the trivial path inverts the thrust balance instead
+        assert state.a.hex() == (1.0 - tau_nu(geom, _STALL, corr, phi)).hex()
+
 
 
 def _state(phi, a, a_prime, tip_factor=1.0):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glauert_bem import (
     DomainError,
@@ -198,3 +200,123 @@ def test_polar_invariants_rejected_at_construction():
     with pytest.raises(ValidationError):  # cl <= 0 inside (0, beta]
         PolarTable([-0.2, 0.1, 0.2, 0.3], [0.5, -0.5, 0.5, 0.6], [0.01] * 4,
                    beta=0.25, alpha_s=0.3)
+
+
+# ---------------------------------------------------------------------------
+# scalar fast path: bit-identical to the scipy array path
+
+SCALAR_FNS = ("cl", "cd", "cl_prime", "cd_prime")
+
+
+def _smooth_table(clamp_cl=False):
+    """PCHIP table of curved, irregularly spaced samples (all cubic terms live)."""
+    alpha = np.sort(rng(5).uniform(-0.4, 0.6, 40))
+    return PolarTable(alpha, 1.1 * np.sin(5.0 * alpha) + 0.3 * alpha ** 2,
+                      0.008 + 0.4 * alpha ** 2 + 0.05 * alpha ** 3,
+                      alpha_s=0.3, clamp_cl=clamp_cl)
+
+
+def _linear_table(clamp_cl=False):
+    return PolarTable([0.0, 0.1, 0.2], [0.0, 0.6, 1.1], [0.008, 0.01, 0.02],
+                      clamp_cl=clamp_cl)
+
+
+TABLES = {"pchip": _smooth_table, "linear": _linear_table}
+
+
+def _assert_scalar_matches_array(table, a):
+    for name in SCALAR_FNS:
+        fn = getattr(table, name)
+        try:
+            ref = float(fn(np.array([a]))[0])
+        except DomainError:
+            with pytest.raises(DomainError):
+                fn(a)
+            continue
+        got = fn(a)
+        assert type(got) is float
+        assert got.hex() == ref.hex(), (name, a, got, ref)
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+@pytest.mark.parametrize("clamp_cl", [False, True])
+def test_scalar_path_matches_array_path_at_nodes_and_dense_points(kind, clamp_cl):
+    table = TABLES[kind](clamp_cl)
+    nodes = [s.alpha for s in table.samples]
+    dense = rng(6).uniform(nodes[0], nodes[-1], 2000).tolist()
+    outside = [nodes[0] - 0.5, nodes[-1] + 0.5, -math.inf, math.inf, math.nan]
+    for a in nodes + dense + outside:
+        _assert_scalar_matches_array(table, a)
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+@settings(max_examples=300, deadline=None, database=None)
+@given(a=st.floats(min_value=-1.0, max_value=1.0), clamp_cl=st.booleans())
+def test_scalar_path_matches_array_path_property(kind, a, clamp_cl):
+    _assert_scalar_matches_array(TABLES[kind](clamp_cl), a)
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_scalar_edge_behaviour(kind):
+    table, clamped = TABLES[kind](), TABLES[kind](clamp_cl=True)
+    lo, hi = table.alpha_min, table.alpha_max
+    for a in (lo - 1e-9, hi + 1e-9, hi + 1.0):
+        with pytest.raises(DomainError):
+            table.cl(a)
+        with pytest.raises(DomainError):
+            table.cl_prime(a)
+    assert clamped.cl(hi + 1.0) == clamped.cl(hi) and clamped.cl(lo - 1.0) == clamped.cl(lo)
+    assert clamped.cl_prime(hi + 1.0) == clamped.cl_prime(hi)
+    assert table.cd(hi + 1.0) == table.cd(hi) and table.cd(lo - 1.0) == table.cd(lo)
+    assert table.cd_prime(hi + 1.0) == 0.0 and table.cd_prime(lo - 1.0) == 0.0
+    for t in (table, clamped):
+        assert math.isnan(t.cl(math.nan)) and math.isnan(t.cl_prime(math.nan))
+        assert math.isnan(t.cd(math.nan)) and t.cd_prime(math.nan) == 0.0
+    mid = 0.5 * (lo + hi)
+    for name in SCALAR_FNS:
+        fn = getattr(table, name)
+        assert type(fn(np.float64(mid))) is float and fn(np.float64(mid)) == fn(mid)
+        assert type(fn(0)) is float and fn(0) == fn(0.0)
+
+
+# ---------------------------------------------------------------------------
+# best-glide cache
+
+
+def _glide_csv():
+    buf = io.StringIO()
+    dump_polar(synthetic_polar("linear_lift", slope=2.0 * math.pi, cd0=0.01, cd2=0.1), buf)
+    return buf.getvalue()
+
+
+def test_best_glide_is_cached_per_table(monkeypatch):
+    table = load_polar(io.StringIO(_glide_csv()), beta=0.5)
+    first = best_glide_angle(table)
+    calls = []
+    cl = table.cl
+    monkeypatch.setattr(table, "cl", lambda a: calls.append(a) or cl(a))
+    assert best_glide_angle(table).hex() == first.hex()
+    assert calls == []  # served from the cache
+    fresh = load_polar(io.StringIO(_glide_csv()), beta=0.5)
+    assert best_glide_angle(fresh).hex() == first.hex()
+
+
+def test_best_glide_non_default_grid_bypasses_cache(monkeypatch):
+    table = load_polar(io.StringIO(_glide_csv()), beta=0.5)
+    first = best_glide_angle(table)
+    calls = []
+    cl = table.cl
+    monkeypatch.setattr(table, "cl", lambda a: calls.append(a) or cl(a))
+    coarse = best_glide_angle(table, grid=512)
+    assert calls  # searched again
+    assert abs(coarse - first) < 1e-6
+    calls.clear()
+    assert best_glide_angle(table).hex() == first.hex() and calls == []
+
+
+def test_best_glide_failure_is_raised_on_every_call():
+    table = PolarTable([-0.5, -0.2, 0.4, 0.5], [-1.0, -1.0, -0.1, -0.05],
+                       [0.01] * 4, beta=0.3, alpha_s=0.5)
+    for _ in range(2):
+        with pytest.raises(NoPositiveLiftError):
+            best_glide_angle(table)
