@@ -9,9 +9,11 @@ Usage::
     bem check  --config run.cfg [--out path]
 
 CSV output uses the shortest round-trip decimal representation of every
-float, so identical inputs give byte-identical files.  Exit codes: 0 all
-requested work converged, 1 some solve/element did not, 2 bad
-configuration.  Set BEM_LOG=debug|info for verbosity.
+float, so identical inputs give byte-identical files.  ``--jobs`` is
+accepted for compatibility and has no effect: lambdas run one after
+another.  Exit codes: 0 all requested work converged, 1 some
+solve/element did not, 2 bad configuration.  Set BEM_LOG=debug|info for
+verbosity.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .config import RunConfig, parse_config
@@ -69,14 +70,6 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def _map_ordered(fn, items, jobs):
-    """Apply fn to items, possibly concurrently, preserving input order."""
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _element_design(cfg: RunConfig, lam: float):
     """(gamma, chord) for one element, per the configured design mode."""
     if cfg.design_mode == "fixed":
@@ -109,7 +102,7 @@ def _state_row(cfg, lam, geom, state, iterations, method, category):
     ])
 
 
-def cmd_solve(cfg: RunConfig, method: str, jobs: int, out_path) -> int:
+def cmd_solve(cfg: RunConfig, method: str, out_path) -> int:
     methods = list(METHODS) if method == "all" else [method]
 
     def run_one(lam):
@@ -148,7 +141,7 @@ def cmd_solve(cfg: RunConfig, method: str, jobs: int, out_path) -> int:
                                    category))
         return rows, ok
 
-    results = _map_ordered(run_one, list(cfg.lambdas), jobs)
+    results = [run_one(lam) for lam in cfg.lambdas]
     lines = [ROW_HEADER]
     all_ok = True
     for rows, ok in results:
@@ -158,7 +151,7 @@ def cmd_solve(cfg: RunConfig, method: str, jobs: int, out_path) -> int:
     return EXIT_OK if all_ok else EXIT_INCOMPLETE
 
 
-def cmd_scan(cfg: RunConfig, jobs: int, out_path) -> int:
+def cmd_scan(cfg: RunConfig, out_path) -> int:
     def run_one(lam):
         try:
             gamma, chord = _element_design(cfg, float(lam))
@@ -170,15 +163,14 @@ def cmd_scan(cfg: RunConfig, jobs: int, out_path) -> int:
         return [_state_row(cfg, float(lam), geom, rec.state, 0, "scan", rec.category)
                 for rec in roots.records]
 
-    results = _map_ordered(run_one, list(cfg.lambdas), jobs)
     lines = [ROW_HEADER]
-    for rows in results:
-        lines.extend(rows)
+    for lam in cfg.lambdas:
+        lines.extend(run_one(lam))
     _emit(lines, out_path)
     return EXIT_OK
 
 
-def cmd_design(cfg: RunConfig, jobs: int, out_path) -> int:
+def cmd_design(cfg: RunConfig, out_path) -> int:
     corrected = cfg.design_mode == "corrected"
 
     def run_one(lam):
@@ -208,7 +200,7 @@ def cmd_design(cfg: RunConfig, jobs: int, out_path) -> int:
             _fmt(result.converged),
         ]), result.converged
 
-    results = _map_ordered(run_one, list(cfg.lambdas), jobs)
+    results = [run_one(lam) for lam in cfg.lambdas]
     lines = [DESIGN_HEADER] + [row for row, _ in results]
     _emit(lines, out_path)
     return EXIT_OK if all(ok for _, ok in results) else EXIT_INCOMPLETE
@@ -303,7 +295,7 @@ def build_parser():
                              choices=sorted(METHODS) + ["all"])
         if name in ("solve", "scan", "design"):
             cmd.add_argument("--jobs", type=int, default=1,
-                             help="concurrent lambda evaluations")
+                             help="accepted for compatibility; has no effect")
     return parser
 
 
@@ -321,11 +313,11 @@ def main(argv=None) -> int:
     out = args.out or cfg.output_path
     try:
         if args.command == "solve":
-            return cmd_solve(cfg, args.method, args.jobs, out)
+            return cmd_solve(cfg, args.method, out)
         if args.command == "scan":
-            return cmd_scan(cfg, args.jobs, out)
+            return cmd_scan(cfg, out)
         if args.command == "design":
-            return cmd_design(cfg, args.jobs, out)
+            return cmd_design(cfg, out)
         if args.command == "sweep":
             return cmd_sweep(cfg, out)
         return cmd_check(cfg, out)

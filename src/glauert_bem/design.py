@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     AdjointError,
@@ -43,7 +42,7 @@ from .model import (
     residual,
 )
 from .polar import PolarTable, best_glide_angle
-from .solvers import _scan_domain, scan_roots
+from .solvers import _brentq, _scan_domain, scan_roots
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class AdjointState:
     M: np.ndarray
     b: np.ndarray
     grad: np.ndarray
-    grad_printed: np.ndarray
     scale: float
     at_threshold: bool
 
@@ -187,8 +185,7 @@ def solve_element(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec
             except DomainError:
                 break
             if (f_lo < 0.0) != (f_hi < 0.0):
-                phi = brentq(lambda p: residual(geom, polar, corr, p), lo, hi,
-                             xtol=1e-14, rtol=8.9e-16)
+                phi = _brentq(lambda p: residual(geom, polar, corr, p), lo, hi)
                 return recover_induction(geom, polar, corr, phi)
             delta *= 4.0
     roots = scan_roots(geom, polar, corr, grid_size=grid_size)
@@ -223,10 +220,7 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     Rows of M differentiate the three flow constraints with respect to
     (phi, a, a'); b is the same derivative of the power objective, scaled
     by 8 lambda^3 / lambda_max^2 when ``lambda_max`` is given (the Cp
-    integrand) and unscaled otherwise.  ``grad_printed`` keeps a variant
-    of the phi-row right-hand side in which the drag term is not weighted
-    by a'(1-a); both are reported since they disagree whenever drag is
-    active (finite differences arbitrate in the tests).
+    integrand) and unscaled otherwise.
 
     psi is differenced one-sidedly at a = a_c (derivative from below,
     i.e. zero); such states are flagged ``at_threshold``.
@@ -270,21 +264,15 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
         -f * ap * drag_gain,
         f * nu * drag_gain,
     ]) * scale
-    b_printed = b.copy()
-    b_printed[0] = (f * (ap * nu * (-dratio) * cot + ratio / (s * s))
-                    + fp * ap * nu * drag_gain) * scale
 
     norm = float(np.linalg.norm(m))
     det = float(np.linalg.det(m))
     if abs(det) < 1e-14 * max(norm, 1e-300):
         raise AdjointError(f"adjoint matrix numerically singular (det={det:g})")
     p = np.linalg.solve(m, b)
-    p_printed = np.linalg.solve(m, b_printed)
-
     grad = _design_gradient(geom, state, p, scale, f, pieces)
-    grad_printed = _design_gradient(geom, state, p_printed, scale, f, pieces)
-    return AdjointState(p=p, M=m, b=b, grad=grad, grad_printed=grad_printed,
-                        scale=scale, at_threshold=abs(excess) < 1e-9)
+    return AdjointState(p=p, M=m, b=b, grad=grad, scale=scale,
+                        at_threshold=abs(excess) < 1e-9)
 
 
 def _design_gradient(geom, state, p, scale, f, pieces):

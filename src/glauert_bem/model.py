@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.optimize import brentq
+import numpy as np
 
 from .errors import DomainError, TipSingularityError, ValidationError
 from .polar import PolarTable
@@ -156,21 +156,30 @@ class CorrectionSpec:
         x = max(0.0, excess)
         if x == 0.0 or self.variant == "none":
             return 0.0
-        if self.variant == "glauert3":
-            return 0.25 * x * (x * x / self.a_c + 2.0 * x + self.a_c)
-        if self.variant == "wilson_spera":
-            return x * x
-        f = self._psi_tip(tip_factor)
-        if self.variant == "buhl":
-            return (x / (1.0 - self.a_c)) ** 2 / (2.0 * f)
-        # Glauert empirical, excess part only so that psi(0) = 0
-        return x * (f * (x + 2.0 * self.a_c) - 0.286) * f / 2.5708
+        return self._psi(x, tip_factor)
 
     def psi_prime(self, excess: float, tip_factor: float = 1.0) -> float:
         """One-sided d psi/da for a > a_c; zero at or below the threshold."""
         x = max(0.0, excess)
         if x == 0.0 or self.variant == "none":
             return 0.0
+        return self._psi_prime(x, tip_factor)
+
+    def _psi(self, x, tip_factor):
+        """psi at an excess x > 0 of a corrected variant; elementwise on arrays."""
+        if self.variant == "glauert3":
+            return 0.25 * x * (x * x / self.a_c + 2.0 * x + self.a_c)
+        if self.variant == "wilson_spera":
+            return x * x
+        f = self._psi_tip(tip_factor)
+        if self.variant == "buhl":
+            q = x / (1.0 - self.a_c)
+            return q * q / (2.0 * f)
+        # Glauert empirical, excess part only so that psi(0) = 0
+        return x * (f * (x + 2.0 * self.a_c) - 0.286) * f / 2.5708
+
+    def _psi_prime(self, x, tip_factor):
+        """d psi/da at an excess x > 0 of a corrected variant; elementwise on arrays."""
         if self.variant == "glauert3":
             return 0.75 * x * x / self.a_c + x + 0.25 * self.a_c
         if self.variant == "wilson_spera":
@@ -259,6 +268,29 @@ def _tip(geom: ElementGeometry, corr: CorrectionSpec, phi: float):
             -(2.0 / math.pi) * d_decay / math.sqrt(max(1.0 - decay * decay, 1e-300)))
 
 
+def _tip_grid(geom: ElementGeometry, phis):
+    """(F, dF/dphi) of :func:`_tip` at an array of angles, NaN where it raises
+    :class:`DomainError`; tip loss must be on."""
+    if geom.tip_radius is None:
+        raise ValidationError("tip loss requires a tip_radius on the element geometry")
+    ratio = geom.r / geom.tip_radius
+    k = 0.5 * geom.blade_count * (1.0 - ratio) / ratio
+    s = np.sin(phis)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = -k / s
+        decay = np.exp(x)
+        # arccos is ill-conditioned near 1, where a last-bit difference of
+        # np.exp from math.exp grows to tens of ulp in F: use math.exp there
+        near = (decay > 0.5) & (x < 0.0)
+        if near.any():
+            decay[near] = [math.exp(v) for v in x[near].tolist()]
+        bad = (s <= 0.0) | (decay >= 1.0)
+        d_decay = decay * k * np.cos(phis) / (s * s)
+        f = np.where(bad, np.nan, (2.0 / math.pi) * np.arccos(decay))
+        fp = -(2.0 / math.pi) * d_decay / np.sqrt(np.maximum(1.0 - decay * decay, 1e-300))
+    return f, np.where(bad, np.nan, fp)
+
+
 def effective_tip_factor(geom: ElementGeometry, corr: CorrectionSpec, phi: float) -> float:
     return tip_loss_factor(geom, phi) if corr.tip_loss else 1.0
 
@@ -302,6 +334,23 @@ def mu_L_c_prime(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
 def mu_D_c_prime(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                  phi: float) -> float:
     return _mu_c_prime(geom, corr, phi, polar.cd, polar.cd_prime)
+
+
+def _mu_c_prime_grid(geom, polar, corr, phis, lift=True):
+    """d mu_L^c/dphi (``lift``) or d mu_D^c/dphi at an array of angles, with
+    the polar's and the tip factor's array paths; raises what the scalar
+    primes raise at any of the angles."""
+    alpha = phis - geom.gamma
+    if lift:
+        coef, slope = polar.cl(alpha), polar.cl_prime(alpha)
+    else:
+        coef, slope = polar.cd(alpha), polar.cd_prime(alpha)
+    f, fp = 1.0, 0.0
+    if corr.tip_loss:
+        f, fp = _tip_grid(geom, phis)
+        if np.isnan(f).any():
+            _decay(geom, float(phis[np.isnan(f)][0]))  # raises the scalar path's error
+    return 0.25 * geom.solidity * (slope / f - coef * fp / (f * f))
 
 
 def mu_G(theta: float, phi: float) -> float:
@@ -357,6 +406,11 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
     The left side is strictly increasing in a, so the root is unique.  It
     is computed in nu-space to keep full precision as a approaches 1.
     Negative rhs down to -1 maps to the exact uncorrected branch (a < 0).
+    Wilson/Spera has a closed form (:func:`_wilson_nu`).  The other
+    variants run Newton (:func:`_newton_nu`) from nu0 = 1/(1 + rhs) inside
+    [nu0, 1 - a_c], where the balance in nu is decreasing and, for
+    psi >= 0, convex.  Either result gets one polishing Newton step.
+    :func:`_axial_nu_grid` is the same computation on arrays.
     """
     if rhs <= -1.0:
         raise DomainError(f"axial balance unsolvable: rhs={rhs:g} <= -1")
@@ -383,8 +437,48 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
             raise DomainError(
                 "axial balance lost monotonicity (psi < 0 under the current "
                 "tip factor); use strict_lemma_mode or another variant")
-        nu = brentq(balance, nu0, cap, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        nu = _newton_nu(rhs, weight, corr, tip_factor, nu0, cap)
     return _polish_nu(balance, corr, nu, nu0, cap, weight, tip_factor)
+
+
+# Newton on the axial balance stops once a step moves nu by at most about
+# two ulp; from nu0 a convex balance needs fewer than ten steps.
+_NU_STEP_TOL = 4.4e-16
+_NU_MAX_STEPS = 100
+
+
+def _newton_nu(rhs, weight, corr, tip_factor, nu0, cap):
+    """Newton on the axial balance from nu0, kept inside a shrinking bracket.
+
+    The balance is positive at nu0 and negative at cap.  A step that would
+    leave the bracket is replaced by its midpoint; a step onto a bracket
+    end is taken.  Raises :class:`DomainError` if it has not converged
+    after ``_NU_MAX_STEPS`` steps.
+    """
+    lo, hi, nu = nu0, cap, nu0
+    for _ in range(_NU_MAX_STEPS):
+        x = cap - nu
+        psi, dpsi = ((corr._psi(x, tip_factor), corr._psi_prime(x, tip_factor))
+                     if x > 0.0 else (0.0, 0.0))
+        nn = nu * nu
+        value = (1.0 - nu) / nu - rhs + weight * psi / nn
+        if value == 0.0:
+            break
+        if value > 0.0:
+            lo = nu
+        else:
+            hi = nu
+        slope = -1.0 / nn - weight * dpsi / nn - 2.0 * weight * psi / (nn * nu)
+        new = nu - value / slope
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        step = abs(new - nu)
+        nu = new
+        if step <= _NU_STEP_TOL * nu:
+            break
+    else:
+        raise DomainError(f"axial Newton did not converge in {_NU_MAX_STEPS} steps")
+    return nu
 
 
 def _wilson_nu(rhs, weight, a_c, nu0):
@@ -420,6 +514,87 @@ def _polish_nu(balance, corr, nu, nu0, cap, weight, tip_factor):
         if nu0 <= candidate <= cap and abs(balance(candidate)) <= abs(balance(nu)):
             nu = candidate
     return nu
+
+
+def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
+    """:func:`_axial_nu` elementwise on arrays, NaN where it raises
+    :class:`DomainError`; the same closed form, Newton iteration and polish."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = np.where(rhs > -1.0, 1.0 / (1.0 + rhs), np.nan)
+        if corr.variant == "none":
+            return nu
+        on = np.flatnonzero((rhs > 0.0) & (1.0 - nu > corr.a_c))
+        if on.size == 0:
+            return nu
+        rhs, weight, nu0 = rhs[on], weight[on], nu[on]
+        f = np.broadcast_to(tip_factor, nu.shape)[on]
+        cap = 1.0 - corr.a_c
+
+        def terms(v):
+            """The balance and its slope at v, as in _newton_nu and _polish_nu."""
+            x = cap - v
+            psi = np.where(x > 0.0, corr._psi(x, f), 0.0)
+            dpsi = np.where(x > 0.0, corr._psi_prime(x, f), 0.0)
+            nn = v * v
+            return ((1.0 - v) / v - rhs + weight * psi / nn,
+                    -1.0 / nn - weight * dpsi / nn - 2.0 * weight * psi / (nn * v))
+
+        if corr.variant == "wilson_spera":
+            sol = _wilson_nu_grid(rhs, weight, corr.a_c, nu0)
+        else:
+            f_lo, f_hi = terms(nu0)[0], terms(np.full_like(nu0, cap))[0]
+            sol = np.where(f_hi == 0.0, cap, _newton_nu_grid(terms, nu0, cap))
+            sol = np.where(f_lo == 0.0, nu0, sol)
+            sol[(f_lo != 0.0) & (f_hi != 0.0) & ((f_lo < 0.0) | (f_hi > 0.0))] = np.nan
+        # the polishing step of _polish_nu; a no-op where the balance is 0
+        value, slope = terms(sol)
+        cand = sol - value / slope
+        better = ((slope != 0.0) & (nu0 <= cand) & (cand <= cap)
+                  & (np.abs(terms(cand)[0]) <= np.abs(value)))
+        nu[on] = np.where(better, cand, sol)
+    return nu
+
+
+def _newton_nu_grid(terms, nu0, cap):
+    """:func:`_newton_nu` elementwise: each point stops on its own criterion,
+    and a point not converged after ``_NU_MAX_STEPS`` steps is NaN."""
+    lo, hi, nu = nu0, np.full_like(nu0, cap), nu0
+    live = np.ones(nu0.shape, dtype=bool)
+    for _ in range(_NU_MAX_STEPS):
+        value, slope = terms(nu)
+        live &= value != 0.0
+        lo = np.where(live & (value > 0.0), nu, lo)
+        hi = np.where(live & ~(value > 0.0), nu, hi)
+        new = nu - value / slope
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        step = np.abs(new - nu)
+        nu = np.where(live, new, nu)
+        live &= ~(step <= _NU_STEP_TOL * nu)
+        if not live.any():
+            break
+    return np.where(live, np.nan, nu)
+
+
+def _wilson_nu_grid(rhs, weight, a_c, nu0):
+    """:func:`_wilson_nu` elementwise, NaN where it finds no root."""
+    cap = 1.0 - a_c
+    qa = weight - 1.0 - rhs
+    qb = 1.0 - 2.0 * weight * cap
+    qc = weight * cap * cap
+    disc = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
+    q = -0.5 * (qb + np.copysign(disc, qb))
+    r1, r2 = qc / q, q / qa
+
+    def fits(nu):
+        return (nu0 * (1.0 - 1e-9) <= nu) & (nu <= cap * (1.0 + 1e-9))
+
+    def miss(nu):
+        return np.abs((1.0 - nu) / nu - rhs + weight * (cap - nu) ** 2 / (nu * nu))
+
+    good1, good2 = fits(r1), fits(r2)  # r1 = qc/q is not finite where q == 0
+    nu = np.where(good1 & ~(good2 & (miss(r2) < miss(r1))), r1,
+                  np.where(good2, r2, np.nan))
+    return np.where(qa == 0.0, -qc / qb, nu)
 
 
 def _evaluate(geom, polar, corr, phi, lift=True):
@@ -467,6 +642,58 @@ def _trivial(geom, polar, phi):
     value = lift - math.tan(theta - phi) * drag
     momentum = mu_G(theta, phi)
     return cl, lift, drag, momentum, value - momentum
+
+
+def _residual_grid(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec, phis):
+    """:func:`residual` at every angle of the array ``phis``, in numpy.
+
+    NaN exactly where :func:`residual` raises :class:`DomainError`; other
+    errors are raised.  Each expression keeps the scalar path's operation
+    order, but numpy's ``tan``, ``exp`` and ``arccos`` may differ from
+    ``math``'s in the last bit, so values agree with the scalar path to a
+    few ulp rather than bit for bit.
+    """
+    phis = np.asarray(phis, dtype=float)
+    theta = geom.theta
+    quarter = 0.25 * geom.solidity
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if corr.is_trivial:
+            phi = phis
+            ok = (theta - math.pi / 2.0 < phi) & (phi < theta + math.pi / 2.0)
+        else:
+            phi = np.clip(phis, PHI_EPS, math.pi / 2.0 - PHI_EPS)
+            ok = (0.0 - PHI_EPS < phis) & (phis < math.pi / 2.0 + PHI_EPS)
+        alpha = phi - geom.gamma
+        if not polar.clamp_cl:  # the array cl raises for the whole array
+            ok &= (polar.alpha_min <= alpha) & (alpha <= polar.alpha_max)
+        if not ok.any():
+            return np.full(phis.shape, np.nan)
+        cl = np.full(phis.shape, np.nan)
+        cl[ok] = polar.cl(alpha[ok])
+        t = np.tan(theta - phi)
+        cos_tp = np.cos(theta - phi)
+        if corr.is_trivial:
+            value = quarter * cl - t * (quarter * polar.cd(alpha))
+            res = value - np.sin(phi) * t
+        else:
+            f = _tip_grid(geom, phi)[0] if corr.tip_loss else 1.0
+            lift_c = quarter * cl / f
+            drag = quarter * polar.cd(alpha) / f
+            s = np.sin(phi)
+            momentum = s * t
+            ct = np.cos(phi) / s * t
+            nu = _axial_nu_grid(ct + (drag / s) * (1.0 + ct),
+                                math.sin(theta) * s / cos_tp, corr, f)
+            ok &= ~np.isnan(nu)  # where _axial_nu raises
+            if corr.variant != "none":
+                excess = (1.0 - nu) - corr.a_c
+                momentum = np.where(excess > 0.0,
+                                    momentum + (math.cos(theta) * s * s / cos_tp
+                                                * corr._psi(excess, f) / (nu * nu)),
+                                    momentum)
+            res = lift_c - t * drag - momentum
+    ok &= ~(np.abs(cos_tp) < PHI_EPS)
+    return np.where(ok, res, np.nan)
 
 
 def tau_nu(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,

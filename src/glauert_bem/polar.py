@@ -3,7 +3,9 @@
 A polar is a table of lift/drag coefficients sampled against angle of
 attack (radians).  Evaluation uses a monotone piecewise cubic (PCHIP)
 interpolant, which is C1 and does not overshoot near stall; tables with
-fewer than four samples use piecewise linear interpolation.
+fewer than four samples use piecewise linear interpolation.  The
+coefficients are those of scipy's ``PchipInterpolator``, computed here
+with the same operations so that the package does not import scipy.
 
 Conventions:
   * ``cd`` is defined for every angle: outside the sampled range it is
@@ -12,8 +14,9 @@ Conventions:
     :class:`DomainError` outside it, unless the table was built with
     ``clamp_cl=True``.
 
-A scalar ``float`` (``np.float64`` included) is evaluated in pure Python
-in scipy's ``PPoly`` order, so scalars and arrays give the same bits.
+A scalar ``float`` (``np.float64`` included) is evaluated in pure Python,
+an array in numpy, both summing the power series in scipy's ``PPoly``
+order, so scalars and arrays give the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
 
 from .errors import DomainError, NoPositiveLiftError, PolarFormatError, ValidationError
 
@@ -43,9 +45,57 @@ class PolarSample:
     cd: float
 
 
-def _rows(fn):
-    """Per-interval coefficients of a PPoly, constant term first."""
-    return fn.c[::-1].T.tolist()
+def _pchip_end(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x, y):
+    """Per-interval coefficients of the PCHIP interpolant, constant term
+    first, with the operations of scipy's ``PchipInterpolator`` (node
+    slopes by the weighted harmonic mean, zero at a change of monotonicity)."""
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    smk = np.sign(mk)
+    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+    dk = np.zeros_like(y)
+    dk[1:-1][~condition] = 1.0 / whmean[~condition]
+    dk[0] = _pchip_end(hk[0], hk[1], mk[0], mk[1])
+    dk[-1] = _pchip_end(hk[-1], hk[-2], mk[-1], mk[-2])
+    # cubic Hermite form, as scipy's CubicHermiteSpline
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    return np.stack([y[:-1], dk[:-1], (mk - dk[:-1]) / hk - t, t / hk], axis=1)
+
+
+def _derivative(coef):
+    """Coefficients of the derivative, as scipy's ``PPoly.derivative``."""
+    return coef[:, 1:] * np.arange(1.0, coef.shape[1])
+
+
+def _layouts(coef):
+    """A coefficient matrix as rows (lists, for the scalar path) and as
+    contiguous columns (for the array path)."""
+    return coef.tolist(), [np.ascontiguousarray(c) for c in coef.T]
+
+
+def _power_sum_array(left, cols, alpha):
+    """:func:`_power_sum` elementwise on an array in range (NaN gives NaN)."""
+    i = np.searchsorted(left, alpha, side="right") - 1
+    s = alpha - left.take(i)
+    res, z = 0.0 * s, 1.0  # 0.0 * s: NaN where alpha is NaN
+    for c in cols:
+        res = res + c.take(i) * z
+        z = z * s
+    return res
 
 
 def _power_sum(left, rows, alpha):
@@ -98,6 +148,9 @@ class PolarTable:
             raise ValidationError("duplicate alpha abscissae in polar table")
         if np.any(dal < 0.0):
             raise ValidationError("polar samples must be sorted by alpha")
+        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(cl))
+                and np.all(np.isfinite(cd))):
+            raise ValidationError("polar samples must be finite")
         if np.any(cd < 0.0):
             bad = alpha[np.argmin(cd)]
             raise ValidationError(f"negative drag coefficient at alpha={bad:g}")
@@ -127,17 +180,17 @@ class PolarTable:
             raise ValidationError(f"cl must be positive on (0, beta]; cl(alpha={bad:g}) <= 0")
 
         if alpha.size >= 4:
-            self._cl_f = PchipInterpolator(alpha, cl, extrapolate=False)
-            self._cd_f = PchipInterpolator(alpha, cd, extrapolate=False)
+            cl_coef, cd_coef = _pchip(alpha, cl), _pchip(alpha, cd)
         else:
-            self._cl_f = PPoly(np.array([np.diff(cl) / dal, cl[:-1]]), alpha, extrapolate=False)
-            self._cd_f = PPoly(np.array([np.diff(cd) / dal, cd[:-1]]), alpha, extrapolate=False)
-        self._cl_df = self._cl_f.derivative()
-        self._cd_df = self._cd_f.derivative()
+            cl_coef = np.stack([cl[:-1], np.diff(cl) / dal], axis=1)
+            cd_coef = np.stack([cd[:-1], np.diff(cd) / dal], axis=1)
         self._lo, self._hi = float(alpha[0]), float(alpha[-1])
-        self._left = alpha[:-1].tolist()
-        self._cl_rows, self._cd_rows = _rows(self._cl_f), _rows(self._cd_f)
-        self._cl_prime_rows, self._cd_prime_rows = _rows(self._cl_df), _rows(self._cd_df)
+        self._left_a = alpha[:-1]
+        self._left = self._left_a.tolist()
+        self._cl_rows, self._cl_cols = _layouts(cl_coef)
+        self._cd_rows, self._cd_cols = _layouts(cd_coef)
+        self._cl_prime_rows, self._cl_prime_cols = _layouts(_derivative(cl_coef))
+        self._cd_prime_rows, self._cd_prime_cols = _layouts(_derivative(cd_coef))
         self._best_glide = None  # filled by the first default best_glide_angle call
 
     # -- basic accessors -------------------------------------------------
@@ -162,7 +215,12 @@ class PolarTable:
 
     # -- evaluation ------------------------------------------------------
 
-    def _lift(self, alpha, rows, fn):
+    def _array(self, cols, alpha):
+        """Piecewise polynomial at an array (or 0-d) of angles in range."""
+        out = _power_sum_array(self._left_a, cols, np.asarray(alpha, dtype=float))
+        return float(out) if np.ndim(alpha) == 0 else out
+
+    def _lift(self, alpha, rows, cols):
         """cl or cl' at alpha: clamped with ``clamp_cl``, else range-checked."""
         if isinstance(alpha, float):
             alpha = float(alpha)
@@ -179,24 +237,22 @@ class PolarTable:
             if np.any(arr < self._lo) or np.any(arr > self._hi):
                 raise DomainError(f"cl evaluation outside sampled range "
                                   f"[{self._lo:g}, {self._hi:g}]")
-        out = fn(alpha)
-        return float(out) if np.ndim(alpha) == 0 else out
+        return self._array(cols, alpha)
 
     def cl(self, alpha):
         """Lift coefficient at angle of attack ``alpha`` (rad)."""
-        return self._lift(alpha, self._cl_rows, self._cl_f)
+        return self._lift(alpha, self._cl_rows, self._cl_cols)
 
     def cl_prime(self, alpha):
         """Derivative dcl/dalpha of the interpolant."""
-        return self._lift(alpha, self._cl_prime_rows, self._cl_df)
+        return self._lift(alpha, self._cl_prime_rows, self._cl_prime_cols)
 
     def cd(self, alpha):
         """Drag coefficient; clamped to the nearest sample outside the range."""
         if isinstance(alpha, float):
             alpha = min(max(float(alpha), self._lo), self._hi)  # NaN stays NaN
             return _power_sum(self._left, self._cd_rows, alpha)
-        out = self._cd_f(np.clip(alpha, self._lo, self._hi))
-        return float(out) if np.ndim(alpha) == 0 else out
+        return self._array(self._cd_cols, np.clip(alpha, self._lo, self._hi))
 
     def cd_prime(self, alpha):
         """Derivative dcd/dalpha; zero outside the sampled range (clamping)."""
@@ -205,7 +261,8 @@ class PolarTable:
             return _power_sum(self._left, self._cd_prime_rows, float(alpha)) if inside else 0.0
         arr = np.asarray(alpha, dtype=float)
         inside = (arr >= self._lo) & (arr <= self._hi)
-        out = np.where(inside, self._cd_df(np.clip(arr, self._lo, self._hi)), 0.0)
+        out = np.where(inside, self._array(self._cd_prime_cols, np.clip(arr, self._lo, self._hi)),
+                       0.0)
         return float(out) if np.ndim(alpha) == 0 else out
 
 

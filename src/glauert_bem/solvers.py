@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketError, DomainError, HypothesisError, ValidationError
 from .model import (
@@ -33,6 +32,8 @@ from .model import (
     ElementGeometry,
     FlowState,
     _axial_nu,
+    _mu_c_prime_grid,
+    _residual_grid,
     effective_tip_factor,
     mu_D_c,
     mu_D_c_prime,
@@ -159,6 +160,66 @@ def _residual_safe(geom, polar, corr, phi):
         return math.nan
 
 
+# Brent's method stops once the bracket is below xtol + rtol * |x|, the
+# tolerances scan_roots always passed to scipy's brentq.
+_BRENT_XTOL = 1e-14
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa, xb):
+    """Root of ``f`` on a sign-change bracket by Brent's method.
+
+    Step for step the algorithm of scipy's ``brentq`` (Brent 1973, ch. 4:
+    inverse quadratic or secant steps, bisection when a step is not short
+    enough), so it returns the same float for the same function.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise BracketError(f"no sign change on [{xa:g}, {xb:g}]")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # IEEE gives inf or nan: not a short step
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise BracketError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
+
+
 def _is_monotone_decreasing(values, slack=1e-12):
     return all(b <= a + slack for a, b in zip(values, values[1:]))
 
@@ -273,14 +334,14 @@ def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: Correction
     """Damped fixed point phi <- phi - rho_eps(phi) * residual(phi).
 
     rho_eps(phi) = eps / (max(0, -mu_G') + max_{I+} mu_L^c' + (1 + tan^2
-    theta) mu_D^c(phi)); the supremum of mu_L^c' is approximated on a
-    1000-point grid of I+.  From phi0 = theta with no active correction
-    and non-decreasing mu_L^c, mu_D^c, the iterates decrease monotonically
-    to the largest root.
+    theta) mu_D^c(phi)); the supremum of mu_L^c' is approximated by the
+    maximum over a 1000-point grid of I+, evaluated in one numpy call (to
+    a few ulp of the scalar ``mu_L_c_prime``).  From phi0 = theta with no
+    active correction and non-decreasing mu_L^c, mu_D^c, the iterates
+    decrease monotonically to the largest root.
     """
     theta = geom.theta
-    grid = grid_I_plus(geom, polar)
-    max_dmu_L = max(mu_L_c_prime(geom, polar, corr, p) for p in grid)
+    max_dmu_L = float(_mu_c_prime_grid(geom, polar, corr, grid_I_plus(geom, polar)).max())
 
     phi = opts.phi0 if opts.phi0 is not None else theta
     res = _residual_safe(geom, polar, corr, phi)
@@ -541,8 +602,8 @@ def check_appendix_conditions(geom: ElementGeometry, polar: PolarTable) -> Appen
                        message="needs max I+ = theta (polar window too narrow)")
     trivial = CorrectionSpec(variant="none", tip_loss=False)
     grid = grid_I_plus(geom, polar)
-    max_mu = max(mu_L(geom, polar, p) for p in grid)
-    max_dmu = max(mu_L_c_prime(geom, polar, trivial, p) for p in grid)
+    max_mu = float((0.25 * geom.solidity * polar.cl(grid - geom.gamma)).max())
+    max_dmu = float(_mu_c_prime_grid(geom, polar, trivial, grid).max())
     stability_margin = mu_G(theta, geom.gamma) - mu_L(geom, polar, theta)
     c1 = math.sin(theta) * max_dmu * _h_map(geom.lam, geom.gamma)
     c2 = math.sin(theta) * max_mu * abs(_h_map_prime(geom.lam, geom.gamma))
@@ -564,14 +625,15 @@ def fixed_point_rate_bound(geom: ElementGeometry, polar: PolarTable,
     """
     theta = geom.theta
     grid = grid_I_plus(geom, polar)
-    dmu_L = [mu_L_c_prime(geom, polar, corr, p) for p in grid]
-    dmu_D = [mu_D_c_prime(geom, polar, corr, p) for p in grid]
-    lhs = math.tan(theta) * (1.0 + max(dmu_D))
-    applies = lhs < min(dmu_L)
+    dmu_L = _mu_c_prime_grid(geom, polar, corr, grid)
+    min_dmu_L, max_dmu_L = float(dmu_L.min()), float(dmu_L.max())
+    max_dmu_D = float(_mu_c_prime_grid(geom, polar, corr, grid, lift=False).max())
+    lhs = math.tan(theta) * (1.0 + max_dmu_D)
+    applies = lhs < min_dmu_L
     mu_d_theta = mu_D_c(geom, polar, corr, theta)
-    denom = max(dmu_L) + math.sin(theta) + (1.0 + math.tan(theta) ** 2) * mu_d_theta
-    factor = 1.0 - (min(dmu_L) - lhs) / denom
-    rho_theta = epsilon / rho_eps_denominator(geom, polar, corr, theta, max(dmu_L))
+    denom = max_dmu_L + math.sin(theta) + (1.0 + math.tan(theta) ** 2) * mu_d_theta
+    factor = 1.0 - (min_dmu_L - lhs) / denom
+    rho_theta = epsilon / rho_eps_denominator(geom, polar, corr, theta, max_dmu_L)
     initial = abs(theta - rho_theta * mu_L_c(geom, polar, corr, theta))
     return RateBound(applies=applies, factor=factor, initial=initial)
 
@@ -606,27 +668,33 @@ def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                grid_size: int = 400, tol: float = 1e-10) -> RootSet:
     """Find and classify all residual roots on a uniform scan grid.
 
-    Sign changes between grid nodes are refined by bisection (brentq).
-    The scan covers the full interval I for the trivial correction and
-    I+ otherwise.  Roots closer than 1e-10 are merged.
+    The grid values come from one call of the array kernel
+    ``model._residual_grid`` (NaN where the residual is undefined); nodes
+    within its error of 0 are evaluated again on the scalar path.  Every
+    sign change between two finite neighbours is refined by Brent's method
+    on the scalar residual, and a node where the residual is exactly 0 is
+    a root.  The scan covers the full interval I for the trivial correction
+    and I+ otherwise.  Roots closer than 1e-10 are merged.
     """
     if grid_size < 100:
         raise ValidationError("grid_size must be >= 100")
     lo, hi = _scan_domain(geom, polar, corr)
     grid = np.linspace(lo, hi, grid_size)
-    vals = np.array([_residual_safe(geom, polar, corr, p) for p in grid])
-
-    roots = []
-    for k in range(grid_size - 1):
-        a, b = vals[k], vals[k + 1]
-        if not (math.isfinite(a) and math.isfinite(b)):
-            continue
-        if a == 0.0:
-            roots.append(grid[k])
-        elif a * b < 0.0:
-            roots.append(brentq(lambda p: residual(geom, polar, corr, p),
-                                grid[k], grid[k + 1], xtol=1e-14, rtol=8.9e-16))
-    if math.isfinite(vals[-1]) and vals[-1] == 0.0:
+    vals = _residual_grid(geom, polar, corr, grid)
+    # The array path agrees with the scalar residual to a few ulp of the
+    # largest |value|.  Nodes closer to 0 than that take the scalar value,
+    # so that every bracket is a sign change of the scalar residual.
+    finite = np.isfinite(vals)
+    if finite.any():
+        near = np.abs(vals) <= 64.0 * np.spacing(np.abs(vals[finite]).max())
+        for k in np.flatnonzero(near):
+            vals[k] = _residual_safe(geom, polar, corr, grid[k])
+    left, right = vals[:-1], vals[1:]
+    both = np.isfinite(left) & np.isfinite(right)
+    roots = list(grid[np.flatnonzero(both & (left == 0.0))])
+    for k in np.flatnonzero(both & (left * right < 0.0)):
+        roots.append(_brentq(lambda p: residual(geom, polar, corr, p), grid[k], grid[k + 1]))
+    if vals[-1] == 0.0:
         roots.append(grid[-1])
 
     records = []

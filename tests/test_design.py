@@ -24,7 +24,7 @@ from glauert_bem import (
     solve_element,
     synthetic_polar,
 )
-from glauert_bem.design import cp_integral
+from glauert_bem.design import _design_gradient, _objective_pieces, cp_integral
 from glauert_bem.model import mu_L, residual
 
 from conftest import make_geom, rng, trivial, wilson
@@ -223,15 +223,24 @@ def test_adjoint_gradient_matches_finite_differences(corr, geom_kw):
 
 
 def test_printed_form_disagrees_and_is_reported(linear_polar):
-    # the alternative phi-row right-hand side is kept for comparison; with
-    # drag present it deviates from the finite-difference arbiter
+    # the printed phi-row right-hand side does not weight the drag term
+    # ratio / sin^2(phi) by a'(1-a); built here from the returned M, b and
+    # state as a local oracle, it deviates from the finite-difference arbiter
     geom = make_geom(gamma=0.05, chord=0.3)
     corr = trivial()
     state = solve_element(geom, linear_polar, corr)
     adj = assemble_adjoint(geom, linear_polar, corr, state)
     fd = _fd_gradient(geom, linear_polar, corr)
     assert np.all(np.abs(adj.grad - fd) <= 1e-5 * np.abs(fd))
-    assert np.any(np.abs(adj.grad_printed - fd) > 1e-3 * np.abs(fd))
+
+    pieces = _objective_pieces(geom, linear_polar, corr, state)
+    _, _, _, _, _, cot, ratio, dratio = pieces
+    s, nu, ap = math.sin(state.phi), 1.0 - state.a, state.a_prime
+    b_printed = adj.b.copy()
+    b_printed[0] = ap * nu * (-dratio) * cot + ratio / (s * s)  # F = 1, F' = 0, unscaled
+    p_printed = np.linalg.solve(adj.M, b_printed)
+    grad_printed = _design_gradient(geom, state, p_printed, 1.0, 1.0, pieces)
+    assert np.any(np.abs(grad_printed - fd) > 1e-3 * np.abs(fd))
 
 
 def test_gradient_scaling_against_fd_when_chord_doubles(dragfree_polar):

@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from glauert_bem import model
 from glauert_bem import (
     CorrectionSpec,
     DomainError,
@@ -24,16 +25,20 @@ from glauert_bem import (
 )
 from glauert_bem.model import (
     CORRECTION_VARIANTS,
+    PHI_EPS,
+    _mu_c_prime_grid,
+    _residual_grid,
     g_func,
     mu_D,
     mu_D_c,
     mu_G_prime,
     mu_L,
     mu_L_c,
+    mu_L_c_prime,
     residual_components,
     tau_nu,
 )
-from glauert_bem.solvers import solve_bisection, SolveOptions
+from glauert_bem.solvers import grid_I_plus, solve_bisection, SolveOptions
 
 from conftest import make_geom, rng, trivial, wilson
 
@@ -528,6 +533,89 @@ def test_entry_points_share_one_evaluation(variant, tip, frac):
     if not corr.is_trivial:  # the trivial path inverts the thrust balance instead
         assert state.a.hex() == (1.0 - tau_nu(geom, _STALL, corr, phi)).hex()
 
+
+
+def _scalar_or_nan(geom, polar, corr, phi):
+    try:
+        return residual(geom, polar, corr, phi)
+    except DomainError:
+        return math.nan
+
+
+def _assert_within_ulp(got, want, ulp):
+    """Equal NaN pattern; finite values within ``ulp`` ulp of the largest |want|."""
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    if finite.any():
+        unit = np.spacing(np.abs(want[finite]).max())
+        assert np.all(np.abs(got[finite] - want[finite]) <= ulp * unit)
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+@settings(max_examples=25, deadline=None, database=None)
+@given(stall=st.booleans(), slope=st.floats(3.0, 7.0), cd0=st.floats(0.0, 0.03),
+       cd2=st.floats(0.0, 0.5), alpha_s=st.floats(0.15, 0.4), drop=st.floats(0.0, 0.8),
+       lam=st.floats(0.5, 4.0), gamma=st.floats(-0.2, 0.4), chord=st.floats(0.02, 1.5),
+       r=st.floats(0.1, 1.0), strict=st.booleans())
+# near the tip, Glauert empirical without strict_lemma_mode loses monotonicity
+@example(stall=False, slope=6.0, cd0=0.01, cd2=0.0, alpha_s=0.3, drop=0.5, lam=1.0,
+         gamma=0.1, chord=0.6, r=0.97, strict=False)
+def test_residual_grid_matches_scalar_path(variant, tip, stall, slope, cd0, cd2, alpha_s,
+                                           drop, lam, gamma, chord, r, strict):
+    if stall:
+        polar = synthetic_polar("linear_lift_with_stall", slope=slope, alpha_s=alpha_s,
+                                drop=drop, transition=0.05, cd0=cd0, cd2=cd2)
+    else:
+        polar = synthetic_polar("linear_lift", slope=slope, cd0=cd0, cd2=cd2, beta=0.4)
+    geom = make_geom(lam=lam, gamma=gamma, chord=chord, r=r, tip_radius=1.0)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip, strict_lemma_mode=strict)
+    # past both ends of (0, pi/2), of I and of the polar's range, plus the clamp
+    phis = np.concatenate([np.linspace(-1.7, 1.7, 341),
+                           [0.0, PHI_EPS, 0.5 * PHI_EPS, -0.5 * PHI_EPS, math.pi / 2.0,
+                            geom.theta, polar.beta + gamma]])
+    want = np.array([_scalar_or_nan(geom, polar, corr, p) for p in phis])
+    _assert_within_ulp(_residual_grid(geom, polar, corr, phis), want, 8)
+
+    try:
+        grid = grid_I_plus(geom, polar)
+        want_L = np.array([mu_L_c_prime(geom, polar, corr, p) for p in grid])
+    except (DomainError, ValidationError):
+        return  # empty I+ or F = 0: the array path is checked to raise alike below
+    _assert_within_ulp(_mu_c_prime_grid(geom, polar, corr, grid), want_L, 8)
+
+
+def test_grid_paths_raise_like_the_scalar_path(linear_polar):
+    no_tip_radius = make_geom(gamma=0.05)
+    at_tip = make_geom(gamma=0.05, r=1.0, tip_radius=1.0)
+    corr = wilson(tip=True)
+    phis = np.linspace(0.1, 0.4, 5)
+    with pytest.raises(ValidationError):
+        _residual_grid(no_tip_radius, linear_polar, corr, phis)
+    with pytest.raises(ValidationError):
+        _mu_c_prime_grid(no_tip_radius, linear_polar, corr, phis)
+    assert np.isnan(_residual_grid(at_tip, linear_polar, corr, phis)).all()
+    with pytest.raises(TipSingularityError):
+        _mu_c_prime_grid(at_tip, linear_polar, corr, phis)
+    with pytest.raises(DomainError):  # the array cl raises for the whole array
+        _mu_c_prime_grid(make_geom(gamma=0.05), linear_polar, trivial(), phis + 2.0)
+
+
+@pytest.mark.parametrize("variant", ["glauert3", "glauert_empirical", "buhl"])
+def test_axial_newton_out_of_steps_is_a_domain_error(monkeypatch, linear_polar, variant):
+    geom = make_geom(gamma=0.05, chord=0.6)
+    corr = CorrectionSpec(variant=variant, tip_loss=False)
+    phis = np.linspace(0.05, geom.theta, 40)
+    active = [p for p in phis if 1.0 - tau_nu(geom, linear_polar, corr, p) > corr.a_c]
+    assert active  # the correction is active, so Newton runs
+    monkeypatch.setattr(model, "_NU_MAX_STEPS", 1)
+    for phi in active:
+        with pytest.raises(DomainError, match="converge"):
+            residual(geom, linear_polar, corr, phi)
+    got = _residual_grid(geom, linear_polar, corr, phis)
+    want = np.array([_scalar_or_nan(geom, linear_polar, corr, p) for p in phis])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.isnan(got).sum() == len(active)
 
 
 def _state(phi, a, a_prime, tip_factor=1.0):

@@ -1,5 +1,7 @@
 import io
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from glauert_bem import (
     synthetic_polar,
 )
 from glauert_bem.polar import dump_polar
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from conftest import rng
 
@@ -203,7 +206,7 @@ def test_polar_invariants_rejected_at_construction():
 
 
 # ---------------------------------------------------------------------------
-# scalar fast path: bit-identical to the scipy array path
+# scalar fast path: bit-identical to the array path
 
 SCALAR_FNS = ("cl", "cd", "cl_prime", "cd_prime")
 
@@ -277,6 +280,56 @@ def test_scalar_edge_behaviour(kind):
         fn = getattr(table, name)
         assert type(fn(np.float64(mid))) is float and fn(np.float64(mid)) == fn(mid)
         assert type(fn(0)) is float and fn(0) == fn(0.0)
+
+
+def _scipy_interpolants(alpha, cl, cd):
+    """scipy's interpolants of a table, as the package built them before it
+    computed the coefficients itself: the reference."""
+    if alpha.size >= 4:
+        return PchipInterpolator(alpha, cl, extrapolate=False), \
+            PchipInterpolator(alpha, cd, extrapolate=False)
+    dal = np.diff(alpha)
+    return (PPoly(np.array([np.diff(cl) / dal, cl[:-1]]), alpha, extrapolate=False),
+            PPoly(np.array([np.diff(cd) / dal, cd[:-1]]), alpha, extrapolate=False))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(n=st.integers(min_value=3, max_value=40), seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(["random", "monotone", "plateaus"]))
+def test_interpolants_match_scipy_bit_for_bit(n, seed, shape):
+    gen = rng(seed)
+    alpha = np.unique(np.round(gen.uniform(-0.5, 0.8, n), 6))
+    if alpha.size < 3:
+        return
+    lift = {"random": gen.normal(size=alpha.size),
+            "monotone": np.cumsum(gen.uniform(0.0, 0.3, alpha.size)) - 0.5,
+            "plateaus": np.round(gen.normal(size=alpha.size), 0)}[shape]
+    lift[(alpha > 0.0) & (alpha <= 0.2)] = np.abs(lift[(alpha > 0.0) & (alpha <= 0.2)]) + 0.1
+    drag = np.abs(gen.normal(0.02, 0.01, alpha.size))
+    table = PolarTable(alpha, lift, drag, alpha_s=0.2)
+    ref_cl, ref_cd = _scipy_interpolants(alpha, lift, drag)
+    inside = np.concatenate([alpha, gen.uniform(alpha[0], alpha[-1], 200)])
+    pairs = [(table.cl, ref_cl), (table.cl_prime, ref_cl.derivative()),
+             (table.cd, ref_cd), (table.cd_prime, ref_cd.derivative())]
+    for got, ref in pairs:
+        assert np.array_equal(got(inside), ref(inside))
+        assert all(got(float(a)).hex() == float(ref(a)).hex() for a in inside)
+
+
+def test_polar_samples_must_be_finite():
+    for bad in ("alpha", "cl", "cd"):
+        cols = {"alpha": [-0.1, 0.0, 0.1, 0.2], "cl": [-0.6, 0.0, 0.6, 1.1],
+                "cd": [0.01, 0.008, 0.01, 0.02]}
+        cols[bad][2] = math.nan
+        with pytest.raises(ValidationError, match="finite"):
+            PolarTable(cols["alpha"], cols["cl"], cols["cd"])
+
+
+def test_package_import_does_not_load_scipy():
+    code = "import sys, glauert_bem.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from glauert_bem import (
     BracketError,
     CorrectionSpec,
+    DomainError,
     ElementGeometry,
     HypothesisError,
     ValidationError,
@@ -21,8 +25,22 @@ from glauert_bem import (
     solve_usual,
     synthetic_polar,
 )
-from glauert_bem.model import mu_G_prime, mu_L, mu_L_c_prime
-from glauert_bem.solvers import METHODS, SolveOptions, fixed_point_rate_bound
+from glauert_bem.model import (
+    CORRECTION_VARIANTS,
+    mu_G_prime,
+    mu_L,
+    mu_L_c_prime,
+    recover_induction,
+)
+from glauert_bem.solvers import (
+    METHODS,
+    SolveOptions,
+    _brentq,
+    _residual_safe,
+    _scan_domain,
+    classify_root,
+    fixed_point_rate_bound,
+)
 
 from conftest import make_geom, rng, trivial, wilson
 
@@ -353,6 +371,92 @@ def test_scan_agrees_with_single_solvers(linear_polar):
         report = method(geom, linear_polar, corr)
         if report.converged:
             assert min(abs(report.phi_star - p) for p in scanned) < 1e-8
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(coef=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       a=st.floats(-2.0, 0.0), b=st.floats(0.01, 2.0), wave=st.booleans())
+@example(coef=[6.674506083404113e-135, 0.0, 0.0, 0.0], a=-2.0, b=1.0, wave=False)  # 0 divisor
+def test_brent_matches_scipy_brentq_step_for_step(coef, a, b, wave):
+    def f(x):
+        return (math.sin(3.0 * coef[0] * x + coef[1]) + coef[2] * x if wave
+                else np.polyval(coef, x))
+
+    if not f(a) * f(b) < 0.0:
+        return
+    seen_ref, seen = [], []
+    try:
+        want = brentq(lambda x: seen_ref.append(x) or float(f(x)), a, b,
+                      xtol=1e-14, rtol=8.9e-16)
+    except RuntimeError:  # no convergence in 100 iterations (a flat root)
+        with pytest.raises(BracketError, match="converge"):
+            _brentq(lambda x: seen.append(x) or float(f(x)), a, b)
+    else:
+        assert _brentq(lambda x: seen.append(x) or float(f(x)), a, b) == want
+    assert seen == seen_ref
+
+
+def _scan_per_node(geom, polar, corr, grid_size=400, tol=1e-10):
+    """(phis, categories) of scan_roots, from a per-node loop of the scalar residual."""
+    lo, hi = _scan_domain(geom, polar, corr)
+    grid = np.linspace(lo, hi, grid_size)
+    vals = [_residual_safe(geom, polar, corr, p) for p in grid]
+    roots = []
+    for k in range(grid_size - 1):
+        a, b = vals[k], vals[k + 1]
+        if not (math.isfinite(a) and math.isfinite(b)):
+            continue
+        if a == 0.0:
+            roots.append(grid[k])
+        elif a * b < 0.0:
+            roots.append(brentq(lambda p: residual(geom, polar, corr, p),
+                                grid[k], grid[k + 1], xtol=1e-14, rtol=8.9e-16))
+    if vals[-1] == 0.0:
+        roots.append(grid[-1])
+    phis, categories = [], []
+    for phi in sorted(roots):
+        if phis and abs(phi - phis[-1]) < 1e-10:
+            continue
+        try:
+            state = recover_induction(geom, polar, corr, phi)
+        except DomainError:
+            continue
+        if math.isfinite(state.residual) and abs(state.residual) <= tol:
+            phis.append(float(phi))
+            categories.append(classify_root(geom, polar, corr, phi, state))
+    return phis, categories
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+@settings(max_examples=12, deadline=None, database=None)
+@given(stall=st.booleans(), cd0=st.floats(0.0, 0.03), lam=st.floats(0.8, 3.0),
+       gamma=st.floats(-0.1, 0.3), chord=st.floats(0.05, 1.2), r=st.floats(0.2, 0.95))
+def test_scan_roots_matches_per_node_scalar_scan(variant, tip, stall, cd0, lam, gamma,
+                                                 chord, r):
+    if stall:
+        polar = synthetic_polar("linear_lift_with_stall", slope=6.0, alpha_s=0.3,
+                                drop=0.5, transition=0.05, cd0=cd0, cd2=0.1)
+    else:
+        polar = synthetic_polar("linear_lift", slope=2.0 * math.pi, cd0=cd0, beta=0.4)
+    geom = make_geom(lam=lam, gamma=gamma, chord=chord, r=r, tip_radius=1.0)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)  # none without tip: all of I
+    try:
+        want = _scan_per_node(geom, polar, corr)
+    except ValidationError:  # empty scan domain
+        with pytest.raises(ValidationError):
+            scan_roots(geom, polar, corr)
+        return
+    got = scan_roots(geom, polar, corr)
+    assert (got.phis, got.categories) == want
+
+
+def test_scan_tip_loss_without_tip_radius_raises(linear_polar):
+    geom = make_geom(gamma=0.05)  # no tip_radius
+    with pytest.raises(ValidationError, match="tip_radius"):
+        scan_roots(geom, linear_polar, wilson(tip=True))
+    with pytest.raises(ValidationError, match="tip_radius"):
+        solve_fixed_point(geom, linear_polar, wilson(tip=True))
 
 
 # ---------------------------------------------------------------------------
