@@ -41,7 +41,6 @@ from .solvers import (
     check_appendix_conditions,
     check_existence,
     scan_roots,
-    solve,
     solve_bisection,
     solve_fixed_point,
     solve_newton,

@@ -32,7 +32,7 @@ from .design import (
     optimize_element,
     simplified_optimum,
 )
-from .errors import BemError, BracketError, ConfigError, DesignEvaluationError
+from .errors import BemError, BracketError, ConfigError
 from .model import ElementGeometry
 from .solvers import (
     METHODS,
@@ -93,7 +93,7 @@ def _state_row(cfg, lam, geom, state, iterations, method, category):
     """One ROW_HEADER line for a solved element state."""
     try:
         j = J_lambda(geom, cfg.polar, cfg.correction, state)
-    except (DesignEvaluationError, BemError):
+    except BemError:
         j = math.nan
     return ",".join([
         _fmt(lam), _fmt(state.phi), _fmt(state.phi - geom.gamma), _fmt(state.a),
@@ -102,108 +102,105 @@ def _state_row(cfg, lam, geom, state, iterations, method, category):
     ])
 
 
+def _failed_row(lam, method, category, phi=math.nan, iterations=0):
+    """One ROW_HEADER line for an element with no solved state."""
+    return (f"{_fmt(lam)},{_fmt(phi)},nan,nan,nan,nan,nan,"
+            f"{iterations},{method},nan,{category}")
+
+
 def cmd_solve(cfg: RunConfig, method: str, out_path) -> int:
     methods = list(METHODS) if method == "all" else [method]
-
-    def run_one(lam):
-        rows, ok = [], True
+    lines = [ROW_HEADER]
+    all_ok = True
+    for lam in cfg.lambdas:
+        lam = float(lam)
         try:
-            gamma, chord = _element_design(cfg, float(lam))
-            geom = ElementGeometry.from_turbine(cfg.turbine, float(lam), gamma, chord)
+            gamma, chord = _element_design(cfg, lam)
+            geom = ElementGeometry.from_turbine(cfg.turbine, lam, gamma, chord)
             opts = _solve_opts(cfg, geom)
         except BemError as exc:
             log.warning("lambda=%g: %s", lam, exc)
-            return [f"{_fmt(float(lam))},nan,nan,nan,nan,nan,nan,0,design,nan,design_failed"], False
+            lines.append(_failed_row(lam, "design", "design_failed"))
+            all_ok = False
+            continue
         for name in methods:
             try:
                 report = METHODS[name](geom, cfg.polar, cfg.correction, opts)
             except BracketError:
-                rows.append(f"{_fmt(float(lam))},nan,nan,nan,nan,nan,nan,0,"
-                            f"{name},nan,wrong_initial_guess")
-                ok = False
+                lines.append(_failed_row(lam, name, "wrong_initial_guess"))
+                all_ok = False
                 continue
             except BemError as exc:
                 log.warning("lambda=%g method=%s: %s", lam, name, exc)
-                rows.append(f"{_fmt(float(lam))},nan,nan,nan,nan,nan,nan,0,"
-                            f"{name},nan,solver_error")
-                ok = False
+                lines.append(_failed_row(lam, name, "solver_error"))
+                all_ok = False
                 continue
+            all_ok = all_ok and report.converged
             state = report.state
-            if state is None:
-                rows.append(f"{_fmt(float(lam))},{_fmt(report.phi_star)},nan,nan,nan,nan,nan,"
-                            f"{report.iterations},{name},nan,not_converged")
-                ok = False
+            if state is None:  # never converged: no state to recover
+                lines.append(_failed_row(lam, name, "not_converged", report.phi_star,
+                                         report.iterations))
                 continue
             category = (classify_root(geom, cfg.polar, cfg.correction, state.phi, state)
                         if report.converged else "not_converged")
-            ok = ok and report.converged
-            rows.append(_state_row(cfg, float(lam), geom, state, report.iterations, name,
-                                   category))
-        return rows, ok
-
-    results = [run_one(lam) for lam in cfg.lambdas]
-    lines = [ROW_HEADER]
-    all_ok = True
-    for rows, ok in results:
-        lines.extend(rows)
-        all_ok = all_ok and ok
+            lines.append(_state_row(cfg, lam, geom, state, report.iterations, name, category))
     _emit(lines, out_path)
     return EXIT_OK if all_ok else EXIT_INCOMPLETE
 
 
 def cmd_scan(cfg: RunConfig, out_path) -> int:
-    def run_one(lam):
+    lines = [ROW_HEADER]
+    for lam in cfg.lambdas:
+        lam = float(lam)
         try:
-            gamma, chord = _element_design(cfg, float(lam))
-            geom = ElementGeometry.from_turbine(cfg.turbine, float(lam), gamma, chord)
+            gamma, chord = _element_design(cfg, lam)
+            geom = ElementGeometry.from_turbine(cfg.turbine, lam, gamma, chord)
             roots = scan_roots(geom, cfg.polar, cfg.correction)
         except BemError as exc:
             log.warning("lambda=%g: %s", lam, exc)
-            return []
-        return [_state_row(cfg, float(lam), geom, rec.state, 0, "scan", rec.category)
-                for rec in roots.records]
-
-    lines = [ROW_HEADER]
-    for lam in cfg.lambdas:
-        lines.extend(run_one(lam))
+            continue
+        lines.extend(_state_row(cfg, lam, geom, rec.state, 0, "scan", rec.category)
+                     for rec in roots.records)
     _emit(lines, out_path)
     return EXIT_OK
 
 
 def cmd_design(cfg: RunConfig, out_path) -> int:
-    corrected = cfg.design_mode == "corrected"
-
-    def run_one(lam):
+    lines = [DESIGN_HEADER]
+    all_ok = True
+    for lam in cfg.lambdas:
+        lam = float(lam)
         try:
-            point = simplified_optimum(float(lam), cfg.polar, cfg.turbine)
+            point = simplified_optimum(lam, cfg.polar, cfg.turbine)
         except BemError as exc:
             log.warning("lambda=%g: %s", lam, exc)
-            return f"{_fmt(float(lam))},nan,nan,nan,nan,{cfg.design_mode},false", False
-        if not corrected:
-            return ",".join([
-                _fmt(float(lam)), _fmt(point.gamma), _fmt(point.chord),
+            lines.append(f"{_fmt(lam)},nan,nan,nan,nan,{cfg.design_mode},false")
+            all_ok = False
+            continue
+        if cfg.design_mode != "corrected":
+            lines.append(",".join([
+                _fmt(lam), _fmt(point.gamma), _fmt(point.chord),
                 _fmt(point.phi_opt), _fmt(point.J), "simplified", "true",
-            ]), True
+            ]))
+            continue
         try:
-            geom = ElementGeometry.from_turbine(cfg.turbine, float(lam),
-                                                point.gamma, point.chord)
+            geom = ElementGeometry.from_turbine(cfg.turbine, lam, point.gamma, point.chord)
             result = optimize_element(geom, cfg.polar, cfg.correction,
                                       step=cfg.design_step, tol=cfg.design_tol,
                                       max_steps=cfg.design_max_steps,
                                       lambda_max=cfg.turbine.lambda_max)
         except BemError as exc:
             log.warning("lambda=%g: %s", lam, exc)
-            return f"{_fmt(float(lam))},nan,nan,nan,nan,corrected,false", False
-        return ",".join([
-            _fmt(float(lam)), _fmt(result.gamma), _fmt(result.chord),
-            _fmt(result.phi_opt), _fmt(result.J), "corrected",
-            _fmt(result.converged),
-        ]), result.converged
-
-    results = [run_one(lam) for lam in cfg.lambdas]
-    lines = [DESIGN_HEADER] + [row for row, _ in results]
+            lines.append(f"{_fmt(lam)},nan,nan,nan,nan,corrected,false")
+            all_ok = False
+            continue
+        lines.append(",".join([
+            _fmt(lam), _fmt(result.gamma), _fmt(result.chord),
+            _fmt(result.phi_opt), _fmt(result.J), "corrected", _fmt(result.converged),
+        ]))
+        all_ok = all_ok and result.converged
     _emit(lines, out_path)
-    return EXIT_OK if all(ok for _, ok in results) else EXIT_INCOMPLETE
+    return EXIT_OK if all_ok else EXIT_INCOMPLETE
 
 
 def cmd_sweep(cfg: RunConfig, out_path) -> int:

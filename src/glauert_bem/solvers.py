@@ -11,10 +11,16 @@ Four methods are provided:
   bracket-bisection safeguard.
 * :func:`solve_bisection` -- plain interval halving.
 
-All methods stop on the same unified criterion |residual(phi)| <= tol so
-that iteration counts are comparable; each algorithm's native error
-measure is kept in the report for diagnostics.  Non-convergence is
-reported, never raised; only malformed inputs raise.
+Each method is a start point and a step; one loop, ``_iterate``, runs
+them all and stops them alike: on |residual(phi)| <= tol at an iterate
+(the unified criterion, so iteration counts are comparable), on a step
+outside (0, pi/2) (Newton's safeguard keeps its steps inside, and its
+fallback stays in the caller's bracket), after max_iter counted
+iterations ("max_iter reached"), or where a step cannot go on.  The
+usual procedure counts its first iterate; the fixed point and Newton
+count steps from phi0; bisection counts midpoints.  Each algorithm's
+native error measure is kept in the report for diagnostics.
+Non-convergence is reported, never raised; only malformed inputs raise.
 """
 
 from __future__ import annotations
@@ -59,8 +65,6 @@ class SolveOptions:
     phi0: Optional[float] = None           # default: theta
     bracket: Optional[tuple] = None        # default: (1e-4, theta)
     phi_tol: float = 1e-12
-    a0: float = 0.0
-    a_prime0: float = 0.0
 
     def __post_init__(self):
         if self.tol <= 0.0 or self.phi_tol <= 0.0:
@@ -85,10 +89,8 @@ class SolveReport:
     iterations: int
     converged: bool
     monotone: bool
-    residual_history: list = field(default_factory=list)
     phi_history: list = field(default_factory=list)
     native_err_history: list = field(default_factory=list)
-    initial_residual: Optional[float] = None
     message: str = ""
 
 
@@ -220,12 +222,7 @@ def _brentq(f, xa, xb):
     raise BracketError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
 
 
-def _is_monotone_decreasing(values, slack=1e-12):
-    return all(b <= a + slack for a, b in zip(values, values[1:]))
-
-
-def _finish(geom, polar, corr, method, phi, opts, iters, res_hist, phi_hist,
-            err_hist, initial_residual=None, message=""):
+def _finish(geom, polar, corr, method, phi, opts, iters, phi_hist, err_hist, message=""):
     state = None
     try:
         state = recover_induction(geom, polar, corr, phi)
@@ -245,10 +242,57 @@ def _finish(geom, polar, corr, method, phi, opts, iters, res_hist, phi_hist,
                 "converged outside the working interval"
     return SolveReport(method=method, phi_star=float(phi), state=state,
                        iterations=iters, converged=converged,
-                       monotone=_is_monotone_decreasing(phi_hist),
-                       residual_history=res_hist, phi_history=phi_hist,
-                       native_err_history=err_hist,
-                       initial_residual=initial_residual, message=message)
+                       monotone=all(b <= a + 1e-12 for a, b in zip(phi_hist, phi_hist[1:])),
+                       phi_history=phi_hist, native_err_history=err_hist, message=message)
+
+
+class _Stop(Exception):
+    """Raised by a step that cannot go on; its text is the report's message."""
+
+
+def _iterate(geom, polar, corr, method, opts, step, phi0=None, fenced=True,
+             last=None, note=None):
+    """The one iteration loop of the four methods: stop rules, histories, report.
+
+    ``step(phi, res)`` maps the latest iterate and its residual to the next
+    iterate and the method's native error (``None`` records none), or
+    raises :class:`_Stop`.  A start point ``phi0`` is iterate 0, evaluated
+    but not counted; without one the first iterate is ``step(None, None)``.
+    With ``fenced``, a step outside (0, pi/2) ends the solve.  A solve that
+    ends short of a root reports at ``last(phi, res)`` (default: the last
+    iterate), and ``note()`` is appended to every message.
+    """
+    phi, res, at_root = phi0, None, False
+    phi_hist, err_hist, message = [], [], ""
+    uncounted = phi0 is not None
+    while True:
+        if phi is None or phi_hist:  # every iterate but a given start point is a step
+            try:
+                phi_next, err = step(phi, res)
+            except _Stop as stop:
+                message = str(stop)
+                break
+            if err is not None:
+                err_hist.append(err)
+            if fenced and not 0.0 < phi_next < math.pi / 2.0:
+                message = f"diverged: iterate phi={phi_next:g} left (0, pi/2)"
+                phi = phi_next if phi is None else phi  # no iterate yet: report the step
+                break
+            phi = phi_next
+        phi_hist.append(phi)
+        res = _residual_safe(geom, polar, corr, phi)
+        if math.isfinite(res) and abs(res) <= opts.tol:
+            at_root = True
+            break
+        if len(phi_hist) - uncounted == opts.max_iter:
+            message = "max_iter reached"
+            break
+    if last is not None and not at_root:
+        phi = last(phi, res)
+    if note is not None:
+        message = "; ".join(filter(None, [message, note()]))
+    return _finish(geom, polar, corr, method, phi, opts, len(phi_hist) - uncounted,
+                   phi_hist, err_hist, message)
 
 
 def grid_I_plus(geom: ElementGeometry, polar: PolarTable, n: int = 1000):
@@ -260,17 +304,6 @@ def grid_I_plus(geom: ElementGeometry, polar: PolarTable, n: int = 1000):
     return np.linspace(lo, hi, n)
 
 
-def _axial_from_momentum(geom, polar, corr, phi):
-    """Inner step of the usual procedure: invert the thrust balance at phi."""
-    s = math.sin(phi)
-    lift = mu_L_c(geom, polar, corr, phi)
-    drag = mu_D_c(geom, polar, corr, phi)
-    rhs = (lift * math.cos(phi) + drag * s) / (s * s)
-    f = effective_tip_factor(geom, corr, phi)
-    nu = _axial_nu(rhs, 1.0, corr, f)
-    return 1.0 - nu, nu, lift, drag
-
-
 # ---------------------------------------------------------------------------
 # the four algorithms
 
@@ -279,48 +312,29 @@ def solve_usual(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                 opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Classical sequential iteration: phi from (a, a'), then a, then a'.
 
-    Starts from (a, a') = (opts.a0, opts.a_prime0); the first angle from
-    the rest state (0, 0) is theta.  A given opts.phi0 replaces the first
-    angle computation (useful to start the recursion at a chosen angle).
-    Divergence (iterate leaving the domain) is flagged in the report, not
-    raised.
+    Starts from rest, (a, a') = (0, 0), whose angle is theta; a given
+    opts.phi0 replaces that first angle (useful to start the recursion at
+    a chosen angle).  Divergence (iterate leaving the domain) is flagged in
+    the report, not raised.
     """
-    a, ap = opts.a0, opts.a_prime0
-    res_hist, phi_hist, err_hist = [], [], []
-    phi = math.nan
-    message = ""
-    for k in range(opts.max_iter):
+    def step(phi, res):
+        if phi is None:
+            return (opts.phi0 if opts.phi0 is not None else geom.theta), None
+        s = math.sin(phi)
+        try:  # invert the thrust balance at phi
+            lift = mu_L_c(geom, polar, corr, phi)
+            drag = mu_D_c(geom, polar, corr, phi)
+            rhs = (lift * math.cos(phi) + drag * s) / (s * s)
+            a = 1.0 - _axial_nu(rhs, 1.0, corr, effective_tip_factor(geom, corr, phi))
+        except DomainError as exc:
+            raise _Stop(f"diverged: {exc}")
+        ap = (1.0 - a) * (lift * s - drag * math.cos(phi)) / (geom.lam * s * s)
         denom = geom.lam * (1.0 + ap)
         if denom == 0.0:
-            message = "diverged: 1 + a' reached zero"
-            break
-        if k == 0 and opts.phi0 is not None:
-            phi_new = opts.phi0
-        else:
-            phi_new = math.atan2(1.0 - a, denom)
-        if not 0.0 < phi_new < math.pi / 2.0:
-            message = f"diverged: iterate phi={phi_new:g} left (0, pi/2)"
-            break
-        phi = phi_new
-        phi_hist.append(phi)
-        res = _residual_safe(geom, polar, corr, phi)
-        res_hist.append(res)
-        if math.isfinite(res) and abs(res) <= opts.tol:
-            return _finish(geom, polar, corr, "usual", phi, opts, len(res_hist),
-                           res_hist, phi_hist, err_hist)
-        try:
-            a, _, lift, drag = _axial_from_momentum(geom, polar, corr, phi)
-        except DomainError as exc:
-            message = f"diverged: {exc}"
-            break
-        s = math.sin(phi)
-        ap = (1.0 - a) * (lift * s - drag * math.cos(phi)) / (geom.lam * s * s)
-        err_hist.append(abs(math.tan(phi) - (1.0 - a) / (geom.lam * (1.0 + ap))))
-    if not message:
-        message = "max_iter reached"
-    last = phi if phi_hist else (opts.phi0 if opts.phi0 is not None else geom.theta)
-    return _finish(geom, polar, corr, "usual", last, opts, len(res_hist),
-                   res_hist, phi_hist, err_hist, message=message)
+            raise _Stop("diverged: 1 + a' reached zero")
+        return math.atan2(1.0 - a, denom), abs(math.tan(phi) - (1.0 - a) / denom)
+
+    return _iterate(geom, polar, corr, "usual", opts, step)
 
 
 def rho_eps_denominator(geom, polar, corr, phi, max_dmu_L):
@@ -340,20 +354,11 @@ def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: Correction
     active correction and non-decreasing mu_L^c, mu_D^c, the iterates
     decrease monotonically to the largest root.
     """
-    theta = geom.theta
     max_dmu_L = float(_mu_c_prime_grid(geom, polar, corr, grid_I_plus(geom, polar)).max())
 
-    phi = opts.phi0 if opts.phi0 is not None else theta
-    res = _residual_safe(geom, polar, corr, phi)
-    res_hist, phi_hist, err_hist = [], [phi], []
-    if math.isfinite(res) and abs(res) <= opts.tol:
-        return _finish(geom, polar, corr, "fixed_point", phi, opts, 0,
-                       res_hist, phi_hist, err_hist, initial_residual=res)
-    message = ""
-    for _ in range(opts.max_iter):
+    def step(phi, res):
         if not math.isfinite(res):
-            message = "diverged: residual undefined at iterate"
-            break
+            raise _Stop("diverged: residual undefined at iterate")
         denom = rho_eps_denominator(geom, polar, corr, phi, max_dmu_L)
         if denom <= 0.0:
             raise HypothesisError(
@@ -361,22 +366,10 @@ def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: Correction
                 f"hypothesis fails at phi={phi:g} (max mu_L^c' = {max_dmu_L:g})")
         rho = opts.epsilon / denom
         phi_next = phi - rho * res
-        err_hist.append(abs(phi_next - phi))
-        if not 0.0 < phi_next < math.pi / 2.0:
-            message = f"diverged: iterate phi={phi_next:g} left (0, pi/2)"
-            break
-        phi = phi_next
-        phi_hist.append(phi)
-        res = _residual_safe(geom, polar, corr, phi)
-        res_hist.append(res)
-        if math.isfinite(res) and abs(res) <= opts.tol:
-            return _finish(geom, polar, corr, "fixed_point", phi, opts,
-                           len(res_hist), res_hist, phi_hist, err_hist,
-                           initial_residual=None)
-    if not message:
-        message = "max_iter reached"
-    return _finish(geom, polar, corr, "fixed_point", phi, opts, len(res_hist),
-                   res_hist, phi_hist, err_hist, message=message)
+        return phi_next, abs(phi_next - phi)
+
+    return _iterate(geom, polar, corr, "fixed_point", opts, step,
+                    phi0=opts.phi0 if opts.phi0 is not None else geom.theta)
 
 
 def newton_denominator(geom, polar, corr, phi):
@@ -403,19 +396,19 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     f_hi = _residual_safe(geom, polar, corr, hi)
     have_bracket = (math.isfinite(f_lo) and math.isfinite(f_hi)
                     and (f_lo < 0.0) != (f_hi < 0.0))
-
-    phi = opts.phi0 if opts.phi0 is not None else (0.5 * (lo + hi) if have_bracket else theta)
-    res = _residual_safe(geom, polar, corr, phi)
-    res_hist, phi_hist, err_hist = [], [phi], []
-    if math.isfinite(res) and abs(res) <= opts.tol:
-        return _finish(geom, polar, corr, "newton", phi, opts, 0,
-                       res_hist, phi_hist, err_hist, initial_residual=res)
     fallbacks = 0
-    message = ""
-    for _ in range(opts.max_iter):
+    stepped = False  # phi0 itself does not narrow the bracket
+
+    def step(phi, res):
+        nonlocal lo, hi, f_lo, fallbacks, stepped
         if not math.isfinite(res):
-            message = "diverged: residual undefined at iterate"
-            break
+            raise _Stop("diverged: residual undefined at iterate")
+        if stepped and have_bracket and lo < phi < hi:
+            if (res < 0.0) == (f_lo < 0.0):
+                lo, f_lo = phi, res
+            else:
+                hi = phi
+        stepped = True
         try:
             deriv = newton_denominator(geom, polar, corr, phi)
         except DomainError:
@@ -426,30 +419,15 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                          or not 0.0 < phi_next < math.pi / 2.0)
         if take_fallback:
             if not have_bracket:
-                message = "diverged: unsafe Newton step and no bracket to fall back on"
-                break
+                raise _Stop("diverged: unsafe Newton step and no bracket to fall back on")
             phi_next = lo + 0.5 * (hi - lo)
             fallbacks += 1
-        err_hist.append(abs(phi_next - phi))
-        phi = phi_next
-        phi_hist.append(phi)
-        res = _residual_safe(geom, polar, corr, phi)
-        res_hist.append(res)
-        if have_bracket and math.isfinite(res) and lo < phi < hi:
-            if (res < 0.0) == (f_lo < 0.0):
-                lo, f_lo = phi, res
-            else:
-                hi, f_hi = phi, res
-        if math.isfinite(res) and abs(res) <= opts.tol:
-            note = f"{fallbacks} bisection fallback step(s)" if fallbacks else ""
-            return _finish(geom, polar, corr, "newton", phi, opts, len(res_hist),
-                           res_hist, phi_hist, err_hist, message=note)
-    if not message:
-        message = "max_iter reached"
-    if fallbacks:
-        message += f"; {fallbacks} bisection fallback step(s)"
-    return _finish(geom, polar, corr, "newton", phi, opts, len(res_hist),
-                   res_hist, phi_hist, err_hist, message=message)
+        return phi_next, abs(phi_next - phi)
+
+    phi0 = opts.phi0 if opts.phi0 is not None else (0.5 * (lo + hi) if have_bracket else theta)
+    # a fallback stays in the caller's bracket, which may reach past (0, pi/2)
+    return _iterate(geom, polar, corr, "newton", opts, step, phi0=phi0, fenced=False,
+                    note=lambda: f"{fallbacks} bisection fallback step(s)" if fallbacks else "")
 
 
 def solve_bisection(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -459,7 +437,8 @@ def solve_bisection(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSp
     Requires a sign change on the initial bracket, else raises
     :class:`BracketError` ("wrong initial guess").  The tracked bracket
     width is halved exactly each iteration, so after k iterations it
-    equals the initial width times 2**-k.
+    equals the initial width times 2**-k.  Short of a root, the solve
+    reports the midpoint of its last bracket.
     """
     lo, hi = opts.bracket if opts.bracket is not None else (1e-4, geom.theta)
     if not 0.0 < lo < hi < math.pi / 2.0:
@@ -467,36 +446,32 @@ def solve_bisection(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSp
     f_lo = residual(geom, polar, corr, lo)
     f_hi = residual(geom, polar, corr, hi)
     if f_lo == 0.0:
-        return _finish(geom, polar, corr, "bisection", lo, opts, 0, [], [lo], [])
+        return _finish(geom, polar, corr, "bisection", lo, opts, 0, [lo], [])
     if f_hi == 0.0:
-        return _finish(geom, polar, corr, "bisection", hi, opts, 0, [], [hi], [])
+        return _finish(geom, polar, corr, "bisection", hi, opts, 0, [hi], [])
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise BracketError(
             f"wrong initial guess: residual has the same sign at both ends "
             f"({f_lo:g}, {f_hi:g})")
-
     width = hi - lo
-    res_hist, phi_hist, err_hist = [], [], []
-    res = math.inf
-    mid = lo + 0.5 * width
-    for _ in range(opts.max_iter):
-        if width <= opts.phi_tol or (math.isfinite(res) and abs(res) <= opts.tol):
-            break
-        width *= 0.5  # exact in binary floating point
-        mid = lo + width
-        res = _residual_safe(geom, polar, corr, mid)
-        phi_hist.append(mid)
-        res_hist.append(res)
-        err_hist.append(width)
-        if math.isfinite(res) and (res < 0.0) == (f_lo < 0.0):
+
+    def shrink(mid, res):
+        """Keep the half [lo, lo + width] that holds the sign change; its midpoint."""
+        nonlocal lo, f_lo
+        if mid is not None and math.isfinite(res) and (res < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, res
         # else keep lo: [lo, lo + width] is already the surviving half
-    if math.isfinite(res) and abs(res) <= opts.tol:
-        phi_star = mid
-    else:
-        phi_star = lo + 0.5 * width
-    return _finish(geom, polar, corr, "bisection", phi_star, opts, len(res_hist),
-                   res_hist, phi_hist, err_hist)
+        return lo + 0.5 * width
+
+    def step(mid, res):
+        nonlocal width
+        if width <= opts.phi_tol:
+            raise _Stop()
+        shrink(mid, res)
+        width *= 0.5  # exact in binary floating point
+        return lo + width, width
+
+    return _iterate(geom, polar, corr, "bisection", opts, step, last=shrink)
 
 
 METHODS = {
@@ -505,14 +480,6 @@ METHODS = {
     "newton": solve_newton,
     "bisect": solve_bisection,
 }
-
-
-def solve(geom, polar, corr, method="fixed", opts: SolveOptions = SolveOptions()):
-    try:
-        fn = METHODS[method]
-    except KeyError:
-        raise ValidationError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
-    return fn(geom, polar, corr, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_fixed_point_zero_iterations_from_a_root(linear_polar):
     report = solve_fixed_point(geom, linear_polar, corr, SolveOptions(phi0=star))
     assert report.converged
     assert report.iterations == 0
-    assert report.initial_residual is not None
+    assert abs(report.state.residual) <= SolveOptions().tol
 
 
 @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
@@ -234,6 +234,58 @@ def test_bisection_immediate_when_root_at_midpoint(linear_polar):
                              SolveOptions(bracket=(star - 0.05, star + 0.05)))
     assert report.converged
     assert report.iterations <= 2
+
+
+# ---------------------------------------------------------------------------
+# stop rules shared by the four methods
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_max_iter_stop_is_reported_alike(method, linear_polar):
+    report = METHODS[method](make_geom(gamma=0.05), linear_polar, wilson(),
+                             SolveOptions(max_iter=3))
+    assert not report.converged
+    assert report.iterations == 3
+    assert report.message == "max_iter reached"
+    if method == "usual":  # no momentum inversion after the last iterate
+        assert len(report.native_err_history) == report.iterations - 1
+    if method == "bisect":  # the midpoint of the last bracket, not the last midpoint
+        half = 0.5 * report.native_err_history[-1]
+        assert abs(abs(report.phi_star - report.phi_history[-1]) - half) <= 1e-15
+
+
+@pytest.mark.parametrize("method", ["fixed", "newton"])
+def test_undefined_residual_at_iterate_stops(method, linear_polar):
+    # phi0 = 1.5 puts the angle of attack beyond the sampled polar
+    report = METHODS[method](make_geom(gamma=0.05), linear_polar, wilson(),
+                             SolveOptions(phi0=1.5))
+    assert not report.converged
+    assert report.iterations == 0
+    assert report.phi_history == [1.5]
+    assert report.message.startswith("diverged: residual undefined at iterate")
+
+
+def test_unsafe_newton_step_without_bracket_stops(linear_polar):
+    geom = make_geom(gamma=0.05)
+    report = solve_newton(geom, linear_polar, wilson(),
+                          SolveOptions(phi0=0.05, bracket=(geom.theta - 0.02,
+                                                            geom.theta - 0.01)))
+    assert not report.converged
+    assert report.iterations == 0
+    assert report.phi_star == 0.05
+    assert report.message == "diverged: unsafe Newton step and no bracket to fall back on"
+
+
+def test_newton_fallback_follows_the_bracket_past_zero(linear_polar):
+    # the trivial residual is defined beyond (0, pi/2): a fallback midpoint
+    # below 0 is evaluated, not taken for an iterate leaving the domain
+    geom = make_geom(gamma=0.05, chord=0.1)
+    negative = [r.phi for r in scan_roots(geom, linear_polar, trivial()).records if r.phi < 0]
+    report = solve_newton(geom, linear_polar, trivial(),
+                          SolveOptions(phi0=0.05, bracket=(-0.2, 0.1)))
+    assert report.converged
+    assert "bisection fallback" in report.message
+    assert abs(report.phi_star - negative[0]) < 1e-8
 
 
 # ---------------------------------------------------------------------------
