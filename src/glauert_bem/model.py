@@ -24,6 +24,7 @@ evaluation is safe to run concurrently across elements.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -215,15 +216,6 @@ class FlowState:
 
 
 @dataclass(frozen=True)
-class ResidualBreakdown:
-    mu_L_c: float
-    mu_D_c: float
-    mu_G_c: float
-    tip_factor: float
-    value: float
-
-
-@dataclass(frozen=True)
 class LoadsReport:
     """Dimensional per-span loads and the local thrust coefficient."""
 
@@ -291,10 +283,6 @@ def _tip_grid(geom: ElementGeometry, phis):
     return f, np.where(bad, np.nan, fp)
 
 
-def effective_tip_factor(geom: ElementGeometry, corr: CorrectionSpec, phi: float) -> float:
-    return tip_loss_factor(geom, phi) if corr.tip_loss else 1.0
-
-
 # ---------------------------------------------------------------------------
 # dimensionless blade functions
 
@@ -309,37 +297,10 @@ def mu_D(geom: ElementGeometry, polar: PolarTable, phi: float) -> float:
     return 0.25 * geom.solidity * polar.cd(phi - geom.gamma)
 
 
-def mu_L_c(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec, phi: float) -> float:
-    """(sigma / (4 F(phi))) C_L(phi - gamma); equals mu_L with tip loss off."""
-    return mu_L(geom, polar, phi) / effective_tip_factor(geom, corr, phi)
-
-
-def mu_D_c(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec, phi: float) -> float:
-    """(sigma / (4 F(phi))) C_D(phi - gamma); equals mu_D with tip loss off."""
-    return mu_D(geom, polar, phi) / effective_tip_factor(geom, corr, phi)
-
-
-def _mu_c_prime(geom, corr, phi, coef, slope):
-    f, fp = _tip(geom, corr, phi)
-    alpha = phi - geom.gamma
-    return 0.25 * geom.solidity * (slope(alpha) / f - coef(alpha) * fp / (f * f))
-
-
-def mu_L_c_prime(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
-                 phi: float) -> float:
-    """d mu_L^c/dphi using the interpolant derivative and analytic dF/dphi."""
-    return _mu_c_prime(geom, corr, phi, polar.cl, polar.cl_prime)
-
-
-def mu_D_c_prime(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
-                 phi: float) -> float:
-    return _mu_c_prime(geom, corr, phi, polar.cd, polar.cd_prime)
-
-
 def _mu_c_prime_grid(geom, polar, corr, phis, lift=True):
     """d mu_L^c/dphi (``lift``) or d mu_D^c/dphi at an array of angles, with
     the polar's and the tip factor's array paths; raises what the scalar
-    primes raise at any of the angles."""
+    ``polar.cl`` and tip factor raise at any of the angles."""
     alpha = phis - geom.gamma
     if lift:
         coef, slope = polar.cl(alpha), polar.cl_prime(alpha)
@@ -396,7 +357,7 @@ def g_func(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     if phi <= 0.0 or phi > geom.theta + PHI_EPS:
         raise DomainError(f"g defined on (0, theta]; got phi={phi:g}")
     phi = _clamp_phi(phi)
-    drag = mu_D_c(geom, polar, corr, phi)
+    drag = mu_D(geom, polar, phi) / (tip_loss_factor(geom, phi) if corr.tip_loss else 1.0)
     return _g(phi, math.sin(phi), math.tan(geom.theta - phi), drag)
 
 
@@ -597,16 +558,20 @@ def _wilson_nu_grid(rhs, weight, a_c, nu0):
     return np.where(qa == 0.0, -qc / qb, nu)
 
 
+# The scalar equation at one angle: s = sin(phi), nu = 1 - tau(phi), value = residual.
+# Built with tuple.__new__: the named tuple's own __new__ costs 5-8% of an evaluation.
+_Eval = namedtuple("_Eval", "phi s tip_factor cl mu_L_c mu_D_c nu mu_G_c value")
+
+
 def _evaluate(geom, polar, corr, phi, lift=True):
     """Every quantity of the corrected scalar equation at one angle, once each.
 
-    Returns ``(phi, sin(phi), F, C_L, mu_L^c, mu_D^c, nu, mu_G^c, residual)``
-    with ``phi`` clamped into (0, pi/2) and ``nu = 1 - tau(phi)``.  With
-    ``lift=False`` the lift coefficient is not evaluated (C_L, mu_L^c and
-    the residual are nan), so the momentum side stays defined wherever the
-    drag side is.  Each expression keeps the operation order of the public
-    helpers (``mu_L_c``, ``mu_D_c``, ``mu_G``, ``g_func``), so the results
-    equal theirs bit for bit.
+    Returns an :data:`_Eval` record with ``phi`` clamped into (0, pi/2).
+    With ``lift=False`` the lift coefficient is not evaluated (C_L, mu_L^c
+    and the residual are nan), so the momentum side stays defined wherever
+    the drag side is.  Each expression keeps the operation order of
+    ``mu_L`` and ``mu_D`` (then divided by F), ``mu_G`` and ``g_func``,
+    so the results equal theirs bit for bit.
     """
     phi = _clamp_phi(phi)
     theta = geom.theta
@@ -627,11 +592,15 @@ def _evaluate(geom, polar, corr, phi, lift=True):
     if corr.variant != "none" and excess > 0.0:
         momentum = momentum + (math.cos(theta) * s * s / cos_tp * corr.psi(excess, f)
                                / (nu * nu))
-    return phi, s, f, cl, lift_c, drag, nu, momentum, lift_c - t * drag - momentum
+    return tuple.__new__(_Eval, (phi, s, f, cl, lift_c, drag, nu, momentum,
+                                 lift_c - t * drag - momentum))
 
 
-def _trivial(geom, polar, phi):
-    """(C_L, mu_L, mu_D, mu_G, residual) of the plain model on the full interval I."""
+def _evaluation(geom, polar, corr, phi):
+    """The :data:`_Eval` record that :func:`residual` reads at ``phi``; with the
+    trivial correction, the plain model's on the full interval I (nu nan)."""
+    if not corr.is_trivial:
+        return _evaluate(geom, polar, corr, phi)
     theta = geom.theta
     if not (theta - math.pi / 2.0 < phi < theta + math.pi / 2.0):
         raise DomainError(f"phi={phi:g} outside the momentum-side domain")
@@ -641,7 +610,38 @@ def _trivial(geom, polar, phi):
     drag = quarter * polar.cd(phi - geom.gamma)
     value = lift - math.tan(theta - phi) * drag
     momentum = mu_G(theta, phi)
-    return cl, lift, drag, momentum, value - momentum
+    return tuple.__new__(_Eval, (phi, math.sin(phi), 1.0, cl, lift, drag, math.nan, momentum,
+                                 value - momentum))
+
+
+def _slope(geom, polar, corr, ev):
+    """Exact d residual/d phi at the angle of the :data:`_Eval` record ``ev``.
+
+    From cl', cd' and F' (:func:`_tip`).  Where the correction is active,
+    nu' = -B_phi / B_nu by implicit differentiation of the axial balance
+    B = (1 - nu)/nu - g + w psi/nu^2 with w = sin(theta) sin(phi) /
+    cos(theta - phi); psi depends on F too (``psi_tip_grad``).  At a = a_c
+    the slope is the one-sided one from below, as ``psi_prime`` is.
+    """
+    phi, theta, f = ev.phi, geom.theta, ev.tip_factor
+    alpha, fp = phi - geom.gamma, _tip(geom, corr, phi)[1]
+    t = math.tan(theta - phi)
+    d_drag = (0.25 * geom.solidity * polar.cd_prime(alpha) - ev.mu_D_c * fp) / f
+    slope = ((0.25 * geom.solidity * polar.cl_prime(alpha) - ev.mu_L_c * fp) / f
+             + (1.0 + t * t) * ev.mu_D_c - t * d_drag - mu_G_prime(theta, phi))
+    excess = (1.0 - ev.nu) - corr.a_c
+    if corr.variant == "none" or not excess > 0.0:
+        return slope
+    s, c, nu, cos_tp = ev.s, math.cos(phi), ev.nu, math.cos(theta - phi)
+    d_g = ((-t / (s * s) - c / s * (1.0 + t * t)) * (1.0 + ev.mu_D_c / s)
+           + (d_drag - ev.mu_D_c * c / s) / s * (1.0 + c / s * t))
+    # on the balance p = w psi/nu^2 = g - (1 - nu)/nu, so mu_G^c = mu_G + cot(theta) s p
+    p = _g(phi, s, t, ev.mu_D_c) - (1.0 - nu) / nu
+    w = math.sin(theta) * s / cos_tp  # w'/w = cos(theta) / (s cos(theta - phi))
+    b_phi = ((math.cos(theta) / (s * cos_tp) * p - d_g) * nu * nu  # nu^2 B_phi
+             + w * corr.psi_tip_grad(excess, f) * fp)
+    d_nu = b_phi / (1.0 + w * corr.psi_prime(excess, f) + 2.0 * p * nu)  # -nu^2 B_nu
+    return slope - (c * p + s * (d_g + d_nu / (nu * nu))) * math.cos(theta) / math.sin(theta)
 
 
 def _residual_grid(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec, phis):
@@ -699,7 +699,7 @@ def _residual_grid(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpe
 def tau_nu(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
            phi: float) -> float:
     """1 - tau(phi) at full floating-point precision (tau -> 1 as phi -> 0)."""
-    return _evaluate(geom, polar, corr, phi, lift=False)[6]
+    return _evaluate(geom, polar, corr, phi, lift=False).nu
 
 
 def solve_tau(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -717,7 +717,7 @@ def solve_tau(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
 def mu_G_c(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
            phi: float) -> float:
     """Corrected momentum curve: mu_G plus the high-induction excess term."""
-    return _evaluate(geom, polar, corr, phi, lift=False)[7]
+    return _evaluate(geom, polar, corr, phi, lift=False).mu_G_c
 
 
 def residual(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -730,18 +730,14 @@ def residual(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     the full angular interval I, which admits negative-lift branches;
     otherwise it requires phi in (0, pi/2).
     """
-    if corr.is_trivial:
-        return _trivial(geom, polar, phi)[4]
-    return _evaluate(geom, polar, corr, phi)[8]
+    return _evaluation(geom, polar, corr, phi).value
 
 
 def residual_components(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
-                        phi: float) -> ResidualBreakdown:
-    if corr.is_trivial:
-        _, lift, drag, momentum, value = _trivial(geom, polar, phi)
-        return ResidualBreakdown(lift, drag, momentum, 1.0, value)
-    _, _, f, _, lift, drag, _, momentum, value = _evaluate(geom, polar, corr, phi)
-    return ResidualBreakdown(lift, drag, momentum, f, value)
+                        phi: float):
+    """mu_L^c, mu_D^c, mu_G^c, the tip factor and the residual at ``phi``, as
+    fields of the evaluation record that :func:`residual` reads."""
+    return _evaluation(geom, polar, corr, phi)
 
 
 def recover_induction(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -756,19 +752,16 @@ def recover_induction(geom: ElementGeometry, polar: PolarTable, corr: Correction
     if abs(phi) < 1e-6 or abs(phi - math.pi / 2.0) < 1e-6:
         note = "phi near a singular angle of the original system"
 
+    phi, s, f, cl, lift, drag, nu, _, res = _evaluation(geom, polar, corr, phi)
     if corr.is_trivial:
-        s = math.sin(phi)
         if s == 0.0:
             raise DomainError("phi = 0: original system undefined")
-        cl, lift, drag, _, res = _trivial(geom, polar, phi)
         rhs = (lift * math.cos(phi) + drag * s) / (s * s)
         if abs(1.0 + rhs) < 1e-300:
             raise DomainError(f"thrust balance degenerate (a -> inf) at phi={phi:g}")
         a = rhs / (1.0 + rhs)  # any a != 1, including negative-lift branches
         nu = 1.0 - a
-        f = 1.0
     else:
-        phi, s, f, cl, lift, drag, nu, _, res = _evaluate(geom, polar, corr, phi)
         a = 1.0 - nu
     a_prime = nu * (lift * s - drag * math.cos(phi)) / (geom.lam * s * s)
     lift_sign = (cl > 0.0) - (cl < 0.0)

@@ -7,16 +7,18 @@ Four methods are provided:
 * :func:`solve_fixed_point` -- damped fixed point on the scalar residual
   with the adaptive coefficient rho_eps; monotone from phi0 = theta under
   the no-correction hypotheses.
-* :func:`solve_newton` -- Newton steps on the scalar residual with a
-  bracket-bisection safeguard.
+* :func:`solve_newton` -- Newton steps on the scalar residual with its
+  exact slope (``model._slope``) and a bracket-bisection safeguard.
 * :func:`solve_bisection` -- plain interval halving.
 
 Each method is a start point and a step; one loop, ``_iterate``, runs
-them all and stops them alike: on |residual(phi)| <= tol at an iterate
-(the unified criterion, so iteration counts are comparable), on a step
-outside (0, pi/2) (Newton's safeguard keeps its steps inside, and its
-fallback stays in the caller's bracket), after max_iter counted
-iterations ("max_iter reached"), or where a step cannot go on.  The
+them all, evaluates each iterate once for the step to read, and stops
+them alike: on |residual(phi)| <= tol at an iterate (the unified
+criterion, so iteration counts are comparable), on a step outside
+(0, pi/2) (Newton's safeguard keeps its steps inside, and its fallback
+stays in the caller's bracket), where the residual is undefined at an
+iterate (bisection steps on), after max_iter counted iterations
+("max_iter reached"), or where a step cannot go on.  The
 usual procedure counts its first iterate; the fixed point and Newton
 count steps from phi0; bisection counts midpoints.  Each algorithm's
 native error measure is kept in the report for diagnostics.
@@ -38,16 +40,13 @@ from .model import (
     ElementGeometry,
     FlowState,
     _axial_nu,
+    _evaluation,
     _mu_c_prime_grid,
     _residual_grid,
-    effective_tip_factor,
-    mu_D_c,
-    mu_D_c_prime,
+    _slope,
     mu_G,
     mu_G_prime,
     mu_L,
-    mu_L_c,
-    mu_L_c_prime,
     phi_upper,
     recover_induction,
     residual,
@@ -251,24 +250,27 @@ class _Stop(Exception):
 
 
 def _iterate(geom, polar, corr, method, opts, step, phi0=None, fenced=True,
-             last=None, note=None):
+             last=None, note=None, undefined="diverged: residual undefined at iterate"):
     """The one iteration loop of the four methods: stop rules, histories, report.
 
-    ``step(phi, res)`` maps the latest iterate and its residual to the next
-    iterate and the method's native error (``None`` records none), or
-    raises :class:`_Stop`.  A start point ``phi0`` is iterate 0, evaluated
-    but not counted; without one the first iterate is ``step(None, None)``.
-    With ``fenced``, a step outside (0, pi/2) ends the solve.  A solve that
-    ends short of a root reports at ``last(phi, res)`` (default: the last
+    ``step(phi, ev)`` maps the latest iterate and its record ``ev`` from
+    ``model._evaluation`` to the next iterate and the method's native
+    error (``None`` records none), or raises :class:`_Stop`.  A start
+    point ``phi0`` is iterate 0, evaluated but not counted; without one
+    the first iterate is ``step(None, None)``.  With ``fenced``, a step
+    outside (0, pi/2) ends the solve.  An iterate where the residual is
+    undefined ends it with the message ``undefined.format(error)``, or,
+    with ``undefined=None``, is passed on as ``ev = None``.  A solve that
+    ends short of a root reports at ``last(phi, ev)`` (default: the last
     iterate), and ``note()`` is appended to every message.
     """
-    phi, res, at_root = phi0, None, False
+    phi, ev, at_root = phi0, None, False
     phi_hist, err_hist, message = [], [], ""
     uncounted = phi0 is not None
     while True:
         if phi is None or phi_hist:  # every iterate but a given start point is a step
             try:
-                phi_next, err = step(phi, res)
+                phi_next, err = step(phi, ev)
             except _Stop as stop:
                 message = str(stop)
                 break
@@ -280,15 +282,21 @@ def _iterate(geom, polar, corr, method, opts, step, phi0=None, fenced=True,
                 break
             phi = phi_next
         phi_hist.append(phi)
-        res = _residual_safe(geom, polar, corr, phi)
-        if math.isfinite(res) and abs(res) <= opts.tol:
+        try:
+            ev = _evaluation(geom, polar, corr, phi)
+        except DomainError as exc:
+            ev, error = None, exc
+        if ev is not None and abs(ev.value) <= opts.tol:
             at_root = True
             break
         if len(phi_hist) - uncounted == opts.max_iter:
             message = "max_iter reached"
             break
+        if ev is None and undefined is not None:
+            message = undefined.format(error)
+            break
     if last is not None and not at_root:
-        phi = last(phi, res)
+        phi = last(phi, ev)
     if note is not None:
         message = "; ".join(filter(None, [message, note()]))
     return _finish(geom, polar, corr, method, phi, opts, len(phi_hist) - uncounted,
@@ -317,30 +325,21 @@ def solve_usual(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     a chosen angle).  Divergence (iterate leaving the domain) is flagged in
     the report, not raised.
     """
-    def step(phi, res):
+    def step(phi, ev):
         if phi is None:
             return (opts.phi0 if opts.phi0 is not None else geom.theta), None
-        s = math.sin(phi)
+        s, c, lift, drag = math.sin(phi), math.cos(phi), ev.mu_L_c, ev.mu_D_c
         try:  # invert the thrust balance at phi
-            lift = mu_L_c(geom, polar, corr, phi)
-            drag = mu_D_c(geom, polar, corr, phi)
-            rhs = (lift * math.cos(phi) + drag * s) / (s * s)
-            a = 1.0 - _axial_nu(rhs, 1.0, corr, effective_tip_factor(geom, corr, phi))
+            a = 1.0 - _axial_nu((lift * c + drag * s) / (s * s), 1.0, corr, ev.tip_factor)
         except DomainError as exc:
             raise _Stop(f"diverged: {exc}")
-        ap = (1.0 - a) * (lift * s - drag * math.cos(phi)) / (geom.lam * s * s)
+        ap = (1.0 - a) * (lift * s - drag * c) / (geom.lam * s * s)
         denom = geom.lam * (1.0 + ap)
         if denom == 0.0:
             raise _Stop("diverged: 1 + a' reached zero")
         return math.atan2(1.0 - a, denom), abs(math.tan(phi) - (1.0 - a) / denom)
 
-    return _iterate(geom, polar, corr, "usual", opts, step)
-
-
-def rho_eps_denominator(geom, polar, corr, phi, max_dmu_L):
-    theta = geom.theta
-    return (max(0.0, -mu_G_prime(theta, phi)) + max_dmu_L
-            + (1.0 + math.tan(theta) ** 2) * mu_D_c(geom, polar, corr, phi))
+    return _iterate(geom, polar, corr, "usual", opts, step, undefined="diverged: {}")
 
 
 def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -350,45 +349,37 @@ def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: Correction
     rho_eps(phi) = eps / (max(0, -mu_G') + max_{I+} mu_L^c' + (1 + tan^2
     theta) mu_D^c(phi)); the supremum of mu_L^c' is approximated by the
     maximum over a 1000-point grid of I+, evaluated in one numpy call (to
-    a few ulp of the scalar ``mu_L_c_prime``).  From phi0 = theta with no
-    active correction and non-decreasing mu_L^c, mu_D^c, the iterates
-    decrease monotonically to the largest root.
+    a few ulp of the scalar path).  From phi0 = theta with no active
+    correction and non-decreasing mu_L^c, mu_D^c, the iterates decrease
+    monotonically to the largest root.
     """
     max_dmu_L = float(_mu_c_prime_grid(geom, polar, corr, grid_I_plus(geom, polar)).max())
 
-    def step(phi, res):
-        if not math.isfinite(res):
-            raise _Stop("diverged: residual undefined at iterate")
-        denom = rho_eps_denominator(geom, polar, corr, phi, max_dmu_L)
+    def step(phi, ev):
+        denom = (max(0.0, -mu_G_prime(geom.theta, phi)) + max_dmu_L
+                 + (1.0 + math.tan(geom.theta) ** 2) * ev.mu_D_c)
         if denom <= 0.0:
             raise HypothesisError(
                 "rho_eps denominator <= 0: the non-decreasing mu_L^c/mu_D^c "
                 f"hypothesis fails at phi={phi:g} (max mu_L^c' = {max_dmu_L:g})")
         rho = opts.epsilon / denom
-        phi_next = phi - rho * res
+        phi_next = phi - rho * ev.value
         return phi_next, abs(phi_next - phi)
 
     return _iterate(geom, polar, corr, "fixed_point", opts, step,
                     phi0=opts.phi0 if opts.phi0 is not None else geom.theta)
 
 
-def newton_denominator(geom, polar, corr, phi):
-    """Approximate residual slope used by the Newton step (mu_G' in place of mu_G^c')."""
-    theta = geom.theta
-    t = math.tan(theta - phi)
-    return (mu_G_prime(theta, phi) - mu_L_c_prime(geom, polar, corr, phi)
-            - (1.0 + t * t) * mu_D_c(geom, polar, corr, phi)
-            + t * mu_D_c_prime(geom, polar, corr, phi))
-
-
 def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                  opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Newton iteration on the scalar residual, bisection-safeguarded.
 
-    A step that would leave the current sign-change bracket, or a
-    derivative below 1e-14, falls back to one bisection halving.  Without
-    a sign change on the initial bracket the method runs unsafeguarded
-    from phi0 (and reports divergence instead of crashing).
+    Steps use the exact residual slope (``model._slope``), so a simple
+    root, on a correction branch too, is reached quadratically.  Every
+    iterate, phi0 included, narrows the sign-change bracket; a step that
+    would leave it, or a slope below 1e-14, falls back to one bisection
+    halving.  Without a sign change on the initial bracket the method runs
+    unsafeguarded from phi0 (and reports divergence instead of crashing).
     """
     theta = geom.theta
     lo, hi = opts.bracket if opts.bracket is not None else (1e-4, theta)
@@ -397,23 +388,17 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     have_bracket = (math.isfinite(f_lo) and math.isfinite(f_hi)
                     and (f_lo < 0.0) != (f_hi < 0.0))
     fallbacks = 0
-    stepped = False  # phi0 itself does not narrow the bracket
 
-    def step(phi, res):
-        nonlocal lo, hi, f_lo, fallbacks, stepped
-        if not math.isfinite(res):
-            raise _Stop("diverged: residual undefined at iterate")
-        if stepped and have_bracket and lo < phi < hi:
+    def step(phi, ev):
+        nonlocal lo, hi, f_lo, fallbacks
+        res = ev.value
+        if have_bracket and lo < phi < hi:
             if (res < 0.0) == (f_lo < 0.0):
                 lo, f_lo = phi, res
             else:
                 hi = phi
-        stepped = True
-        try:
-            deriv = newton_denominator(geom, polar, corr, phi)
-        except DomainError:
-            deriv = 0.0
-        phi_next = phi + res / deriv if abs(deriv) >= 1e-14 else math.nan
+        deriv = _slope(geom, polar, corr, ev)
+        phi_next = phi - res / deriv if abs(deriv) >= 1e-14 else math.nan
         take_fallback = (not math.isfinite(phi_next)
                          or (have_bracket and not lo < phi_next < hi)
                          or not 0.0 < phi_next < math.pi / 2.0)
@@ -434,17 +419,19 @@ def solve_bisection(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSp
                     opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Interval halving on the scalar residual.
 
-    Requires a sign change on the initial bracket, else raises
-    :class:`BracketError` ("wrong initial guess").  The tracked bracket
-    width is halved exactly each iteration, so after k iterations it
-    equals the initial width times 2**-k.  Short of a root, the solve
-    reports the midpoint of its last bracket.
+    Requires a residual defined at both ends of the initial bracket, with
+    a sign change, else raises :class:`BracketError` ("wrong initial
+    guess").  The tracked bracket width is halved exactly each iteration,
+    so after k iterations it equals the initial width times 2**-k.  Short
+    of a root, the solve reports the midpoint of its last bracket.
     """
     lo, hi = opts.bracket if opts.bracket is not None else (1e-4, geom.theta)
     if not 0.0 < lo < hi < math.pi / 2.0:
         raise ValidationError(f"bracket ({lo:g}, {hi:g}) must sit inside (0, pi/2)")
-    f_lo = residual(geom, polar, corr, lo)
-    f_hi = residual(geom, polar, corr, hi)
+    try:
+        f_lo, f_hi = residual(geom, polar, corr, lo), residual(geom, polar, corr, hi)
+    except DomainError as exc:
+        raise BracketError(f"wrong initial guess: residual undefined at a bracket end ({exc})")
     if f_lo == 0.0:
         return _finish(geom, polar, corr, "bisection", lo, opts, 0, [lo], [])
     if f_hi == 0.0:
@@ -455,23 +442,23 @@ def solve_bisection(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSp
             f"({f_lo:g}, {f_hi:g})")
     width = hi - lo
 
-    def shrink(mid, res):
+    def shrink(mid, ev):
         """Keep the half [lo, lo + width] that holds the sign change; its midpoint."""
         nonlocal lo, f_lo
-        if mid is not None and math.isfinite(res) and (res < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, res
+        if mid is not None and ev is not None and (ev.value < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, ev.value
         # else keep lo: [lo, lo + width] is already the surviving half
         return lo + 0.5 * width
 
-    def step(mid, res):
+    def step(mid, ev):
         nonlocal width
         if width <= opts.phi_tol:
             raise _Stop()
-        shrink(mid, res)
+        shrink(mid, ev)
         width *= 0.5  # exact in binary floating point
         return lo + width, width
 
-    return _iterate(geom, polar, corr, "bisection", opts, step, last=shrink)
+    return _iterate(geom, polar, corr, "bisection", opts, step, last=shrink, undefined=None)
 
 
 METHODS = {
@@ -597,11 +584,11 @@ def fixed_point_rate_bound(geom: ElementGeometry, polar: PolarTable,
     max_dmu_D = float(_mu_c_prime_grid(geom, polar, corr, grid, lift=False).max())
     lhs = math.tan(theta) * (1.0 + max_dmu_D)
     applies = lhs < min_dmu_L
-    mu_d_theta = mu_D_c(geom, polar, corr, theta)
-    denom = max_dmu_L + math.sin(theta) + (1.0 + math.tan(theta) ** 2) * mu_d_theta
+    ev = _evaluation(geom, polar, corr, theta)
+    # max(0, -mu_G'(theta)) = sin(theta): denom is rho_eps's denominator at theta
+    denom = max_dmu_L + math.sin(theta) + (1.0 + math.tan(theta) ** 2) * ev.mu_D_c
     factor = 1.0 - (min_dmu_L - lhs) / denom
-    rho_theta = epsilon / rho_eps_denominator(geom, polar, corr, theta, max_dmu_L)
-    initial = abs(theta - rho_theta * mu_L_c(geom, polar, corr, theta))
+    initial = abs(theta - epsilon / denom * ev.mu_L_c)
     return RateBound(applies=applies, factor=factor, initial=initial)
 
 

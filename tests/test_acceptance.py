@@ -30,11 +30,9 @@ from glauert_bem import (
     solve_newton,
     solve_usual,
     synthetic_polar,
+    tip_loss_factor,
 )
 from glauert_bem.model import (
-    effective_tip_factor,
-    mu_D_c,
-    mu_L_c,
     residual,
     tau_nu,
 )
@@ -81,12 +79,14 @@ def test_criterion_01_simplified_optimum_identity(announce):
 
 
 def _system_violation(geom, polar, corr, state):
-    """Max violation of the three flow equations at a recovered state."""
+    """Max violation of the three flow equations at a recovered state; the
+    tip factor and the polar are evaluated here, apart from the kernel."""
     phi, a, ap = state.phi, state.a, state.a_prime
     s, c = math.sin(phi), math.cos(phi)
-    f = state.tip_factor
-    lift = mu_L_c(geom, polar, corr, phi)
-    drag = mu_D_c(geom, polar, corr, phi)
+    f = tip_loss_factor(geom, phi) if corr.tip_loss else 1.0
+    quarter = 0.25 * geom.solidity / f
+    lift = quarter * polar.cl(phi - geom.gamma)
+    drag = quarter * polar.cd(phi - geom.gamma)
     eq1 = math.tan(phi) * geom.lam * (1.0 + ap) - (1.0 - a)
     eq2 = (a / (1.0 - a) - (lift * c + drag * s) / (s * s)
            + corr.psi(a - corr.a_c, f) / (1.0 - a) ** 2)

@@ -30,11 +30,8 @@ from glauert_bem.model import (
     _residual_grid,
     g_func,
     mu_D,
-    mu_D_c,
     mu_G_prime,
     mu_L,
-    mu_L_c,
-    mu_L_c_prime,
     residual_components,
     tau_nu,
 )
@@ -107,14 +104,16 @@ def test_corrected_mu_equals_plain_without_tip_loss(linear_polar):
     geom = make_geom()
     corr = CorrectionSpec(variant="wilson_spera", tip_loss=False)
     for phi in (0.1, 0.3, 0.5):
-        assert mu_L_c(geom, linear_polar, corr, phi) == mu_L(geom, linear_polar, phi)
-        assert mu_D_c(geom, linear_polar, corr, phi) == mu_D(geom, linear_polar, phi)
+        parts = residual_components(geom, linear_polar, corr, phi)
+        assert parts.tip_factor == 1.0
+        assert parts.mu_L_c == mu_L(geom, linear_polar, phi)
+        assert parts.mu_D_c == mu_D(geom, linear_polar, phi)
 
 
 def test_zero_drag_kills_mu_D(dragfree_polar):
     geom = make_geom()
     corr = CorrectionSpec(variant="none", tip_loss=False)
-    assert mu_D_c(geom, dragfree_polar, corr, 0.4) == 0.0
+    assert residual_components(geom, dragfree_polar, corr, 0.4).mu_D_c == 0.0
 
 
 def test_corrected_mu_scales_by_inverse_tip_factor(linear_polar):
@@ -123,8 +122,10 @@ def test_corrected_mu_scales_by_inverse_tip_factor(linear_polar):
     phi = 0.35
     f = tip_loss_factor(geom, phi)
     assert 0.0 < f < 1.0
-    assert abs(mu_L_c(geom, linear_polar, corr, phi) * f
-               - mu_L(geom, linear_polar, phi)) < 1e-15
+    parts = residual_components(geom, linear_polar, corr, phi)
+    assert parts.tip_factor == f
+    assert abs(parts.mu_L_c * f - mu_L(geom, linear_polar, phi)) < 1e-15
+    assert abs(parts.mu_D_c * f - mu_D(geom, linear_polar, phi)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +543,14 @@ def _scalar_or_nan(geom, polar, corr, phi):
         return math.nan
 
 
+def _mu_L_c_prime(geom, polar, corr, phi):
+    """Scalar d mu_L^c/dphi = (sigma/4) (C_L'/F - C_L F'/F^2), the oracle of
+    the array path :func:`model._mu_c_prime_grid`."""
+    f, fp = model._tip(geom, corr, phi)
+    alpha = phi - geom.gamma
+    return 0.25 * geom.solidity * (polar.cl_prime(alpha) / f - polar.cl(alpha) * fp / (f * f))
+
+
 def _assert_within_ulp(got, want, ulp):
     """Equal NaN pattern; finite values within ``ulp`` ulp of the largest |want|."""
     assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -579,7 +588,7 @@ def test_residual_grid_matches_scalar_path(variant, tip, stall, slope, cd0, cd2,
 
     try:
         grid = grid_I_plus(geom, polar)
-        want_L = np.array([mu_L_c_prime(geom, polar, corr, p) for p in grid])
+        want_L = np.array([_mu_L_c_prime(geom, polar, corr, p) for p in grid])
     except (DomainError, ValidationError):
         return  # empty I+ or F = 0: the array path is checked to raise alike below
     _assert_within_ulp(_mu_c_prime_grid(geom, polar, corr, grid), want_L, 8)
@@ -622,3 +631,33 @@ def _state(phi, a, a_prime, tip_factor=1.0):
     from glauert_bem import FlowState
     return FlowState(phi=phi, a=a, a_prime=a_prime, tip_factor=tip_factor,
                      residual=0.0, lift_sign=1)
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+@settings(max_examples=40, deadline=None, database=None)
+@given(stall=st.booleans(), slope=st.floats(3.0, 7.0), cd0=st.floats(0.0, 0.03),
+       cd2=st.floats(0.0, 0.5), alpha_s=st.floats(0.15, 0.4), drop=st.floats(0.0, 0.8),
+       lam=st.floats(0.5, 4.0), gamma=st.floats(-0.2, 0.4), chord=st.floats(0.02, 1.5),
+       r=st.floats(0.1, 0.98), strict=st.booleans(), frac=st.floats(0.02, 0.98))
+def test_slope_matches_central_difference(variant, tip, stall, slope, cd0, cd2, alpha_s,
+                                          drop, lam, gamma, chord, r, strict, frac):
+    if stall:
+        polar = synthetic_polar("linear_lift_with_stall", slope=slope, alpha_s=alpha_s,
+                                drop=drop, transition=0.05, cd0=cd0, cd2=cd2)
+    else:
+        polar = synthetic_polar("linear_lift", slope=slope, cd0=cd0, cd2=cd2, beta=0.4)
+    geom = make_geom(lam=lam, gamma=gamma, chord=chord, r=r, tip_radius=1.0)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip, strict_lemma_mode=strict)
+    phi, h = frac * geom.theta, 1e-7
+    try:
+        below, ev, above = (model._evaluation(geom, polar, corr, p)
+                            for p in (phi - h, phi, phi + h))
+    except DomainError:
+        return  # residual undefined at a stencil point
+    if corr.variant != "none" and any(abs((1.0 - e.nu) - corr.a_c) < 1e-4
+                                      for e in (below, ev, above)):
+        return  # the slope is one-sided at a = a_c
+    central = (above.value - below.value) / (2.0 * h)
+    got = model._slope(geom, polar, corr, ev)
+    assert abs(got - central) <= 1e-6 * max(1.0, abs(central))

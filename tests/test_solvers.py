@@ -29,7 +29,6 @@ from glauert_bem.model import (
     CORRECTION_VARIANTS,
     mu_G_prime,
     mu_L,
-    mu_L_c_prime,
     recover_induction,
 )
 from glauert_bem.solvers import (
@@ -181,18 +180,40 @@ def test_newton_with_active_correction_still_converges(linear_polar):
     assert abs(report.phi_star - oracle) < 1e-8
 
 
-def test_newton_flat_slope_falls_back_to_bisection(dragfree_polar):
-    geom = make_geom(gamma=0.15, chord=0.3)
-    corr = trivial()
-    slope = mu_L_c_prime(geom, dragfree_polar, corr, 0.3)
+def test_newton_quadratic_on_a_correction_branch_root(linear_polar):
+    # the exact slope differentiates mu_G^c, high-induction term included
+    geom = make_geom(gamma=0.05, chord=0.3)
+    corr = wilson()
+    oracle = solve_bisection(geom, linear_polar, corr,
+                             SolveOptions(tol=1e-13, phi_tol=5e-15)).phi_star
+    assert recover_induction(geom, linear_polar, corr, oracle).a > corr.a_c
+    report = solve_newton(geom, linear_polar, corr, SolveOptions(phi0=oracle + 0.01))
+    assert report.converged and "fallback" not in report.message
+    assert report.iterations <= 4
+    errs = [abs(p - oracle) for p in report.phi_history]
+    for e_prev, e_next in zip(errs, errs[1:]):
+        if e_prev > 1e-6:
+            assert e_next <= 50.0 * e_prev ** 2
+
+
+def _flat_slope_angle(geom, polar):
+    """phi where the residual slope of the drag-free trivial model vanishes."""
+    slope = 0.25 * geom.solidity * polar.cl_prime(0.3 - geom.gamma)  # linear lift
     lo, hi = 1e-4, 0.3
-    for _ in range(60):  # phi where the residual slope vanishes
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mu_G_prime(geom.theta, mid) > slope:
             lo = mid
         else:
             hi = mid
-    report = solve_newton(geom, dragfree_polar, corr, SolveOptions(phi0=0.5 * (lo + hi)))
+    return 0.5 * (lo + hi)
+
+
+def test_newton_flat_slope_falls_back_to_bisection(dragfree_polar):
+    geom = make_geom(gamma=0.15, chord=0.3)
+    corr = trivial()
+    phi0 = _flat_slope_angle(geom, dragfree_polar)
+    report = solve_newton(geom, dragfree_polar, corr, SolveOptions(phi0=phi0))
     assert report.converged
     assert "fallback" in report.message
 
@@ -216,6 +237,15 @@ def test_bisection_same_sign_bracket_aborts(linear_polar):
     with pytest.raises(BracketError, match="wrong initial guess"):
         solve_bisection(geom, linear_polar, wilson(),
                         SolveOptions(bracket=(geom.theta - 0.02, geom.theta - 0.01)))
+
+
+def test_bisection_undefined_bracket_end_is_a_wrong_initial_guess(linear_polar):
+    # at phi = 1.5 the angle of attack lies beyond the sampled polar
+    geom = make_geom(gamma=0.05)
+    with pytest.raises(DomainError):
+        residual(geom, linear_polar, wilson(), 1.5)
+    with pytest.raises(BracketError, match="wrong initial guess"):
+        solve_bisection(geom, linear_polar, wilson(), SolveOptions(bracket=(0.1, 1.5)))
 
 
 def test_bisection_width_halves_exactly(linear_polar):
@@ -243,9 +273,9 @@ def test_bisection_immediate_when_root_at_midpoint(linear_polar):
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_max_iter_stop_is_reported_alike(method, linear_polar):
     report = METHODS[method](make_geom(gamma=0.05), linear_polar, wilson(),
-                             SolveOptions(max_iter=3))
+                             SolveOptions(max_iter=2))
     assert not report.converged
-    assert report.iterations == 3
+    assert report.iterations == 2
     assert report.message == "max_iter reached"
     if method == "usual":  # no momentum inversion after the last iterate
         assert len(report.native_err_history) == report.iterations - 1
@@ -265,14 +295,17 @@ def test_undefined_residual_at_iterate_stops(method, linear_polar):
     assert report.message.startswith("diverged: residual undefined at iterate")
 
 
-def test_unsafe_newton_step_without_bracket_stops(linear_polar):
-    geom = make_geom(gamma=0.05)
-    report = solve_newton(geom, linear_polar, wilson(),
-                          SolveOptions(phi0=0.05, bracket=(geom.theta - 0.02,
-                                                            geom.theta - 0.01)))
+def test_unsafe_newton_step_without_bracket_stops(dragfree_polar):
+    geom = make_geom(gamma=0.15, chord=0.3)
+    phi0 = _flat_slope_angle(geom, dragfree_polar)
+    bracket = (geom.theta - 0.02, geom.theta - 0.01)
+    assert (residual(geom, dragfree_polar, trivial(), bracket[0]) < 0.0) == \
+        (residual(geom, dragfree_polar, trivial(), bracket[1]) < 0.0)
+    report = solve_newton(geom, dragfree_polar, trivial(),
+                          SolveOptions(phi0=phi0, bracket=bracket))
     assert not report.converged
     assert report.iterations == 0
-    assert report.phi_star == 0.05
+    assert report.phi_star == phi0
     assert report.message == "diverged: unsafe Newton step and no bracket to fall back on"
 
 
