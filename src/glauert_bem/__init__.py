@@ -24,12 +24,10 @@ from .model import (
     ElementGeometry,
     FlowState,
     TurbineConfig,
-    loads_diagnostics,
     mu_G,
     mu_G_c,
     recover_induction,
     residual,
-    solve_tau,
     tip_loss_factor,
 )
 from .polar import PolarTable, best_glide_angle, load_polar, synthetic_polar

@@ -165,7 +165,7 @@ def J_lambda(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
 
 
 def solve_element(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
-                  phi_hint: float = None, grid_size: int = 240) -> FlowState:
+                  phi_hint: float = None) -> FlowState:
     """Solve one element deterministically.
 
     With ``phi_hint`` the root nearest the hint is refined from a locally
@@ -188,7 +188,7 @@ def solve_element(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec
                 phi = _brentq(lambda p: residual(geom, polar, corr, p), lo, hi)
                 return recover_induction(geom, polar, corr, phi)
             delta *= 4.0
-    roots = scan_roots(geom, polar, corr, grid_size=grid_size)
+    roots = scan_roots(geom, polar, corr, grid_size=240)
     if not roots.records:
         raise DomainError("no root of the scalar equation on the working interval")
     principals = roots.by_category("principal")
@@ -392,17 +392,18 @@ def cp_sweep(turbine: TurbineConfig, polar: PolarTable, corr: CorrectionSpec,
              design: Callable[[float], tuple], grid_n: int = 50) -> SweepResult:
     """Solve every element of a design and integrate the power coefficient.
 
-    ``design`` maps a local speed ratio to (gamma, chord).  Failed
-    elements contribute J = 0 and are flagged; the sweep errors out only
-    when every element fails.
+    ``design`` maps a local speed ratio to (gamma, chord).  Failed elements
+    contribute J = 0 and are flagged; one whose design failed has gamma =
+    chord = nan.  The sweep errors out only when every element fails.
     """
     if grid_n < 2:
         raise ValidationError("grid_n must be >= 2")
     lambdas = np.linspace(turbine.lambda_min, turbine.lambda_max, grid_n)
     elements = []
     for lam in lambdas:
-        gamma, chord = design(float(lam))
+        gamma = chord = math.nan
         try:
+            gamma, chord = design(float(lam))
             geom = ElementGeometry.from_turbine(turbine, float(lam), gamma, chord)
             state = solve_element(geom, polar, corr)
             j = J_lambda(geom, polar, corr, state)

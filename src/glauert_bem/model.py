@@ -215,17 +215,6 @@ class FlowState:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class LoadsReport:
-    """Dimensional per-span loads and the local thrust coefficient."""
-
-    thrust_per_span: float
-    torque_per_span: float
-    thrust_coefficient: float
-    axial_speed: float
-    wake_rotation: float
-
-
 # ---------------------------------------------------------------------------
 # tip loss
 
@@ -349,7 +338,7 @@ def _g(phi, s, t, drag):
 
 def g_func(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
            phi: float) -> float:
-    """Right-hand side of the implicit axial equation.
+    """The paper's g, right-hand side of the implicit axial equation for tau.
 
     g(phi) = cot(phi) tan(theta - phi)
              + (mu_D^c(phi)/sin(phi)) (1 + cot(phi) tan(theta - phi))
@@ -381,15 +370,18 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
 
     cap = 1.0 - corr.a_c  # correction active: root lies in nu in [nu0, cap]
 
-    def balance(nu):
+    def terms(nu):  # the balance and its slope in nu, as in _axial_nu_grid
         x = cap - nu
-        return ((1.0 - nu) / nu - rhs
-                + weight * corr.psi(x, tip_factor) / (nu * nu))
+        psi, dpsi = ((corr._psi(x, tip_factor), corr._psi_prime(x, tip_factor))
+                     if x > 0.0 else (0.0, 0.0))
+        nn = nu * nu
+        return ((1.0 - nu) / nu - rhs + weight * psi / nn,
+                -1.0 / nn - weight * dpsi / nn - 2.0 * weight * psi / (nn * nu))
 
     if corr.variant == "wilson_spera":
         nu = _wilson_nu(rhs, weight, corr.a_c, nu0)
     else:
-        f_lo, f_hi = balance(nu0), balance(cap)
+        f_lo, f_hi = terms(nu0)[0], terms(cap)[0]
         if f_lo == 0.0:
             return nu0
         if f_hi == 0.0:
@@ -398,8 +390,14 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
             raise DomainError(
                 "axial balance lost monotonicity (psi < 0 under the current "
                 "tip factor); use strict_lemma_mode or another variant")
-        nu = _newton_nu(rhs, weight, corr, tip_factor, nu0, cap)
-    return _polish_nu(balance, corr, nu, nu0, cap, weight, tip_factor)
+        nu = _newton_nu(terms, nu0, cap)
+    # one Newton step in nu tightens closed-form roots to machine accuracy
+    value, slope = terms(nu)
+    if slope != 0.0:
+        candidate = nu - value / slope
+        if nu0 <= candidate <= cap and abs(terms(candidate)[0]) <= abs(value):
+            nu = candidate
+    return nu
 
 
 # Newton on the axial balance stops once a step moves nu by at most about
@@ -408,28 +406,23 @@ _NU_STEP_TOL = 4.4e-16
 _NU_MAX_STEPS = 100
 
 
-def _newton_nu(rhs, weight, corr, tip_factor, nu0, cap):
+def _newton_nu(terms, nu0, cap):
     """Newton on the axial balance from nu0, kept inside a shrinking bracket.
 
-    The balance is positive at nu0 and negative at cap.  A step that would
-    leave the bracket is replaced by its midpoint; a step onto a bracket
-    end is taken.  Raises :class:`DomainError` if it has not converged
-    after ``_NU_MAX_STEPS`` steps.
+    ``terms(nu)`` is the balance, positive at nu0 and negative at cap, and
+    its slope.  A step that would leave the bracket is replaced by its
+    midpoint; a step onto a bracket end is taken.  Raises
+    :class:`DomainError` if it has not converged after ``_NU_MAX_STEPS`` steps.
     """
     lo, hi, nu = nu0, cap, nu0
     for _ in range(_NU_MAX_STEPS):
-        x = cap - nu
-        psi, dpsi = ((corr._psi(x, tip_factor), corr._psi_prime(x, tip_factor))
-                     if x > 0.0 else (0.0, 0.0))
-        nn = nu * nu
-        value = (1.0 - nu) / nu - rhs + weight * psi / nn
+        value, slope = terms(nu)
         if value == 0.0:
             break
         if value > 0.0:
             lo = nu
         else:
             hi = nu
-        slope = -1.0 / nn - weight * dpsi / nn - 2.0 * weight * psi / (nn * nu)
         new = nu - value / slope
         if not lo <= new <= hi:
             new = 0.5 * (lo + hi)
@@ -459,22 +452,9 @@ def _wilson_nu(rhs, weight, a_c, nu0):
     good = [nu for nu in roots if nu0 * (1.0 - 1e-9) <= nu <= cap * (1.0 + 1e-9)]
     if not good:
         raise DomainError("no axial root in [a_c, 1); inconsistent inputs")
+    # the unguarded (cap - nu)^2: past cap it differs from the psi of terms in _axial_nu
     return min(good, key=lambda nu: abs((1.0 - nu) / nu - rhs
                                         + weight * (cap - nu) ** 2 / (nu * nu)))
-
-
-def _polish_nu(balance, corr, nu, nu0, cap, weight, tip_factor):
-    # one Newton step in nu tightens closed-form roots to machine accuracy
-    x = cap - nu
-    slope = (-1.0 / (nu * nu)
-             - weight * corr.psi_prime(x, tip_factor) / (nu * nu)
-             - 2.0 * weight * corr.psi(x, tip_factor) / (nu * nu * nu))
-    if slope != 0.0:
-        step = balance(nu) / slope
-        candidate = nu - step
-        if nu0 <= candidate <= cap and abs(balance(candidate)) <= abs(balance(nu)):
-            nu = candidate
-    return nu
 
 
 def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
@@ -492,7 +472,7 @@ def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
         cap = 1.0 - corr.a_c
 
         def terms(v):
-            """The balance and its slope at v, as in _newton_nu and _polish_nu."""
+            """The balance and its slope at v, as ``terms`` in _axial_nu."""
             x = cap - v
             psi = np.where(x > 0.0, corr._psi(x, f), 0.0)
             dpsi = np.where(x > 0.0, corr._psi_prime(x, f), 0.0)
@@ -507,7 +487,7 @@ def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
             sol = np.where(f_hi == 0.0, cap, _newton_nu_grid(terms, nu0, cap))
             sol = np.where(f_lo == 0.0, nu0, sol)
             sol[(f_lo != 0.0) & (f_hi != 0.0) & ((f_lo < 0.0) | (f_hi > 0.0))] = np.nan
-        # the polishing step of _polish_nu; a no-op where the balance is 0
+        # the polishing step of _axial_nu; a no-op where the balance is 0
         value, slope = terms(sol)
         cand = sol - value / slope
         better = ((slope != 0.0) & (nu0 <= cand) & (cand <= cap)
@@ -698,25 +678,13 @@ def _residual_grid(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpe
 
 def tau_nu(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
            phi: float) -> float:
-    """1 - tau(phi) at full floating-point precision (tau -> 1 as phi -> 0)."""
+    """1 - tau(phi), the paper's axial map, at full precision as tau -> 1 (phi -> 0)."""
     return _evaluate(geom, polar, corr, phi, lift=False).nu
-
-
-def solve_tau(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
-              phi: float) -> float:
-    """The implicit axial map: the unique a in [0,1) balancing g(phi).
-
-    Defined for phi in I+; the Glauert empirical variant follows the
-    ``strict_lemma_mode`` flag of ``corr`` for the tip factor inside psi.
-    """
-    if phi <= 0.0 or phi > geom.theta + PHI_EPS:
-        raise DomainError(f"tau defined on (0, theta]; got phi={phi:g}")
-    return 1.0 - tau_nu(geom, polar, corr, phi)
 
 
 def mu_G_c(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
            phi: float) -> float:
-    """Corrected momentum curve: mu_G plus the high-induction excess term."""
+    """The paper's mu_G^c: mu_G plus the high-induction excess term."""
     return _evaluate(geom, polar, corr, phi, lift=False).mu_G_c
 
 
@@ -733,13 +701,6 @@ def residual(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     return _evaluation(geom, polar, corr, phi).value
 
 
-def residual_components(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
-                        phi: float):
-    """mu_L^c, mu_D^c, mu_G^c, the tip factor and the residual at ``phi``, as
-    fields of the evaluation record that :func:`residual` reads."""
-    return _evaluation(geom, polar, corr, phi)
-
-
 def recover_induction(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                       phi: float) -> FlowState:
     """Post-compute (a, a_prime) from an angle solving the scalar equation.
@@ -748,11 +709,17 @@ def recover_induction(geom: ElementGeometry, polar: PolarTable, corr: Correction
     thrust balance is inverted directly, which also covers negative-lift
     roots outside (0, theta].
     """
+    return _state(geom, corr, _evaluation(geom, polar, corr, phi))
+
+
+def _state(geom, corr, ev):
+    """The :class:`FlowState` at the angle of the :func:`_evaluation` record ``ev``."""
     note = ""
-    if abs(phi) < 1e-6 or abs(phi - math.pi / 2.0) < 1e-6:
+    # ev.phi is clamped into (0, pi/2), which keeps an angle within 1e-6 of 0 or pi/2 there
+    if abs(ev.phi) < 1e-6 or abs(ev.phi - math.pi / 2.0) < 1e-6:
         note = "phi near a singular angle of the original system"
 
-    phi, s, f, cl, lift, drag, nu, _, res = _evaluation(geom, polar, corr, phi)
+    phi, s, f, cl, lift, drag, nu, _, res = ev
     if corr.is_trivial:
         if s == 0.0:
             raise DomainError("phi = 0: original system undefined")
@@ -767,21 +734,3 @@ def recover_induction(geom: ElementGeometry, polar: PolarTable, corr: Correction
     lift_sign = (cl > 0.0) - (cl < 0.0)
     return FlowState(phi=float(phi), a=float(a), a_prime=float(a_prime), tip_factor=f,
                      residual=float(res), lift_sign=lift_sign, note=note)
-
-
-def loads_diagnostics(config: TurbineConfig, geom: ElementGeometry, corr: CorrectionSpec,
-                      state: FlowState) -> LoadsReport:
-    """Dimensional thrust/torque per unit span and the thrust coefficient.
-
-    C_T = 4 chi(a, a_c) F with chi = a(1-a) + psi((a-a_c)_+).
-    """
-    a, ap, f = state.a, state.a_prime, state.tip_factor
-    chi = a * (1.0 - a) + corr.psi(a - corr.a_c, f)
-    u, rho = config.upstream_speed, config.fluid_density
-    ct = 4.0 * chi * f
-    thrust = ct * u * u * rho * math.pi * geom.r
-    torque = 4.0 * ap * (1.0 - a) * f * geom.lam * u * u * rho * math.pi * geom.r ** 2
-    return LoadsReport(thrust_per_span=thrust, torque_per_span=torque,
-                       thrust_coefficient=ct,
-                       axial_speed=(1.0 - a) * u,
-                       wake_rotation=2.0 * ap * config.rotation_speed)

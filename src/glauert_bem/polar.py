@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, NoPositiveLiftError, PolarFormatError, ValidationError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# best_glide_angle results for these settings are cached on the table
+# best_glide_angle's scan grid size and golden-section bracket tolerance
 _GLIDE_GRID, _GLIDE_TOL = 2048, 1e-10
 
 
@@ -191,7 +191,7 @@ class PolarTable:
         self._cd_rows, self._cd_cols = _layouts(cd_coef)
         self._cl_prime_rows, self._cl_prime_cols = _layouts(_derivative(cl_coef))
         self._cd_prime_rows, self._cd_prime_cols = _layouts(_derivative(cd_coef))
-        self._best_glide = None  # filled by the first default best_glide_angle call
+        self._best_glide = None  # filled by the first best_glide_angle call
 
     # -- basic accessors -------------------------------------------------
 
@@ -314,20 +314,18 @@ def load_polar(source, *, beta=None, alpha_s=None, label=None, clamp_cl=False) -
                       beta=beta, alpha_s=alpha_s, label=name, clamp_cl=clamp_cl)
 
 
-def best_glide_angle(polar: PolarTable, *, grid=_GLIDE_GRID, tol=_GLIDE_TOL) -> float:
+def best_glide_angle(polar: PolarTable) -> float:
     """Angle in (0, beta] minimizing cd/cl, by grid scan + golden section.
 
-    The result for the default ``grid`` and ``tol`` is computed once per
-    table and cached.  Raises :class:`NoPositiveLiftError` when cl <= 0 on
-    the whole window.
+    The result is computed once per table and cached.  Raises
+    :class:`NoPositiveLiftError` when cl <= 0 on the whole window.
     """
     # Threads may race to fill the cache; each computes the same float.
-    cached = grid == _GLIDE_GRID and tol == _GLIDE_TOL
-    if cached and polar._best_glide is not None:
+    if polar._best_glide is not None:
         return polar._best_glide
-    lo = min(polar.beta, polar.alpha_max) / grid
+    lo = min(polar.beta, polar.alpha_max) / _GLIDE_GRID
     hi = min(polar.beta, polar.alpha_max)
-    alphas = np.linspace(lo, hi, grid)
+    alphas = np.linspace(lo, hi, _GLIDE_GRID)
     lift = polar.cl(alphas)  # the array path gives the scalar path's bits
     positive = lift > 0.0
     if not np.any(positive):
@@ -337,7 +335,7 @@ def best_glide_angle(polar: PolarTable, *, grid=_GLIDE_GRID, tol=_GLIDE_TOL) -> 
     k = int(np.argmin(ratios))
 
     a = alphas[max(k - 1, 0)]
-    b = alphas[min(k + 1, grid - 1)]
+    b = alphas[min(k + 1, _GLIDE_GRID - 1)]
 
     def ratio(x):
         lift = polar.cl(x)
@@ -347,7 +345,7 @@ def best_glide_angle(polar: PolarTable, *, grid=_GLIDE_GRID, tol=_GLIDE_TOL) -> 
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = ratio(x1), ratio(x2)
-    while b - a > tol:
+    while b - a > _GLIDE_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -357,10 +355,8 @@ def best_glide_angle(polar: PolarTable, *, grid=_GLIDE_GRID, tol=_GLIDE_TOL) -> 
             x2 = a + _GOLDEN * (b - a)
             f2 = ratio(x2)
     best = 0.5 * (a + b)
-    best = float(best if ratio(best) <= ratios[k] else alphas[k])
-    if cached:
-        polar._best_glide = best
-    return best
+    polar._best_glide = float(best if ratio(best) <= ratios[k] else alphas[k])
+    return polar._best_glide
 
 
 def dump_polar(polar: PolarTable, target) -> None:

@@ -18,11 +18,13 @@ criterion, so iteration counts are comparable), on a step outside
 (0, pi/2) (Newton's safeguard keeps its steps inside, and its fallback
 stays in the caller's bracket), where the residual is undefined at an
 iterate (bisection steps on), after max_iter counted iterations
-("max_iter reached"), or where a step cannot go on.  The
-usual procedure counts its first iterate; the fixed point and Newton
-count steps from phi0; bisection counts midpoints.  Each algorithm's
-native error measure is kept in the report for diagnostics.
-Non-convergence is reported, never raised; only malformed inputs raise.
+("max_iter reached"), or where a step cannot go on (unbracketed Newton
+returning to an earlier iterate, say); the report's state comes from
+the stopping iterate's record.  The usual procedure counts its first
+iterate; the fixed point and Newton count steps from phi0; bisection
+counts midpoints.  Each algorithm's native error measure is kept in the
+report for diagnostics.  Non-convergence is reported, never raised;
+only malformed inputs raise.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .model import (
     _mu_c_prime_grid,
     _residual_grid,
     _slope,
+    _state,
     mu_G,
     mu_G_prime,
     mu_L,
@@ -221,10 +224,14 @@ def _brentq(f, xa, xb):
     raise BracketError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
 
 
-def _finish(geom, polar, corr, method, phi, opts, iters, phi_hist, err_hist, message=""):
+def _finish(geom, polar, corr, method, phi, ev, opts, iters, phi_hist, err_hist, message=""):
+    """The report of a solve ending at ``phi``, with the state from its record ``ev``;
+    ``phi`` is evaluated here only where the solve holds no record (``ev=None``)."""
     state = None
     try:
-        state = recover_induction(geom, polar, corr, phi)
+        if ev is None:
+            ev = _evaluation(geom, polar, corr, phi)
+        state = _state(geom, corr, ev)
         res = state.residual
     except DomainError as exc:
         res = math.nan
@@ -296,20 +303,20 @@ def _iterate(geom, polar, corr, method, opts, step, phi0=None, fenced=True,
             message = undefined.format(error)
             break
     if last is not None and not at_root:
-        phi = last(phi, ev)
+        phi, ev = last(phi, ev), None
     if note is not None:
         message = "; ".join(filter(None, [message, note()]))
-    return _finish(geom, polar, corr, method, phi, opts, len(phi_hist) - uncounted,
+    return _finish(geom, polar, corr, method, phi, ev, opts, len(phi_hist) - uncounted,
                    phi_hist, err_hist, message)
 
 
-def grid_I_plus(geom: ElementGeometry, polar: PolarTable, n: int = 1000):
-    """Sampling grid of the working interval I+, kept inside the polar window."""
+def grid_I_plus(geom: ElementGeometry, polar: PolarTable):
+    """1000-point sampling grid of the working interval I+, kept inside the polar window."""
     hi = phi_upper(geom, polar)
-    lo = max(hi / n, geom.gamma + polar.alpha_min + 1e-12, PHI_EPS)
+    lo = max(hi / 1000, geom.gamma + polar.alpha_min + 1e-12, PHI_EPS)
     if hi <= lo:
         raise ValidationError("working interval I+ is empty for this element")
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +386,9 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     iterate, phi0 included, narrows the sign-change bracket; a step that
     would leave it, or a slope below 1e-14, falls back to one bisection
     halving.  Without a sign change on the initial bracket the method runs
-    unsafeguarded from phi0 (and reports divergence instead of crashing).
+    unsafeguarded from phi0 (and reports divergence instead of crashing);
+    there the next iterate depends on the last one alone, so a step back
+    to an earlier iterate ends the solve as a cycle.
     """
     theta = geom.theta
     lo, hi = opts.bracket if opts.bracket is not None else (1e-4, theta)
@@ -387,7 +396,7 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     f_hi = _residual_safe(geom, polar, corr, hi)
     have_bracket = (math.isfinite(f_lo) and math.isfinite(f_hi)
                     and (f_lo < 0.0) != (f_hi < 0.0))
-    fallbacks = 0
+    fallbacks, visited = 0, set()
 
     def step(phi, ev):
         nonlocal lo, hi, f_lo, fallbacks
@@ -407,6 +416,10 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                 raise _Stop("diverged: unsafe Newton step and no bracket to fall back on")
             phi_next = lo + 0.5 * (hi - lo)
             fallbacks += 1
+        elif not have_bracket:
+            visited.add(phi)
+            if phi_next in visited:
+                raise _Stop(f"diverged: unbracketed Newton cycles (phi={phi_next:g} revisited)")
         return phi_next, abs(phi_next - phi)
 
     phi0 = opts.phi0 if opts.phi0 is not None else (0.5 * (lo + hi) if have_bracket else theta)
@@ -432,10 +445,9 @@ def solve_bisection(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSp
         f_lo, f_hi = residual(geom, polar, corr, lo), residual(geom, polar, corr, hi)
     except DomainError as exc:
         raise BracketError(f"wrong initial guess: residual undefined at a bracket end ({exc})")
-    if f_lo == 0.0:
-        return _finish(geom, polar, corr, "bisection", lo, opts, 0, [lo], [])
-    if f_hi == 0.0:
-        return _finish(geom, polar, corr, "bisection", hi, opts, 0, [hi], [])
+    for end, f_end in ((lo, f_lo), (hi, f_hi)):
+        if f_end == 0.0:
+            return _finish(geom, polar, corr, "bisection", end, None, opts, 0, [end], [])
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise BracketError(
             f"wrong initial guess: residual has the same sign at both ends "
@@ -488,9 +500,7 @@ def bracket_via_psi0(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     sub_opts = replace(opts, bracket=(opts.bracket[0] if opts.bracket else 1e-4, hi))
     report = solve_bisection(geom, polar, base, sub_opts)
     phi0 = report.phi_star
-    if corr.variant == "none":
-        return (phi0, hi)
-    if phi0 >= hi - max(1e-9, 10.0 * opts.phi_tol):
+    if corr.variant != "none" and phi0 >= hi - max(1e-9, 10.0 * opts.phi_tol):
         raise BracketError("empty bracket: psi=0 root sits at the right endpoint")
     return (phi0, hi)
 
@@ -619,7 +629,7 @@ def _scan_domain(geom, polar, corr):
 
 
 def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
-               grid_size: int = 400, tol: float = 1e-10) -> RootSet:
+               grid_size: int = 400) -> RootSet:
     """Find and classify all residual roots on a uniform scan grid.
 
     The grid values come from one call of the array kernel
@@ -628,7 +638,8 @@ def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     sign change between two finite neighbours is refined by Brent's method
     on the scalar residual, and a node where the residual is exactly 0 is
     a root.  The scan covers the full interval I for the trivial correction
-    and I+ otherwise.  Roots closer than 1e-10 are merged.
+    and I+ otherwise.  Roots closer than 1e-10 are merged, and a root is
+    kept where |residual| <= 1e-10.
     """
     if grid_size < 100:
         raise ValidationError("grid_size must be >= 100")
@@ -659,7 +670,7 @@ def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
             state = recover_induction(geom, polar, corr, phi)
         except DomainError:
             continue  # root of the scalar form with no representable state
-        if not math.isfinite(state.residual) or abs(state.residual) > tol:
+        if not math.isfinite(state.residual) or abs(state.residual) > 1e-10:
             continue
         records.append(RootRecord(phi=float(phi), state=state,
                                   lift_sign=state.lift_sign,

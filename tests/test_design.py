@@ -374,6 +374,26 @@ def test_cp_sweep_flags_failed_elements(stall_polar):
         cp_sweep(tb, stall_polar, corr, lambda lam: (0.0, -1.0), grid_n=5)
 
 
+def test_cp_sweep_flags_a_failed_design():
+    polar = _design_polar()
+    tb = _turbine()
+    corr = wilson(tip=True)
+
+    def design(lam):
+        if lam == tb.lambda_min:  # as a corrected design whose first solve fails
+            raise DomainError("no root of the scalar equation on the working interval")
+        point = simplified_optimum(lam, polar, tb)
+        return point.gamma, point.chord
+
+    result = cp_sweep(tb, polar, corr, design, grid_n=12)
+    assert result.failures == 1
+    failed = result.elements[0]
+    assert not failed.ok and failed.J == 0.0 and failed.state is None
+    assert math.isnan(failed.gamma) and math.isnan(failed.chord)
+    assert "no root" in failed.message
+    assert all(elem.ok for elem in result.elements[1:])
+
+
 def test_cp_sweep_validation(linear_polar):
     tb = _turbine()
     with pytest.raises(ValidationError):

@@ -14,12 +14,10 @@ from glauert_bem import (
     TipSingularityError,
     TurbineConfig,
     ValidationError,
-    loads_diagnostics,
     mu_G,
     mu_G_c,
     recover_induction,
     residual,
-    solve_tau,
     synthetic_polar,
     tip_loss_factor,
 )
@@ -32,7 +30,6 @@ from glauert_bem.model import (
     mu_D,
     mu_G_prime,
     mu_L,
-    residual_components,
     tau_nu,
 )
 from glauert_bem.solvers import grid_I_plus, solve_bisection, SolveOptions
@@ -104,7 +101,7 @@ def test_corrected_mu_equals_plain_without_tip_loss(linear_polar):
     geom = make_geom()
     corr = CorrectionSpec(variant="wilson_spera", tip_loss=False)
     for phi in (0.1, 0.3, 0.5):
-        parts = residual_components(geom, linear_polar, corr, phi)
+        parts = model._evaluation(geom, linear_polar, corr, phi)
         assert parts.tip_factor == 1.0
         assert parts.mu_L_c == mu_L(geom, linear_polar, phi)
         assert parts.mu_D_c == mu_D(geom, linear_polar, phi)
@@ -113,7 +110,7 @@ def test_corrected_mu_equals_plain_without_tip_loss(linear_polar):
 def test_zero_drag_kills_mu_D(dragfree_polar):
     geom = make_geom()
     corr = CorrectionSpec(variant="none", tip_loss=False)
-    assert residual_components(geom, dragfree_polar, corr, 0.4).mu_D_c == 0.0
+    assert model._evaluation(geom, dragfree_polar, corr, 0.4).mu_D_c == 0.0
 
 
 def test_corrected_mu_scales_by_inverse_tip_factor(linear_polar):
@@ -122,7 +119,7 @@ def test_corrected_mu_scales_by_inverse_tip_factor(linear_polar):
     phi = 0.35
     f = tip_loss_factor(geom, phi)
     assert 0.0 < f < 1.0
-    parts = residual_components(geom, linear_polar, corr, phi)
+    parts = model._evaluation(geom, linear_polar, corr, phi)
     assert parts.tip_factor == f
     assert abs(parts.mu_L_c * f - mu_L(geom, linear_polar, phi)) < 1e-15
     assert abs(parts.mu_D_c * f - mu_D(geom, linear_polar, phi)) < 1e-15
@@ -216,8 +213,8 @@ def test_nonstrict_empirical_near_tip_raises_named_error(linear_polar):
     geom = ElementGeometry(lam=2.0, r=0.999, gamma=0.0, chord=0.5,
                            blade_count=3, tip_radius=1.0)
     with pytest.raises(DomainError, match="strict_lemma_mode"):
-        solve_tau(geom, linear_polar, loose, 0.1)
-    assert 0.0 <= solve_tau(geom, linear_polar, strict, 0.1) < 1.0
+        tau_nu(geom, linear_polar, loose, 0.1)
+    assert 0.0 <= (1.0 - tau_nu(geom, linear_polar, strict, 0.1)) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +274,7 @@ def test_g_domain(linear_polar):
 
 def test_tau_zero_where_g_zero(dragfree_polar):
     geom = make_geom(gamma=0.1)
-    assert abs(solve_tau(geom, dragfree_polar, trivial(), geom.theta)) < 1e-12
+    assert abs(1.0 - tau_nu(geom, dragfree_polar, trivial(), geom.theta)) < 1e-12
 
 
 def test_tau_closed_form_without_correction(linear_polar):
@@ -286,7 +283,7 @@ def test_tau_closed_form_without_correction(linear_polar):
     corr = trivial()
     phi = 0.3
     g = g_func(geom, linear_polar, corr, phi)
-    a = solve_tau(geom, linear_polar, corr, phi)
+    a = 1.0 - tau_nu(geom, linear_polar, corr, phi)
     assert abs(a - g / (1.0 + g)) < 1e-14
     assert abs(a - _bisect_axial(g, 0.0, 1.0, lambda x: 0.0)) < 1e-12
 
@@ -298,7 +295,7 @@ def test_tau_matches_bisection_oracle_with_active_psi(linear_polar):
     theta = geom.theta
     g = g_func(geom, linear_polar, corr, phi)
     weight = math.sin(theta) * math.sin(phi) / math.cos(theta - phi)
-    a = solve_tau(geom, linear_polar, corr, phi)
+    a = 1.0 - tau_nu(geom, linear_polar, corr, phi)
     oracle = _bisect_axial(g, weight, corr.a_c,
                            lambda x: CorrectionSpec(variant="wilson_spera").psi(x))
     assert a > corr.a_c  # the correction really is active here
@@ -374,7 +371,7 @@ def test_tau_range_and_plugback(variant, linear_polar):
         if hi <= 0.0:
             continue
         phi = gen.uniform(0.05 * hi, hi)
-        a = solve_tau(geom, linear_polar, corr, phi)
+        a = 1.0 - tau_nu(geom, linear_polar, corr, phi)
         assert 0.0 <= a < 1.0
         g = g_func(geom, linear_polar, corr, phi)
         theta = geom.theta
@@ -394,7 +391,7 @@ def test_tau_decreasing_when_g_decreasing(linear_polar):
     grid = np.linspace(0.02 * hi, hi, 200)
     g_vals = [g_func(geom, linear_polar, corr, p) for p in grid]
     assert all(b < a for a, b in zip(g_vals, g_vals[1:]))  # g decreasing here
-    taus = [solve_tau(geom, linear_polar, corr, p) for p in grid]
+    taus = [1.0 - tau_nu(geom, linear_polar, corr, p) for p in grid]
     assert all(b <= a + 1e-12 for a, b in zip(taus, taus[1:]))
 
 
@@ -413,7 +410,7 @@ def test_mu_G_c_matches_mu_G_where_correction_inactive(linear_polar):
     geom = make_geom(gamma=0.05)
     corr = wilson()
     phi = 0.9 * geom.theta
-    assert solve_tau(geom, linear_polar, corr, phi) < corr.a_c
+    assert 1.0 - tau_nu(geom, linear_polar, corr, phi) < corr.a_c
     assert mu_G_c(geom, linear_polar, corr, phi) == mu_G(geom.theta, phi)
 
 
@@ -492,28 +489,6 @@ def test_recovery_at_theta_with_zero_lift(dragfree_polar):
     assert abs(st.a) < 1e-14 and abs(st.a_prime) < 1e-14
 
 
-def test_loads_diagnostics_values(linear_polar):
-    tb = TurbineConfig(radius=2.0, upstream_speed=1.0, rotation_speed=2.0,
-                       fluid_density=1.0, lambda_max=3.0)
-    geom = ElementGeometry.from_turbine(tb, 1.5, 0.1, 0.2)
-    corr = trivial()
-    zero = _state(phi=0.3, a=0.0, a_prime=0.0)
-    rep = loads_diagnostics(tb, geom, corr, zero)
-    assert rep.thrust_coefficient == 0.0 and rep.thrust_per_span == 0.0
-    half = _state(phi=0.3, a=0.5, a_prime=0.0, tip_factor=0.9)
-    assert abs(loads_diagnostics(tb, geom, corr, half).thrust_coefficient
-               - 4 * 0.25 * 0.9) < 1e-15
-    betz = _state(phi=0.3, a=1.0 / 3.0, a_prime=0.0)
-    assert abs(loads_diagnostics(tb, geom, corr, betz).thrust_coefficient
-               - 8.0 / 9.0) < 1e-15
-    spinning = _state(phi=0.3, a=0.25, a_prime=0.1)
-    rep = loads_diagnostics(tb, geom, corr, spinning)
-    assert abs(rep.wake_rotation - 2 * 0.1 * tb.rotation_speed) < 1e-15
-    assert abs(rep.axial_speed - 0.75 * tb.upstream_speed) < 1e-15
-    assert abs(rep.torque_per_span
-               - 4 * 0.1 * 0.75 * geom.lam * math.pi * geom.r ** 2) < 1e-12
-
-
 _STALL = synthetic_polar("linear_lift_with_stall", slope=6.0, alpha_s=0.3, drop=0.5,
                          transition=0.05, cd0=0.012, cd2=0.1)  # the stall_polar fixture
 
@@ -530,7 +505,11 @@ def test_entry_points_share_one_evaluation(variant, tip, frac):
     value = residual(geom, _STALL, corr, phi)
     state = recover_induction(geom, _STALL, corr, phi)
     assert state.residual.hex() == value.hex()
-    assert residual_components(geom, _STALL, corr, phi).value.hex() == value.hex()
+    assert model._evaluation(geom, _STALL, corr, phi).value.hex() == value.hex()
+    rebuilt = model._state(geom, corr, model._evaluation(geom, _STALL, corr, phi))
+    for name in ("phi", "a", "a_prime", "tip_factor", "residual"):
+        assert getattr(rebuilt, name).hex() == getattr(state, name).hex()
+    assert (rebuilt.lift_sign, rebuilt.note) == (state.lift_sign, state.note)
     if not corr.is_trivial:  # the trivial path inverts the thrust balance instead
         assert state.a.hex() == (1.0 - tau_nu(geom, _STALL, corr, phi)).hex()
 
@@ -625,12 +604,6 @@ def test_axial_newton_out_of_steps_is_a_domain_error(monkeypatch, linear_polar, 
     want = np.array([_scalar_or_nan(geom, linear_polar, corr, p) for p in phis])
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.isnan(got).sum() == len(active)
-
-
-def _state(phi, a, a_prime, tip_factor=1.0):
-    from glauert_bem import FlowState
-    return FlowState(phi=phi, a=a, a_prime=a_prime, tip_factor=tip_factor,
-                     residual=0.0, lift_sign=1)
 
 
 @pytest.mark.parametrize("variant", CORRECTION_VARIANTS)

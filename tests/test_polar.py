@@ -354,19 +354,6 @@ def test_best_glide_is_cached_per_table(monkeypatch):
     assert best_glide_angle(fresh).hex() == first.hex()
 
 
-def test_best_glide_non_default_grid_bypasses_cache(monkeypatch):
-    table = load_polar(io.StringIO(_glide_csv()), beta=0.5)
-    first = best_glide_angle(table)
-    calls = []
-    cl = table.cl
-    monkeypatch.setattr(table, "cl", lambda a: calls.append(a) or cl(a))
-    coarse = best_glide_angle(table, grid=512)
-    assert calls  # searched again
-    assert abs(coarse - first) < 1e-6
-    calls.clear()
-    assert best_glide_angle(table).hex() == first.hex() and calls == []
-
-
 def test_best_glide_failure_is_raised_on_every_call():
     table = PolarTable([-0.5, -0.2, 0.4, 0.5], [-1.0, -1.0, -0.1, -0.05],
                        [0.01] * 4, beta=0.3, alpha_s=0.5)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from glauert_bem import solvers
 from glauert_bem import (
     BracketError,
     CorrectionSpec,
@@ -319,6 +320,38 @@ def test_newton_fallback_follows_the_bracket_past_zero(linear_polar):
     assert report.converged
     assert "bisection fallback" in report.message
     assert abs(report.phi_star - negative[0]) < 1e-8
+
+
+def test_unbracketed_newton_stops_when_its_iterates_cycle():
+    # a random same-sign bracket on a stall polar: unsafeguarded Newton closes
+    # in on a 2-cycle between 0.4060 and 0.4479 that would run to max_iter
+    polar = synthetic_polar("linear_lift_with_stall", slope=6.9276, alpha_s=0.2039,
+                            drop=0.3263, transition=0.0429, cd0=0.0185, cd2=0.2252)
+    geom = ElementGeometry(lam=0.9224, r=0.3557, gamma=0.1958, chord=0.6105,
+                           blade_count=3, tip_radius=1.0)
+    corr = CorrectionSpec(variant="glauert3", tip_loss=True)
+    report = solve_newton(geom, polar, corr, SolveOptions(bracket=(0.4044, 0.5229)))
+    assert not report.converged
+    assert report.iterations <= 20
+    assert "cycles" in report.message
+    assert abs(report.phi_history[-2] - 0.44787464952062567) < 1e-9  # revisited next
+    assert report.phi_star == report.phi_history[-1]
+    assert abs(report.phi_star - 0.40600491606997563) < 1e-9
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_converged_solve_builds_its_state_from_the_last_record(method, monkeypatch,
+                                                              stall_polar):
+    def evaluated_again(*args):
+        raise AssertionError("the final iterate was evaluated again")
+
+    monkeypatch.setattr(solvers, "recover_induction", evaluated_again)
+    # a demo-like element: three blades, tip loss, Wilson/Spera correction
+    geom = make_geom(lam=1.8, r=0.6, gamma=0.1, chord=0.3, tip_radius=1.1)
+    corr = wilson(tip=True)
+    report = METHODS[method](geom, stall_polar, corr)
+    assert report.converged
+    assert report.state == recover_induction(geom, stall_polar, corr, report.phi_star)
 
 
 # ---------------------------------------------------------------------------
