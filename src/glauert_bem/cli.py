@@ -113,7 +113,6 @@ def cmd_solve(cfg: RunConfig, method: str, out_path) -> int:
     lines = [ROW_HEADER]
     all_ok = True
     for lam in cfg.lambdas:
-        lam = float(lam)
         try:
             gamma, chord = _element_design(cfg, lam)
             geom = ElementGeometry.from_turbine(cfg.turbine, lam, gamma, chord)
@@ -151,7 +150,6 @@ def cmd_solve(cfg: RunConfig, method: str, out_path) -> int:
 def cmd_scan(cfg: RunConfig, out_path) -> int:
     lines = [ROW_HEADER]
     for lam in cfg.lambdas:
-        lam = float(lam)
         try:
             gamma, chord = _element_design(cfg, lam)
             geom = ElementGeometry.from_turbine(cfg.turbine, lam, gamma, chord)
@@ -169,7 +167,6 @@ def cmd_design(cfg: RunConfig, out_path) -> int:
     lines = [DESIGN_HEADER]
     all_ok = True
     for lam in cfg.lambdas:
-        lam = float(lam)
         try:
             point = simplified_optimum(lam, cfg.polar, cfg.turbine)
         except BemError as exc:
@@ -241,7 +238,6 @@ def cmd_sweep(cfg: RunConfig, out_path) -> int:
 def cmd_check(cfg: RunConfig, out_path) -> int:
     lines = []
     for lam in cfg.lambdas:
-        lam = float(lam)
         try:
             gamma, chord = _element_design(cfg, lam)
             geom = ElementGeometry.from_turbine(cfg.turbine, lam, gamma, chord)

@@ -31,31 +31,14 @@ from .model import CorrectionSpec, TurbineConfig
 from .polar import PolarTable, load_polar
 from .solvers import SolveOptions
 
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
 
-
-def _as_bool(raw, key):
-    low = raw.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
-def _as_float(raw, key):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}")
-
-
-def _as_int(raw, key):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}")
+# converter tag -> (function of the raw text, what a bad value was expected to be);
+# the function raises ValueError or KeyError on a bad value
+_CONVERT = {"int": (int, "an integer"), "float": (float, "a number"),
+            "bool": (lambda raw: _BOOLS[raw.lower()], "a boolean"),
+            "str": (str, None)}
 
 
 # key -> (converter tag, default); REQUIRED means no default
@@ -96,9 +79,6 @@ _SCHEMA = {
     "output.path": ("str", None),
 }
 
-_CONVERT = {"int": _as_int, "float": _as_float, "bool": _as_bool,
-            "str": lambda raw, key: raw}
-
 
 @dataclass
 class RunConfig:
@@ -108,7 +88,7 @@ class RunConfig:
     solver: SolveOptions
     bracket_lo: float
     bracket_hi: Optional[float]
-    lambdas: np.ndarray
+    lambdas: list
     design_mode: str
     design_gamma: Optional[float]
     design_chord: Optional[float]
@@ -142,13 +122,28 @@ def _read_pairs(path):
     return values
 
 
+# keys that configure no object of their section: the polar file's location
+# and the solver bracket, whose right end defaults to each element's theta
+_NOT_KEYWORDS = ("polar.path", "solver.bracket_lo", "solver.bracket_hi")
+
+
+def _section(cfg, name):
+    """Keyword arguments from the keys of one schema section: the name after the dot."""
+    return {key.partition(".")[2]: value for key, value in cfg.items()
+            if key.startswith(name + ".") and key not in _NOT_KEYWORDS}
+
+
 def parse_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
     raw = _read_pairs(path)
     cfg = {}
     for key, (kind, default) in _SCHEMA.items():
         if key in raw:
-            cfg[key] = _CONVERT[kind](raw[key], key)
+            convert, expected = _CONVERT[kind]
+            try:
+                cfg[key] = convert(raw[key])
+            except (ValueError, KeyError):
+                raise ConfigError(f"{key}: expected {expected}, got {raw[key]!r}")
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         else:
@@ -160,31 +155,10 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"polar file not found: {polar_path}")
 
     try:
-        turbine = TurbineConfig(
-            blade_count=cfg["turbine.blade_count"],
-            radius=cfg["turbine.radius"],
-            fluid_density=cfg["turbine.fluid_density"],
-            upstream_speed=cfg["turbine.upstream_speed"],
-            rotation_speed=cfg["turbine.rotation_speed"],
-            lambda_min=cfg["turbine.lambda_min"],
-            lambda_max=cfg["turbine.lambda_max"],
-        )
-        polar = load_polar(polar_path, beta=cfg["polar.beta"],
-                           alpha_s=cfg["polar.alpha_s"],
-                           clamp_cl=cfg["polar.clamp_cl"])
-        correction = CorrectionSpec(
-            variant=cfg["correction.variant"],
-            a_c=cfg["correction.a_c"],
-            tip_loss=cfg["correction.tip_loss"],
-            strict_lemma_mode=cfg["correction.strict_lemma_mode"],
-        )
-        solver = SolveOptions(
-            tol=cfg["solver.tol"],
-            max_iter=cfg["solver.max_iter"],
-            epsilon=cfg["solver.epsilon"],
-            phi0=cfg["solver.phi0"],
-            phi_tol=cfg["solver.phi_tol"],
-        )
+        turbine = TurbineConfig(**_section(cfg, "turbine"))
+        polar = load_polar(polar_path, **_section(cfg, "polar"))
+        correction = CorrectionSpec(**_section(cfg, "correction"))
+        solver = SolveOptions(**_section(cfg, "solver"))
     except BemError as exc:
         raise ConfigError(str(exc))
 
@@ -194,11 +168,11 @@ def parse_config(path) -> RunConfig:
     if lam_single is not None:
         if not turbine.lambda_min <= lam_single <= turbine.lambda_max:
             raise ConfigError("run.lambda outside [lambda_min, lambda_max]")
-        lambdas = np.array([lam_single])
+        lambdas = [lam_single]
     elif lam_count is not None:
         if lam_count < 1:
             raise ConfigError("run.lambda_count must be >= 1")
-        lambdas = np.linspace(turbine.lambda_min, turbine.lambda_max, lam_count)
+        lambdas = np.linspace(turbine.lambda_min, turbine.lambda_max, lam_count).tolist()
     else:
         raise ConfigError("missing run.lambda or run.lambda_count")
 

@@ -151,16 +151,25 @@ def simplified_optimum(lam: float, polar: PolarTable, turbine: TurbineConfig) ->
 # power density and a deterministic element solve
 
 
-def J_lambda(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
-             state: FlowState) -> float:
-    """Element power density F a'(1-a)(1 - (C_D/C_L) cot(phi)) at a solved state."""
-    alpha = state.phi - geom.gamma
-    cl = polar.cl(alpha)
+def _objective_pieces(geom, polar, corr, state):
+    """The polar terms of J and of its derivatives at a solved state."""
+    phi = state.phi
+    alpha = phi - geom.gamma
+    cl, cd = polar.cl(alpha), polar.cd(alpha)
     if cl == 0.0:
         raise DesignEvaluationError(
             f"C_L vanishes at the operating angle alpha={alpha:g}; power density undefined")
-    ratio = polar.cd(alpha) / cl
-    cot = math.cos(state.phi) / math.sin(state.phi)
+    dcl, dcd = polar.cl_prime(alpha), polar.cd_prime(alpha)
+    cot = math.cos(phi) / math.sin(phi)
+    ratio = cd / cl
+    dratio = (dcd * cl - cd * dcl) / (cl * cl)
+    return alpha, cl, cd, dcl, dcd, cot, ratio, dratio
+
+
+def J_lambda(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
+             state: FlowState) -> float:
+    """Element power density F a'(1-a)(1 - (C_D/C_L) cot(phi)) at a solved state."""
+    _, _, _, _, _, cot, ratio, _ = _objective_pieces(geom, polar, corr, state)
     return state.tip_factor * state.a_prime * (1.0 - state.a) * (1.0 - ratio * cot)
 
 
@@ -198,19 +207,6 @@ def solve_element(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec
 
 # ---------------------------------------------------------------------------
 # adjoint system
-
-
-def _objective_pieces(geom, polar, corr, state):
-    phi, a, ap = state.phi, state.a, state.a_prime
-    alpha = phi - geom.gamma
-    cl, cd = polar.cl(alpha), polar.cd(alpha)
-    if cl == 0.0:
-        raise DesignEvaluationError("C_L vanishes at the operating angle")
-    dcl, dcd = polar.cl_prime(alpha), polar.cd_prime(alpha)
-    cot = math.cos(phi) / math.sin(phi)
-    ratio = cd / cl
-    dratio = (dcd * cl - cd * dcl) / (cl * cl)
-    return alpha, cl, cd, dcl, dcd, cot, ratio, dratio
 
 
 def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -316,8 +312,8 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
     Every iteration retries from the base step ``step``, halving while the
     trial point is unsolvable or decreases the objective; accepted steps
     never decrease it.  Stops at ||grad|| <= tol, after ``max_steps``
-    trials, or when no acceptable step remains; always returns the best
-    point seen.
+    trials, or when no acceptable step remains.  Returns the current point,
+    the best seen; its ``grad_norm`` is nan if its adjoint solve failed.
     """
     if step <= 0.0:
         raise ValidationError("step must be positive")
@@ -327,7 +323,6 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
     scale = 1.0 if lambda_max is None else 8.0 * geom.lam ** 3 / lambda_max ** 2
     j_cur = scale * J_lambda(geom, polar, corr, state)
     grad = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max).grad
-    best = (j_cur, gamma, chord, state)
     j_history = [j_cur]
     kappa = step
     accepted = 0
@@ -364,15 +359,13 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
             grad = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max).grad
         except (AdjointError, DesignEvaluationError) as exc:
             message = f"stopped: {exc}"
+            grad = (math.nan, math.nan)
             break
-        if j_cur > best[0]:
-            best = (j_cur, gamma, chord, state)
     else:
         message = "max_steps reached"
-    j_best, gamma_b, chord_b, state_b = best
     converged = message == "gradient below tolerance"
-    return OptimizeResult(gamma=gamma_b, chord=chord_b, phi_opt=state_b.phi,
-                          J=j_best / scale, converged=converged, iterations=iterations,
+    return OptimizeResult(gamma=gamma, chord=chord, phi_opt=state.phi,
+                          J=j_cur / scale, converged=converged, iterations=iterations,
                           accepted_steps=accepted,
                           grad_norm=float(np.hypot(grad[0], grad[1])),
                           j_history=j_history, message=message)

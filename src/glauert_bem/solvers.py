@@ -511,7 +511,7 @@ def check_existence(geom: ElementGeometry, polar: PolarTable,
     theta = geom.theta
     interval_margin = (polar.beta + geom.gamma) - (theta - math.pi / 2.0)
     interval_ok = interval_margin >= 0.0
-    hi = min(theta, polar.beta + geom.gamma)
+    hi = phi_upper(geom, polar)
     upper_is_theta = interval_ok and hi >= theta - 1e-12
     message = ""
 
@@ -656,11 +656,9 @@ def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
             vals[k] = _residual_safe(geom, polar, corr, grid[k])
     left, right = vals[:-1], vals[1:]
     both = np.isfinite(left) & np.isfinite(right)
-    roots = list(grid[np.flatnonzero(both & (left == 0.0))])
+    roots = list(grid[vals == 0.0])
     for k in np.flatnonzero(both & (left * right < 0.0)):
         roots.append(_brentq(lambda p: residual(geom, polar, corr, p), grid[k], grid[k + 1]))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
 
     records = []
     for phi in sorted(roots):

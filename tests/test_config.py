@@ -1,0 +1,125 @@
+import math
+
+import pytest
+
+from glauert_bem import ConfigError, synthetic_polar
+from glauert_bem.config import _SCHEMA, parse_config
+from glauert_bem.polar import dump_polar
+
+# every key but run.lambda_count (it excludes run.lambda), none at its default
+NON_DEFAULT = {
+    "turbine.blade_count": "2",
+    "turbine.radius": "1.3",
+    "turbine.fluid_density": "1.1",
+    "turbine.upstream_speed": "2.0",
+    "turbine.rotation_speed": "4.0",
+    "turbine.lambda_min": "0.9",
+    "turbine.lambda_max": "2.5",
+    "polar.path": "wing.csv",
+    "polar.beta": "0.3",
+    "polar.alpha_s": "0.35",
+    "polar.clamp_cl": "yes",
+    "correction.variant": "buhl",
+    "correction.a_c": "0.35",
+    "correction.tip_loss": "on",
+    "correction.strict_lemma_mode": "false",
+    "solver.tol": "1e-9",
+    "solver.max_iter": "500",
+    "solver.epsilon": "0.5",
+    "solver.phi0": "0.3",
+    "solver.bracket_lo": "0.01",
+    "solver.bracket_hi": "0.7",
+    "solver.phi_tol": "1e-11",
+    "run.lambda": "1.5",
+    "design.mode": "fixed",
+    "design.gamma": "0.1",
+    "design.chord": "0.25",
+    "design.step": "0.05",
+    "design.tol": "1e-5",
+    "design.max_steps": "50",
+    "sweep.grid_n": "7",
+    "sweep.refine": "true",
+    "output.path": "out.csv",
+}
+
+MINIMAL = {"turbine.radius": "1.2", "turbine.upstream_speed": "1.0",
+           "turbine.rotation_speed": "3.0", "polar.path": "wing.csv",
+           "run.lambda_count": "4"}
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, beta=0.4)
+    dump_polar(polar, tmp_path / "wing.csv")
+    return tmp_path
+
+
+def _write(workdir, pairs, extra=""):
+    path = workdir / "run.cfg"
+    path.write_text("".join(f"{key}={value}\n" for key, value in pairs.items()) + extra)
+    return path
+
+
+def _error(workdir, pairs, extra=""):
+    with pytest.raises(ConfigError) as info:
+        parse_config(_write(workdir, pairs, extra))
+    return str(info.value)
+
+
+def test_every_key_configures_its_object(workdir):
+    assert set(NON_DEFAULT) | {"run.lambda_count"} == set(_SCHEMA)
+    cfg = parse_config(_write(workdir, NON_DEFAULT))
+    tb = cfg.turbine
+    assert (tb.blade_count, tb.radius, tb.fluid_density, tb.upstream_speed,
+            tb.rotation_speed, tb.lambda_min, tb.lambda_max) == (2, 1.3, 1.1, 2.0, 4.0, 0.9, 2.5)
+    assert (cfg.polar.label, cfg.polar.beta, cfg.polar.alpha_s, cfg.polar.clamp_cl) == (
+        "wing", 0.3, 0.35, True)
+    corr = cfg.correction
+    assert (corr.variant, corr.a_c, corr.tip_loss, corr.strict_lemma_mode) == (
+        "buhl", 0.35, True, False)
+    opts = cfg.solver
+    assert (opts.tol, opts.max_iter, opts.epsilon, opts.phi0, opts.phi_tol) == (
+        1e-9, 500, 0.5, 0.3, 1e-11)
+    assert opts.bracket is None  # each element's bracket comes from the two keys below
+    assert (cfg.bracket_lo, cfg.bracket_hi) == (0.01, 0.7)
+    assert cfg.lambdas == [1.5]
+    assert (cfg.design_mode, cfg.design_gamma, cfg.design_chord, cfg.design_step,
+            cfg.design_tol, cfg.design_max_steps) == ("fixed", 0.1, 0.25, 0.05, 1e-5, 50)
+    assert (cfg.sweep_grid_n, cfg.sweep_refine) == (7, True)
+    assert cfg.output_path == str(workdir / "out.csv")
+
+
+def test_lambda_count_spans_the_turbine_range(workdir):
+    cfg = parse_config(_write(workdir, {**MINIMAL, "turbine.lambda_min": "1.0",
+                                        "turbine.lambda_max": "2.5"}))
+    assert cfg.lambdas == [1.0, 1.5, 2.0, 2.5]
+    assert all(type(lam) is float for lam in cfg.lambdas)
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("turbine.blade_count", "3.0", "an integer"),
+    ("turbine.radius", "wide", "a number"),
+    ("correction.tip_loss", "maybe", "a boolean"),
+])
+def test_bad_values_name_the_expected_type(workdir, key, value, expected):
+    message = _error(workdir, {**MINIMAL, key: value})
+    assert message == f"{key}: expected {expected}, got {value!r}"
+
+
+def test_unknown_duplicate_and_missing_keys(workdir):
+    assert _error(workdir, MINIMAL, "turbine.radious=1.0\n") == (
+        "line 6: unknown key 'turbine.radious'")
+    assert _error(workdir, MINIMAL, "turbine.radius=1.0\n") == (
+        "line 6: duplicate key 'turbine.radius'")
+    missing = {k: v for k, v in MINIMAL.items() if k != "turbine.upstream_speed"}
+    assert _error(workdir, missing) == "missing required key 'turbine.upstream_speed'"
+
+
+def test_single_lambda_excludes_a_lambda_count(workdir):
+    assert _error(workdir, {**MINIMAL, "run.lambda": "1.0"}) == (
+        "give either run.lambda or run.lambda_count, not both")
+
+
+def test_object_validation_becomes_a_config_error(workdir):
+    assert "unknown correction variant 'glauert2'" in _error(
+        workdir, {**MINIMAL, "correction.variant": "glauert2"})

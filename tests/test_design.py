@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from glauert_bem import design
 from glauert_bem import (
     CorrectionSpec,
     DesignEvaluationError,
@@ -301,6 +302,32 @@ def test_optimizer_zero_steps_at_stationary_point():
                              polar, corr, step=0.2, tol=1e-5)
     assert again.accepted_steps == 0
     assert again.converged
+
+
+def test_optimizer_returns_its_last_accepted_point(monkeypatch):
+    # the adjoint fails right after the second accepted step: that point is returned
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, cd2=0.3, beta=0.4)
+    tb = TurbineConfig(radius=1.2, upstream_speed=1.0, rotation_speed=3.0,
+                       lambda_min=1.2, lambda_max=2.6)  # the criterion-07 rotor
+    corr = CorrectionSpec(variant="wilson_spera", tip_loss=True)
+    start = simplified_optimum(1.6, polar, tb)
+    geom = ElementGeometry.from_turbine(tb, 1.6, start.gamma, start.chord)
+    calls = []
+
+    def failing_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise DesignEvaluationError("adjoint unavailable")
+        return assemble_adjoint(*args, **kwargs)
+
+    monkeypatch.setattr(design, "assemble_adjoint", failing_third)
+    result = optimize_element(geom, polar, corr, step=0.25, tol=2e-4, max_steps=400,
+                              lambda_max=tb.lambda_max)
+    assert result.message == "stopped: adjoint unavailable"
+    assert result.accepted_steps == 2 and len(result.j_history) == 3
+    scale = 8.0 * 1.6 ** 3 / tb.lambda_max ** 2
+    assert result.J == result.j_history[-1] / scale
+    assert math.isnan(result.grad_norm)
 
 
 def test_optimizer_rejects_bad_step():

@@ -634,3 +634,47 @@ def test_slope_matches_central_difference(variant, tip, stall, slope, cd0, cd2, 
     central = (above.value - below.value) / (2.0 * h)
     got = model._slope(geom, polar, corr, ev)
     assert abs(got - central) <= 1e-6 * max(1.0, abs(central))
+
+
+def _sign(value):
+    return (value > 0.0) - (value < 0.0)
+
+
+@pytest.mark.parametrize("variant, tip", [(v, tip) for v in CORRECTION_VARIANTS
+                                          for tip in (False, True) if v != "none" or tip])
+@settings(max_examples=60, deadline=None, database=None)
+@given(stall=st.booleans(), slope=st.floats(3.0, 7.0), cd0=st.floats(0.0, 0.03),
+       cd2=st.floats(0.0, 0.5), alpha_s=st.floats(0.15, 0.4), drop=st.floats(0.0, 0.8),
+       lam=st.floats(0.5, 4.0), gamma=st.floats(-0.2, 0.4), chord=st.floats(0.02, 1.5),
+       r=st.floats(0.1, 0.98), strict=st.booleans(), frac=st.floats(0.005, 0.995))
+def test_residual_sign_follows_the_monotone_thrust_balance(variant, tip, stall, slope, cd0,
+                                                           cd2, alpha_s, drop, lam, gamma,
+                                                           chord, r, strict, frac):
+    # The axial balance B(nu) = (1 - nu)/nu + w psi/nu^2 - g is strictly decreasing
+    # in nu (the thrust balance increases with a), and B(nu) = 0 at the state.  With
+    # X = (mu_L^c - t mu_D^c - sin(phi) t) tan(theta)/sin(phi) and nu_X = 1/(1 + g - X),
+    # residual tan(theta)/sin(phi) = 1/nu - 1/nu_X, so its sign is that of q = -B(nu_X).
+    if stall:
+        polar = synthetic_polar("linear_lift_with_stall", slope=slope, alpha_s=alpha_s,
+                                drop=drop, transition=0.05, cd0=cd0, cd2=cd2)
+    else:
+        polar = synthetic_polar("linear_lift", slope=slope, cd0=cd0, cd2=cd2, beta=0.4)
+    geom = make_geom(lam=lam, gamma=gamma, chord=chord, r=r, tip_radius=1.0)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip, strict_lemma_mode=strict)
+    theta = geom.theta
+    try:
+        ev = model._evaluation(geom, polar, corr, frac * min(theta, math.pi / 2.0))
+    except DomainError:
+        return  # residual undefined
+    phi = ev.phi
+    t = math.tan(theta - phi)
+    if abs(ev.value) <= 1e-12 * (abs(ev.mu_L_c) + abs(t * ev.mu_D_c) + abs(ev.mu_G_c)):
+        return  # a root within rounding: no sign to compare
+    x = (ev.mu_L_c - t * ev.mu_D_c - ev.s * t) * math.tan(theta) / ev.s
+    room = 1.0 + model._g(ev.phi, ev.s, t, ev.mu_D_c) - x
+    q = x
+    if room > 0.0 and corr.variant != "none":
+        nu_x = 1.0 / room
+        w = math.sin(theta) * ev.s / math.cos(theta - phi)
+        q = x - w * corr.psi((1.0 - nu_x) - corr.a_c, ev.tip_factor) / (nu_x * nu_x)
+    assert _sign(ev.value) == _sign(q)

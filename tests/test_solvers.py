@@ -12,6 +12,7 @@ from glauert_bem import (
     CorrectionSpec,
     DomainError,
     ElementGeometry,
+    FlowState,
     HypothesisError,
     ValidationError,
     bracket_via_psi0,
@@ -519,18 +520,12 @@ def _scan_per_node(geom, polar, corr, grid_size=400, tol=1e-10):
     lo, hi = _scan_domain(geom, polar, corr)
     grid = np.linspace(lo, hi, grid_size)
     vals = [_residual_safe(geom, polar, corr, p) for p in grid]
-    roots = []
+    roots = [p for p, v in zip(grid, vals) if v == 0.0]
     for k in range(grid_size - 1):
         a, b = vals[k], vals[k + 1]
-        if not (math.isfinite(a) and math.isfinite(b)):
-            continue
-        if a == 0.0:
-            roots.append(grid[k])
-        elif a * b < 0.0:
+        if math.isfinite(a) and math.isfinite(b) and a * b < 0.0:
             roots.append(brentq(lambda p: residual(geom, polar, corr, p),
                                 grid[k], grid[k + 1], xtol=1e-14, rtol=8.9e-16))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
     phis, categories = [], []
     for phi in sorted(roots):
         if phis and abs(phi - phis[-1]) < 1e-10:
@@ -567,6 +562,24 @@ def test_scan_roots_matches_per_node_scalar_scan(variant, tip, stall, cd0, lam, 
         return
     got = scan_roots(geom, polar, corr)
     assert (got.phis, got.categories) == want
+
+
+def test_scan_keeps_an_exact_zero_next_to_an_undefined_node(monkeypatch, linear_polar):
+    geom, corr = make_geom(gamma=0.05), wilson()
+    lo, hi = _scan_domain(geom, linear_polar, corr)
+    grid = np.linspace(lo, hi, 400)
+    crafted = np.ones(400)  # positive, exactly 0 at node 150, undefined at node 151
+    crafted[150], crafted[151] = 0.0, math.nan
+
+    def state_at(geom, polar, corr, phi):
+        return FlowState(phi=phi, a=0.2, a_prime=0.01, tip_factor=1.0, residual=0.0,
+                         lift_sign=1)
+
+    monkeypatch.setattr(solvers, "_residual_grid", lambda *args: crafted.copy())
+    monkeypatch.setattr(solvers, "_residual_safe",
+                        lambda geom, polar, corr, phi: 0.0 if phi == grid[150] else math.nan)
+    monkeypatch.setattr(solvers, "recover_induction", state_at)
+    assert scan_roots(geom, linear_polar, corr).phis == [grid[150]]
 
 
 def test_scan_tip_loss_without_tip_radius_raises(linear_polar):
