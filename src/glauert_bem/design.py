@@ -36,6 +36,9 @@ from .model import (
     ElementGeometry,
     FlowState,
     TurbineConfig,
+    _evaluation,
+    _slope,
+    _state,
     _tip,
     mu_G,
     recover_induction,
@@ -65,6 +68,7 @@ class AdjointState:
     grad: np.ndarray
     scale: float
     at_threshold: bool
+    phi_sensitivity: tuple  # (dphi/dgamma, dphi/dchord) of the root at fixed lambda
 
 
 @dataclass
@@ -177,14 +181,24 @@ def solve_element(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec
                   phi_hint: float = None) -> FlowState:
     """Solve one element deterministically.
 
-    With ``phi_hint`` the root nearest the hint is refined from a locally
-    expanded sign-change bracket (this is what lets the optimizer follow
-    one solution branch).  Otherwise the residual is scanned and the
-    largest principal root is taken, falling back to the largest root.
+    With ``phi_hint`` the root nearest the hint is followed (this is what
+    lets the optimizer stay on one solution branch): Newton steps on the
+    exact slope run from the hint while they stay within +-delta of it
+    (delta = 1e-3 of the scan domain's width, at least 1e-4), and the
+    first iterate with |residual| <= 1e-13 is the root.  Where
+    Newton leaves that window, meets an undefined residual or a zero
+    slope, or takes more than 8 steps, the root is refined by Brent's
+    method from the first sign change of windows about the hint that
+    widen from +-delta by 4x each.  Otherwise the residual is scanned and
+    the largest principal root is taken, falling back to the largest root.
     """
     lo_dom, hi_dom = _scan_domain(geom, polar, corr)
     if phi_hint is not None and lo_dom < phi_hint < hi_dom:
         delta = max(1e-4, 1e-3 * (hi_dom - lo_dom))
+        state = _newton_near(geom, polar, corr, phi_hint, max(lo_dom, phi_hint - delta),
+                             min(hi_dom, phi_hint + delta))
+        if state is not None:
+            return state
         while delta < (hi_dom - lo_dom):
             lo = max(lo_dom, phi_hint - delta)
             hi = min(hi_dom, phi_hint + delta)
@@ -205,6 +219,29 @@ def solve_element(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec
     return chosen.state
 
 
+_HINT_TOL = 1e-13
+_HINT_STEPS = 8
+
+
+def _newton_near(geom, polar, corr, phi, lo, hi):
+    """The state at a root reached by Newton from ``phi`` with every iterate
+    in [lo, hi]; None where it is not reached in ``_HINT_STEPS`` steps."""
+    for _ in range(_HINT_STEPS + 1):
+        try:
+            ev = _evaluation(geom, polar, corr, phi)
+            if abs(ev.value) <= _HINT_TOL:
+                return _state(geom, corr, ev)
+            slope = _slope(geom, polar, corr, ev)
+        except DomainError:
+            return None
+        if slope == 0.0:
+            return None
+        phi -= ev.value / slope
+        if not lo <= phi <= hi:
+            return None
+    return None
+
+
 # ---------------------------------------------------------------------------
 # adjoint system
 
@@ -218,11 +255,18 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     by 8 lambda^3 / lambda_max^2 when ``lambda_max`` is given (the Cp
     integrand) and unscaled otherwise.
 
+    M p = b is solved from the cofactors C of M (p = C^T b / det M); M is
+    singular, and :class:`AdjointError` raised, where |det M| < 1e-14
+    ||M||_F.  Row 0 of C also gives the root's first-order response to
+    the design, ``phi_sensitivity``: dphi/dx = -(C01 dg2/dx + C02 dg3/dx)
+    / det M for x = gamma, chord, with g2, g3 the thrust and torque
+    balances.
+
     psi is differenced one-sidedly at a = a_c (derivative from below,
     i.e. zero); such states are flagged ``at_threshold``.
     """
     phi, a, ap = state.phi, state.a, state.a_prime
-    lam, theta = geom.lam, geom.theta
+    lam = geom.lam
     s, c = math.sin(phi), math.cos(phi)
     cot = c / s
     f, fp = _tip(geom, corr, phi)
@@ -233,45 +277,56 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     dmuL = quarter * (dcl / f - cl * fp / (f * f))
     dmuD = quarter * (dcd / f - cd * fp / (f * f))
     nu = 1.0 - a
+    if nu == 0.0:
+        raise AdjointError("adjoint system undefined at a = 1 (the balances divide by 1 - a)")
     excess = a - corr.a_c
     psi = corr.psi(excess, f)
     dpsi = corr.psi_prime(excess, f)
     psi_f = corr.psi_tip_grad(excess, f)
 
-    m = np.empty((3, 3))
-    # column 1: geometric relation tan(phi) - (1-a)/(lam (1+a'))
-    m[0, 0] = 1.0 / (c * c)
-    m[1, 0] = 1.0 / (lam * (1.0 + ap))
-    m[2, 0] = nu / (lam * (1.0 + ap) ** 2)
-    # column 2: thrust balance
-    m[0, 1] = ((muD - dmuL) * cot / s + (muL * (1.0 + 2.0 * cot * cot) - dmuD) / s
-               + psi_f * fp / (nu * nu))
-    m[1, 1] = (1.0 + dpsi) / (nu * nu) + 2.0 * psi / (nu ** 3)
-    m[2, 1] = 0.0
-    # column 3: torque balance
-    m[0, 2] = (muL + dmuD) * cot / (lam * s) - (dmuL + muD * (1.0 + 2.0 * cot * cot)) / (lam * s)
-    m[1, 2] = ap / (nu * nu)
-    m[2, 2] = 1.0 / nu
+    # M[i, j] is the derivative of constraint j (geometric relation tan(phi) -
+    # (1-a)/(lam (1+a')), thrust balance, torque balance) in unknown i
+    m00 = 1.0 / (c * c)
+    m10 = 1.0 / (lam * (1.0 + ap))
+    m20 = nu / (lam * (1.0 + ap) ** 2)
+    m01 = ((muD - dmuL) * cot / s + (muL * (1.0 + 2.0 * cot * cot) - dmuD) / s
+           + psi_f * fp / (nu * nu))
+    m11 = (1.0 + dpsi) / (nu * nu) + 2.0 * psi / (nu ** 3)
+    m02 = (muL + dmuD) * cot / (lam * s) - (dmuL + muD * (1.0 + 2.0 * cot * cot)) / (lam * s)
+    m12 = ap / (nu * nu)
+    m22 = 1.0 / nu  # and M[2, 1] = 0: the thrust balance does not involve a'
 
     scale = 1.0 if lambda_max is None else 8.0 * lam ** 3 / lambda_max ** 2
     drag_gain = 1.0 - ratio * cot
-    b = np.array([
-        fp * ap * nu * drag_gain + f * ap * nu * (-dratio * cot + ratio / (s * s)),
-        -f * ap * drag_gain,
-        f * nu * drag_gain,
-    ]) * scale
+    b0 = scale * (fp * ap * nu * drag_gain + f * ap * nu * (-dratio * cot + ratio / (s * s)))
+    b1 = scale * (-f * ap * drag_gain)
+    b2 = scale * (f * nu * drag_gain)
 
-    norm = float(np.linalg.norm(m))
-    det = float(np.linalg.det(m))
+    # cofactors C[i, j]; M^-1 = C^T / det
+    c00, c01, c02 = m11 * m22, m12 * m20 - m10 * m22, -m11 * m20
+    c10, c11, c12 = -m01 * m22, m00 * m22 - m02 * m20, m01 * m20
+    c20, c21, c22 = m01 * m12 - m02 * m11, m02 * m10 - m00 * m12, m00 * m11 - m01 * m10
+    det = m00 * c00 + m01 * c01 + m02 * c02
+    norm = math.hypot(m00, m01, m02, m10, m11, m12, m20, m22)  # Frobenius
     if abs(det) < 1e-14 * max(norm, 1e-300):
         raise AdjointError(f"adjoint matrix numerically singular (det={det:g})")
-    p = np.linalg.solve(m, b)
-    grad = _design_gradient(geom, state, p, scale, f, pieces)
-    return AdjointState(p=p, M=m, b=b, grad=grad, scale=scale,
-                        at_threshold=abs(excess) < 1e-9)
+    p1 = (c01 * b0 + c11 * b1 + c21 * b2) / det
+    p2 = (c02 * b0 + c12 * b1 + c22 * b2) / det
+    p = np.array([(c00 * b0 + c10 * b1 + c20 * b2) / det, p1, p2])
+    # J and the two balances differentiated in (gamma, chord) at fixed (phi, a, a');
+    # the geometric relation does not involve the design
+    dj, dg2, dg3 = _design_partials(geom, state, f, pieces)
+    grad = np.array([scale * dj - p1 * dg2[0] - p2 * dg3[0], -p1 * dg2[1] - p2 * dg3[1]])
+    # forward response of the root: (dphi, da, da') = -C (0, dg2, dg3) / det
+    sensitivity = tuple(-(c01 * dg2[k] + c02 * dg3[k]) / det for k in (0, 1))
+    return AdjointState(p=p, M=np.array([[m00, m01, m02], [m10, m11, m12], [m20, 0.0, m22]]),
+                        b=np.array([b0, b1, b2]), grad=grad, scale=scale,
+                        at_threshold=abs(excess) < 1e-9, phi_sensitivity=sensitivity)
 
 
-def _design_gradient(geom, state, p, scale, f, pieces):
+def _design_partials(geom, state, f, pieces):
+    """dJ/dgamma (unscaled; dJ/dchord is 0) and the (gamma, chord) partials of
+    the thrust and torque balances at fixed (phi, a, a')."""
     phi, a, ap = state.phi, state.a, state.a_prime
     lam = geom.lam
     s, c = math.sin(phi), math.cos(phi)
@@ -281,15 +336,12 @@ def _design_gradient(geom, state, p, scale, f, pieces):
     muL_a, muD_a = quarter * dcl, quarter * dcd
     muL, muD = quarter * cl, quarter * cd
 
-    dj_dgamma = scale * f * ap * (1.0 - a) * dratio * cot
-    dg2_dgamma = (muL_a * c + muD_a * s) / (s * s)
-    dg3_dgamma = (muL_a * s - muD_a * c) / (lam * s * s)
-    dl_dgamma = dj_dgamma - p[1] * dg2_dgamma - p[2] * dg3_dgamma
-
-    dg2_dchord = -(muL * c + muD * s) / (geom.chord * s * s)
-    dg3_dchord = -(muL * s - muD * c) / (geom.chord * lam * s * s)
-    dl_dchord = -p[1] * dg2_dchord - p[2] * dg3_dchord
-    return np.array([dl_dgamma, dl_dchord])
+    dj_dgamma = f * ap * (1.0 - a) * dratio * cot
+    dg2 = ((muL_a * c + muD_a * s) / (s * s),
+           -(muL * c + muD * s) / (geom.chord * s * s))
+    dg3 = ((muL_a * s - muD_a * c) / (lam * s * s),
+           -(muL * s - muD * c) / (geom.chord * lam * s * s))
+    return dj_dgamma, dg2, dg3
 
 
 def gradient(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -311,9 +363,12 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
 
     Every iteration retries from the base step ``step``, halving while the
     trial point is unsolvable or decreases the objective; accepted steps
-    never decrease it.  Stops at ||grad|| <= tol, after ``max_steps``
-    trials, or when no acceptable step remains.  Returns the current point,
-    the best seen; its ``grad_norm`` is nan if its adjoint solve failed.
+    never decrease it.  A trial solve follows the current root from the
+    angle predicted by its first-order response to the step
+    (``AdjointState.phi_sensitivity``).  Stops at ||grad|| <= tol, after
+    ``max_steps`` trials, or when no acceptable step remains.  Returns the
+    current point, the best seen; its ``grad_norm`` is nan if its adjoint
+    solve failed.
     """
     if step <= 0.0:
         raise ValidationError("step must be positive")
@@ -322,7 +377,8 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
     state = solve_element(geom, polar, corr)  # initial point must be solvable
     scale = 1.0 if lambda_max is None else 8.0 * geom.lam ** 3 / lambda_max ** 2
     j_cur = scale * J_lambda(geom, polar, corr, state)
-    grad = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max).grad
+    adj = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max)
+    grad, sens = adj.grad, adj.phi_sensitivity
     j_history = [j_cur]
     kappa = step
     accepted = 0
@@ -340,7 +396,8 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
         if ok:
             try:
                 trial_geom = replace(geom, gamma=trial_gamma, chord=trial_chord)
-                trial_state = solve_element(trial_geom, polar, corr, phi_hint=state.phi)
+                hint = state.phi + kappa * (sens[0] * grad[0] + sens[1] * grad[1])
+                trial_state = solve_element(trial_geom, polar, corr, phi_hint=hint)
                 j_trial = scale * J_lambda(trial_geom, polar, corr, trial_state)
             except BemError:
                 ok = False
@@ -356,7 +413,8 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
         j_history.append(j_cur)
         kappa = step  # backtracking restarts from the base step
         try:
-            grad = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max).grad
+            adj = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max)
+            grad, sens = adj.grad, adj.phi_sensitivity
         except (AdjointError, DesignEvaluationError) as exc:
             message = f"stopped: {exc}"
             grad = (math.nan, math.nan)

@@ -377,6 +377,9 @@ def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: Correction
                     phi0=opts.phi0 if opts.phi0 is not None else geom.theta)
 
 
+_STALL_STEPS = 50  # unbracketed Newton steps without a new least |residual|
+
+
 def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                  opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Newton iteration on the scalar residual, bisection-safeguarded.
@@ -388,7 +391,8 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     halving.  Without a sign change on the initial bracket the method runs
     unsafeguarded from phi0 (and reports divergence instead of crashing);
     there the next iterate depends on the last one alone, so a step back
-    to an earlier iterate ends the solve as a cycle.
+    to an earlier iterate ends the solve as a cycle, and 50 steps in which
+    the least |residual| seen does not fall end it as making no progress.
     """
     theta = geom.theta
     lo, hi = opts.bracket if opts.bracket is not None else (1e-4, theta)
@@ -396,10 +400,10 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     f_hi = _residual_safe(geom, polar, corr, hi)
     have_bracket = (math.isfinite(f_lo) and math.isfinite(f_hi)
                     and (f_lo < 0.0) != (f_hi < 0.0))
-    fallbacks, visited = 0, set()
+    fallbacks, visited, least, least_at = 0, set(), math.inf, 0
 
     def step(phi, ev):
-        nonlocal lo, hi, f_lo, fallbacks
+        nonlocal lo, hi, f_lo, fallbacks, least, least_at
         res = ev.value
         if have_bracket and lo < phi < hi:
             if (res < 0.0) == (f_lo < 0.0):
@@ -420,6 +424,10 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
             visited.add(phi)
             if phi_next in visited:
                 raise _Stop(f"diverged: unbracketed Newton cycles (phi={phi_next:g} revisited)")
+            if abs(res) < least:
+                least, least_at = abs(res), len(visited)
+            elif len(visited) - least_at >= _STALL_STEPS:
+                raise _Stop("diverged: unbracketed Newton makes no progress")
         return phi_next, abs(phi_next - phi)
 
     phi0 = opts.phi0 if opts.phi0 is not None else (0.5 * (lo + hi) if have_bracket else theta)

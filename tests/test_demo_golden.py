@@ -1,0 +1,102 @@
+"""Golden output of the five ``bem`` subcommands on ``demo/run.cfg``.
+
+Each subcommand runs through ``cli.main``; its CSV (or report) file, its
+stdout, its stderr and its exit code are compared with the files under
+``tests/golden/``.  Text fields and exit codes must match exactly, floats
+to 1e-12 relative.  To write the golden files again (only on purpose,
+from a tree whose output is the reference)::
+
+    PYTHONPATH=src python tests/test_demo_golden.py
+"""
+
+import io
+import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from glauert_bem.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_CFG = ROOT / "demo" / "run.cfg"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+COMMANDS = {
+    "solve": ["solve", "--method", "all"],
+    "scan": ["scan"],
+    "design": ["design"],
+    "sweep": ["sweep"],
+    "check": ["check"],
+}
+REL_TOL = 1e-12
+_FLOAT = re.compile(r"[-+]?(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?|[-+]?inf")
+_SEPARATORS = re.compile(r"([,=()\s]+)")
+
+
+def run_demo(name, out_path):
+    """(output file text, stdout, stderr, exit code) of one subcommand."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(COMMANDS[name] + ["--config", str(DEMO_CFG), "--out", str(out_path)])
+    return Path(out_path).read_text(), out.getvalue(), err.getvalue(), code
+
+
+def _is_float(token):
+    # a decimal point or an exponent marks a float cell; integers stay text
+    return bool(_FLOAT.fullmatch(token)) and any(ch in token for ch in ".eEi")
+
+
+def mismatches(expected, got):
+    """Lines where ``got`` differs from ``expected`` beyond the float tolerance."""
+    exp_lines, got_lines = expected.splitlines(), got.splitlines()
+    if len(exp_lines) != len(got_lines):
+        return [f"{len(got_lines)} lines, expected {len(exp_lines)}"]
+    bad = []
+    for k, (exp, out) in enumerate(zip(exp_lines, got_lines)):
+        exp_tokens, out_tokens = _SEPARATORS.split(exp), _SEPARATORS.split(out)
+        same = len(exp_tokens) == len(out_tokens)
+        for a, b in zip(exp_tokens, out_tokens) if same else ():
+            if a == b:
+                continue
+            if not (_is_float(a) and _is_float(b)):
+                same = False
+                break
+            x, y = float(a), float(b)
+            if not abs(x - y) <= REL_TOL * max(abs(x), abs(y)):
+                same = False
+                break
+        if not same:
+            bad.append(f"line {k + 1}: {out!r}, expected {exp!r}")
+    return bad
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_demo_output_matches_golden(name, tmp_path):
+    text, out, err, code = run_demo(name, tmp_path / f"{name}.out")
+    streams = json.loads((GOLDEN / "demo_streams.json").read_text())[name]
+    assert code == streams["exit"]
+    assert mismatches((GOLDEN / f"demo_{name}.out").read_text(), text) == []
+    assert mismatches(streams["stdout"], out) == []
+    assert mismatches(streams["stderr"], err) == []
+
+
+def test_comparison_tolerates_last_digits_only():
+    assert mismatches("1,0.30000000000000004,x", "1,0.3,x") == []
+    assert mismatches("1,0.3,x", "1,0.3000001,x") != []
+    assert mismatches("1,0.3,x", "2,0.3,x") != []       # integers are exact
+    assert mismatches("a=1.5 PASS", "a=1.5 FAIL") != []  # text is exact
+    assert mismatches("nan,1.0", "nan,1.0") == []
+    assert mismatches("1.0", "1.0\n2.0") != []
+
+
+if __name__ == "__main__":
+    streams = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in COMMANDS:
+            text, out, err, code = run_demo(name, Path(tmp) / f"{name}.out")
+            (GOLDEN / f"demo_{name}.out").write_text(text)
+            streams[name] = {"exit": code, "stdout": out, "stderr": err}
+    (GOLDEN / "demo_streams.json").write_text(json.dumps(streams, indent=1) + "\n")
+    print(f"wrote {len(COMMANDS)} golden outputs to {GOLDEN}")

@@ -3,9 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glauert_bem import design
 from glauert_bem import (
+    AdjointError,
+    BemError,
     CorrectionSpec,
     DesignEvaluationError,
     DomainError,
@@ -25,8 +29,9 @@ from glauert_bem import (
     solve_element,
     synthetic_polar,
 )
-from glauert_bem.design import _design_gradient, _objective_pieces, cp_integral
-from glauert_bem.model import mu_L, residual
+from glauert_bem.design import _design_partials, _objective_pieces, cp_integral
+from glauert_bem.model import CORRECTION_VARIANTS, mu_L, recover_induction, residual
+from glauert_bem.solvers import _brentq, _scan_domain, classify_root
 
 from conftest import make_geom, rng, trivial, wilson
 
@@ -240,7 +245,9 @@ def test_printed_form_disagrees_and_is_reported(linear_polar):
     b_printed = adj.b.copy()
     b_printed[0] = ap * nu * (-dratio) * cot + ratio / (s * s)  # F = 1, F' = 0, unscaled
     p_printed = np.linalg.solve(adj.M, b_printed)
-    grad_printed = _design_gradient(geom, state, p_printed, 1.0, 1.0, pieces)
+    dj, dg2, dg3 = _design_partials(geom, state, 1.0, pieces)  # F = 1
+    grad_printed = np.array([dj - p_printed[1] * dg2[0] - p_printed[2] * dg3[0],
+                             -p_printed[1] * dg2[1] - p_printed[2] * dg3[1]])
     assert np.any(np.abs(grad_printed - fd) > 1e-3 * np.abs(fd))
 
 
@@ -263,6 +270,155 @@ def test_gradient_with_cp_scale(linear_polar):
     scaled = assemble_adjoint(geom, linear_polar, corr, state, lambda_max=3.0).grad
     factor = 8.0 * geom.lam ** 3 / 9.0
     assert np.allclose(scaled, factor * plain, rtol=1e-12)
+
+
+def _random_element(stall, slope, cd0, cd2, alpha_s, drop, lam, gamma, chord, r):
+    if stall:
+        polar = synthetic_polar("linear_lift_with_stall", slope=slope, alpha_s=alpha_s,
+                                drop=drop, transition=0.05, cd0=cd0, cd2=cd2)
+    else:
+        polar = synthetic_polar("linear_lift", slope=slope, cd0=cd0, cd2=cd2, beta=0.4)
+    return make_geom(lam=lam, gamma=gamma, chord=chord, r=r, tip_radius=1.0), polar
+
+
+_ELEMENTS = dict(stall=st.booleans(), slope=st.floats(3.0, 7.0), cd0=st.floats(0.0, 0.03),
+                 cd2=st.floats(0.0, 0.5), alpha_s=st.floats(0.15, 0.4),
+                 drop=st.floats(0.0, 0.8), lam=st.floats(0.5, 4.0),
+                 gamma=st.floats(-0.2, 0.4), chord=st.floats(0.02, 1.5),
+                 r=st.floats(0.1, 0.98))
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+@settings(max_examples=30, deadline=None, database=None)
+@given(**_ELEMENTS)
+def test_cofactor_solve_matches_numpy(variant, tip, **element):
+    geom, polar = _random_element(**element)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    try:
+        adj = assemble_adjoint(geom, polar, corr, solve_element(geom, polar, corr))
+    except BemError:
+        return  # no root, or no adjoint there
+    want = np.linalg.solve(adj.M, adj.b)
+    assert np.linalg.norm(adj.p - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_singular_adjoint_matrix_raises(linear_polar):
+    # With the trivial correction det M = M00/nu^3 - (M01 + M02)/(nu lam (1+a')^2),
+    # and M00, M01, M02 depend on phi alone: this nu makes M singular.
+    geom, phi = make_geom(), 0.3
+    m = assemble_adjoint(geom, linear_polar, trivial(),
+                         FlowState(phi=phi, a=0.2, a_prime=0.0, tip_factor=1.0,
+                                   residual=0.0)).M
+    nu = math.sqrt(m[0, 0] * geom.lam / (m[0, 1] + m[0, 2]))
+    singular = FlowState(phi=phi, a=1.0 - nu, a_prime=0.0, tip_factor=1.0, residual=0.0)
+    with pytest.raises(AdjointError, match="singular"):
+        assemble_adjoint(geom, linear_polar, trivial(), singular)
+
+
+def test_adjoint_at_a_equal_one_raises_adjoint_error(linear_polar):
+    # a root at phi ~ 1e-19 of a drag-free element has a = 1, where the balances
+    # divide by 1 - a; found by test_cofactor_solve_matches_numpy
+    state = FlowState(phi=0.3, a=1.0, a_prime=0.0, tip_factor=1.0, residual=0.0)
+    with pytest.raises(AdjointError, match="a = 1"):
+        assemble_adjoint(make_geom(), linear_polar, trivial(), state)
+
+
+def _bracket_oracle(geom, polar, corr, hint):
+    """The root of the hint path without Newton: Brent's method on the first
+    sign change of windows about the hint that widen from +-delta by 4x."""
+    lo_dom, hi_dom = _scan_domain(geom, polar, corr)
+    delta = max(1e-4, 1e-3 * (hi_dom - lo_dom))
+    while delta < hi_dom - lo_dom:
+        lo, hi = max(lo_dom, hint - delta), min(hi_dom, hint + delta)
+        if (residual(geom, polar, corr, lo) < 0.0) != (residual(geom, polar, corr, hi) < 0.0):
+            return _brentq(lambda p: residual(geom, polar, corr, p), lo, hi)
+        delta *= 4.0
+    raise AssertionError("no sign change about the hint")
+
+
+_SENSITIVITY_CASES = [
+    (CorrectionSpec(variant="none"), dict(gamma=0.05, chord=0.3)),
+    (CorrectionSpec(variant="wilson_spera"), dict(gamma=0.05, chord=0.6)),
+    (CorrectionSpec(variant="wilson_spera", tip_loss=True),
+     dict(gamma=0.05, chord=0.45, r=0.85, tip_radius=1.0)),
+    (CorrectionSpec(variant="buhl", tip_loss=True),
+     dict(gamma=0.1, chord=0.7, r=0.7, tip_radius=1.0, lam=1.2)),
+    (CorrectionSpec(variant="glauert3", tip_loss=True),
+     dict(gamma=0.05, chord=0.9, r=0.8, tip_radius=1.0, lam=1.5)),
+]
+
+
+@pytest.mark.parametrize("corr,geom_kw", _SENSITIVITY_CASES)
+def test_phi_sensitivity_matches_central_differences(corr, geom_kw):
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.02, cd2=0.05, beta=0.4)
+    geom = make_geom(**geom_kw)
+    state = solve_element(geom, polar, corr)
+    sens = assemble_adjoint(geom, polar, corr, state).phi_sensitivity
+    for k, (name, h) in enumerate((("gamma", 1e-6), ("chord", 1e-6 * geom.chord))):
+        roots = [_bracket_oracle(replace(geom, **{name: getattr(geom, name) + sign * h}),
+                                 polar, corr, state.phi) for sign in (1.0, -1.0)]
+        central = (roots[0] - roots[1]) / (2.0 * h)
+        assert abs(sens[k] - central) <= 1e-6 * abs(central)
+
+
+def test_phi_sensitivity_cases_include_a_correction_branch_root():
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.02, cd2=0.05, beta=0.4)
+    categories = set()
+    for corr, geom_kw in _SENSITIVITY_CASES:
+        geom = make_geom(**geom_kw)
+        state = solve_element(geom, polar, corr)
+        categories.add(classify_root(geom, polar, corr, state.phi, state))
+    assert "correction_branch" in categories
+
+
+def _counting_brent(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _brentq(*args)
+
+    monkeypatch.setattr(design, "_brentq", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+def test_hint_path_newton_agrees_with_the_bracket_oracle(variant, tip, monkeypatch):
+    calls = _counting_brent(monkeypatch)
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, cd2=0.3, beta=0.4)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    gen, solved = rng(7), 0
+    for _ in range(12):
+        geom = make_geom(lam=gen.uniform(0.8, 3.0), gamma=gen.uniform(-0.05, 0.2),
+                         chord=gen.uniform(0.1, 0.8), r=gen.uniform(0.5, 0.95), tip_radius=1.0)
+        try:
+            root = solve_element(geom, polar, corr).phi
+        except BemError:
+            continue
+        for offset in (0.0, 3e-7, -2e-5, 9e-5):  # inside the first window, +-1e-4 or more
+            hint = root + offset
+            state = solve_element(geom, polar, corr, phi_hint=hint)
+            assert abs(state.phi - _bracket_oracle(geom, polar, corr, hint)) <= 1e-12
+            assert state == recover_induction(geom, polar, corr, state.phi)
+            solved += 1
+    assert solved >= 24
+    assert calls == []  # Newton found every root without the bracket search
+
+
+def test_far_hint_goes_through_the_bracket_search(monkeypatch):
+    calls = _counting_brent(monkeypatch)
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, cd2=0.3, beta=0.4)
+    corr = CorrectionSpec(variant="wilson_spera", tip_loss=True)
+    geom = make_geom(lam=1.6, gamma=0.05, chord=0.4, r=0.8, tip_radius=1.0)
+    root = solve_element(geom, polar, corr).phi
+    hint = root + 0.05  # fifty first windows away: Newton's step leaves the window
+    state = solve_element(geom, polar, corr, phi_hint=hint)
+    assert len(calls) == 1
+    assert state.phi == _bracket_oracle(geom, polar, corr, hint)
+    assert abs(state.phi - root) <= 1e-12
+    assert state == recover_induction(geom, polar, corr, state.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +446,30 @@ def test_optimizer_improves_from_simplified_start():
     assert result.converged
     # accepted steps never decrease the objective
     assert all(b >= a for a, b in zip(result.j_history, result.j_history[1:]))
+
+
+def test_optimizer_trial_solves_start_at_the_predicted_angle(monkeypatch):
+    # the criterion-07 rotor: a trial root lies within 1e-5 of its hint, where the
+    # current angle is typically 4e-4 away
+    polar = _design_polar()
+    tb = TurbineConfig(radius=1.2, upstream_speed=1.0, rotation_speed=3.0,
+                       lambda_min=1.2, lambda_max=2.6)
+    corr = CorrectionSpec(variant="wilson_spera", tip_loss=True)
+    start = simplified_optimum(1.6, polar, tb)
+    geom = ElementGeometry.from_turbine(tb, 1.6, start.gamma, start.chord)
+    moves = []
+
+    def recorded(geom, polar, corr, phi_hint=None):
+        state = solve_element(geom, polar, corr, phi_hint=phi_hint)
+        if phi_hint is not None:
+            moves.append(abs(state.phi - phi_hint))
+        return state
+
+    monkeypatch.setattr(design, "solve_element", recorded)
+    result = optimize_element(geom, polar, corr, step=0.25, tol=2e-4, max_steps=400,
+                              lambda_max=tb.lambda_max)
+    assert result.converged and len(moves) >= 10
+    assert np.median(moves) <= 1e-5
 
 
 def test_optimizer_zero_steps_at_stationary_point():

@@ -340,6 +340,24 @@ def test_unbracketed_newton_stops_when_its_iterates_cycle():
     assert abs(report.phi_star - 0.40600491606997563) < 1e-9
 
 
+def test_unbracketed_newton_stops_when_it_makes_no_progress(stall_polar):
+    # found by a seeded search over random same-sign brackets with phi0 inside:
+    # Newton roams aperiodically near 0.81 and, without this stop, runs to max_iter
+    geom = ElementGeometry(lam=1.55958807383901, r=0.9642798844191007,
+                           gamma=0.2596644103734703, chord=0.40206306151099613,
+                           blade_count=3, tip_radius=1.0)
+    corr = CorrectionSpec(variant="buhl", tip_loss=False)
+    opts = SolveOptions(tol=1e-12, bracket=(0.819835017035875, 0.840053703477895),
+                        phi0=0.8252491948278001)
+    report = solve_newton(geom, stall_polar, corr, opts)
+    assert not report.converged
+    assert report.message == "diverged: unbracketed Newton makes no progress"
+    assert solvers._STALL_STEPS < report.iterations <= 2 * solvers._STALL_STEPS
+    least = [abs(residual(geom, stall_polar, corr, p)) for p in report.phi_history]
+    last_fall = min(range(len(least)), key=least.__getitem__)
+    assert len(least) - 1 - last_fall == solvers._STALL_STEPS
+
+
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_converged_solve_builds_its_state_from_the_last_record(method, monkeypatch,
                                                               stall_polar):
