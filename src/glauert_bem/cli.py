@@ -77,11 +77,16 @@ def _element_design(cfg: RunConfig, lam: float):
     point = simplified_optimum(lam, cfg.polar, cfg.turbine)
     if cfg.design_mode == "simplified":
         return point.gamma, point.chord
-    geom = ElementGeometry.from_turbine(cfg.turbine, lam, point.gamma, point.chord)
-    result = optimize_element(geom, cfg.polar, cfg.correction, step=cfg.design_step,
-                              tol=cfg.design_tol, max_steps=cfg.design_max_steps,
-                              lambda_max=cfg.turbine.lambda_max)
+    result = _optimized(cfg, lam, point)
     return result.gamma, result.chord
+
+
+def _optimized(cfg: RunConfig, lam: float, point):
+    """The configured optimizer's result, started from the simplified optimum ``point``."""
+    geom = ElementGeometry.from_turbine(cfg.turbine, lam, point.gamma, point.chord)
+    return optimize_element(geom, cfg.polar, cfg.correction, step=cfg.design_step,
+                            tol=cfg.design_tol, max_steps=cfg.design_max_steps,
+                            lambda_max=cfg.turbine.lambda_max)
 
 
 def _solve_opts(cfg: RunConfig, geom) -> SolveOptions:
@@ -181,11 +186,7 @@ def cmd_design(cfg: RunConfig, out_path) -> int:
             ]))
             continue
         try:
-            geom = ElementGeometry.from_turbine(cfg.turbine, lam, point.gamma, point.chord)
-            result = optimize_element(geom, cfg.polar, cfg.correction,
-                                      step=cfg.design_step, tol=cfg.design_tol,
-                                      max_steps=cfg.design_max_steps,
-                                      lambda_max=cfg.turbine.lambda_max)
+            result = _optimized(cfg, lam, point)
         except BemError as exc:
             log.warning("lambda=%g: %s", lam, exc)
             lines.append(f"{_fmt(lam)},nan,nan,nan,nan,corrected,false")

@@ -41,11 +41,10 @@ from .model import (
     _state,
     _tip,
     mu_G,
-    recover_induction,
-    residual,
+    residual,  # unused here; benchmarks/selftest.py checks the tracer rebinds it here
 )
 from .polar import PolarTable, best_glide_angle
-from .solvers import _brentq, _scan_domain, scan_roots
+from .solvers import _scan_domain, scan_roots
 
 
 @dataclass(frozen=True)
@@ -185,12 +184,12 @@ def solve_element(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec
     lets the optimizer stay on one solution branch): Newton steps on the
     exact slope run from the hint while they stay within +-delta of it
     (delta = 1e-3 of the scan domain's width, at least 1e-4), and the
-    first iterate with |residual| <= 1e-13 is the root.  Where
-    Newton leaves that window, meets an undefined residual or a zero
-    slope, or takes more than 8 steps, the root is refined by Brent's
-    method from the first sign change of windows about the hint that
-    widen from +-delta by 4x each.  Otherwise the residual is scanned and
-    the largest principal root is taken, falling back to the largest root.
+    first iterate with |residual| <= 1e-13 is the root.  Where Newton
+    leaves that window, meets an undefined residual or a zero slope, or
+    takes more than 8 steps, the residual is scanned on 240 nodes and the
+    scanned root nearest the hint is taken.  Without a hint the scan's
+    largest principal root is taken, else its largest root; a root at a
+    singular angle of the original system is never taken.
     """
     lo_dom, hi_dom = _scan_domain(geom, polar, corr)
     if phi_hint is not None and lo_dom < phi_hint < hi_dom:
@@ -199,24 +198,20 @@ def solve_element(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec
                              min(hi_dom, phi_hint + delta))
         if state is not None:
             return state
-        while delta < (hi_dom - lo_dom):
-            lo = max(lo_dom, phi_hint - delta)
-            hi = min(hi_dom, phi_hint + delta)
-            try:
-                f_lo = residual(geom, polar, corr, lo)
-                f_hi = residual(geom, polar, corr, hi)
-            except DomainError:
-                break
-            if (f_lo < 0.0) != (f_hi < 0.0):
-                phi = _brentq(lambda p: residual(geom, polar, corr, p), lo, hi)
-                return recover_induction(geom, polar, corr, phi)
-            delta *= 4.0
-    roots = scan_roots(geom, polar, corr, grid_size=240)
-    if not roots.records:
+    return _chosen_root(scan_roots(geom, polar, corr, grid_size=240), phi_hint).state
+
+
+def _chosen_root(roots, phi_hint=None):
+    """The scanned root nearest ``phi_hint``, or without a hint the largest
+    principal root, else the largest.  A root at a singular angle is
+    skipped: its state's a is an artefact of the grid."""
+    records = [rec for rec in roots.records if not rec.state.note]
+    if not records:
         raise DomainError("no root of the scalar equation on the working interval")
-    principals = roots.by_category("principal")
-    chosen = (principals[-1] if principals else roots.records[-1])
-    return chosen.state
+    if phi_hint is not None:
+        return min(records, key=lambda rec: abs(rec.phi - phi_hint))
+    principals = [rec for rec in records if rec.category == "principal"]
+    return max(principals or records, key=lambda rec: rec.phi)
 
 
 _HINT_TOL = 1e-13
@@ -488,15 +483,11 @@ def landscape(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
             cell = replace(geom, gamma=float(gam), chord=float(ch))
             try:
                 roots = scan_roots(cell, polar, corr, grid_size=grid_size)
+                chosen = _chosen_root(roots)
             except BemError:
                 invalid[i, k] = True
                 continue
-            if not roots.records:
-                invalid[i, k] = True
-                continue
             multiple[i, k] = len(roots.records) > 1
-            principals = roots.by_category("principal")
-            chosen = principals[-1] if principals else roots.records[-1]
             try:
                 j[i, k] = J_lambda(cell, polar, corr, chosen.state)
             except DesignEvaluationError:

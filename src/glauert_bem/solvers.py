@@ -116,9 +116,6 @@ class RootSet:
     def categories(self):
         return [rec.category for rec in self.records]
 
-    def by_category(self, name):
-        return [rec for rec in self.records if rec.category == name]
-
 
 @dataclass(frozen=True)
 class ExistenceReport:

@@ -1,4 +1,5 @@
-"""Golden output of the five ``bem`` subcommands on ``demo/run.cfg``.
+"""Golden output of the five ``bem`` subcommands on ``demo/run.cfg``, and of
+``bem design`` and ``bem sweep`` on its corrected-design copy.
 
 Each subcommand runs through ``cli.main``; its CSV (or report) file, its
 stdout, its stderr and its exit code are compared with the files under
@@ -30,17 +31,36 @@ COMMANDS = {
     "sweep": ["sweep"],
     "check": ["check"],
 }
+# The corrected-design copy of the demo, as CI writes it: a line that sets
+# a key on the left is replaced by the line on the right.
+CORRECTED_LINES = {
+    "polar.path": f"polar.path={DEMO_CFG.parent / 'polar.csv'}",
+    "design.mode": "design.mode=corrected",
+    "run.lambda_count": "run.lambda=1.4",
+    "sweep.grid_n": "sweep.grid_n=3",
+    "sweep.refine": "sweep.refine=false",
+}
+CORRECTED_COMMANDS = ("design", "sweep")
 REL_TOL = 1e-12
 _FLOAT = re.compile(r"[-+]?(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?|[-+]?inf")
 _SEPARATORS = re.compile(r"([,=()\s]+)")
 
 
-def run_demo(name, out_path):
+def run_demo(name, out_path, cfg=DEMO_CFG):
     """(output file text, stdout, stderr, exit code) of one subcommand."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(COMMANDS[name] + ["--config", str(DEMO_CFG), "--out", str(out_path)])
+        code = main(COMMANDS[name] + ["--config", str(cfg), "--out", str(out_path)])
     return Path(out_path).read_text(), out.getvalue(), err.getvalue(), code
+
+
+def write_corrected_config(directory):
+    """The corrected-design copy of ``demo/run.cfg``, written to ``directory``."""
+    lines = [CORRECTED_LINES.get(line.split("=", 1)[0], line)
+             for line in DEMO_CFG.read_text().splitlines()]
+    path = Path(directory) / "corrected.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def _is_float(token):
@@ -82,6 +102,17 @@ def test_demo_output_matches_golden(name, tmp_path):
     assert mismatches(streams["stderr"], err) == []
 
 
+@pytest.mark.parametrize("name", CORRECTED_COMMANDS)
+def test_corrected_design_output_matches_golden(name, tmp_path):
+    cfg = write_corrected_config(tmp_path)
+    text, out, err, code = run_demo(name, tmp_path / f"{name}.out", cfg)
+    streams = json.loads((GOLDEN / "corrected_streams.json").read_text())[name]
+    assert code == streams["exit"]
+    assert mismatches((GOLDEN / f"corrected_{name}.out").read_text(), text) == []
+    assert mismatches(streams["stdout"], out) == []
+    assert mismatches(streams["stderr"], err) == []
+
+
 def test_comparison_tolerates_last_digits_only():
     assert mismatches("1,0.30000000000000004,x", "1,0.3,x") == []
     assert mismatches("1,0.3,x", "1,0.3000001,x") != []
@@ -92,11 +123,14 @@ def test_comparison_tolerates_last_digits_only():
 
 
 if __name__ == "__main__":
-    streams = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in COMMANDS:
-            text, out, err, code = run_demo(name, Path(tmp) / f"{name}.out")
-            (GOLDEN / f"demo_{name}.out").write_text(text)
-            streams[name] = {"exit": code, "stdout": out, "stderr": err}
-    (GOLDEN / "demo_streams.json").write_text(json.dumps(streams, indent=1) + "\n")
-    print(f"wrote {len(COMMANDS)} golden outputs to {GOLDEN}")
+        cfg = write_corrected_config(tmp)
+        for prefix, names, config in (("demo", COMMANDS, DEMO_CFG),
+                                      ("corrected", CORRECTED_COMMANDS, cfg)):
+            streams = {}
+            for name in names:
+                text, out, err, code = run_demo(name, Path(tmp) / f"{name}.out", config)
+                (GOLDEN / f"{prefix}_{name}.out").write_text(text)
+                streams[name] = {"exit": code, "stdout": out, "stderr": err}
+            (GOLDEN / f"{prefix}_streams.json").write_text(json.dumps(streams, indent=1) + "\n")
+    print(f"wrote {len(COMMANDS) + len(CORRECTED_COMMANDS)} golden outputs to {GOLDEN}")

@@ -31,7 +31,7 @@ from glauert_bem import (
 )
 from glauert_bem.design import _design_partials, _objective_pieces, cp_integral
 from glauert_bem.model import CORRECTION_VARIANTS, mu_L, recover_induction, residual
-from glauert_bem.solvers import _brentq, _scan_domain, classify_root
+from glauert_bem.solvers import _brentq, _scan_domain, classify_root, scan_roots
 
 from conftest import make_geom, rng, trivial, wilson
 
@@ -372,21 +372,21 @@ def test_phi_sensitivity_cases_include_a_correction_branch_root():
     assert "correction_branch" in categories
 
 
-def _counting_brent(monkeypatch):
+def _counting_scans(monkeypatch):
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return _brentq(*args)
+        return scan_roots(*args, **kwargs)
 
-    monkeypatch.setattr(design, "_brentq", counted)
+    monkeypatch.setattr(design, "scan_roots", counted)
     return calls
 
 
 @pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
 @pytest.mark.parametrize("tip", [False, True])
 def test_hint_path_newton_agrees_with_the_bracket_oracle(variant, tip, monkeypatch):
-    calls = _counting_brent(monkeypatch)
+    calls = _counting_scans(monkeypatch)
     polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, cd2=0.3, beta=0.4)
     corr = CorrectionSpec(variant=variant, tip_loss=tip)
     gen, solved = rng(7), 0
@@ -399,26 +399,44 @@ def test_hint_path_newton_agrees_with_the_bracket_oracle(variant, tip, monkeypat
             continue
         for offset in (0.0, 3e-7, -2e-5, 9e-5):  # inside the first window, +-1e-4 or more
             hint = root + offset
+            scans = len(calls)
             state = solve_element(geom, polar, corr, phi_hint=hint)
+            assert len(calls) == scans  # Newton found the root without the scan
             assert abs(state.phi - _bracket_oracle(geom, polar, corr, hint)) <= 1e-12
             assert state == recover_induction(geom, polar, corr, state.phi)
             solved += 1
     assert solved >= 24
-    assert calls == []  # Newton found every root without the bracket search
 
 
-def test_far_hint_goes_through_the_bracket_search(monkeypatch):
-    calls = _counting_brent(monkeypatch)
-    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, cd2=0.3, beta=0.4)
-    corr = CorrectionSpec(variant="wilson_spera", tip_loss=True)
-    geom = make_geom(lam=1.6, gamma=0.05, chord=0.4, r=0.8, tip_radius=1.0)
-    root = solve_element(geom, polar, corr).phi
-    hint = root + 0.05  # fifty first windows away: Newton's step leaves the window
+def test_far_hint_takes_the_scanned_root_nearest_the_hint():
+    # Newton from this hint misses; the 240-node scan misses the close pair of
+    # stall-branch roots at 0.3541 and 0.3565 but not the one at 0.3788, which
+    # is the nearest to the hint of all roots
+    polar = synthetic_polar("linear_lift_with_stall", slope=5.5, alpha_s=0.25,
+                            cd0=0.01, cd2=0.2)
+    corr = CorrectionSpec(variant="none")
+    geom = make_geom(lam=2.1392491566629097, r=0.7230401565326536,
+                     gamma=0.10361780749955145, chord=0.12765079956842282, tip_radius=1.0)
+    hint = 0.47166662051791797
     state = solve_element(geom, polar, corr, phi_hint=hint)
-    assert len(calls) == 1
-    assert state.phi == _bracket_oracle(geom, polar, corr, hint)
-    assert abs(state.phi - root) <= 1e-12
+    every_root = scan_roots(geom, polar, corr, grid_size=4000).phis
+    assert len(every_root) == 4
+    assert abs(state.phi - min(every_root, key=lambda phi: abs(phi - hint))) <= 1e-12
+    assert abs(state.phi - 0.3788) <= 1e-4
     assert state == recover_induction(geom, polar, corr, state.phi)
+
+
+def test_solve_element_never_takes_a_singular_angle_root():
+    # the 240-node scan of this drag-free element reports phi = 0 as a principal
+    # root with a = 1 (an artefact of its grid) beside the stall-branch root
+    polar = synthetic_polar("linear_lift_with_stall", slope=3.0, alpha_s=0.25,
+                            cd0=0.0, cd2=0.0)
+    geom = make_geom(lam=0.5, gamma=0.0, chord=1.0, r=0.5)
+    assert scan_roots(geom, polar, trivial(), grid_size=240).records[0].state.note
+    state = solve_element(geom, polar, trivial())
+    assert state.note == ""
+    assert abs(state.phi - 1.0012) <= 1e-4
+    assert abs(state.a - 0.064) <= 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -478,7 +478,7 @@ def test_scan_category1_negative_lift_pair(dragfree_polar):
     assert len(roots.records) == 2
     assert roots.categories.count("negative_lift_branch") == 1
     assert roots.categories.count("principal") == 1
-    neg = roots.by_category("negative_lift_branch")[0]
+    neg = roots.records[roots.categories.index("negative_lift_branch")]
     assert neg.state.lift_sign < 0
 
 
@@ -496,8 +496,8 @@ def test_scan_stall_branch_detected(stall_polar):
     cats = roots.categories
     assert "principal" in cats
     assert "stall_branch" in cats
-    for rec in roots.by_category("stall_branch"):
-        assert rec.phi - geom.gamma >= stall_polar.alpha_s - 1e-12
+    for phi in (rec.phi for rec in roots.records if rec.category == "stall_branch"):
+        assert phi - geom.gamma >= stall_polar.alpha_s - 1e-12
 
 
 def test_scan_agrees_with_single_solvers(linear_polar):
