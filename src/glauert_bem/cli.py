@@ -23,7 +23,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .config import RunConfig, parse_config
 from .design import (
@@ -36,7 +35,6 @@ from .errors import BemError, BracketError, ConfigError
 from .model import ElementGeometry
 from .solvers import (
     METHODS,
-    SolveOptions,
     check_appendix_conditions,
     check_existence,
     classify_root,
@@ -89,11 +87,6 @@ def _optimized(cfg: RunConfig, lam: float, point):
                             lambda_max=cfg.turbine.lambda_max)
 
 
-def _solve_opts(cfg: RunConfig, geom) -> SolveOptions:
-    hi = cfg.bracket_hi if cfg.bracket_hi is not None else geom.theta
-    return replace(cfg.solver, bracket=(cfg.bracket_lo, hi))
-
-
 def _state_row(cfg, lam, geom, state, iterations, method, category):
     """One ROW_HEADER line for a solved element state."""
     try:
@@ -121,7 +114,6 @@ def cmd_solve(cfg: RunConfig, method: str, out_path) -> int:
         try:
             gamma, chord = _element_design(cfg, lam)
             geom = ElementGeometry.from_turbine(cfg.turbine, lam, gamma, chord)
-            opts = _solve_opts(cfg, geom)
         except BemError as exc:
             log.warning("lambda=%g: %s", lam, exc)
             lines.append(_failed_row(lam, "design", "design_failed"))
@@ -129,7 +121,7 @@ def cmd_solve(cfg: RunConfig, method: str, out_path) -> int:
             continue
         for name in methods:
             try:
-                report = METHODS[name](geom, cfg.polar, cfg.correction, opts)
+                report = METHODS[name](geom, cfg.polar, cfg.correction, cfg.solver)
             except BracketError:
                 lines.append(_failed_row(lam, name, "wrong_initial_guess"))
                 all_ok = False
@@ -276,7 +268,7 @@ def build_parser():
                                      description="Blade element momentum solver")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, desc in [("solve", "solve the flow angle per lambda"),
-                       ("scan", "find and classify every root per lambda"),
+                       ("scan", "find and classify the roots a grid scan shows, per lambda"),
                        ("design", "twist/chord design per lambda"),
                        ("sweep", "solve a design over a lambda grid and report Cp"),
                        ("check", "existence and convergence condition report")]:

@@ -13,8 +13,10 @@ Example::
     design.mode=simplified
     output.path=out.csv
 
-Unknown keys are rejected.  Defaults mirror the reference experimental
-protocol: tol=1e-10, epsilon=1, bracket left end 1e-4, per-variant a_c.
+Unknown keys are rejected.  A turbine, polar, correction or solver key
+left out takes the default of the object it configures, after the
+reference protocol (tol=1e-10, epsilon=1, bracket (1e-4, theta),
+per-variant a_c); the run keys' defaults and range checks live here.
 """
 
 from __future__ import annotations
@@ -41,31 +43,32 @@ _CONVERT = {"int": (int, "an integer"), "float": (float, "a number"),
             "str": (str, None)}
 
 
-# key -> (converter tag, default); REQUIRED means no default
-_REQUIRED = object()
+# key -> (converter tag, default); REQUIRED: no default; OWN: a key of an object's
+# section, passed only where the file sets it, so the object's own default applies
+_REQUIRED, _OWN = object(), object()
 _SCHEMA = {
-    "turbine.blade_count": ("int", 3),
+    "turbine.blade_count": ("int", _OWN),
     "turbine.radius": ("float", _REQUIRED),
-    "turbine.fluid_density": ("float", 1.225),
+    "turbine.fluid_density": ("float", _OWN),
     "turbine.upstream_speed": ("float", _REQUIRED),
     "turbine.rotation_speed": ("float", _REQUIRED),
-    "turbine.lambda_min": ("float", 0.5),
-    "turbine.lambda_max": ("float", 3.0),
+    "turbine.lambda_min": ("float", _OWN),
+    "turbine.lambda_max": ("float", _OWN),
     "polar.path": ("str", _REQUIRED),
-    "polar.beta": ("float", None),
-    "polar.alpha_s": ("float", None),
-    "polar.clamp_cl": ("bool", False),
-    "correction.variant": ("str", "none"),
-    "correction.a_c": ("float", None),
-    "correction.tip_loss": ("bool", False),
-    "correction.strict_lemma_mode": ("bool", True),
-    "solver.tol": ("float", 1e-10),
-    "solver.max_iter": ("int", 10_000),
-    "solver.epsilon": ("float", 1.0),
-    "solver.phi0": ("float", None),
-    "solver.bracket_lo": ("float", 1e-4),
-    "solver.bracket_hi": ("float", None),
-    "solver.phi_tol": ("float", 1e-12),
+    "polar.beta": ("float", _OWN),
+    "polar.alpha_s": ("float", _OWN),
+    "polar.clamp_cl": ("bool", _OWN),
+    "correction.variant": ("str", _OWN),
+    "correction.a_c": ("float", _OWN),
+    "correction.tip_loss": ("bool", _OWN),
+    "correction.strict_lemma_mode": ("bool", _OWN),
+    "solver.tol": ("float", _OWN),
+    "solver.max_iter": ("int", _OWN),
+    "solver.epsilon": ("float", _OWN),
+    "solver.phi0": ("float", _OWN),
+    "solver.bracket_lo": ("float", _OWN),
+    "solver.bracket_hi": ("float", _OWN),
+    "solver.phi_tol": ("float", _OWN),
     "run.lambda": ("float", None),
     "run.lambda_count": ("int", None),
     "design.mode": ("str", "simplified"),
@@ -86,8 +89,6 @@ class RunConfig:
     polar: PolarTable
     correction: CorrectionSpec
     solver: SolveOptions
-    bracket_lo: float
-    bracket_hi: Optional[float]
     lambdas: list
     design_mode: str
     design_gamma: Optional[float]
@@ -123,8 +124,7 @@ def _read_pairs(path):
 
 
 # keys that configure no object of their section: the polar file's location
-# and the solver bracket, whose right end defaults to each element's theta
-_NOT_KEYWORDS = ("polar.path", "solver.bracket_lo", "solver.bracket_hi")
+_NOT_KEYWORDS = ("polar.path",)
 
 
 def _section(cfg, name):
@@ -146,7 +146,7 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(f"{key}: expected {expected}, got {raw[key]!r}")
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
-        else:
+        elif default is not _OWN:
             cfg[key] = default
 
     base = Path(path).parent
@@ -185,10 +185,16 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("design.chord must be positive")
     if cfg["design.gamma"] is not None and abs(cfg["design.gamma"]) >= math.pi / 2.0:
         raise ConfigError("design.gamma must satisfy |gamma| < pi/2")
+    for key in ("design.step", "design.tol"):
+        if not cfg[key] > 0.0:
+            raise ConfigError(f"{key} must be positive")
+    if cfg["design.max_steps"] < 1:
+        raise ConfigError("design.max_steps must be >= 1")
+    if cfg["sweep.grid_n"] < 2:
+        raise ConfigError("sweep.grid_n must be >= 2")
 
     return RunConfig(
         turbine=turbine, polar=polar, correction=correction, solver=solver,
-        bracket_lo=cfg["solver.bracket_lo"], bracket_hi=cfg["solver.bracket_hi"],
         lambdas=lambdas, design_mode=mode,
         design_gamma=cfg["design.gamma"], design_chord=cfg["design.chord"],
         design_step=cfg["design.step"], design_tol=cfg["design.tol"],

@@ -145,7 +145,8 @@ class PolarTable:
             raise ValidationError("alpha, cl, cd must have matching lengths")
         dal = np.diff(alpha)
         if np.any(dal == 0.0):
-            raise ValidationError("duplicate alpha abscissae in polar table")
+            repeated = alpha[np.flatnonzero(dal == 0.0)[0]]
+            raise ValidationError(f"duplicate alpha abscissa {repeated:g} in polar table")
         if np.any(dal < 0.0):
             raise ValidationError("polar samples must be sorted by alpha")
         if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(cl))
@@ -306,12 +307,8 @@ def load_polar(source, *, beta=None, alpha_s=None, label=None, clamp_cl=False) -
         raise PolarFormatError(f"need at least 4 data rows, got {len(rows)}")
 
     rows.sort(key=lambda rec: rec[0])
-    alpha = [rec[0] for rec in rows]
-    for prev, cur in zip(alpha, alpha[1:]):
-        if cur == prev:
-            raise ValidationError(f"duplicate alpha abscissa {cur:g}")
-    return PolarTable(alpha, [rec[1] for rec in rows], [rec[2] for rec in rows],
-                      beta=beta, alpha_s=alpha_s, label=name, clamp_cl=clamp_cl)
+    alpha, cl, cd = zip(*rows)
+    return PolarTable(alpha, cl, cd, beta=beta, alpha_s=alpha_s, label=name, clamp_cl=clamp_cl)
 
 
 def best_glide_angle(polar: PolarTable) -> float:

@@ -65,7 +65,8 @@ class SolveOptions:
     max_iter: int = 10_000
     epsilon: float = 1.0
     phi0: Optional[float] = None           # default: theta
-    bracket: Optional[tuple] = None        # default: (1e-4, theta)
+    bracket_lo: float = 1e-4               # Newton's and bisection's initial bracket
+    bracket_hi: Optional[float] = None     # default: theta
     phi_tol: float = 1e-12
 
     def __post_init__(self):
@@ -75,10 +76,15 @@ class SolveOptions:
             raise ValidationError("epsilon must lie in (0, 1]")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
-        if self.bracket is not None:
-            lo, hi = self.bracket
-            if not lo < hi:
-                raise ValidationError("bracket endpoints must satisfy lo < hi")
+        if self.bracket_hi is not None and not self.bracket_lo < self.bracket_hi:
+            raise ValidationError("bracket endpoints must satisfy lo < hi")
+
+    def bracket(self, geom: ElementGeometry):
+        """The initial bracket on ``geom`` (hi defaults to theta); BracketError if empty."""
+        hi = geom.theta if self.bracket_hi is None else self.bracket_hi
+        if not self.bracket_lo < hi:
+            raise BracketError(f"wrong initial guess: empty bracket ({self.bracket_lo:g}, {hi:g})")
+        return self.bracket_lo, hi
 
 
 @dataclass
@@ -391,8 +397,7 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     to an earlier iterate ends the solve as a cycle, and 50 steps in which
     the least |residual| seen does not fall end it as making no progress.
     """
-    theta = geom.theta
-    lo, hi = opts.bracket if opts.bracket is not None else (1e-4, theta)
+    lo, hi = opts.bracket(geom)
     f_lo = _residual_safe(geom, polar, corr, lo)
     f_hi = _residual_safe(geom, polar, corr, hi)
     have_bracket = (math.isfinite(f_lo) and math.isfinite(f_hi)
@@ -427,7 +432,7 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                 raise _Stop("diverged: unbracketed Newton makes no progress")
         return phi_next, abs(phi_next - phi)
 
-    phi0 = opts.phi0 if opts.phi0 is not None else (0.5 * (lo + hi) if have_bracket else theta)
+    phi0 = opts.phi0 if opts.phi0 is not None else (0.5 * (lo + hi) if have_bracket else geom.theta)
     # a fallback stays in the caller's bracket, which may reach past (0, pi/2)
     return _iterate(geom, polar, corr, "newton", opts, step, phi0=phi0, fenced=False,
                     note=lambda: f"{fallbacks} bisection fallback step(s)" if fallbacks else "")
@@ -443,7 +448,7 @@ def solve_bisection(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSp
     so after k iterations it equals the initial width times 2**-k.  Short
     of a root, the solve reports the midpoint of its last bracket.
     """
-    lo, hi = opts.bracket if opts.bracket is not None else (1e-4, geom.theta)
+    lo, hi = opts.bracket(geom)
     if not 0.0 < lo < hi < math.pi / 2.0:
         raise ValidationError(f"bracket ({lo:g}, {hi:g}) must sit inside (0, pi/2)")
     try:
@@ -502,9 +507,7 @@ def bracket_via_psi0(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     """
     base = replace(corr, variant="none", a_c=1.0)
     hi = phi_upper(geom, polar)
-    sub_opts = replace(opts, bracket=(opts.bracket[0] if opts.bracket else 1e-4, hi))
-    report = solve_bisection(geom, polar, base, sub_opts)
-    phi0 = report.phi_star
+    phi0 = solve_bisection(geom, polar, base, replace(opts, bracket_hi=hi)).phi_star
     if corr.variant != "none" and phi0 >= hi - max(1e-9, 10.0 * opts.phi_tol):
         raise BracketError("empty bracket: psi=0 root sits at the right endpoint")
     return (phi0, hi)
@@ -635,16 +638,17 @@ def _scan_domain(geom, polar, corr):
 
 def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                grid_size: int = 400) -> RootSet:
-    """Find and classify all residual roots on a uniform scan grid.
+    """Find and classify the residual roots that a uniform scan grid shows.
 
     The grid values come from one call of the array kernel
     ``model._residual_grid`` (NaN where the residual is undefined); nodes
-    within its error of 0 are evaluated again on the scalar path.  Every
-    sign change between two finite neighbours is refined by Brent's method
-    on the scalar residual, and a node where the residual is exactly 0 is
-    a root.  The scan covers the full interval I for the trivial correction
-    and I+ otherwise.  Roots closer than 1e-10 are merged, and a root is
-    kept where |residual| <= 1e-10.
+    within its error of 0 are evaluated again on the scalar path.  Only
+    each sign change between two finite neighbours, refined by Brent's
+    method on the scalar residual, and each node where the residual is
+    exactly 0 give a root: a close pair between two nodes, or a tangential
+    root, is missed.  The scan covers I for the trivial correction and I+
+    otherwise, so no root above phi_upper is looked for.  Roots closer
+    than 1e-10 are merged, and a root is kept where |residual| <= 1e-10.
     """
     if grid_size < 100:
         raise ValidationError("grid_size must be >= 100")

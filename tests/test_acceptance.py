@@ -370,8 +370,8 @@ def test_criterion_09_bisection_contract(announce):
     halving = all(w == w0 * 0.5 ** k
                   for k, w in enumerate(rep.native_err_history, start=1))
     try:
-        solve_bisection(geom, polar, corr,
-                        SolveOptions(bracket=(geom.theta - 0.02, geom.theta - 0.01)))
+        solve_bisection(geom, polar, corr, SolveOptions(bracket_lo=geom.theta - 0.02,
+                                                        bracket_hi=geom.theta - 0.01))
         aborted = False
     except BracketError as exc:
         aborted = "wrong initial guess" in str(exc)

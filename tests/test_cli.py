@@ -212,6 +212,35 @@ def test_config_errors_exit_2(workdir, capsys):
     nofile = _write_cfg(workdir, "", base=BASE_CFG.replace("polar.csv", "gone.csv"),
                         name="nofile.cfg")
     assert main(["solve", "--config", nofile]) == 2
+    capsys.readouterr()
+
+    # run settings out of range, and a reversed bracket, in every subcommand
+    for k, (extra, key) in enumerate([("design.step=-1\n", "design.step"),
+                                      ("design.tol=-1\n", "design.tol"),
+                                      ("design.max_steps=0\n", "design.max_steps"),
+                                      ("sweep.grid_n=1\n", "sweep.grid_n"),
+                                      ("solver.bracket_lo=0.5\nsolver.bracket_hi=0.1\n",
+                                       "bracket")]):
+        cfg = _write_cfg(workdir, extra, name=f"range{k}.cfg")
+        for cmd in ("solve", "design", "sweep"):
+            assert main([cmd, "--config", cfg, "--out", str(workdir / "x.csv")]) == 2
+            assert key in capsys.readouterr().err
+
+
+def test_empty_default_bracket_fails_newton_and_bisection_only(workdir):
+    # bracket_lo above theta = atan(1/1.75) = 0.519 and no bracket_hi: the
+    # bracket (bracket_lo, theta) is empty, and only the bracketed methods need it
+    cfg = _write_cfg(workdir, "run.lambda=1.75\nsolver.bracket_lo=0.6\n",
+                     base=BASE_CFG.replace("run.lambda_count=5\n", ""), name="empty.cfg")
+    out = workdir / "empty.csv"
+    assert main(["solve", "--config", cfg, "--method", "all", "--out", str(out)]) == 1
+    rows = {row["method"]: row for row in _rows(out)}
+    assert sorted(rows) == ["bisect", "fixed", "newton", "usual"]
+    for name in ("newton", "bisect"):
+        assert rows[name]["root_category"] == "wrong_initial_guess"
+    for name in ("usual", "fixed"):
+        assert rows[name]["root_category"] == "principal"
+        assert abs(float(rows[name]["residual"])) <= 1e-10
 
 
 def test_console_script_is_installed():

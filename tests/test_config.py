@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from glauert_bem import ConfigError, synthetic_polar
+from glauert_bem import (ConfigError, CorrectionSpec, SolveOptions, TurbineConfig,
+                         synthetic_polar)
 from glauert_bem.config import _SCHEMA, parse_config
 from glauert_bem.polar import dump_polar
 
@@ -78,10 +79,8 @@ def test_every_key_configures_its_object(workdir):
     assert (corr.variant, corr.a_c, corr.tip_loss, corr.strict_lemma_mode) == (
         "buhl", 0.35, True, False)
     opts = cfg.solver
-    assert (opts.tol, opts.max_iter, opts.epsilon, opts.phi0, opts.phi_tol) == (
-        1e-9, 500, 0.5, 0.3, 1e-11)
-    assert opts.bracket is None  # each element's bracket comes from the two keys below
-    assert (cfg.bracket_lo, cfg.bracket_hi) == (0.01, 0.7)
+    assert (opts.tol, opts.max_iter, opts.epsilon, opts.phi0, opts.bracket_lo,
+            opts.bracket_hi, opts.phi_tol) == (1e-9, 500, 0.5, 0.3, 0.01, 0.7, 1e-11)
     assert cfg.lambdas == [1.5]
     assert (cfg.design_mode, cfg.design_gamma, cfg.design_chord, cfg.design_step,
             cfg.design_tol, cfg.design_max_steps) == ("fixed", 0.1, 0.25, 0.05, 1e-5, 50)
@@ -123,3 +122,31 @@ def test_single_lambda_excludes_a_lambda_count(workdir):
 def test_object_validation_becomes_a_config_error(workdir):
     assert "unknown correction variant 'glauert2'" in _error(
         workdir, {**MINIMAL, "correction.variant": "glauert2"})
+
+
+def test_unset_object_keys_take_the_object_defaults(workdir):
+    cfg = parse_config(_write(workdir, MINIMAL))
+    assert cfg.turbine == TurbineConfig(radius=1.2, upstream_speed=1.0, rotation_speed=3.0)
+    assert cfg.correction == CorrectionSpec()
+    assert cfg.solver == SolveOptions()
+    # a CSV holds no beta: it defaults to alpha_s, the sampled argmax of cl
+    assert (cfg.polar.beta, cfg.polar.alpha_s, cfg.polar.clamp_cl) == (1.2, 1.2, False)
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("design.step", "-1", "must be positive"),
+    ("design.step", "0", "must be positive"),
+    ("design.tol", "-1", "must be positive"),
+    ("design.tol", "nan", "must be positive"),
+    ("design.max_steps", "0", "must be >= 1"),
+    ("sweep.grid_n", "1", "must be >= 2"),
+])
+def test_run_settings_out_of_range_are_config_errors(workdir, key, value, rule):
+    # checked whatever the design mode: MINIMAL runs the simplified design
+    assert _error(workdir, {**MINIMAL, key: value}) == f"{key} {rule}"
+
+
+def test_reversed_solver_bracket_is_a_config_error(workdir):
+    message = _error(workdir, {**MINIMAL, "solver.bracket_lo": "0.5",
+                               "solver.bracket_hi": "0.1"})
+    assert message == "bracket endpoints must satisfy lo < hi"

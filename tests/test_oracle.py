@@ -1,0 +1,154 @@
+"""An independent 50-digit oracle for the original three flow equations.
+
+The package solves one scalar equation in phi and post-computes (a, a').
+Here the three equations as the README states them,
+
+    tan(phi) = (1 - a) / (lambda (1 + a'))
+    a/(1-a)  = (mu_L^c cos(phi) + mu_D^c sin(phi))/sin^2(phi) - psi((a - a_c)_+)/(1-a)^2
+    a'/(1-a) = (mu_L^c sin(phi) - mu_D^c cos(phi))/(lambda sin^2(phi)),
+
+are evaluated in ``mpmath`` at 50 digits, with Prandtl's tip factor and
+each variant's psi written out below and the polar summed from the
+``PolarTable``'s PCHIP coefficients (floats, so ``mpmath`` holds them
+exactly).  Nothing of the package's float kernel is used.  The system is
+solved by ``mpmath.findroot`` from every root that ``scan_roots``
+returns, and each returned (phi, a, a') must lie within a forward-error
+bound: the effect of a backward error of ``ULPS`` units in the last place
+on every term of every equation, through the system's Jacobian, plus the
+effect of Brent's stopping width on phi along the steepest of the three
+curves where two of the equations hold (away from the root, the package's
+states lie on a curve where the torque balance and a combination of the
+other two hold).
+"""
+
+import math
+from bisect import bisect_right
+from pathlib import Path
+
+import pytest
+
+from glauert_bem import CorrectionSpec, ElementGeometry, load_polar, scan_roots, synthetic_polar
+
+from conftest import rng
+
+mpmath = pytest.importorskip("mpmath")
+mp = mpmath.mp
+
+DIGITS = 50
+ULPS = 64  # backward error allowed on each term, in units of 2**-53
+UNIT = 2.0 ** -53
+# scan_roots refines a sign change by Brent's method to a bracket below
+# 1e-14 + 8.9e-16 |phi|; the root it returns lies inside that bracket
+BRENT_WIDTH = (1e-14, 8.9e-16)
+
+POLARS = {
+    "linear": lambda: synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, cd2=0.3,
+                                      beta=0.4),
+    "stall": lambda: synthetic_polar("linear_lift_with_stall", slope=6.0, alpha_s=0.3,
+                                     drop=0.5, transition=0.05, cd0=0.012, cd2=0.1),
+    "demo": lambda: load_polar(Path(__file__).resolve().parents[1] / "demo" / "polar.csv"),
+}
+VARIANTS = ("none", "glauert3", "glauert_empirical", "buhl", "wilson_spera")
+
+
+def _piecewise(polar, rows, alpha):
+    """The polar's piecewise cubic with coefficient ``rows`` at ``alpha``, summed in mpmath."""
+    i = bisect_right(polar._left, alpha) - 1
+    s = alpha - polar._left[i]
+    return sum(mp.mpf(c) * s ** k for k, c in enumerate(rows[i]))
+
+
+def _coefficients(polar, alpha):
+    """(C_L, C_D) at ``alpha``: C_D held at its end values outside the samples."""
+    if not polar.alpha_min <= alpha <= polar.alpha_max:
+        raise ValueError("cl is not defined outside the sampled range")
+    clamped = min(max(alpha, mp.mpf(polar.alpha_min)), mp.mpf(polar.alpha_max))
+    return _piecewise(polar, polar._cl_rows, alpha), _piecewise(polar, polar._cd_rows, clamped)
+
+
+def _tip_factor(geom, phi):
+    """Prandtl: F = (2/pi) acos(exp(-(B/2) (1 - r/R) / ((r/R) sin(phi))))."""
+    ratio = mp.mpf(geom.r) / mp.mpf(geom.tip_radius)
+    exponent = -geom.blade_count * (1 - ratio) / (2 * ratio * mp.sin(phi))
+    return 2 / mp.pi * mp.acos(mp.exp(exponent))
+
+
+def _psi(corr, x, tip):
+    """psi(x) at the excess x = (a - a_c)_+ of each variant."""
+    a_c = mp.mpf(corr.a_c)
+    if x <= 0 or corr.variant == "none":
+        return mp.zero
+    if corr.variant == "glauert3":
+        return (x ** 3 / a_c + 2 * x ** 2 + a_c * x) / 4
+    if corr.variant == "wilson_spera":
+        return x ** 2
+    if corr.variant == "buhl":
+        return x ** 2 / (2 * tip * (1 - a_c) ** 2)
+    f = 1 if corr.strict_lemma_mode else tip  # glauert_empirical
+    return (f ** 2 * x ** 2 + (2 * a_c * f ** 2 - mp.mpf("0.286") * f) * x) / mp.mpf("2.5708")
+
+
+def _terms(geom, polar, corr, phi, a, ap):
+    """The terms of each equation, moved to one side: each equation is the sum of its row."""
+    lam = mp.mpf(geom.lam)
+    s, c = mp.sin(phi), mp.cos(phi)
+    tip = _tip_factor(geom, phi) if corr.tip_loss else mp.one
+    cl, cd = _coefficients(polar, phi - geom.gamma)
+    quarter = mp.mpf(geom.blade_count) * geom.chord / (2 * mp.pi * geom.r) / (4 * tip)
+    lift, drag = quarter * cl, quarter * cd
+    psi = _psi(corr, a - mp.mpf(corr.a_c), tip)
+    return ([mp.tan(phi) * lam * (1 + ap), a - 1],
+            [a / (1 - a), -lift * c / s ** 2, -drag * s / s ** 2, psi / (1 - a) ** 2],
+            [ap / (1 - a), -lift * s / (lam * s ** 2), drag * c / (lam * s ** 2)])
+
+
+def _check_root(geom, polar, corr, state):
+    """(forward error / bound) of phi, a and a' at one scanned root's state."""
+    def system(phi, a, ap):
+        return [mp.fsum(row) for row in _terms(geom, polar, corr, phi, a, ap)]
+
+    with mp.workdps(DIGITS):
+        found = [mp.mpf(state.phi), mp.mpf(state.a), mp.mpf(state.a_prime)]
+        exact = mpmath.findroot(system, found)
+        jac = mpmath.jacobian(lambda *x: system(*x), list(exact))
+        inverse = jac ** -1
+        scale = [mp.fsum(abs(t) for t in row)
+                 for row in _terms(geom, polar, corr, *exact)]
+        # (da/dphi, da'/dphi) on each curve where two of the three equations hold
+        slopes = [mpmath.lu_solve(mpmath.matrix([[jac[k, 1], jac[k, 2]] for k in rows]),
+                                  mpmath.matrix([-jac[k, 0] for k in rows]))
+                  for rows in ((1, 2), (0, 2), (0, 1))]
+        width = BRENT_WIDTH[0] + BRENT_WIDTH[1] * abs(exact[0])
+        ratios = []
+        for i in range(3):
+            backward = ULPS * UNIT * mp.fsum(abs(inverse[i, j]) * scale[j] for j in range(3))
+            along = width * (1 if i == 0 else max(abs(slope[i - 1]) for slope in slopes))
+            ratios.append(float(abs(found[i] - exact[i]) / (backward + along)))
+    return ratios
+
+
+def _elements(seed, count):
+    gen = rng(seed)
+    for _ in range(count):
+        yield ElementGeometry(lam=float(gen.uniform(0.8, 3.0)), r=float(gen.uniform(0.3, 0.9)),
+                              gamma=float(gen.uniform(-0.05, 0.2)),
+                              chord=float(gen.uniform(0.05, 0.6)),
+                              blade_count=3, tip_radius=1.0)
+
+
+@pytest.mark.parametrize("kind", sorted(POLARS))
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("tip", [False, True], ids=["no_tip", "tip"])
+def test_scanned_roots_agree_with_the_50_digit_oracle(kind, variant, tip):
+    polar = POLARS[kind]()
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    checked, worst = 0, 0.0
+    for geom in _elements(7000 + VARIANTS.index(variant), 3):
+        for rec in scan_roots(geom, polar, corr).records:
+            if rec.state.note:  # a singular angle of the original system
+                continue
+            ratios = _check_root(geom, polar, corr, rec.state)
+            worst = max(worst, *ratios)
+            checked += 1
+    assert checked >= 1
+    assert worst <= 1.0

@@ -52,7 +52,8 @@ def test_load_rejects_negative_drag():
 
 def test_load_rejects_duplicate_alpha():
     bad = BASIC_CSV + "0.2,1.0,0.03\n"
-    with pytest.raises(ValidationError):
+    # one owner of the rule: the table names the repeated angle
+    with pytest.raises(ValidationError, match=r"^duplicate alpha abscissa 0\.2 in polar table$"):
         load_polar(io.StringIO(bad))
 
 

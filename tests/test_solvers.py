@@ -52,7 +52,7 @@ def test_solve_options_validation():
     with pytest.raises(ValidationError):
         SolveOptions(epsilon=1.5)
     with pytest.raises(ValidationError):
-        SolveOptions(bracket=(0.5, 0.1))
+        SolveOptions(bracket_lo=0.5, bracket_hi=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,18 @@ def test_bisection_same_sign_bracket_aborts(linear_polar):
     geom = make_geom(gamma=0.05)
     with pytest.raises(BracketError, match="wrong initial guess"):
         solve_bisection(geom, linear_polar, wilson(),
-                        SolveOptions(bracket=(geom.theta - 0.02, geom.theta - 0.01)))
+                        SolveOptions(bracket_lo=geom.theta - 0.02,
+                                     bracket_hi=geom.theta - 0.01))
+
+
+def test_bracket_defaults_to_theta_and_an_empty_one_is_a_wrong_initial_guess(linear_polar):
+    geom = make_geom(gamma=0.05)
+    assert SolveOptions().bracket(geom) == (1e-4, geom.theta)
+    assert SolveOptions(bracket_lo=0.2, bracket_hi=0.3).bracket(geom) == (0.2, 0.3)
+    opts = SolveOptions(bracket_lo=geom.theta + 0.01)  # no bracket_hi: (lo, theta) is empty
+    for solve in (solve_newton, solve_bisection):
+        with pytest.raises(BracketError, match="wrong initial guess: empty bracket"):
+            solve(geom, linear_polar, wilson(), opts)
 
 
 def test_bisection_undefined_bracket_end_is_a_wrong_initial_guess(linear_polar):
@@ -247,7 +258,8 @@ def test_bisection_undefined_bracket_end_is_a_wrong_initial_guess(linear_polar):
     with pytest.raises(DomainError):
         residual(geom, linear_polar, wilson(), 1.5)
     with pytest.raises(BracketError, match="wrong initial guess"):
-        solve_bisection(geom, linear_polar, wilson(), SolveOptions(bracket=(0.1, 1.5)))
+        solve_bisection(geom, linear_polar, wilson(),
+                        SolveOptions(bracket_lo=0.1, bracket_hi=1.5))
 
 
 def test_bisection_width_halves_exactly(linear_polar):
@@ -263,7 +275,7 @@ def test_bisection_immediate_when_root_at_midpoint(linear_polar):
     corr = wilson()
     star = solve_bisection(geom, linear_polar, corr).phi_star
     report = solve_bisection(geom, linear_polar, corr,
-                             SolveOptions(bracket=(star - 0.05, star + 0.05)))
+                             SolveOptions(bracket_lo=star - 0.05, bracket_hi=star + 0.05))
     assert report.converged
     assert report.iterations <= 2
 
@@ -300,11 +312,11 @@ def test_undefined_residual_at_iterate_stops(method, linear_polar):
 def test_unsafe_newton_step_without_bracket_stops(dragfree_polar):
     geom = make_geom(gamma=0.15, chord=0.3)
     phi0 = _flat_slope_angle(geom, dragfree_polar)
-    bracket = (geom.theta - 0.02, geom.theta - 0.01)
-    assert (residual(geom, dragfree_polar, trivial(), bracket[0]) < 0.0) == \
-        (residual(geom, dragfree_polar, trivial(), bracket[1]) < 0.0)
+    lo, hi = geom.theta - 0.02, geom.theta - 0.01
+    assert (residual(geom, dragfree_polar, trivial(), lo) < 0.0) == \
+        (residual(geom, dragfree_polar, trivial(), hi) < 0.0)
     report = solve_newton(geom, dragfree_polar, trivial(),
-                          SolveOptions(phi0=phi0, bracket=bracket))
+                          SolveOptions(phi0=phi0, bracket_lo=lo, bracket_hi=hi))
     assert not report.converged
     assert report.iterations == 0
     assert report.phi_star == phi0
@@ -317,7 +329,7 @@ def test_newton_fallback_follows_the_bracket_past_zero(linear_polar):
     geom = make_geom(gamma=0.05, chord=0.1)
     negative = [r.phi for r in scan_roots(geom, linear_polar, trivial()).records if r.phi < 0]
     report = solve_newton(geom, linear_polar, trivial(),
-                          SolveOptions(phi0=0.05, bracket=(-0.2, 0.1)))
+                          SolveOptions(phi0=0.05, bracket_lo=-0.2, bracket_hi=0.1))
     assert report.converged
     assert "bisection fallback" in report.message
     assert abs(report.phi_star - negative[0]) < 1e-8
@@ -331,7 +343,8 @@ def test_unbracketed_newton_stops_when_its_iterates_cycle():
     geom = ElementGeometry(lam=0.9224, r=0.3557, gamma=0.1958, chord=0.6105,
                            blade_count=3, tip_radius=1.0)
     corr = CorrectionSpec(variant="glauert3", tip_loss=True)
-    report = solve_newton(geom, polar, corr, SolveOptions(bracket=(0.4044, 0.5229)))
+    report = solve_newton(geom, polar, corr,
+                          SolveOptions(bracket_lo=0.4044, bracket_hi=0.5229))
     assert not report.converged
     assert report.iterations <= 20
     assert "cycles" in report.message
@@ -347,8 +360,8 @@ def test_unbracketed_newton_stops_when_it_makes_no_progress(stall_polar):
                            gamma=0.2596644103734703, chord=0.40206306151099613,
                            blade_count=3, tip_radius=1.0)
     corr = CorrectionSpec(variant="buhl", tip_loss=False)
-    opts = SolveOptions(tol=1e-12, bracket=(0.819835017035875, 0.840053703477895),
-                        phi0=0.8252491948278001)
+    opts = SolveOptions(tol=1e-12, bracket_lo=0.819835017035875,
+                        bracket_hi=0.840053703477895, phi0=0.8252491948278001)
     report = solve_newton(geom, stall_polar, corr, opts)
     assert not report.converged
     assert report.message == "diverged: unbracketed Newton makes no progress"
@@ -390,7 +403,8 @@ def test_bracket_psi0_brackets_the_corrected_root(linear_polar):
     corr = wilson()
     lo, hi = bracket_via_psi0(geom, linear_polar, corr)
     assert residual(geom, linear_polar, corr, lo) <= 1e-12
-    report = solve_bisection(geom, linear_polar, corr, SolveOptions(bracket=(lo, hi)))
+    report = solve_bisection(geom, linear_polar, corr,
+                             SolveOptions(bracket_lo=lo, bracket_hi=hi))
     assert report.converged
 
 
