@@ -32,7 +32,7 @@ from .design import (
     simplified_optimum,
 )
 from .errors import BemError, BracketError, ConfigError
-from .model import ElementGeometry
+from .model import ElementGeometry, phi_upper
 from .solvers import (
     METHODS,
     check_appendix_conditions,
@@ -72,15 +72,16 @@ def _element_design(cfg: RunConfig, lam: float):
     """(gamma, chord) for one element, per the configured design mode."""
     if cfg.design_mode == "fixed":
         return cfg.design_gamma, cfg.design_chord
+    point = _designed(cfg, lam)
+    return point.gamma, point.chord
+
+
+def _designed(cfg: RunConfig, lam: float):
+    """The simplified optimum at ``lam``; in corrected mode, the configured
+    optimizer's result started from it."""
     point = simplified_optimum(lam, cfg.polar, cfg.turbine)
-    if cfg.design_mode == "simplified":
-        return point.gamma, point.chord
-    result = _optimized(cfg, lam, point)
-    return result.gamma, result.chord
-
-
-def _optimized(cfg: RunConfig, lam: float, point):
-    """The configured optimizer's result, started from the simplified optimum ``point``."""
+    if cfg.design_mode != "corrected":
+        return point
     geom = ElementGeometry.from_turbine(cfg.turbine, lam, point.gamma, point.chord)
     return optimize_element(geom, cfg.polar, cfg.correction, step=cfg.design_step,
                             tol=cfg.design_tol, max_steps=cfg.design_max_steps,
@@ -154,6 +155,10 @@ def cmd_scan(cfg: RunConfig, out_path) -> int:
         except BemError as exc:
             log.warning("lambda=%g: %s", lam, exc)
             continue
+        if not roots.records:
+            above = ("" if cfg.correction.is_trivial else
+                     f" (it does not look above phi_upper={phi_upper(geom, cfg.polar):g})")
+            log.warning("lambda=%g: the scan found no root%s", lam, above)
         lines.extend(_state_row(cfg, lam, geom, rec.state, 0, "scan", rec.category)
                      for rec in roots.records)
     _emit(lines, out_path)
@@ -163,32 +168,21 @@ def cmd_scan(cfg: RunConfig, out_path) -> int:
 def cmd_design(cfg: RunConfig, out_path) -> int:
     lines = [DESIGN_HEADER]
     all_ok = True
+    mode = "corrected" if cfg.design_mode == "corrected" else "simplified"
     for lam in cfg.lambdas:
         try:
-            point = simplified_optimum(lam, cfg.polar, cfg.turbine)
+            point = _designed(cfg, lam)
         except BemError as exc:
             log.warning("lambda=%g: %s", lam, exc)
-            lines.append(f"{_fmt(lam)},nan,nan,nan,nan,{cfg.design_mode},false")
+            lines.append(f"{_fmt(lam)},nan,nan,nan,nan,{mode},false")
             all_ok = False
             continue
-        if cfg.design_mode != "corrected":
-            lines.append(",".join([
-                _fmt(lam), _fmt(point.gamma), _fmt(point.chord),
-                _fmt(point.phi_opt), _fmt(point.J), "simplified", "true",
-            ]))
-            continue
-        try:
-            result = _optimized(cfg, lam, point)
-        except BemError as exc:
-            log.warning("lambda=%g: %s", lam, exc)
-            lines.append(f"{_fmt(lam)},nan,nan,nan,nan,corrected,false")
-            all_ok = False
-            continue
+        converged = mode == "simplified" or point.converged
         lines.append(",".join([
-            _fmt(lam), _fmt(result.gamma), _fmt(result.chord),
-            _fmt(result.phi_opt), _fmt(result.J), "corrected", _fmt(result.converged),
+            _fmt(lam), _fmt(point.gamma), _fmt(point.chord),
+            _fmt(point.phi_opt), _fmt(point.J), mode, _fmt(converged),
         ]))
-        all_ok = all_ok and result.converged
+        all_ok = all_ok and converged
     _emit(lines, out_path)
     return EXIT_OK if all_ok else EXIT_INCOMPLETE
 

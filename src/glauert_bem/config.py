@@ -36,9 +36,19 @@ from .solvers import SolveOptions
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True,
           "false": False, "no": False, "off": False, "0": False}
 
+
+def _number(raw):
+    """float(raw), refusing an infinity: no setting can take one.  NaN passes
+    here and fails the range check of its key, which names the rule."""
+    value = float(raw)
+    if math.isinf(value):
+        raise ValueError(raw)
+    return value
+
+
 # converter tag -> (function of the raw text, what a bad value was expected to be);
 # the function raises ValueError or KeyError on a bad value
-_CONVERT = {"int": (int, "an integer"), "float": (float, "a number"),
+_CONVERT = {"int": (int, "an integer"), "float": (_number, "a number"),
             "bool": (lambda raw: _BOOLS[raw.lower()], "a boolean"),
             "str": (str, None)}
 
@@ -181,9 +191,9 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"design.mode must be fixed|simplified|corrected, got {mode!r}")
     if mode == "fixed" and (cfg["design.gamma"] is None or cfg["design.chord"] is None):
         raise ConfigError("design.mode=fixed requires design.gamma and design.chord")
-    if cfg["design.chord"] is not None and cfg["design.chord"] <= 0.0:
+    if cfg["design.chord"] is not None and not cfg["design.chord"] > 0.0:
         raise ConfigError("design.chord must be positive")
-    if cfg["design.gamma"] is not None and abs(cfg["design.gamma"]) >= math.pi / 2.0:
+    if cfg["design.gamma"] is not None and not abs(cfg["design.gamma"]) < math.pi / 2.0:
         raise ConfigError("design.gamma must satisfy |gamma| < pi/2")
     for key in ("design.step", "design.tol"):
         if not cfg[key] > 0.0:

@@ -265,8 +265,7 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     s, c = math.sin(phi), math.cos(phi)
     cot = c / s
     f, fp = _tip(geom, corr, phi)
-    pieces = _objective_pieces(geom, polar, corr, state)
-    _, cl, cd, dcl, dcd, _, ratio, dratio = pieces
+    _, cl, cd, dcl, dcd, _, ratio, dratio = _objective_pieces(geom, polar, corr, state)
     quarter = 0.25 * geom.solidity
     muL, muD = quarter * cl / f, quarter * cd / f
     dmuL = quarter * (dcl / f - cl * fp / (f * f))
@@ -310,33 +309,20 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     p = np.array([(c00 * b0 + c10 * b1 + c20 * b2) / det, p1, p2])
     # J and the two balances differentiated in (gamma, chord) at fixed (phi, a, a');
     # the geometric relation does not involve the design
-    dj, dg2, dg3 = _design_partials(geom, state, f, pieces)
+    dj = f * ap * nu * dratio * cot  # dJ/dgamma, unscaled; dJ/dchord is 0
+    # alpha-derivatives of mu^c at fixed phi (twist enters through alpha only)
+    per_f = quarter / f
+    muL_a, muD_a = per_f * dcl, per_f * dcd
+    dg2 = ((muL_a * c + muD_a * s) / (s * s),
+           -(per_f * cl * c + per_f * cd * s) / (geom.chord * s * s))
+    dg3 = ((muL_a * s - muD_a * c) / (lam * s * s),
+           -(per_f * cl * s - per_f * cd * c) / (geom.chord * lam * s * s))
     grad = np.array([scale * dj - p1 * dg2[0] - p2 * dg3[0], -p1 * dg2[1] - p2 * dg3[1]])
     # forward response of the root: (dphi, da, da') = -C (0, dg2, dg3) / det
     sensitivity = tuple(-(c01 * dg2[k] + c02 * dg3[k]) / det for k in (0, 1))
     return AdjointState(p=p, M=np.array([[m00, m01, m02], [m10, m11, m12], [m20, 0.0, m22]]),
                         b=np.array([b0, b1, b2]), grad=grad, scale=scale,
                         at_threshold=abs(excess) < 1e-9, phi_sensitivity=sensitivity)
-
-
-def _design_partials(geom, state, f, pieces):
-    """dJ/dgamma (unscaled; dJ/dchord is 0) and the (gamma, chord) partials of
-    the thrust and torque balances at fixed (phi, a, a')."""
-    phi, a, ap = state.phi, state.a, state.a_prime
-    lam = geom.lam
-    s, c = math.sin(phi), math.cos(phi)
-    _, cl, cd, dcl, dcd, cot, ratio, dratio = pieces
-    # alpha-derivatives of mu^c at fixed phi (twist enters through alpha only)
-    quarter = 0.25 * geom.solidity / f
-    muL_a, muD_a = quarter * dcl, quarter * dcd
-    muL, muD = quarter * cl, quarter * cd
-
-    dj_dgamma = f * ap * (1.0 - a) * dratio * cot
-    dg2 = ((muL_a * c + muD_a * s) / (s * s),
-           -(muL * c + muD * s) / (geom.chord * s * s))
-    dg3 = ((muL_a * s - muD_a * c) / (lam * s * s),
-           -(muL * s - muD * c) / (geom.chord * lam * s * s))
-    return dj_dgamma, dg2, dg3
 
 
 def gradient(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -358,26 +344,23 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
 
     Every iteration retries from the base step ``step``, halving while the
     trial point is unsolvable or decreases the objective; accepted steps
-    never decrease it.  A trial solve follows the current root from the
-    angle predicted by its first-order response to the step
-    (``AdjointState.phi_sensitivity``).  Stops at ||grad|| <= tol, after
-    ``max_steps`` trials, or when no acceptable step remains.  Returns the
-    current point, the best seen; its ``grad_norm`` is nan if its adjoint
-    solve failed.
+    never decrease it.  A trial with chord <= 0, |gamma| >= pi/2 or a
+    non-finite value is unsolvable: :class:`ElementGeometry` rejects it.
+    A trial solve follows the current root from the angle predicted by its
+    first-order response to the step (``AdjointState.phi_sensitivity``).
+    Stops at ||grad|| <= tol, after ``max_steps`` trials, or when no
+    acceptable step remains.  Returns the current point, the best seen;
+    its ``grad_norm`` is nan if its adjoint solve failed.
     """
     if step <= 0.0:
         raise ValidationError("step must be positive")
-    gamma, chord = geom0.gamma, geom0.chord
     geom = geom0
     state = solve_element(geom, polar, corr)  # initial point must be solvable
-    scale = 1.0 if lambda_max is None else 8.0 * geom.lam ** 3 / lambda_max ** 2
-    j_cur = scale * J_lambda(geom, polar, corr, state)
     adj = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max)
-    grad, sens = adj.grad, adj.phi_sensitivity
-    j_history = [j_cur]
+    scale, grad, sens = adj.scale, adj.grad, adj.phi_sensitivity
+    j_history = [scale * J_lambda(geom, polar, corr, state)]
     kappa = step
-    accepted = 0
-    message = ""
+    message = "max_steps reached"
     iterations = 0
     while iterations < max_steps:
         iterations += 1
@@ -385,27 +368,22 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
         if gnorm <= tol:
             message = "gradient below tolerance"
             break
-        trial_gamma = gamma + kappa * grad[0]
-        trial_chord = chord + kappa * grad[1]
-        ok = trial_chord > 0.0 and abs(trial_gamma) < math.pi / 2.0
-        if ok:
-            try:
-                trial_geom = replace(geom, gamma=trial_gamma, chord=trial_chord)
-                hint = state.phi + kappa * (sens[0] * grad[0] + sens[1] * grad[1])
-                trial_state = solve_element(trial_geom, polar, corr, phi_hint=hint)
-                j_trial = scale * J_lambda(trial_geom, polar, corr, trial_state)
-            except BemError:
-                ok = False
-        if not ok or j_trial < j_cur:
+        try:
+            trial_geom = replace(geom, gamma=geom.gamma + kappa * grad[0],
+                                 chord=geom.chord + kappa * grad[1])
+            hint = state.phi + kappa * (sens[0] * grad[0] + sens[1] * grad[1])
+            trial_state = solve_element(trial_geom, polar, corr, phi_hint=hint)
+            j_trial = scale * J_lambda(trial_geom, polar, corr, trial_state)
+        except BemError:
+            j_trial = None
+        if j_trial is None or j_trial < j_history[-1]:
             kappa *= 0.5
-            if kappa * gnorm < 1e-15 * max(1.0, abs(gamma), abs(chord)):
+            if kappa * gnorm < 1e-15 * max(1.0, abs(geom.gamma), abs(geom.chord)):
                 message = "no acceptable ascent step"
                 break
             continue
-        gamma, chord, state, geom, j_cur = (trial_gamma, trial_chord, trial_state,
-                                            trial_geom, j_trial)
-        accepted += 1
-        j_history.append(j_cur)
+        geom, state = trial_geom, trial_state
+        j_history.append(j_trial)
         kappa = step  # backtracking restarts from the base step
         try:
             adj = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max)
@@ -414,12 +392,10 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
             message = f"stopped: {exc}"
             grad = (math.nan, math.nan)
             break
-    else:
-        message = "max_steps reached"
-    converged = message == "gradient below tolerance"
-    return OptimizeResult(gamma=gamma, chord=chord, phi_opt=state.phi,
-                          J=j_cur / scale, converged=converged, iterations=iterations,
-                          accepted_steps=accepted,
+    return OptimizeResult(gamma=geom.gamma, chord=geom.chord, phi_opt=state.phi,
+                          J=j_history[-1] / scale,
+                          converged=message == "gradient below tolerance",
+                          iterations=iterations, accepted_steps=len(j_history) - 1,
                           grad_norm=float(np.hypot(grad[0], grad[1])),
                           j_history=j_history, message=message)
 

@@ -63,11 +63,11 @@ class TurbineConfig:
     lambda_max: float = 3.0
 
     def __post_init__(self):
-        if self.blade_count < 1:
+        if not self.blade_count >= 1:
             raise ValidationError("blade_count must be >= 1")
         for name in ("radius", "upstream_speed", "rotation_speed", "fluid_density"):
-            if getattr(self, name) <= 0.0:
-                raise ValidationError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
         if not 0.0 < self.lambda_min < self.lambda_max:
             raise ValidationError("need 0 < lambda_min < lambda_max")
         if self.element_radius(self.lambda_max) > self.radius * (1.0 + 1e-12):
@@ -92,14 +92,16 @@ class ElementGeometry:
     tip_radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.lam <= 0.0 or self.r <= 0.0 or self.chord <= 0.0:
-            raise ValidationError("lam, r and chord must be positive")
-        if abs(self.gamma) >= math.pi / 2.0:
+        # written so that NaN fails every check
+        if not all(0.0 < x < math.inf for x in (self.lam, self.r, self.chord)):
+            raise ValidationError("lam, r and chord must be positive and finite")
+        if not abs(self.gamma) < math.pi / 2.0:
             raise ValidationError("twist must satisfy |gamma| < pi/2")
-        if self.blade_count < 1:
+        if not self.blade_count >= 1:
             raise ValidationError("blade_count must be >= 1")
-        if self.tip_radius is not None and self.r > self.tip_radius * (1.0 + 1e-12):
-            raise ValidationError("element radius exceeds tip radius")
+        if self.tip_radius is not None and not (
+                self.r <= self.tip_radius * (1.0 + 1e-12) < math.inf):
+            raise ValidationError("tip radius must be finite and not below the element radius")
 
     @classmethod
     def from_turbine(cls, turbine: TurbineConfig, lam: float, gamma: float,

@@ -70,8 +70,11 @@ class SolveOptions:
     phi_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.tol <= 0.0 or self.phi_tol <= 0.0:
-            raise ValidationError("tolerances must be positive")
+        if not (0.0 < self.tol < math.inf and 0.0 < self.phi_tol < math.inf):
+            raise ValidationError("tolerances must be positive and finite")
+        if not all(math.isfinite(x) for x in (self.phi0, self.bracket_lo, self.bracket_hi)
+                   if x is not None):
+            raise ValidationError("phi0 and the bracket ends must be finite")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValidationError("epsilon must lie in (0, 1]")
         if self.max_iter < 1:

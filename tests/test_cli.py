@@ -1,3 +1,4 @@
+import logging
 import math
 import shutil
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from glauert_bem import best_glide_angle, load_polar, synthetic_polar
-from glauert_bem.cli import main
+from glauert_bem.cli import ROW_HEADER, main
 from glauert_bem.polar import dump_polar
 
 BASE_CFG = """
@@ -134,6 +135,21 @@ def test_scan_reports_categories(workdir):
     assert "principal" in cats
 
 
+def test_scan_warns_when_it_finds_no_root(workdir, caplog):
+    # twist 1.2 at lambda 2 puts the one root, phi = 0.50, above phi_upper =
+    # theta = 0.4636, where the scan does not look: the CSV holds the header only
+    cfg = _write_cfg(workdir, "run.lambda=2.0\ndesign.gamma=1.2\ndesign.chord=0.1\n",
+                     base=BASE_CFG.replace("run.lambda_count=5\n", "")
+                                  .replace("design.mode=simplified", "design.mode=fixed"),
+                     name="noroot.cfg")
+    out = workdir / "noroot.csv"
+    with caplog.at_level(logging.WARNING, logger="bem"):
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [ROW_HEADER]
+    assert ("lambda=2: the scan found no root (it does not look above phi_upper=0.463648)"
+            in caplog.text)
+
+
 def test_design_simplified_matches_closed_form(workdir):
     out = workdir / "design.csv"
     assert main(["design", "--config", str(workdir / "run.cfg"),
@@ -167,6 +183,22 @@ def test_design_corrected_mode_runs(workdir):
     assert main(["design", "--config", cfg, "--out", str(out)]) == 0
     row = _rows(out)[0]
     assert row["mode"] == "corrected" and row["converged"] == "true"
+
+
+def test_design_failure_row_is_labelled_like_the_mode_rows(workdir):
+    # fixed mode's design rows are the simplified optimum, and so is its failure
+    # row: this polar's lift is negative at its best glide angle
+    (workdir / "neg.csv").write_text("alpha_rad,cl,cd\n-0.5,-1,0.01\n-0.1,-0.5,0.01\n"
+                                     "0.6,-0.2,0.01\n1.0,0.5,0.01\n")
+    cfg = _write_cfg(workdir, "run.lambda=1.4\npolar.alpha_s=0.3\n"
+                              "design.gamma=0.1\ndesign.chord=0.1\n",
+                     base=BASE_CFG.replace("run.lambda_count=5\n", "")
+                                  .replace("polar.csv", "neg.csv")
+                                  .replace("design.mode=simplified", "design.mode=fixed"),
+                     name="neg.cfg")
+    out = workdir / "neg_design.csv"
+    assert main(["design", "--config", cfg, "--out", str(out)]) == 1
+    assert out.read_text().splitlines()[1:] == ["1.4,nan,nan,nan,nan,simplified,false"]
 
 
 def test_sweep_emits_cp_summary(workdir, capsys):
@@ -223,6 +255,17 @@ def test_config_errors_exit_2(workdir, capsys):
                                        "bracket")]):
         cfg = _write_cfg(workdir, extra, name=f"range{k}.cfg")
         for cmd in ("solve", "design", "sweep"):
+            assert main([cmd, "--config", cfg, "--out", str(workdir / "x.csv")]) == 2
+            assert key in capsys.readouterr().err
+
+    # non-finite numbers: an infinite radius once ended in a ZeroDivisionError, a
+    # NaN tolerance ran Newton to max_iter, and a NaN radius gave nan rows
+    for k, (extra, key) in enumerate([("turbine.radius=inf\n", "turbine.radius"),
+                                      ("turbine.radius=nan\n", "radius"),
+                                      ("turbine.radius=1.2\nsolver.tol=nan\n", "tolerances")]):
+        cfg = _write_cfg(workdir, extra, base=BASE_CFG.replace("turbine.radius=1.2\n", ""),
+                         name=f"finite{k}.cfg")
+        for cmd in ("solve", "scan", "check"):
             assert main([cmd, "--config", cfg, "--out", str(workdir / "x.csv")]) == 2
             assert key in capsys.readouterr().err
 

@@ -29,7 +29,7 @@ from glauert_bem import (
     solve_element,
     synthetic_polar,
 )
-from glauert_bem.design import _design_partials, _objective_pieces, cp_integral
+from glauert_bem.design import _objective_pieces, cp_integral
 from glauert_bem.model import CORRECTION_VARIANTS, mu_L, recover_induction, residual
 from glauert_bem.solvers import _brentq, _scan_domain, classify_root, scan_roots
 
@@ -239,13 +239,19 @@ def test_printed_form_disagrees_and_is_reported(linear_polar):
     fd = _fd_gradient(geom, linear_polar, corr)
     assert np.all(np.abs(adj.grad - fd) <= 1e-5 * np.abs(fd))
 
-    pieces = _objective_pieces(geom, linear_polar, corr, state)
-    _, _, _, _, _, cot, ratio, dratio = pieces
-    s, nu, ap = math.sin(state.phi), 1.0 - state.a, state.a_prime
+    _, cl, cd, dcl, dcd, cot, ratio, dratio = _objective_pieces(geom, linear_polar, corr, state)
+    s, c, nu, ap = math.sin(state.phi), math.cos(state.phi), 1.0 - state.a, state.a_prime
     b_printed = adj.b.copy()
     b_printed[0] = ap * nu * (-dratio) * cot + ratio / (s * s)  # F = 1, F' = 0, unscaled
     p_printed = np.linalg.solve(adj.M, b_printed)
-    dj, dg2, dg3 = _design_partials(geom, state, 1.0, pieces)  # F = 1
+    # J and the thrust and torque balances differentiated in (gamma, chord) at
+    # fixed (phi, a, a'), F = 1: the twist enters through alpha only
+    quarter, lam = 0.25 * geom.solidity, geom.lam
+    dj = ap * nu * dratio * cot
+    dg2 = (quarter * (dcl * c + dcd * s) / (s * s),
+           -quarter * (cl * c + cd * s) / (geom.chord * s * s))
+    dg3 = (quarter * (dcl * s - dcd * c) / (lam * s * s),
+           -quarter * (cl * s - cd * c) / (geom.chord * lam * s * s))
     grad_printed = np.array([dj - p_printed[1] * dg2[0] - p_printed[2] * dg3[0],
                              -p_printed[1] * dg2[1] - p_printed[2] * dg3[1]])
     assert np.any(np.abs(grad_printed - fd) > 1e-3 * np.abs(fd))
@@ -526,6 +532,59 @@ def test_optimizer_returns_its_last_accepted_point(monkeypatch):
     scale = 8.0 * 1.6 ** 3 / tb.lambda_max ** 2
     assert result.J == result.j_history[-1] / scale
     assert math.isnan(result.grad_norm)
+
+
+def test_optimizer_halves_a_step_that_takes_the_chord_below_zero(monkeypatch):
+    # the base step takes the chord to -0.2: ElementGeometry rejects that trial,
+    # and the first trial solved is the halved step
+    polar, corr, geom, step = _design_polar(), trivial(), make_geom(gamma=0.05), 20.0
+    grad = gradient(geom, polar, corr)
+    assert geom.chord + step * grad[1] <= 0.0
+    trials = []
+
+    def recorded(geom, polar, corr, phi_hint=None):
+        if phi_hint is not None:
+            trials.append((float(geom.gamma), float(geom.chord)))
+        return solve_element(geom, polar, corr, phi_hint=phi_hint)
+
+    monkeypatch.setattr(design, "solve_element", recorded)
+    result = optimize_element(geom, polar, corr, step=step, tol=1e-3, max_steps=400)
+    assert trials[0] == (geom.gamma + 0.5 * step * grad[0], geom.chord + 0.5 * step * grad[1])
+    assert result.converged and result.message == "gradient below tolerance"
+    assert (result.iterations, result.accepted_steps) == (131, 30)
+    assert result.J == pytest.approx(0.0409408277396101, rel=1e-12, abs=0.0)
+
+
+def test_optimizer_stops_at_max_steps():
+    # trials 1-4 are rejected (the first has chord < 0), the fifth is accepted
+    # and the sixth is the last allowed
+    result = optimize_element(make_geom(gamma=0.05), _design_polar(), trivial(),
+                              step=20.0, tol=1e-6, max_steps=6)
+    assert result.message == "max_steps reached" and not result.converged
+    assert (result.iterations, result.accepted_steps, len(result.j_history)) == (6, 1, 2)
+    assert result.J == pytest.approx(0.040378344175824574, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+@settings(max_examples=25, deadline=None, database=None)
+@given(step=st.floats(0.01, 50.0), max_steps=st.integers(1, 20),
+       lambda_max=st.sampled_from([None, 4.0]), **_ELEMENTS)
+def test_optimizer_invariants(variant, tip, step, max_steps, lambda_max, **element):
+    geom, polar = _random_element(**element)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    try:
+        result = optimize_element(geom, polar, corr, step=step, tol=1e-6,
+                                  max_steps=max_steps, lambda_max=lambda_max)
+    except BemError:
+        return  # the start is unsolvable: the only error that may escape
+    history = result.j_history
+    assert all(b >= a for a, b in zip(history, history[1:]))
+    assert result.accepted_steps == len(history) - 1
+    assert result.iterations <= max_steps
+    end = replace(geom, gamma=result.gamma, chord=result.chord)
+    state = solve_element(end, polar, corr, phi_hint=result.phi_opt)
+    assert result.J == pytest.approx(J_lambda(end, polar, corr, state), rel=1e-12, abs=0.0)
 
 
 def test_optimizer_rejects_bad_step():

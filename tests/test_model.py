@@ -65,6 +65,27 @@ def test_turbine_config_validation():
                       lambda_min=2.0, lambda_max=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lam", math.nan), ("lam", math.inf), ("r", math.nan), ("r", math.inf),
+    ("chord", math.nan), ("gamma", math.nan), ("tip_radius", math.nan),
+    ("tip_radius", math.inf),
+])
+def test_geometry_rejects_non_finite_numbers(field, value):
+    # at an infinite tip radius the tip factor would divide by r/R = 0
+    fields = dict(lam=1.0, r=0.5, gamma=0.1, chord=0.1, tip_radius=1.0)
+    with pytest.raises(ValidationError):
+        ElementGeometry(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("field", ["radius", "upstream_speed", "rotation_speed",
+                                   "fluid_density"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_turbine_config_rejects_non_finite_numbers(field, value):
+    fields = dict(radius=1.1, upstream_speed=1.0, rotation_speed=3.0, lambda_max=3.0)
+    with pytest.raises(ValidationError, match=field):
+        TurbineConfig(**{**fields, field: value})
+
+
 def test_element_from_turbine_places_radius_by_lambda():
     tb = TurbineConfig(radius=1.1, upstream_speed=1.0, rotation_speed=3.0,
                        lambda_max=3.0)

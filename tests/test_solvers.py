@@ -55,6 +55,14 @@ def test_solve_options_validation():
         SolveOptions(bracket_lo=0.5, bracket_hi=0.1)
 
 
+@pytest.mark.parametrize("field", ["tol", "phi_tol", "phi0", "bracket_lo", "bracket_hi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_solve_options_reject_non_finite_numbers(field, value):
+    # a NaN tolerance would never stop an iteration
+    with pytest.raises(ValidationError):
+        SolveOptions(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # usual procedure
 
