@@ -34,11 +34,12 @@ from .design import (
 from .errors import BemError, BracketError, ConfigError
 from .model import ElementGeometry, phi_upper
 from .solvers import (
+    _SCAN_NODES,
     METHODS,
+    _scan_many,
     check_appendix_conditions,
     check_existence,
     classify_root,
-    scan_roots,
 )
 
 log = logging.getLogger("bem")
@@ -74,6 +75,12 @@ def _element_design(cfg: RunConfig, lam: float):
         return cfg.design_gamma, cfg.design_chord
     point = _designed(cfg, lam)
     return point.gamma, point.chord
+
+
+def _element_geometry(cfg: RunConfig, lam: float) -> ElementGeometry:
+    """The element at ``lam`` with its configured design."""
+    gamma, chord = _element_design(cfg, lam)
+    return ElementGeometry.from_turbine(cfg.turbine, lam, gamma, chord)
 
 
 def _designed(cfg: RunConfig, lam: float):
@@ -113,8 +120,7 @@ def cmd_solve(cfg: RunConfig, method: str, out_path) -> int:
     all_ok = True
     for lam in cfg.lambdas:
         try:
-            gamma, chord = _element_design(cfg, lam)
-            geom = ElementGeometry.from_turbine(cfg.turbine, lam, gamma, chord)
+            geom = _element_geometry(cfg, lam)
         except BemError as exc:
             log.warning("lambda=%g: %s", lam, exc)
             lines.append(_failed_row(lam, "design", "design_failed"))
@@ -146,14 +152,17 @@ def cmd_solve(cfg: RunConfig, method: str, out_path) -> int:
 
 
 def cmd_scan(cfg: RunConfig, out_path) -> int:
-    lines = [ROW_HEADER]
+    geoms = []  # each lambda's element, or the error of its design
     for lam in cfg.lambdas:
         try:
-            gamma, chord = _element_design(cfg, lam)
-            geom = ElementGeometry.from_turbine(cfg.turbine, lam, gamma, chord)
-            roots = scan_roots(geom, cfg.polar, cfg.correction)
+            geoms.append(_element_geometry(cfg, lam))
         except BemError as exc:
-            log.warning("lambda=%g: %s", lam, exc)
+            geoms.append(exc)
+    lines = [ROW_HEADER]
+    for lam, geom, roots in zip(cfg.lambdas, geoms,
+                                _scan_many(geoms, cfg.polar, cfg.correction, _SCAN_NODES)):
+        if isinstance(roots, BemError):
+            log.warning("lambda=%g: %s", lam, roots)
             continue
         if not roots.records:
             above = ("" if cfg.correction.is_trivial else
@@ -226,8 +235,7 @@ def cmd_check(cfg: RunConfig, out_path) -> int:
     lines = []
     for lam in cfg.lambdas:
         try:
-            gamma, chord = _element_design(cfg, lam)
-            geom = ElementGeometry.from_turbine(cfg.turbine, lam, gamma, chord)
+            geom = _element_geometry(cfg, lam)
         except BemError as exc:
             lines.append(f"lambda={_fmt(lam)} design FAIL ({exc})")
             continue

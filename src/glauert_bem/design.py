@@ -44,7 +44,7 @@ from .model import (
     residual,  # unused here; benchmarks/selftest.py checks the tracer rebinds it here
 )
 from .polar import PolarTable, best_glide_angle
-from .solvers import _scan_domain, scan_roots
+from .solvers import _scan_domain, _scan_many, _unwrap, scan_roots
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,9 @@ def J_lambda(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     return state.tip_factor * state.a_prime * (1.0 - state.a) * (1.0 - ratio * cot)
 
 
+_SOLVE_NODES = 240  # the scan of solve_element, and of cp_sweep's elements
+
+
 def solve_element(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                   phi_hint: float = None) -> FlowState:
     """Solve one element deterministically.
@@ -198,7 +201,7 @@ def solve_element(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec
                              min(hi_dom, phi_hint + delta))
         if state is not None:
             return state
-    return _chosen_root(scan_roots(geom, polar, corr, grid_size=240), phi_hint).state
+    return _chosen_root(scan_roots(geom, polar, corr, grid_size=_SOLVE_NODES), phi_hint).state
 
 
 def _chosen_root(roots, phi_hint=None):
@@ -346,8 +349,11 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
     trial point is unsolvable or decreases the objective; accepted steps
     never decrease it.  A trial with chord <= 0, |gamma| >= pi/2 or a
     non-finite value is unsolvable: :class:`ElementGeometry` rejects it.
-    A trial solve follows the current root from the angle predicted by its
-    first-order response to the step (``AdjointState.phi_sensitivity``).
+    A state with a' <= 0 is unsolvable too, and raises at the start:
+    power is extracted only with a' > 0, and as C_L -> 0+ there J grows
+    without bound.  A trial solve follows the current root from the angle
+    predicted by its first-order response to the step
+    (``AdjointState.phi_sensitivity``).
     Stops at ||grad|| <= tol, after ``max_steps`` trials, or when no
     acceptable step remains.  Returns the current point, the best seen;
     its ``grad_norm`` is nan if its adjoint solve failed.
@@ -356,6 +362,9 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
         raise ValidationError("step must be positive")
     geom = geom0
     state = solve_element(geom, polar, corr)  # initial point must be solvable
+    if not state.a_prime > 0.0:
+        raise DesignEvaluationError(f"a' = {state.a_prime:g} <= 0 at the start: "
+                                    "no power extracted")
     adj = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max)
     scale, grad, sens = adj.scale, adj.grad, adj.phi_sensitivity
     j_history = [scale * J_lambda(geom, polar, corr, state)]
@@ -373,7 +382,8 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
                                  chord=geom.chord + kappa * grad[1])
             hint = state.phi + kappa * (sens[0] * grad[0] + sens[1] * grad[1])
             trial_state = solve_element(trial_geom, polar, corr, phi_hint=hint)
-            j_trial = scale * J_lambda(trial_geom, polar, corr, trial_state)
+            j_trial = (scale * J_lambda(trial_geom, polar, corr, trial_state)
+                       if trial_state.a_prime > 0.0 else None)
         except BemError:
             j_trial = None
         if j_trial is None or j_trial < j_history[-1]:
@@ -417,21 +427,31 @@ def cp_sweep(turbine: TurbineConfig, polar: PolarTable, corr: CorrectionSpec,
     ``design`` maps a local speed ratio to (gamma, chord).  Failed elements
     contribute J = 0 and are flagged; one whose design failed has gamma =
     chord = nan.  The sweep errors out only when every element fails.
+    Every design is made first; the elements are then scanned in one batch
+    (``solvers._scan_many``), and each takes the root :func:`solve_element`
+    takes without a hint, so its state is the same.
     """
     if grid_n < 2:
         raise ValidationError("grid_n must be >= 2")
     lambdas = np.linspace(turbine.lambda_min, turbine.lambda_max, grid_n)
-    elements = []
-    for lam in lambdas:
+    designs, geoms = [], []  # geoms: each element's geometry, or its design's error
+    for lam in map(float, lambdas):
         gamma = chord = math.nan
         try:
-            gamma, chord = design(float(lam))
-            geom = ElementGeometry.from_turbine(turbine, float(lam), gamma, chord)
-            state = solve_element(geom, polar, corr)
-            j = J_lambda(geom, polar, corr, state)
-            elements.append(ElementSolution(float(lam), gamma, chord, state, j, True))
+            gamma, chord = design(lam)
+            geoms.append(ElementGeometry.from_turbine(turbine, lam, gamma, chord))
         except BemError as exc:
-            elements.append(ElementSolution(float(lam), gamma, chord, None, 0.0,
+            geoms.append(exc)
+        designs.append((lam, gamma, chord))
+    elements = []
+    for (lam, gamma, chord), geom, roots in zip(designs, geoms,
+                                                _scan_many(geoms, polar, corr, _SOLVE_NODES)):
+        try:
+            state = _chosen_root(_unwrap(roots)).state
+            j = J_lambda(geom, polar, corr, state)
+            elements.append(ElementSolution(lam, gamma, chord, state, j, True))
+        except BemError as exc:
+            elements.append(ElementSolution(lam, gamma, chord, None, 0.0,
                                             False, message=str(exc)))
     failures = sum(1 for e in elements if not e.ok)
     if failures == len(elements):
@@ -443,26 +463,30 @@ def cp_sweep(turbine: TurbineConfig, polar: PolarTable, corr: CorrectionSpec,
 def landscape(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
               gamma_range: tuple, chord_range: tuple, resolution: int = 32,
               grid_size: int = 160) -> LandscapeResult:
-    """Tabulate J over a (gamma, chord) grid, flagging multivalued cells."""
+    """Tabulate J over a (gamma, chord) grid, flagging multivalued cells.
+
+    A cell takes the root :func:`solve_element` takes without a hint, from
+    a scan of ``grid_size`` nodes.  The cells of one twist are scanned in
+    one batch (``solvers._scan_many``), which keeps the memory of a call
+    to one row of the table; each cell's roots are those of its own scan.
+    """
     if resolution < 16:
         raise ValidationError("resolution must be >= 16 per axis")
     gammas = np.linspace(gamma_range[0], gamma_range[1], resolution)
     chords = np.linspace(chord_range[0], chord_range[1], resolution)
     j = np.full((resolution, resolution), math.nan)
     multiple = np.zeros((resolution, resolution), dtype=bool)
-    invalid = np.zeros((resolution, resolution), dtype=bool)
+    invalid = np.ones((resolution, resolution), dtype=bool)
     for i, gam in enumerate(gammas):
-        for k, ch in enumerate(chords):
-            if ch <= 0.0 or abs(gam) >= math.pi / 2.0:
-                invalid[i, k] = True
-                continue
-            cell = replace(geom, gamma=float(gam), chord=float(ch))
+        cells = {k: replace(geom, gamma=float(gam), chord=float(ch))
+                 for k, ch in enumerate(chords) if ch > 0.0 and abs(gam) < math.pi / 2.0}
+        scans = _scan_many(list(cells.values()), polar, corr, grid_size)
+        for (k, cell), roots in zip(cells.items(), scans):
             try:
-                roots = scan_roots(cell, polar, corr, grid_size=grid_size)
-                chosen = _chosen_root(roots)
+                chosen = _chosen_root(_unwrap(roots))
             except BemError:
-                invalid[i, k] = True
                 continue
+            invalid[i, k] = False
             multiple[i, k] = len(roots.records) > 1
             try:
                 j[i, k] = J_lambda(cell, polar, corr, chosen.state)

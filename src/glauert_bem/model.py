@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Optional
 
@@ -221,15 +222,20 @@ class FlowState:
 # tip loss
 
 
+def _tip_rate(geom: ElementGeometry) -> float:
+    """k = (B/2)(1 - r/R)/(r/R), with which the Prandtl decay is exp(-k/sin(phi))."""
+    if geom.tip_radius is None:
+        raise ValidationError("tip loss requires a tip_radius on the element geometry")
+    ratio = geom.r / geom.tip_radius
+    return 0.5 * geom.blade_count * (1.0 - ratio) / ratio
+
+
 def _decay(geom: ElementGeometry, phi: float):
     """(exp(-k/sin(phi)), k, sin(phi)) of the Prandtl formula, domain-checked."""
     s = math.sin(phi)
     if s <= 0.0:
         raise DomainError(f"tip loss undefined for sin(phi) <= 0 (phi={phi:g})")
-    if geom.tip_radius is None:
-        raise ValidationError("tip loss requires a tip_radius on the element geometry")
-    ratio = geom.r / geom.tip_radius
-    k = 0.5 * geom.blade_count * (1.0 - ratio) / ratio
+    k = _tip_rate(geom)
     decay = math.exp(-k / s)
     if decay >= 1.0:
         raise TipSingularityError("element at the blade tip: F = 0")
@@ -251,13 +257,12 @@ def _tip(geom: ElementGeometry, corr: CorrectionSpec, phi: float):
             -(2.0 / math.pi) * d_decay / math.sqrt(max(1.0 - decay * decay, 1e-300)))
 
 
-def _tip_grid(geom: ElementGeometry, phis):
-    """(F, dF/dphi) of :func:`_tip` at an array of angles, NaN where it raises
-    :class:`DomainError`; tip loss must be on."""
-    if geom.tip_radius is None:
-        raise ValidationError("tip loss requires a tip_radius on the element geometry")
-    ratio = geom.r / geom.tip_radius
-    k = 0.5 * geom.blade_count * (1.0 - ratio) / ratio
+def _tip_grid(geoms, sizes, phis):
+    """(F, dF/dphi) of :func:`_tip` at a flat array of angles, the first
+    ``sizes[0]`` of them on ``geoms[0]``, the next ``sizes[1]`` on
+    ``geoms[1]`` and so on; NaN where it raises :class:`DomainError`.  Tip
+    loss must be on."""
+    k = np.repeat([_tip_rate(geom) for geom in geoms], sizes)
     s = np.sin(phis)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = -k / s
@@ -292,14 +297,11 @@ def _mu_c_prime_grid(geom, polar, corr, phis, lift=True):
     """d mu_L^c/dphi (``lift``) or d mu_D^c/dphi at an array of angles, with
     the polar's and the tip factor's array paths; raises what the scalar
     ``polar.cl`` and tip factor raise at any of the angles."""
-    alpha = phis - geom.gamma
-    if lift:
-        coef, slope = polar.cl(alpha), polar.cl_prime(alpha)
-    else:
-        coef, slope = polar.cd(alpha), polar.cd_prime(alpha)
+    coef, slope = polar._on_array(phis - geom.gamma,
+                                  *(("cl", "cl_prime") if lift else ("cd", "cd_prime")))
     f, fp = 1.0, 0.0
     if corr.tip_loss:
-        f, fp = _tip_grid(geom, phis)
+        f, fp = _tip_grid([geom], [phis.size], phis)
         if np.isnan(f).any():
             _decay(geom, float(phis[np.isnan(f)][0]))  # raises the scalar path's error
     return 0.25 * geom.solidity * (slope / f - coef * fp / (f * f))
@@ -626,18 +628,30 @@ def _slope(geom, polar, corr, ev):
     return slope - (c * p + s * (d_g + d_nu / (nu * nu))) * math.cos(theta) / math.sin(theta)
 
 
-def _residual_grid(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec, phis):
-    """:func:`residual` at every angle of the array ``phis``, in numpy.
+def _residual_grid(geoms, polar: PolarTable, corr: CorrectionSpec, grids):
+    """:func:`residual` at every angle of each array ``grids[i]`` on the
+    element ``geoms[i]``, in one numpy pass; a list of one array per element.
 
     NaN exactly where :func:`residual` raises :class:`DomainError`; other
-    errors are raised.  Each expression keeps the scalar path's operation
-    order, but numpy's ``tan``, ``exp`` and ``arccos`` may differ from
-    ``math``'s in the last bit, so values agree with the scalar path to a
-    few ulp rather than bit for bit.
+    errors are raised, for the whole batch.  Per-element constants are
+    computed with ``math`` as on the scalar path and repeated over the
+    element's nodes, so an element's values do not depend on the rest of
+    its batch.  Each expression keeps the scalar path's operation order,
+    but numpy's ``tan``, ``exp`` and ``arccos`` may differ from ``math``'s
+    in the last bit, so values agree with the scalar path to a few ulp
+    rather than bit for bit.
     """
-    phis = np.asarray(phis, dtype=float)
-    theta = geom.theta
-    quarter = 0.25 * geom.solidity
+    sizes = [len(grid) for grid in grids]
+    starts = list(accumulate(sizes, initial=0))
+    phis = np.concatenate([np.asarray(grid, dtype=float) for grid in grids])
+    thetas = [geom.theta for geom in geoms]
+    consts = [thetas, [geom.gamma for geom in geoms], [0.25 * geom.solidity for geom in geoms],
+              [math.sin(x) for x in thetas], [math.cos(x) for x in thetas]]
+    theta, gamma, quarter, sin_theta, cos_theta = np.repeat(consts, sizes, axis=1)
+
+    def per_element(values):
+        return [values[a:b] for a, b in zip(starts, starts[1:])]
+
     with np.errstate(divide="ignore", invalid="ignore"):
         if corr.is_trivial:
             phi = phis
@@ -645,37 +659,38 @@ def _residual_grid(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpe
         else:
             phi = np.clip(phis, PHI_EPS, math.pi / 2.0 - PHI_EPS)
             ok = (0.0 - PHI_EPS < phis) & (phis < math.pi / 2.0 + PHI_EPS)
-        alpha = phi - geom.gamma
-        if not polar.clamp_cl:  # the array cl raises for the whole array
+        alpha = phi - gamma
+        if not polar.clamp_cl:  # cl is undefined outside the polar's range
             ok &= (polar.alpha_min <= alpha) & (alpha <= polar.alpha_max)
         if not ok.any():
-            return np.full(phis.shape, np.nan)
-        cl = np.full(phis.shape, np.nan)
-        cl[ok] = polar.cl(alpha[ok])
+            return per_element(np.full(phis.shape, np.nan))
+        # clipped, so that cl does not raise; it is read only where ok
+        cl, cd = polar._on_array(alpha.clip(polar.alpha_min, polar.alpha_max), "cl", "cd")
+        cl = np.where(ok, cl, np.nan)
         t = np.tan(theta - phi)
         cos_tp = np.cos(theta - phi)
         if corr.is_trivial:
-            value = quarter * cl - t * (quarter * polar.cd(alpha))
+            value = quarter * cl - t * (quarter * cd)
             res = value - np.sin(phi) * t
         else:
-            f = _tip_grid(geom, phi)[0] if corr.tip_loss else 1.0
+            f = _tip_grid(geoms, sizes, phi)[0] if corr.tip_loss else 1.0
             lift_c = quarter * cl / f
-            drag = quarter * polar.cd(alpha) / f
+            drag = quarter * cd / f
             s = np.sin(phi)
             momentum = s * t
             ct = np.cos(phi) / s * t
             nu = _axial_nu_grid(ct + (drag / s) * (1.0 + ct),
-                                math.sin(theta) * s / cos_tp, corr, f)
+                                sin_theta * s / cos_tp, corr, f)
             ok &= ~np.isnan(nu)  # where _axial_nu raises
             if corr.variant != "none":
                 excess = (1.0 - nu) - corr.a_c
                 momentum = np.where(excess > 0.0,
-                                    momentum + (math.cos(theta) * s * s / cos_tp
+                                    momentum + (cos_theta * s * s / cos_tp
                                                 * corr._psi(excess, f) / (nu * nu)),
                                     momentum)
             res = lift_c - t * drag - momentum
     ok &= ~(np.abs(cos_tp) < PHI_EPS)
-    return np.where(ok, res, np.nan)
+    return per_element(np.where(ok, res, np.nan))
 
 
 def tau_nu(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,

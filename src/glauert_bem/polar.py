@@ -81,21 +81,21 @@ def _derivative(coef):
     return coef[:, 1:] * np.arange(1.0, coef.shape[1])
 
 
-def _layouts(coef):
-    """A coefficient matrix as rows (lists, for the scalar path) and as
-    contiguous columns (for the array path)."""
-    return coef.tolist(), [np.ascontiguousarray(c) for c in coef.T]
-
-
-def _power_sum_array(left, cols, alpha):
-    """:func:`_power_sum` elementwise on an array in range (NaN gives NaN)."""
+def _power_sum_array(left, col_sets, alpha):
+    """:func:`_power_sum` of each coefficient set elementwise on one array in
+    range (NaN gives NaN), sharing the interval search and the powers of s."""
     i = np.searchsorted(left, alpha, side="right") - 1
     s = alpha - left.take(i)
-    res, z = 0.0 * s, 1.0  # 0.0 * s: NaN where alpha is NaN
-    for c in cols:
-        res = res + c.take(i) * z
-        z = z * s
-    return res
+    powers = [1.0]
+    while len(powers) < max(map(len, col_sets)):
+        powers.append(powers[-1] * s)
+    sums = []
+    for cols in col_sets:
+        res = 0.0 * s  # NaN where alpha is NaN
+        for c, z in zip(cols, powers):
+            res = res + c.take(i) * z
+        sums.append(res)
+    return sums
 
 
 def _power_sum(left, rows, alpha):
@@ -188,10 +188,13 @@ class PolarTable:
         self._lo, self._hi = float(alpha[0]), float(alpha[-1])
         self._left_a = alpha[:-1]
         self._left = self._left_a.tolist()
-        self._cl_rows, self._cl_cols = _layouts(cl_coef)
-        self._cd_rows, self._cd_cols = _layouts(cd_coef)
-        self._cl_prime_rows, self._cl_prime_cols = _layouts(_derivative(cl_coef))
-        self._cd_prime_rows, self._cd_prime_cols = _layouts(_derivative(cd_coef))
+        coefs = {"cl": cl_coef, "cd": cd_coef,
+                 "cl_prime": _derivative(cl_coef), "cd_prime": _derivative(cd_coef)}
+        # rows (lists) for the scalar path, contiguous columns for the array path
+        self._cl_rows, self._cd_rows, self._cl_prime_rows, self._cd_prime_rows = (
+            coef.tolist() for coef in coefs.values())
+        self._cols = {name: [np.ascontiguousarray(c) for c in coef.T]
+                      for name, coef in coefs.items()}
         self._best_glide = None  # filled by the first best_glide_angle call
 
     # -- basic accessors -------------------------------------------------
@@ -216,55 +219,59 @@ class PolarTable:
 
     # -- evaluation ------------------------------------------------------
 
-    def _array(self, cols, alpha):
-        """Piecewise polynomial at an array (or 0-d) of angles in range."""
-        out = _power_sum_array(self._left_a, cols, np.asarray(alpha, dtype=float))
-        return float(out) if np.ndim(alpha) == 0 else out
+    def _outside(self):
+        return DomainError(f"cl evaluation outside sampled range [{self._lo:g}, {self._hi:g}]")
 
-    def _lift(self, alpha, rows, cols):
+    def _on_array(self, alpha, *names):
+        """Any of ``cl``, ``cd``, ``cl_prime`` and ``cd_prime`` at one array (or
+        0-d) of angles, from one interval search: a list with, for each name,
+        what that method returns, bit for bit.  A lift name makes the call
+        raise or clamp as :meth:`cl` does."""
+        arr = np.asarray(alpha, dtype=float)
+        if self.clamp_cl or not ("cl" in names or "cl_prime" in names):
+            at = arr.clip(self._lo, self._hi)
+        elif (arr < self._lo).any() or (arr > self._hi).any():
+            raise self._outside()
+        else:
+            at = arr  # in range
+        out = _power_sum_array(self._left_a, [self._cols[name] for name in names], at)
+        if "cd_prime" in names:  # zero outside the range, where cd is clamped
+            k = names.index("cd_prime")
+            out[k] = np.where((arr >= self._lo) & (arr <= self._hi), out[k], 0.0)
+        return out if np.ndim(alpha) else [float(v) for v in out]
+
+    def _lift(self, alpha, rows, name):
         """cl or cl' at alpha: clamped with ``clamp_cl``, else range-checked."""
         if isinstance(alpha, float):
             alpha = float(alpha)
             if alpha < self._lo or alpha > self._hi:
                 if not self.clamp_cl:
-                    raise DomainError(f"cl evaluation outside sampled range "
-                                      f"[{self._lo:g}, {self._hi:g}]")
+                    raise self._outside()
                 alpha = self._lo if alpha < self._lo else self._hi
             return _power_sum(self._left, rows, alpha)
-        if self.clamp_cl:
-            alpha = np.clip(alpha, self._lo, self._hi)
-        else:
-            arr = np.asarray(alpha, dtype=float)
-            if np.any(arr < self._lo) or np.any(arr > self._hi):
-                raise DomainError(f"cl evaluation outside sampled range "
-                                  f"[{self._lo:g}, {self._hi:g}]")
-        return self._array(cols, alpha)
+        return self._on_array(alpha, name)[0]
 
     def cl(self, alpha):
         """Lift coefficient at angle of attack ``alpha`` (rad)."""
-        return self._lift(alpha, self._cl_rows, self._cl_cols)
+        return self._lift(alpha, self._cl_rows, "cl")
 
     def cl_prime(self, alpha):
         """Derivative dcl/dalpha of the interpolant."""
-        return self._lift(alpha, self._cl_prime_rows, self._cl_prime_cols)
+        return self._lift(alpha, self._cl_prime_rows, "cl_prime")
 
     def cd(self, alpha):
         """Drag coefficient; clamped to the nearest sample outside the range."""
         if isinstance(alpha, float):
             alpha = min(max(float(alpha), self._lo), self._hi)  # NaN stays NaN
             return _power_sum(self._left, self._cd_rows, alpha)
-        return self._array(self._cd_cols, np.clip(alpha, self._lo, self._hi))
+        return self._on_array(alpha, "cd")[0]
 
     def cd_prime(self, alpha):
         """Derivative dcd/dalpha; zero outside the sampled range (clamping)."""
         if isinstance(alpha, float):
             inside = self._lo <= alpha <= self._hi
             return _power_sum(self._left, self._cd_prime_rows, float(alpha)) if inside else 0.0
-        arr = np.asarray(alpha, dtype=float)
-        inside = (arr >= self._lo) & (arr <= self._hi)
-        out = np.where(inside, self._array(self._cd_prime_cols, np.clip(arr, self._lo, self._hi)),
-                       0.0)
-        return float(out) if np.ndim(alpha) == 0 else out
+        return self._on_array(alpha, "cd_prime")[0]
 
 
 def load_polar(source, *, beta=None, alpha_s=None, label=None, clamp_cl=False) -> PolarTable:
@@ -323,12 +330,12 @@ def best_glide_angle(polar: PolarTable) -> float:
     lo = min(polar.beta, polar.alpha_max) / _GLIDE_GRID
     hi = min(polar.beta, polar.alpha_max)
     alphas = np.linspace(lo, hi, _GLIDE_GRID)
-    lift = polar.cl(alphas)  # the array path gives the scalar path's bits
+    lift, drag = polar._on_array(alphas, "cl", "cd")  # the scalar path's bits
     positive = lift > 0.0
     if not np.any(positive):
         raise NoPositiveLiftError(f"cl <= 0 everywhere on (0, {polar.beta:g}]")
     ratios = np.full(alphas.shape, np.inf)
-    ratios[positive] = polar.cd(alphas[positive]) / lift[positive]
+    ratios[positive] = drag[positive] / lift[positive]
     k = int(np.argmin(ratios))
 
     a = alphas[max(k - 1, 0)]

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BracketError, DomainError, HypothesisError, ValidationError
+from .errors import BemError, BracketError, DomainError, HypothesisError, ValidationError
 from .model import (
     PHI_EPS,
     CorrectionSpec,
@@ -639,8 +639,11 @@ def _scan_domain(geom, polar, corr):
     return lo, hi
 
 
+_SCAN_NODES = 400  # scan_roots' default grid
+
+
 def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
-               grid_size: int = 400) -> RootSet:
+               grid_size: int = _SCAN_NODES) -> RootSet:
     """Find and classify the residual roots that a uniform scan grid shows.
 
     The grid values come from one call of the array kernel
@@ -652,12 +655,66 @@ def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     root, is missed.  The scan covers I for the trivial correction and I+
     otherwise, so no root above phi_upper is looked for.  Roots closer
     than 1e-10 are merged, and a root is kept where |residual| <= 1e-10.
+    This is :func:`_scan_many` on one element.  ``cp_sweep``, ``landscape``
+    and ``bem scan`` scan their elements in batches through it: only the
+    grid values are computed together, and each element keeps its own
+    recheck, Brent refinement and error, so its roots are the same.
     """
-    if grid_size < 100:
-        raise ValidationError("grid_size must be >= 100")
-    lo, hi = _scan_domain(geom, polar, corr)
-    grid = np.linspace(lo, hi, grid_size)
-    vals = _residual_grid(geom, polar, corr, grid)
+    return _unwrap(_scan_many([geom], polar, corr, grid_size)[0])
+
+
+def _unwrap(outcome):
+    """A batch entry's value; raises it where it is the error met instead."""
+    if isinstance(outcome, BemError):
+        raise outcome
+    return outcome
+
+
+def _scan_many(geoms, polar, corr, grid_size):
+    """:func:`scan_roots` of every element of ``geoms``, with one call of the
+    grid kernel for the batch; for each element, its :class:`RootSet` or the
+    :class:`BemError` its scan raises, of the same type and text.
+
+    Only the grid values are computed together.  Each element's domain and
+    grid, the scalar recheck near 0 against its own largest |value|, Brent
+    and the root records are its own, so the roots are those of a scan of
+    the element alone.  An entry of ``geoms`` that is a :class:`BemError`
+    (a design that failed, say) is passed through.  Where the batch call
+    raises, each element is run alone, so that the error stays with its
+    element.
+    """
+    out = list(geoms)
+    batch = []  # (index, geometry, grid) of every element with a scan domain
+    for i, geom in enumerate(geoms):
+        if isinstance(geom, BemError):
+            continue
+        try:
+            if grid_size < 100:
+                raise ValidationError("grid_size must be >= 100")
+            lo, hi = _scan_domain(geom, polar, corr)
+        except BemError as exc:
+            out[i] = exc
+            continue
+        batch.append((i, geom, np.linspace(lo, hi, grid_size)))
+    if not batch:
+        return out
+    try:
+        values = _residual_grid([geom for _, geom, _ in batch], polar, corr,
+                                [grid for _, _, grid in batch])
+    except BemError:
+        values = [None] * len(batch)
+    for (i, geom, grid), vals in zip(batch, values):
+        try:
+            if vals is None:
+                vals = _residual_grid([geom], polar, corr, [grid])[0]
+            out[i] = _grid_roots(geom, polar, corr, grid, vals)
+        except BemError as exc:
+            out[i] = exc
+    return out
+
+
+def _grid_roots(geom, polar, corr, grid, vals):
+    """The :class:`RootSet` of one element from its scan grid and the kernel's values there."""
     # The array path agrees with the scalar residual to a few ulp of the
     # largest |value|.  Nodes closer to 0 than that take the scalar value,
     # so that every bracket is a sign change of the scalar residual.

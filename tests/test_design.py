@@ -29,7 +29,7 @@ from glauert_bem import (
     solve_element,
     synthetic_polar,
 )
-from glauert_bem.design import _objective_pieces, cp_integral
+from glauert_bem.design import _chosen_root, _objective_pieces, cp_integral
 from glauert_bem.model import CORRECTION_VARIANTS, mu_L, recover_induction, residual
 from glauert_bem.solvers import _brentq, _scan_domain, classify_root, scan_roots
 
@@ -555,6 +555,32 @@ def test_optimizer_halves_a_step_that_takes_the_chord_below_zero(monkeypatch):
     assert result.J == pytest.approx(0.0409408277396101, rel=1e-12, abs=0.0)
 
 
+def test_optimizer_rejects_trials_that_extract_no_power():
+    """From this start a base step of 435.6 used to climb to J = 8.9e10 at
+    alpha = 1e-16 with a' = -0.0036: the factor 1 - (C_D/C_L) cot(phi) of J
+    grows without bound as C_L -> 0+, and a' < 0 turns its sign.  A trial
+    with a' <= 0 is unsolvable, so the ascent ends at the optimum that a
+    step of 1 finds."""
+    geom, polar = make_geom(gamma=0.05, chord=1.5), _design_polar()
+    small = optimize_element(geom, polar, trivial(), step=1.0)
+    large = optimize_element(geom, polar, trivial(), step=435.6)
+    assert small.converged and large.converged
+    end = solve_element(replace(geom, gamma=large.gamma, chord=large.chord), polar, trivial(),
+                        phi_hint=large.phi_opt)
+    assert end.a_prime > 0.0 and end.phi - large.gamma > 0.18
+    assert small.J == pytest.approx(0.04095, abs=1e-5)
+    assert large.J == pytest.approx(small.J, rel=1e-8, abs=0.0)
+
+
+def test_optimizer_start_without_power_raises():
+    polar = synthetic_polar("linear_lift", slope=3.0, cd0=0.0, cd2=0.125, beta=0.4)
+    geom = make_geom(lam=3.0, r=0.5, gamma=-0.0625, chord=1.5, tip_radius=1.0)
+    corr = CorrectionSpec(variant="glauert_empirical")
+    assert solve_element(geom, polar, corr).a_prime < 0.0
+    with pytest.raises(DesignEvaluationError, match="no power"):
+        optimize_element(geom, polar, corr, step=1.0, max_steps=1)
+
+
 def test_optimizer_stops_at_max_steps():
     # trials 1-4 are rejected (the first has chord < 0), the fifth is accepted
     # and the sixth is the last allowed
@@ -678,6 +704,38 @@ def test_cp_sweep_flags_a_failed_design():
     assert all(elem.ok for elem in result.elements[1:])
 
 
+def _state_bits(state):
+    return [float(getattr(state, name)).hex() for name in ("phi", "a", "a_prime", "tip_factor",
+                                                           "residual")] + [state.note]
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+def test_cp_sweep_elements_are_solve_element_states(variant, tip):
+    polar, tb = _design_polar(), _turbine()
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+
+    def design(lam):
+        if lam < 0.7:
+            raise DomainError("a design that failed")
+        if 1.5 < lam < 2.0:
+            return 1.2, 0.1  # no root below phi_upper
+        point = simplified_optimum(lam, polar, tb)
+        return point.gamma, point.chord
+
+    result = cp_sweep(tb, polar, corr, design, grid_n=12)
+    assert any(elem.ok for elem in result.elements)
+    for elem in result.elements:
+        try:
+            geom = ElementGeometry.from_turbine(tb, elem.lam, *design(elem.lam))
+            state = solve_element(geom, polar, corr)
+            want = (_state_bits(state), J_lambda(geom, polar, corr, state).hex(), True, "")
+        except BemError as exc:
+            want = (None, 0.0.hex(), False, str(exc))
+        got = (elem.state and _state_bits(elem.state), elem.J.hex(), elem.ok, elem.message)
+        assert got == want, elem.lam
+
+
 def test_cp_sweep_validation(linear_polar):
     tb = _turbine()
     with pytest.raises(ValidationError):
@@ -732,6 +790,53 @@ def test_landscape_monotone_case_single_region():
                      resolution=16, grid_size=120)
     assert not grid.multiple.any()
     assert not grid.invalid.any()
+
+
+def _landscape_cell_by_cell(geom, polar, corr, gamma_range, chord_range, resolution,
+                            grid_size):
+    """(J, multiple, invalid) of :func:`landscape` with one ``scan_roots`` per
+    cell, as it was computed before its scans were batched."""
+    gammas = np.linspace(gamma_range[0], gamma_range[1], resolution)
+    chords = np.linspace(chord_range[0], chord_range[1], resolution)
+    j = np.full((resolution, resolution), math.nan)
+    multiple = np.zeros((resolution, resolution), dtype=bool)
+    invalid = np.zeros((resolution, resolution), dtype=bool)
+    for i, gam in enumerate(gammas):
+        for k, ch in enumerate(chords):
+            if ch <= 0.0 or abs(gam) >= math.pi / 2.0:
+                invalid[i, k] = True
+                continue
+            cell = replace(geom, gamma=float(gam), chord=float(ch))
+            try:
+                roots = scan_roots(cell, polar, corr, grid_size=grid_size)
+                chosen = _chosen_root(roots)
+            except BemError:
+                invalid[i, k] = True
+                continue
+            multiple[i, k] = len(roots.records) > 1
+            try:
+                j[i, k] = J_lambda(cell, polar, corr, chosen.state)
+            except DesignEvaluationError:
+                invalid[i, k] = True
+                multiple[i, k] = True
+    return j, multiple, invalid
+
+
+@pytest.mark.parametrize("corr, polar, gamma_range, chord_range", [
+    (trivial(), "stall", (0.0, 0.2), (0.5, 1.5)),
+    (wilson(tip=True), "design", (-0.3, 0.3), (-0.2, 1.0)),  # chord <= 0, empty domains
+    (CorrectionSpec(variant="glauert3", tip_loss=True), "design", (-0.1, 0.4), (0.02, 0.5)),
+    (CorrectionSpec(variant="buhl"), "stall", (-1.6, 1.6), (0.05, 1.5)),  # |gamma| >= pi/2
+])
+def test_landscape_equals_a_scan_per_cell(corr, polar, gamma_range, chord_range, stall_polar):
+    polar = stall_polar if polar == "stall" else _design_polar()
+    geom = make_geom(gamma=0.05, chord=0.3, r=0.6, tip_radius=1.0)
+    got = landscape(geom, polar, corr, gamma_range, chord_range, resolution=16, grid_size=100)
+    j, multiple, invalid = _landscape_cell_by_cell(geom, polar, corr, gamma_range, chord_range,
+                                                   16, 100)
+    assert [x.hex() for x in got.J.ravel()] == [x.hex() for x in j.ravel()]
+    assert np.array_equal(got.multiple, multiple) and np.array_equal(got.invalid, invalid)
+    assert (~invalid).any()
 
 
 def test_landscape_validation(linear_polar):

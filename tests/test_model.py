@@ -584,7 +584,7 @@ def test_residual_grid_matches_scalar_path(variant, tip, stall, slope, cd0, cd2,
                            [0.0, PHI_EPS, 0.5 * PHI_EPS, -0.5 * PHI_EPS, math.pi / 2.0,
                             geom.theta, polar.beta + gamma]])
     want = np.array([_scalar_or_nan(geom, polar, corr, p) for p in phis])
-    _assert_within_ulp(_residual_grid(geom, polar, corr, phis), want, 8)
+    _assert_within_ulp(_residual_grid([geom], polar, corr, [phis])[0], want, 8)
 
     try:
         grid = grid_I_plus(geom, polar)
@@ -600,10 +600,10 @@ def test_grid_paths_raise_like_the_scalar_path(linear_polar):
     corr = wilson(tip=True)
     phis = np.linspace(0.1, 0.4, 5)
     with pytest.raises(ValidationError):
-        _residual_grid(no_tip_radius, linear_polar, corr, phis)
+        _residual_grid([no_tip_radius], linear_polar, corr, [phis])
     with pytest.raises(ValidationError):
         _mu_c_prime_grid(no_tip_radius, linear_polar, corr, phis)
-    assert np.isnan(_residual_grid(at_tip, linear_polar, corr, phis)).all()
+    assert np.isnan(_residual_grid([at_tip], linear_polar, corr, [phis])[0]).all()
     with pytest.raises(TipSingularityError):
         _mu_c_prime_grid(at_tip, linear_polar, corr, phis)
     with pytest.raises(DomainError):  # the array cl raises for the whole array
@@ -621,7 +621,7 @@ def test_axial_newton_out_of_steps_is_a_domain_error(monkeypatch, linear_polar, 
     for phi in active:
         with pytest.raises(DomainError, match="converge"):
             residual(geom, linear_polar, corr, phi)
-    got = _residual_grid(geom, linear_polar, corr, phis)
+    got = _residual_grid([geom], linear_polar, corr, [phis])[0]
     want = np.array([_scalar_or_nan(geom, linear_polar, corr, p) for p in phis])
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.isnan(got).sum() == len(active)

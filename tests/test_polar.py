@@ -260,6 +260,33 @@ def test_scalar_path_matches_array_path_property(kind, a, clamp_cl):
     _assert_scalar_matches_array(TABLES[kind](clamp_cl), a)
 
 
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+@pytest.mark.parametrize("clamp_cl", [False, True])
+@pytest.mark.parametrize("names", [("cl", "cd"), ("cl", "cl_prime"), ("cd", "cd_prime")])
+def test_one_interval_search_gives_each_coefficient_its_own_bits(kind, clamp_cl, names):
+    """The grid kernels' shared search returns, for each coefficient, the
+    bits of its own array call and of the scalar path, and raises as cl."""
+    table = TABLES[kind](clamp_cl)
+    nodes = [s.alpha for s in table.samples]
+    inside = np.concatenate([nodes, rng(8).uniform(nodes[0], nodes[-1], 500), [math.nan]])
+    outside = np.array([nodes[0] - 0.5, nodes[-1] + 0.5, -math.inf, math.inf])
+    lift = names[0] == "cl"
+    alphas = inside if lift and not clamp_cl else np.concatenate([inside, outside])
+    for alpha in (alphas, alphas[3]):  # an array and a 0-d value
+        got = table._on_array(alpha, *names)
+        for name, values in zip(names, got):
+            method = getattr(table, name)
+            assert _hex(values) == _hex(method(alpha)), name
+            assert _hex(values) == [method(float(a)).hex() for a in np.atleast_1d(alpha)], name
+    if lift and not clamp_cl:
+        with pytest.raises(DomainError, match="outside sampled range"):
+            table._on_array(np.concatenate([inside, outside[:1]]), *names)
+
+
 @pytest.mark.parametrize("kind", sorted(TABLES))
 def test_scalar_edge_behaviour(kind):
     table, clamped = TABLES[kind](), TABLES[kind](clamp_cl=True)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import brentq
 
 from glauert_bem import solvers
 from glauert_bem import (
+    BemError,
     BracketError,
     CorrectionSpec,
     DomainError,
@@ -25,6 +27,7 @@ from glauert_bem import (
     solve_fixed_point,
     solve_newton,
     solve_usual,
+    load_polar,
     synthetic_polar,
 )
 from glauert_bem.model import (
@@ -39,6 +42,7 @@ from glauert_bem.solvers import (
     _brentq,
     _residual_safe,
     _scan_domain,
+    _scan_many,
     classify_root,
     fixed_point_rate_bound,
 )
@@ -615,11 +619,84 @@ def test_scan_keeps_an_exact_zero_next_to_an_undefined_node(monkeypatch, linear_
         return FlowState(phi=phi, a=0.2, a_prime=0.01, tip_factor=1.0, residual=0.0,
                          lift_sign=1)
 
-    monkeypatch.setattr(solvers, "_residual_grid", lambda *args: crafted.copy())
+    monkeypatch.setattr(solvers, "_residual_grid", lambda *args: [crafted.copy()])
     monkeypatch.setattr(solvers, "_residual_safe",
                         lambda geom, polar, corr, phi: 0.0 if phi == grid[150] else math.nan)
     monkeypatch.setattr(solvers, "recover_induction", state_at)
     assert scan_roots(geom, linear_polar, corr).phis == [grid[150]]
+
+
+# ---------------------------------------------------------------------------
+# batched scans
+
+_BATCH_POLARS = {
+    "linear": synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, cd2=0.3, beta=0.4),
+    "stall": synthetic_polar("linear_lift_with_stall", slope=6.0, alpha_s=0.3, drop=0.5,
+                             transition=0.05, cd0=0.012, cd2=0.1),
+    "demo": load_polar(Path(__file__).resolve().parents[1] / "demo" / "polar.csv"),
+}
+
+
+def _outcome(result):
+    """A scan's outcome, comparable bit for bit: every field of every root
+    as float hex, or the error's type and text."""
+    if isinstance(result, BemError):
+        return type(result).__name__, str(result)
+    return [(rec.phi.hex(), rec.lift_sign, rec.category, rec.state.phi.hex(),
+             rec.state.a.hex(), rec.state.a_prime.hex(), rec.state.tip_factor.hex(),
+             rec.state.residual.hex(), rec.state.lift_sign, rec.state.note)
+            for rec in result.records]
+
+
+def _scanned_alone(geom, polar, corr, grid_size):
+    try:
+        return _outcome(scan_roots(geom, polar, corr, grid_size))
+    except BemError as exc:
+        return _outcome(exc)
+
+
+def _batch_element(kind, lam, gamma, chord, r):
+    """An element of a mixed batch: ``empty`` has no scan domain under a
+    correction or tip loss, ``no_root`` has no root below phi_upper on the
+    demo polar, and ``no_tip_radius`` cannot take tip loss."""
+    gamma, chord = {"empty": (-1.5, chord), "no_root": (1.2, 0.1)}.get(kind, (gamma, chord))
+    return make_geom(lam=lam, gamma=gamma, chord=chord, r=r,
+                     tip_radius=None if kind == "no_tip_radius" else 1.0)
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+@settings(max_examples=12, deadline=None, database=None)
+@given(polar=st.sampled_from(sorted(_BATCH_POLARS)), strict=st.booleans(),
+       grid_size=st.sampled_from([100, 160, 240, 400]),
+       elements=st.lists(st.tuples(
+           st.sampled_from(["plain", "plain", "empty", "no_root", "no_tip_radius"]),
+           st.floats(0.5, 4.0), st.floats(-0.2, 0.4), st.floats(0.02, 1.5),
+           st.floats(0.1, 0.98)), min_size=1, max_size=5))
+def test_batched_scan_equals_each_scan_alone(variant, tip, polar, strict, grid_size, elements):
+    polar = _BATCH_POLARS[polar]
+    corr = CorrectionSpec(variant=variant, tip_loss=tip, strict_lemma_mode=strict)
+    geoms = [_batch_element(*element) for element in elements]
+    got = [_outcome(result) for result in _scan_many(geoms, polar, corr, grid_size)]
+    assert got == [_scanned_alone(geom, polar, corr, grid_size) for geom in geoms]
+
+
+def test_batched_scan_keeps_each_outcome_with_its_element():
+    polar, corr = _BATCH_POLARS["demo"], wilson(tip=True)
+    design_error = DomainError("a design that failed")
+    geoms = [_batch_element(kind, 1.4, 0.2, 0.4, 0.5)
+             for kind in ("plain", "empty", "no_root", "no_tip_radius")]
+    out = _scan_many(geoms + [design_error], polar, corr, 240)
+    assert len(out[0].records) == 1 and out[2].records == []
+    assert isinstance(out[1], ValidationError) and "scan domain is empty" in str(out[1])
+    assert isinstance(out[3], ValidationError) and "tip_radius" in str(out[3])
+    assert out[4] is design_error  # passed through
+    assert [_outcome(result) for result in out[:4]] == [
+        _scanned_alone(geom, polar, corr, 240) for geom in geoms]
+    coarse = _scan_many(geoms[:2], polar, corr, 99)
+    assert [_outcome(result) for result in coarse] == [
+        ("ValidationError", "grid_size must be >= 100")] * 2
+    assert _scan_many([], polar, corr, 240) == []
 
 
 def test_scan_tip_loss_without_tip_radius_raises(linear_polar):
