@@ -12,8 +12,8 @@ CSV output uses the shortest round-trip decimal representation of every
 float, so identical inputs give byte-identical files.  ``--jobs`` is
 accepted for compatibility and has no effect: lambdas run one after
 another.  Exit codes: 0 all requested work converged, 1 some
-solve/element did not, 2 bad configuration.  Set BEM_LOG=debug|info for
-verbosity.
+solve/element did not, 2 bad configuration or an output file that cannot
+be written.  Set BEM_LOG=debug|info for verbosity.
 """
 
 from __future__ import annotations
@@ -63,8 +63,11 @@ def _fmt(value) -> str:
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -309,6 +312,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, out)
         return cmd_check(cfg, out)
+    except ConfigError as exc:  # the output file cannot be written
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CONFIG
     except BemError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INCOMPLETE

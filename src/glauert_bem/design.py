@@ -466,9 +466,11 @@ def landscape(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     """Tabulate J over a (gamma, chord) grid, flagging multivalued cells.
 
     A cell takes the root :func:`solve_element` takes without a hint, from
-    a scan of ``grid_size`` nodes.  The cells of one twist are scanned in
-    one batch (``solvers._scan_many``), which keeps the memory of a call
-    to one row of the table; each cell's roots are those of its own scan.
+    a scan of ``grid_size`` nodes; below 100 nodes, as for ``scan_roots``,
+    and below 16 cells per axis, :class:`ValidationError` is raised.  The
+    cells of one twist are scanned in one batch (``solvers._scan_many``),
+    which keeps the memory of a call to one row of the table; each cell's
+    roots are those of its own scan.
     """
     if resolution < 16:
         raise ValidationError("resolution must be >= 16 per axis")

@@ -42,4 +42,5 @@ class DesignEvaluationError(BemError):
 
 
 class ConfigError(BemError):
-    """Run configuration file is missing, malformed, or inconsistent."""
+    """Run configuration file is missing, malformed, or inconsistent, or the
+    output it names (``--out`` or ``output.path``) cannot be written."""

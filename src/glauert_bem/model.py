@@ -547,18 +547,25 @@ def _wilson_nu_grid(rhs, weight, a_c, nu0):
 _Eval = namedtuple("_Eval", "phi s tip_factor cl mu_L_c mu_D_c nu mu_G_c value")
 
 
-def _evaluate(geom, polar, corr, phi, lift=True):
-    """Every quantity of the corrected scalar equation at one angle, once each.
+def _evaluation(geom, polar, corr, phi, lift=True):
+    """The :data:`_Eval` record that :func:`residual` reads at ``phi``:
+    every quantity of the scalar equation, once each.
 
-    Returns an :data:`_Eval` record with ``phi`` clamped into (0, pi/2).
-    With ``lift=False`` the lift coefficient is not evaluated (C_L, mu_L^c
-    and the residual are nan), so the momentum side stays defined wherever
-    the drag side is.  Each expression keeps the operation order of
-    ``mu_L`` and ``mu_D`` (then divided by F), ``mu_G`` and ``g_func``,
+    ``phi`` is clamped into (0, pi/2), but for the trivial correction (the
+    plain model, psi = 0 and F = 1), whose angle may lie anywhere in I and
+    whose nu is nan.  With ``lift=False`` the lift coefficient is not
+    evaluated (C_L, mu_L^c and the residual are nan), so the momentum side
+    stays defined wherever the drag side is, and nu is solved for every
+    correction.  Each expression keeps the operation order of ``mu_L`` and
+    ``mu_D`` (then divided by F, exact at F = 1), ``mu_G`` and ``g_func``,
     so the results equal theirs bit for bit.
     """
-    phi = _clamp_phi(phi)
     theta = geom.theta
+    plain = lift and corr.is_trivial
+    if not plain:
+        phi = _clamp_phi(phi)
+    elif not (theta - math.pi / 2.0 < phi < theta + math.pi / 2.0):
+        raise DomainError(f"phi={phi:g} outside the momentum-side domain")
     quarter = 0.25 * geom.solidity
     alpha = phi - geom.gamma
     cl = polar.cl(alpha) if lift else math.nan
@@ -571,31 +578,14 @@ def _evaluate(geom, polar, corr, phi, lift=True):
     s = math.sin(phi)
     t = math.tan(theta - phi)
     momentum = s * t
-    nu = _axial_nu(_g(phi, s, t, drag), math.sin(theta) * s / cos_tp, corr, f)
+    nu = math.nan if plain else _axial_nu(_g(phi, s, t, drag), math.sin(theta) * s / cos_tp,
+                                          corr, f)
     excess = (1.0 - nu) - corr.a_c
     if corr.variant != "none" and excess > 0.0:
         momentum = momentum + (math.cos(theta) * s * s / cos_tp * corr.psi(excess, f)
                                / (nu * nu))
     return tuple.__new__(_Eval, (phi, s, f, cl, lift_c, drag, nu, momentum,
                                  lift_c - t * drag - momentum))
-
-
-def _evaluation(geom, polar, corr, phi):
-    """The :data:`_Eval` record that :func:`residual` reads at ``phi``; with the
-    trivial correction, the plain model's on the full interval I (nu nan)."""
-    if not corr.is_trivial:
-        return _evaluate(geom, polar, corr, phi)
-    theta = geom.theta
-    if not (theta - math.pi / 2.0 < phi < theta + math.pi / 2.0):
-        raise DomainError(f"phi={phi:g} outside the momentum-side domain")
-    quarter = 0.25 * geom.solidity
-    cl = polar.cl(phi - geom.gamma)
-    lift = quarter * cl
-    drag = quarter * polar.cd(phi - geom.gamma)
-    value = lift - math.tan(theta - phi) * drag
-    momentum = mu_G(theta, phi)
-    return tuple.__new__(_Eval, (phi, math.sin(phi), 1.0, cl, lift, drag, math.nan, momentum,
-                                 value - momentum))
 
 
 def _slope(geom, polar, corr, ev):
@@ -632,14 +622,16 @@ def _residual_grid(geoms, polar: PolarTable, corr: CorrectionSpec, grids):
     """:func:`residual` at every angle of each array ``grids[i]`` on the
     element ``geoms[i]``, in one numpy pass; a list of one array per element.
 
-    NaN exactly where :func:`residual` raises :class:`DomainError`; other
-    errors are raised, for the whole batch.  Per-element constants are
-    computed with ``math`` as on the scalar path and repeated over the
-    element's nodes, so an element's values do not depend on the rest of
-    its batch.  Each expression keeps the scalar path's operation order,
-    but numpy's ``tan``, ``exp`` and ``arccos`` may differ from ``math``'s
-    in the last bit, so values agree with the scalar path to a few ulp
-    rather than bit for bit.
+    As in :func:`_evaluation`, only the domain and the axial map, which the
+    plain model has not, depend on the correction.  NaN exactly where
+    :func:`residual` raises :class:`DomainError`; the one other error, tip
+    loss without a ``tip_radius``, is raised for the whole batch.
+    Per-element constants are computed with ``math`` as on the scalar path
+    and repeated over the element's nodes, so an element's values do not
+    depend on the rest of its batch.  Each expression keeps the scalar
+    path's operation order, but numpy's ``tan``, ``exp`` and ``arccos`` may
+    differ from ``math``'s in the last bit, so values agree with the scalar
+    path to a few ulp rather than bit for bit.
     """
     sizes = [len(grid) for grid in grids]
     starts = list(accumulate(sizes, initial=0))
@@ -669,15 +661,12 @@ def _residual_grid(geoms, polar: PolarTable, corr: CorrectionSpec, grids):
         cl = np.where(ok, cl, np.nan)
         t = np.tan(theta - phi)
         cos_tp = np.cos(theta - phi)
-        if corr.is_trivial:
-            value = quarter * cl - t * (quarter * cd)
-            res = value - np.sin(phi) * t
-        else:
-            f = _tip_grid(geoms, sizes, phi)[0] if corr.tip_loss else 1.0
-            lift_c = quarter * cl / f
-            drag = quarter * cd / f
-            s = np.sin(phi)
-            momentum = s * t
+        f = _tip_grid(geoms, sizes, phi)[0] if corr.tip_loss else 1.0
+        lift_c = quarter * cl / f
+        drag = quarter * cd / f
+        s = np.sin(phi)
+        momentum = s * t
+        if not corr.is_trivial:  # the axial map; the plain model needs none
             ct = np.cos(phi) / s * t
             nu = _axial_nu_grid(ct + (drag / s) * (1.0 + ct),
                                 sin_theta * s / cos_tp, corr, f)
@@ -688,7 +677,7 @@ def _residual_grid(geoms, polar: PolarTable, corr: CorrectionSpec, grids):
                                     momentum + (cos_theta * s * s / cos_tp
                                                 * corr._psi(excess, f) / (nu * nu)),
                                     momentum)
-            res = lift_c - t * drag - momentum
+        res = lift_c - t * drag - momentum
     ok &= ~(np.abs(cos_tp) < PHI_EPS)
     return per_element(np.where(ok, res, np.nan))
 
@@ -696,13 +685,13 @@ def _residual_grid(geoms, polar: PolarTable, corr: CorrectionSpec, grids):
 def tau_nu(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
            phi: float) -> float:
     """1 - tau(phi), the paper's axial map, at full precision as tau -> 1 (phi -> 0)."""
-    return _evaluate(geom, polar, corr, phi, lift=False).nu
+    return _evaluation(geom, polar, corr, phi, lift=False).nu
 
 
 def mu_G_c(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
            phi: float) -> float:
     """The paper's mu_G^c: mu_G plus the high-induction excess term."""
-    return _evaluate(geom, polar, corr, phi, lift=False).mu_G_c
+    return _evaluation(geom, polar, corr, phi, lift=False).mu_G_c
 
 
 def residual(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,

@@ -47,6 +47,7 @@ from .model import (
     _residual_grid,
     _slope,
     _state,
+    _tip_rate,
     mu_G,
     mu_G_prime,
     mu_L,
@@ -679,34 +680,32 @@ def _scan_many(geoms, polar, corr, grid_size):
     grid, the scalar recheck near 0 against its own largest |value|, Brent
     and the root records are its own, so the roots are those of a scan of
     the element alone.  An entry of ``geoms`` that is a :class:`BemError`
-    (a design that failed, say) is passed through.  Where the batch call
-    raises, each element is run alone, so that the error stays with its
-    element.
+    (a design that failed, say) is passed through.  A ``grid_size`` below
+    100 raises before any element.  The grid kernel's one error, tip loss
+    without a ``tip_radius``, is checked per element as the batch is made,
+    so the kernel is called once and the error stays with its element.
     """
+    if grid_size < 100:
+        raise ValidationError("grid_size must be >= 100")
     out = list(geoms)
     batch = []  # (index, geometry, grid) of every element with a scan domain
     for i, geom in enumerate(geoms):
         if isinstance(geom, BemError):
             continue
         try:
-            if grid_size < 100:
-                raise ValidationError("grid_size must be >= 100")
             lo, hi = _scan_domain(geom, polar, corr)
+            if corr.tip_loss:
+                _tip_rate(geom)
         except BemError as exc:
             out[i] = exc
             continue
         batch.append((i, geom, np.linspace(lo, hi, grid_size)))
     if not batch:
         return out
-    try:
-        values = _residual_grid([geom for _, geom, _ in batch], polar, corr,
-                                [grid for _, _, grid in batch])
-    except BemError:
-        values = [None] * len(batch)
+    values = _residual_grid([geom for _, geom, _ in batch], polar, corr,
+                            [grid for _, _, grid in batch])
     for (i, geom, grid), vals in zip(batch, values):
         try:
-            if vals is None:
-                vals = _residual_grid([geom], polar, corr, [grid])[0]
             out[i] = _grid_roots(geom, polar, corr, grid, vals)
         except BemError as exc:
             out[i] = exc

@@ -105,6 +105,18 @@ def test_output_path_from_config_and_out_override(workdir, capsys):
     assert override.read_bytes() == expected
 
 
+@pytest.mark.parametrize("cmd", ["solve", "scan", "design", "sweep", "check"])
+def test_unwritable_output_exits_2_without_a_traceback(workdir, capsys, cmd):
+    # --out naming a directory once raised IsADirectoryError, and output.path in
+    # a missing directory FileNotFoundError, out of every subcommand
+    assert main([cmd, "--config", str(workdir / "run.cfg"), "--out", str(workdir)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {workdir}: Is a directory\n"
+    cfg = _write_cfg(workdir, "output.path=gone/out.csv\n", name="gone.cfg")
+    assert main([cmd, "--config", cfg]) == 2
+    target = workdir / "gone" / "out.csv"
+    assert capsys.readouterr().err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_bisection_wrong_initial_guess_flag(workdir):
     cfg = _write_cfg(workdir, "run.lambda=2.5\nsolver.bracket_lo=0.3\n"
                               "solver.bracket_hi=0.35\n",

@@ -792,6 +792,13 @@ def test_landscape_monotone_case_single_region():
     assert not grid.invalid.any()
 
 
+def test_landscape_rejects_a_too_small_scan_grid(linear_polar):
+    geom = make_geom(gamma=0.05, chord=0.3)
+    with pytest.raises(ValidationError, match="grid_size must be >= 100"):
+        landscape(geom, linear_polar, wilson(), (0.0, 0.1), (0.2, 0.4),
+                  resolution=16, grid_size=99)
+
+
 def _landscape_cell_by_cell(geom, polar, corr, gamma_range, chord_range, resolution,
                             grid_size):
     """(J, multiple, invalid) of :func:`landscape` with one ``scan_roots`` per

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from glauert_bem import model
 from glauert_bem import (
+    BemError,
     CorrectionSpec,
     DomainError,
     ElementGeometry,
     TipSingularityError,
     TurbineConfig,
     ValidationError,
+    load_polar,
     mu_G,
     mu_G_c,
     recover_induction,
@@ -699,3 +702,50 @@ def test_residual_sign_follows_the_monotone_thrust_balance(variant, tip, stall, 
         w = math.sin(theta) * ev.s / math.cos(theta - phi)
         q = x - w * corr.psi((1.0 - nu_x) - corr.a_c, ev.tip_factor) / (nu_x * nu_x)
     assert _sign(ev.value) == _sign(q)
+
+
+_DEMO_CSV = Path(__file__).resolve().parents[1] / "demo" / "polar.csv"
+_PLAIN_POLARS = {
+    "linear": synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, cd2=0.3, beta=0.4),
+    "stall": _STALL,
+    "demo": load_polar(_DEMO_CSV),
+    "demo_clamped": load_polar(_DEMO_CSV, clamp_cl=True),
+}
+
+
+def _plain_record(geom, polar, phi):
+    """The plain model's record from mu_L, mu_D and mu_G alone, in the
+    operation order of the plain model's own scalar path: the oracle of
+    ``_evaluation`` under the trivial correction."""
+    theta = geom.theta
+    if not (theta - math.pi / 2.0 < phi < theta + math.pi / 2.0):
+        raise DomainError(f"phi={phi:g} outside the momentum-side domain")
+    lift, drag = mu_L(geom, polar, phi), mu_D(geom, polar, phi)
+    value = lift - math.tan(theta - phi) * drag
+    momentum = mu_G(theta, phi)
+    return (phi, math.sin(phi), 1.0, polar.cl(phi - geom.gamma), lift, drag, math.nan,
+            momentum, value - momentum)
+
+
+def _as_hex(make):
+    """Every field of a record as float hex, or the error's type and text."""
+    try:
+        return [float(x).hex() for x in make()]
+    except BemError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(polar=st.sampled_from(sorted(_PLAIN_POLARS)), lam=st.floats(0.3, 6.0),
+       gamma=st.floats(-0.4, 0.6), chord=st.floats(0.01, 2.0), r=st.floats(0.05, 1.5),
+       where=st.sampled_from(["anywhere", "anywhere", "pole_below", "pole_above", "zero"]),
+       u=st.floats(-1.7, 1.7), eps=st.floats(-2e-9, 2e-9))
+def test_plain_record_is_the_plain_formulas_bit_for_bit(polar, lam, gamma, chord, r, where,
+                                                        u, eps):
+    # all of I, phi <= 0, angles past the polar's range and both mu_G poles
+    polar = _PLAIN_POLARS[polar]
+    geom = make_geom(lam=lam, gamma=gamma, chord=chord, r=r)
+    phi = {"anywhere": u, "zero": eps, "pole_below": geom.theta - math.pi / 2.0 + eps,
+           "pole_above": geom.theta + math.pi / 2.0 + eps}[where]
+    assert (_as_hex(lambda: model._evaluation(geom, polar, trivial(), phi))
+            == _as_hex(lambda: _plain_record(geom, polar, phi)))

@@ -693,10 +693,27 @@ def test_batched_scan_keeps_each_outcome_with_its_element():
     assert out[4] is design_error  # passed through
     assert [_outcome(result) for result in out[:4]] == [
         _scanned_alone(geom, polar, corr, 240) for geom in geoms]
-    coarse = _scan_many(geoms[:2], polar, corr, 99)
-    assert [_outcome(result) for result in coarse] == [
-        ("ValidationError", "grid_size must be >= 100")] * 2
+    with pytest.raises(ValidationError, match="grid_size must be >= 100"):
+        _scan_many(geoms[:2], polar, corr, 99)  # once per call, before any element
     assert _scan_many([], polar, corr, 240) == []
+
+
+def test_batched_scan_calls_the_grid_kernel_once(monkeypatch):
+    polar, corr = _BATCH_POLARS["demo"], wilson(tip=True)
+    geoms = [_batch_element(kind, 1.4, 0.2, 0.4, 0.5)
+             for kind in ("plain", "no_tip_radius", "no_root", "no_tip_radius")]
+    want = [_scanned_alone(geom, polar, corr, 240) for geom in geoms]
+    kernel, calls = solvers._residual_grid, []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(solvers, "_residual_grid", counted)
+    out = _scan_many(geoms, polar, corr, 240)
+    assert calls == [2]  # the two elements with a tip_radius, in one call
+    assert [_outcome(result) for result in out] == want
+    assert [type(result).__name__ for result in out[1::2]] == ["ValidationError"] * 2
 
 
 def test_scan_tip_loss_without_tip_radius_raises(linear_polar):
