@@ -13,7 +13,8 @@ float, so identical inputs give byte-identical files.  ``--jobs`` is
 accepted for compatibility and has no effect: lambdas run one after
 another.  Exit codes: 0 all requested work converged, 1 some
 solve/element did not, 2 bad configuration or an output file that cannot
-be written.  Set BEM_LOG=debug|info for verbosity.
+be written (checked before the command runs).  Set BEM_LOG=debug|info for
+verbosity.
 """
 
 from __future__ import annotations
@@ -60,6 +61,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cannot_write(out_path, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {out_path}: {exc.strerror or exc}")
+
+
+def _check_writable(out_path):
+    """Raise the :class:`ConfigError` of an output file that cannot be
+    opened for writing, before any work is done; create no file."""
+    existed = os.path.lexists(out_path)
+    try:
+        with open(out_path, "a"):  # append mode leaves an existing file as it is
+            pass
+    except OSError as exc:
+        raise _cannot_write(out_path, exc) from exc
+    if not existed:
+        os.remove(out_path)
+
+
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -67,7 +85,7 @@ def _emit(lines, out_path):
             with open(out_path, "w", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+            raise _cannot_write(out_path, exc) from exc
     else:
         sys.stdout.write(text)
 
@@ -303,6 +321,8 @@ def main(argv=None) -> int:
 
     out = args.out or cfg.output_path
     try:
+        if out:
+            _check_writable(out)
         if args.command == "solve":
             return cmd_solve(cfg, args.method, out)
         if args.command == "scan":

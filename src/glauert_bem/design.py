@@ -354,6 +354,11 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
     without bound.  A trial solve follows the current root from the angle
     predicted by its first-order response to the step
     (``AdjointState.phi_sensitivity``).
+    The optimizer steps in Python floats: it takes the adjoint's gradient
+    with ``tolist`` and builds each trial geometry from the current one's
+    fields, so the trial solves run no numpy scalar arithmetic, and the
+    returned ``gamma``, ``chord``, ``phi_opt``, ``J``, ``grad_norm`` and
+    ``j_history`` are floats.
     Stops at ||grad|| <= tol, after ``max_steps`` trials, or when no
     acceptable step remains.  Returns the current point, the best seen;
     its ``grad_norm`` is nan if its adjoint solve failed.
@@ -366,7 +371,7 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
         raise DesignEvaluationError(f"a' = {state.a_prime:g} <= 0 at the start: "
                                     "no power extracted")
     adj = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max)
-    scale, grad, sens = adj.scale, adj.grad, adj.phi_sensitivity
+    scale, grad, sens = adj.scale, adj.grad.tolist(), adj.phi_sensitivity
     j_history = [scale * J_lambda(geom, polar, corr, state)]
     kappa = step
     message = "max_steps reached"
@@ -378,8 +383,11 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
             message = "gradient below tolerance"
             break
         try:
-            trial_geom = replace(geom, gamma=geom.gamma + kappa * grad[0],
-                                 chord=geom.chord + kappa * grad[1])
+            trial_geom = ElementGeometry(lam=geom.lam, r=geom.r,
+                                         gamma=geom.gamma + kappa * grad[0],
+                                         chord=geom.chord + kappa * grad[1],
+                                         blade_count=geom.blade_count,
+                                         tip_radius=geom.tip_radius)
             hint = state.phi + kappa * (sens[0] * grad[0] + sens[1] * grad[1])
             trial_state = solve_element(trial_geom, polar, corr, phi_hint=hint)
             j_trial = (scale * J_lambda(trial_geom, polar, corr, trial_state)
@@ -397,7 +405,7 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
         kappa = step  # backtracking restarts from the base step
         try:
             adj = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max)
-            grad, sens = adj.grad, adj.phi_sensitivity
+            grad, sens = adj.grad.tolist(), adj.phi_sensitivity
         except (AdjointError, DesignEvaluationError) as exc:
             message = f"stopped: {exc}"
             grad = (math.nan, math.nan)
@@ -413,10 +421,11 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
 def cp_integral(lambdas, j_values, lambda_max: float) -> float:
     """Cp = (8/lambda_max^2) * trapezoid of lambda^3 J over the grid."""
     lambdas = np.asarray(lambdas, dtype=float)
-    integrand = lambdas ** 3 * np.asarray(j_values, dtype=float)
+    integrand = (lambdas ** 3 * np.asarray(j_values, dtype=float)).tolist()
+    lams = lambdas.tolist()  # the loop runs on Python floats
     total = 0.0
-    for k in range(len(lambdas) - 1):  # fixed left-to-right reduction order
-        total += 0.5 * (lambdas[k + 1] - lambdas[k]) * (integrand[k] + integrand[k + 1])
+    for k in range(len(lams) - 1):  # fixed left-to-right reduction order
+        total += 0.5 * (lams[k + 1] - lams[k]) * (integrand[k] + integrand[k + 1])
     return 8.0 * total / lambda_max ** 2
 
 

@@ -721,10 +721,10 @@ def _grid_roots(geom, polar, corr, grid, vals):
     if finite.any():
         near = np.abs(vals) <= 64.0 * np.spacing(np.abs(vals[finite]).max())
         for k in np.flatnonzero(near):
-            vals[k] = _residual_safe(geom, polar, corr, grid[k])
+            vals[k] = _residual_safe(geom, polar, corr, float(grid[k]))
     left, right = vals[:-1], vals[1:]
     both = np.isfinite(left) & np.isfinite(right)
-    roots = list(grid[vals == 0.0])
+    roots = grid[vals == 0.0].tolist()
     for k in np.flatnonzero(both & (left * right < 0.0)):
         roots.append(_brentq(lambda p: residual(geom, polar, corr, p), grid[k], grid[k + 1]))
 
@@ -738,7 +738,7 @@ def _grid_roots(geom, polar, corr, grid, vals):
             continue  # root of the scalar form with no representable state
         if not math.isfinite(state.residual) or abs(state.residual) > 1e-10:
             continue
-        records.append(RootRecord(phi=float(phi), state=state,
+        records.append(RootRecord(phi=phi, state=state,
                                   lift_sign=state.lift_sign,
                                   category=classify_root(geom, polar, corr, phi, state)))
     return RootSet(records=records)

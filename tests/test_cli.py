@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from glauert_bem import best_glide_angle, load_polar, synthetic_polar
+from glauert_bem import DomainError, best_glide_angle, cli, load_polar, synthetic_polar
 from glauert_bem.cli import ROW_HEADER, main
 from glauert_bem.polar import dump_polar
 
@@ -117,6 +118,33 @@ def test_unwritable_output_exits_2_without_a_traceback(workdir, capsys, cmd):
     assert capsys.readouterr().err == f"error: cannot write {target}: No such file or directory\n"
 
 
+def test_unwritable_output_fails_before_the_command_runs(workdir, capsys, monkeypatch):
+    # a corrected-design sweep of the demo once ran for 35 s before this error
+    calls = []
+
+    def forbidden(*args, **kwargs):
+        calls.append(args)
+        raise DomainError("the command ran")
+
+    monkeypatch.setattr(cli, "cp_sweep", forbidden)
+    monkeypatch.setattr(cli, "optimize_element", forbidden)
+    cfg = _write_cfg(workdir, base=BASE_CFG.replace("design.mode=simplified",
+                                                    "design.mode=corrected"))
+    target = workdir / "missing" / "x.csv"
+    for cmd in ("sweep", "design"):
+        assert main([cmd, "--config", cfg, "--out", str(target)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {target}: No such file or directory\n")
+    assert calls == []
+    # the check creates no file and leaves an existing one as it is
+    fresh, kept = workdir / "fresh.csv", workdir / "kept.csv"
+    kept.write_text("earlier output\n")
+    for out in (fresh, kept):
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: the command ran\n"
+    assert not fresh.exists() and kept.read_text() == "earlier output\n"
+
+
 def test_bisection_wrong_initial_guess_flag(workdir):
     cfg = _write_cfg(workdir, "run.lambda=2.5\nsolver.bracket_lo=0.3\n"
                               "solver.bracket_hi=0.35\n",
@@ -185,7 +213,7 @@ def test_design_single_lambda_single_row(workdir):
     assert len(_rows(out)) == 1
 
 
-def test_design_corrected_mode_runs(workdir):
+def test_design_corrected_mode_runs(workdir, capsys):
     cfg = _write_cfg(workdir, "run.lambda=1.75\ndesign.step=0.2\ndesign.tol=1e-4\n",
                      base=BASE_CFG.replace("run.lambda_count=5\n", "")
                                   .replace("design.mode=simplified",
@@ -195,6 +223,11 @@ def test_design_corrected_mode_runs(workdir):
     assert main(["design", "--config", cfg, "--out", str(out)]) == 0
     row = _rows(out)[0]
     assert row["mode"] == "corrected" and row["converged"] == "true"
+    # the optimized design's check prints its flags as every other mode does (a
+    # design in numpy scalars once made them numpy bools, printed False)
+    assert main(["check", "--config", cfg]) == 0
+    flags = re.findall(r"(?:upper_is_theta|guaranteed)=(\w+)", capsys.readouterr().out)
+    assert len(flags) == 2 and set(flags) <= {"true", "false"}
 
 
 def test_design_failure_row_is_labelled_like_the_mode_rows(workdir):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from glauert_bem import (
     cp_sweep,
     gradient,
     landscape,
+    load_polar,
     mu_G,
     optimize_element,
     simplified_closed_forms,
@@ -30,7 +32,8 @@ from glauert_bem import (
     synthetic_polar,
 )
 from glauert_bem.design import _chosen_root, _objective_pieces, cp_integral
-from glauert_bem.model import CORRECTION_VARIANTS, mu_L, recover_induction, residual
+from glauert_bem.model import (CORRECTION_VARIANTS, _evaluation, _slope, mu_L, recover_induction,
+                               residual)
 from glauert_bem.solvers import _brentq, _scan_domain, classify_root, scan_roots
 
 from conftest import make_geom, rng, trivial, wilson
@@ -613,6 +616,72 @@ def test_optimizer_invariants(variant, tip, step, max_steps, lambda_max, **eleme
     assert result.J == pytest.approx(J_lambda(end, polar, corr, state), rel=1e-12, abs=0.0)
 
 
+_FLOAT_POLARS = {
+    "linear": _design_polar(),
+    "stall": synthetic_polar("linear_lift_with_stall", slope=6.0, alpha_s=0.3, drop=0.5,
+                             transition=0.05, cd0=0.012, cd2=0.1),
+    "demo": load_polar(Path(__file__).resolve().parents[1] / "demo" / "polar.csv"),
+}
+
+
+def _criterion_07_start(polar, blade_count=3):
+    """The criterion-07 rotor and its simplified optimum at lambda 1.6."""
+    tb = TurbineConfig(radius=1.2, upstream_speed=1.0, rotation_speed=3.0, lambda_min=1.2,
+                       lambda_max=2.6, blade_count=blade_count)
+    start = simplified_optimum(1.6, polar, tb)
+    return tb, ElementGeometry.from_turbine(tb, 1.6, start.gamma, start.chord)
+
+
+@pytest.mark.parametrize("polar_name", sorted(_FLOAT_POLARS))
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+def test_optimizer_steps_in_python_floats(polar_name, variant, tip, monkeypatch):
+    # a step taken with the adjoint's numpy gradient makes every later trial's
+    # gamma, chord and hint a numpy.float64, and the hint Newton numpy scalar arithmetic
+    polar = _FLOAT_POLARS[polar_name]
+    tb, geom = _criterion_07_start(polar)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    seen = []
+
+    def evaluation(geom, polar, corr, phi, lift=True):
+        seen.append((phi, geom.gamma, geom.chord))
+        return _evaluation(geom, polar, corr, phi, lift)
+
+    def slope(geom, polar, corr, ev):
+        seen.append((ev.phi, geom.gamma, geom.chord))
+        return _slope(geom, polar, corr, ev)
+
+    monkeypatch.setattr(design, "_evaluation", evaluation)
+    monkeypatch.setattr(design, "_slope", slope)
+    result = optimize_element(geom, polar, corr, step=0.25, tol=2e-4, max_steps=400,
+                              lambda_max=tb.lambda_max)
+    assert result.accepted_steps > 0 and seen
+    assert {type(x) for values in seen for x in values} == {float}
+    fields = [result.gamma, result.chord, result.phi_opt, result.J, result.grad_norm,
+              *result.j_history]
+    assert {type(x) for x in fields} == {float}
+
+
+@pytest.mark.parametrize("polar_name", sorted(_FLOAT_POLARS))
+def test_optimizer_trials_keep_the_start_placement(polar_name, monkeypatch):
+    # a trial is built from the current geometry's fields, so none may be lost;
+    # two blades and a tip radius differ from the field defaults
+    polar = _FLOAT_POLARS[polar_name]
+    tb, geom = _criterion_07_start(polar, blade_count=2)
+    corr = CorrectionSpec(variant="wilson_spera", tip_loss=True)
+    placements = []
+
+    def recorded(trial, polar, corr, phi_hint=None):
+        placements.append((trial.lam, trial.r, trial.blade_count, trial.tip_radius))
+        return solve_element(trial, polar, corr, phi_hint=phi_hint)
+
+    monkeypatch.setattr(design, "solve_element", recorded)
+    result = optimize_element(geom, polar, corr, step=0.25, tol=2e-4, max_steps=400,
+                              lambda_max=tb.lambda_max)
+    assert result.accepted_steps > 0 and len(placements) > result.accepted_steps
+    assert set(placements) == {(geom.lam, geom.r, 2, 1.2)}
+
+
 def test_optimizer_rejects_bad_step():
     with pytest.raises(ValidationError):
         optimize_element(make_geom(), synthetic_polar("linear_lift"), wilson(),
@@ -725,6 +794,7 @@ def test_cp_sweep_elements_are_solve_element_states(variant, tip):
 
     result = cp_sweep(tb, polar, corr, design, grid_n=12)
     assert any(elem.ok for elem in result.elements)
+    assert type(result.cp) is float
     for elem in result.elements:
         try:
             geom = ElementGeometry.from_turbine(tb, elem.lam, *design(elem.lam))

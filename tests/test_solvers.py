@@ -615,15 +615,22 @@ def test_scan_keeps_an_exact_zero_next_to_an_undefined_node(monkeypatch, linear_
     crafted = np.ones(400)  # positive, exactly 0 at node 150, undefined at node 151
     crafted[150], crafted[151] = 0.0, math.nan
 
+    angles = []  # every angle the scalar paths see, which are Python floats
+
     def state_at(geom, polar, corr, phi):
+        angles.append(phi)
         return FlowState(phi=phi, a=0.2, a_prime=0.01, tip_factor=1.0, residual=0.0,
                          lift_sign=1)
 
+    def recheck(geom, polar, corr, phi):
+        angles.append(phi)
+        return 0.0 if phi == grid[150] else math.nan
+
     monkeypatch.setattr(solvers, "_residual_grid", lambda *args: [crafted.copy()])
-    monkeypatch.setattr(solvers, "_residual_safe",
-                        lambda geom, polar, corr, phi: 0.0 if phi == grid[150] else math.nan)
+    monkeypatch.setattr(solvers, "_residual_safe", recheck)
     monkeypatch.setattr(solvers, "recover_induction", state_at)
     assert scan_roots(geom, linear_polar, corr).phis == [grid[150]]
+    assert angles and {type(phi) for phi in angles} == {float}
 
 
 # ---------------------------------------------------------------------------
