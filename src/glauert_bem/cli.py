@@ -61,6 +61,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _row(*cells) -> str:
+    """One CSV line: the :func:`_fmt` text of each cell."""
+    return ",".join(map(_fmt, cells))
+
+
+def _verdict(name, ok, key, value) -> str:
+    """``name PASS|FAIL (key=value)`` of one check; ``(value)`` without a key."""
+    detail = f"{key}={_fmt(value)}" if key else _fmt(value)
+    return f"{name} {'PASS' if ok else 'FAIL'} ({detail})"
+
+
 def _cannot_write(out_path, exc: OSError) -> ConfigError:
     return ConfigError(f"cannot write {out_path}: {exc.strerror or exc}")
 
@@ -122,17 +133,13 @@ def _state_row(cfg, lam, geom, state, iterations, method, category):
         j = J_lambda(geom, cfg.polar, cfg.correction, state)
     except BemError:
         j = math.nan
-    return ",".join([
-        _fmt(lam), _fmt(state.phi), _fmt(state.phi - geom.gamma), _fmt(state.a),
-        _fmt(state.a_prime), _fmt(state.tip_factor), _fmt(state.residual),
-        str(iterations), method, _fmt(j), category,
-    ])
+    return _row(lam, state.phi, state.phi - geom.gamma, state.a, state.a_prime,
+                state.tip_factor, state.residual, iterations, method, j, category)
 
 
 def _failed_row(lam, method, category, phi=math.nan, iterations=0):
     """One ROW_HEADER line for an element with no solved state."""
-    return (f"{_fmt(lam)},{_fmt(phi)},nan,nan,nan,nan,nan,"
-            f"{iterations},{method},nan,{category}")
+    return _row(lam, phi, *[math.nan] * 5, iterations, method, math.nan, category)
 
 
 def cmd_solve(cfg: RunConfig, method: str, out_path) -> int:
@@ -204,14 +211,12 @@ def cmd_design(cfg: RunConfig, out_path) -> int:
             point = _designed(cfg, lam)
         except BemError as exc:
             log.warning("lambda=%g: %s", lam, exc)
-            lines.append(f"{_fmt(lam)},nan,nan,nan,nan,{mode},false")
+            lines.append(_row(lam, *[math.nan] * 4, mode, False))
             all_ok = False
             continue
         converged = mode == "simplified" or point.converged
-        lines.append(",".join([
-            _fmt(lam), _fmt(point.gamma), _fmt(point.chord),
-            _fmt(point.phi_opt), _fmt(point.J), mode, _fmt(converged),
-        ]))
+        lines.append(_row(lam, point.gamma, point.chord, point.phi_opt, point.J, mode,
+                          converged))
         all_ok = all_ok and converged
     _emit(lines, out_path)
     return EXIT_OK if all_ok else EXIT_INCOMPLETE
@@ -226,17 +231,11 @@ def cmd_sweep(cfg: RunConfig, out_path) -> int:
     lines = [SWEEP_HEADER]
     for elem in result.elements:
         if elem.state is None:
-            lines.append(",".join([
-                _fmt(elem.lam), _fmt(elem.gamma), _fmt(elem.chord),
-                "nan", "nan", "nan", "nan", "nan", _fmt(elem.J), "false",
-            ]))
+            lines.append(_row(elem.lam, elem.gamma, elem.chord, *[math.nan] * 5, elem.J, False))
             continue
         st = elem.state
-        lines.append(",".join([
-            _fmt(elem.lam), _fmt(elem.gamma), _fmt(elem.chord), _fmt(st.phi),
-            _fmt(st.a), _fmt(st.a_prime), _fmt(st.tip_factor), _fmt(st.residual),
-            _fmt(elem.J), "true",
-        ]))
+        lines.append(_row(elem.lam, elem.gamma, elem.chord, st.phi, st.a, st.a_prime,
+                          st.tip_factor, st.residual, elem.J, True))
     summary = [f"Cp={_fmt(result.cp)}"]
     if cfg.sweep_refine:
         fine = cp_sweep(cfg.turbine, cfg.polar, cfg.correction, design,
@@ -258,30 +257,23 @@ def cmd_check(cfg: RunConfig, out_path) -> int:
         try:
             geom = _element_geometry(cfg, lam)
         except BemError as exc:
-            lines.append(f"lambda={_fmt(lam)} design FAIL ({exc})")
+            lines.append(f"lambda={_fmt(lam)} {_verdict('design', False, None, exc)}")
             continue
         ex = check_existence(geom, cfg.polar, cfg.correction)
-        lines.append(
-            f"lambda={_fmt(lam)} interval {'PASS' if ex.interval_ok else 'FAIL'} "
-            f"(margin={_fmt(ex.interval_margin)}) "
-            f"existence_simplified {'PASS' if ex.simplified_ok else 'FAIL'} "
-            f"(margin={_fmt(ex.simplified_margin)}) "
-            f"existence_corrected {'PASS' if ex.corrected_ok else 'FAIL'} "
-            f"(margin={_fmt(ex.corrected_margin)}) "
-            f"upper_is_theta={_fmt(ex.upper_is_theta)}")
+        lines.append(f"lambda={_fmt(lam)} " + " ".join([
+            _verdict("interval", ex.interval_ok, "margin", ex.interval_margin),
+            _verdict("existence_simplified", ex.simplified_ok, "margin", ex.simplified_margin),
+            _verdict("existence_corrected", ex.corrected_ok, "margin", ex.corrected_margin),
+            f"upper_is_theta={_fmt(ex.upper_is_theta)}"]))
         ap = check_appendix_conditions(geom, cfg.polar)
         if not ap.applicable:
             lines.append(f"lambda={_fmt(lam)} appendix N/A ({ap.message})")
         else:
-            lines.append(
-                f"lambda={_fmt(lam)} appendix "
-                f"stability {'PASS' if ap.stability_ok else 'FAIL'} "
-                f"(margin={_fmt(ap.stability_margin)}) "
-                f"contraction1 {'PASS' if ap.contraction1_ok else 'FAIL'} "
-                f"(value={_fmt(ap.contraction1_value)}) "
-                f"contraction2 {'PASS' if ap.contraction2_ok else 'FAIL'} "
-                f"(value={_fmt(ap.contraction2_value)}) "
-                f"guaranteed={_fmt(ap.guaranteed)}")
+            lines.append(f"lambda={_fmt(lam)} appendix " + " ".join([
+                _verdict("stability", ap.stability_ok, "margin", ap.stability_margin),
+                _verdict("contraction1", ap.contraction1_ok, "value", ap.contraction1_value),
+                _verdict("contraction2", ap.contraction2_ok, "value", ap.contraction2_value),
+                f"guaranteed={_fmt(ap.guaranteed)}"]))
     _emit(lines, out_path)
     return EXIT_OK
 

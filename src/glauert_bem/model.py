@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import accumulate
 from dataclasses import dataclass
 from typing import Optional
 
@@ -257,12 +256,10 @@ def _tip(geom: ElementGeometry, corr: CorrectionSpec, phi: float):
             -(2.0 / math.pi) * d_decay / math.sqrt(max(1.0 - decay * decay, 1e-300)))
 
 
-def _tip_grid(geoms, sizes, phis):
-    """(F, dF/dphi) of :func:`_tip` at a flat array of angles, the first
-    ``sizes[0]`` of them on ``geoms[0]``, the next ``sizes[1]`` on
-    ``geoms[1]`` and so on; NaN where it raises :class:`DomainError`.  Tip
-    loss must be on."""
-    k = np.repeat([_tip_rate(geom) for geom in geoms], sizes)
+def _tip_grid(k, phis):
+    """(F, dF/dphi) of :func:`_tip` at an array of angles, with the Prandtl
+    rate ``k`` of :func:`_tip_rate` a number or, on a batch, a column of one
+    rate per row; NaN where it raises :class:`DomainError`."""
     s = np.sin(phis)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = -k / s
@@ -301,7 +298,7 @@ def _mu_c_prime_grid(geom, polar, corr, phis, lift=True):
                                   *(("cl", "cl_prime") if lift else ("cd", "cd_prime")))
     f, fp = 1.0, 0.0
     if corr.tip_loss:
-        f, fp = _tip_grid([geom], [phis.size], phis)
+        f, fp = _tip_grid(_tip_rate(geom), phis)
         if np.isnan(f).any():
             _decay(geom, float(phis[np.isnan(f)][0]))  # raises the scalar path's error
     return 0.25 * geom.solidity * (slope / f - coef * fp / (f * f))
@@ -468,8 +465,8 @@ def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
         nu = np.where(rhs > -1.0, 1.0 / (1.0 + rhs), np.nan)
         if corr.variant == "none":
             return nu
-        on = np.flatnonzero((rhs > 0.0) & (1.0 - nu > corr.a_c))
-        if on.size == 0:
+        on = (rhs > 0.0) & (1.0 - nu > corr.a_c)
+        if not on.any():
             return nu
         rhs, weight, nu0 = rhs[on], weight[on], nu[on]
         f = np.broadcast_to(tip_factor, nu.shape)[on]
@@ -619,31 +616,25 @@ def _slope(geom, polar, corr, ev):
 
 
 def _residual_grid(geoms, polar: PolarTable, corr: CorrectionSpec, grids):
-    """:func:`residual` at every angle of each array ``grids[i]`` on the
-    element ``geoms[i]``, in one numpy pass; a list of one array per element.
+    """:func:`residual` at every angle of row ``grids[i]`` of a 2-D array on
+    the element ``geoms[i]``, in one numpy pass; an array of the same shape.
 
     As in :func:`_evaluation`, only the domain and the axial map, which the
     plain model has not, depend on the correction.  NaN exactly where
     :func:`residual` raises :class:`DomainError`; the one other error, tip
     loss without a ``tip_radius``, is raised for the whole batch.
     Per-element constants are computed with ``math`` as on the scalar path
-    and repeated over the element's nodes, so an element's values do not
-    depend on the rest of its batch.  Each expression keeps the scalar
+    and taken as columns, one row per element, so an element's values do
+    not depend on the rest of its batch.  Each expression keeps the scalar
     path's operation order, but numpy's ``tan``, ``exp`` and ``arccos`` may
     differ from ``math``'s in the last bit, so values agree with the scalar
     path to a few ulp rather than bit for bit.
     """
-    sizes = [len(grid) for grid in grids]
-    starts = list(accumulate(sizes, initial=0))
-    phis = np.concatenate([np.asarray(grid, dtype=float) for grid in grids])
+    phis = np.asarray(grids, dtype=float)
     thetas = [geom.theta for geom in geoms]
     consts = [thetas, [geom.gamma for geom in geoms], [0.25 * geom.solidity for geom in geoms],
               [math.sin(x) for x in thetas], [math.cos(x) for x in thetas]]
-    theta, gamma, quarter, sin_theta, cos_theta = np.repeat(consts, sizes, axis=1)
-
-    def per_element(values):
-        return [values[a:b] for a, b in zip(starts, starts[1:])]
-
+    theta, gamma, quarter, sin_theta, cos_theta = np.array(consts)[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         if corr.is_trivial:
             phi = phis
@@ -655,13 +646,14 @@ def _residual_grid(geoms, polar: PolarTable, corr: CorrectionSpec, grids):
         if not polar.clamp_cl:  # cl is undefined outside the polar's range
             ok &= (polar.alpha_min <= alpha) & (alpha <= polar.alpha_max)
         if not ok.any():
-            return per_element(np.full(phis.shape, np.nan))
+            return np.full(phis.shape, np.nan)
         # clipped, so that cl does not raise; it is read only where ok
         cl, cd = polar._on_array(alpha.clip(polar.alpha_min, polar.alpha_max), "cl", "cd")
         cl = np.where(ok, cl, np.nan)
         t = np.tan(theta - phi)
         cos_tp = np.cos(theta - phi)
-        f = _tip_grid(geoms, sizes, phi)[0] if corr.tip_loss else 1.0
+        f = (_tip_grid(np.array([_tip_rate(geom) for geom in geoms])[:, None], phi)[0]
+             if corr.tip_loss else 1.0)
         lift_c = quarter * cl / f
         drag = quarter * cd / f
         s = np.sin(phi)
@@ -679,7 +671,7 @@ def _residual_grid(geoms, polar: PolarTable, corr: CorrectionSpec, grids):
                                     momentum)
         res = lift_c - t * drag - momentum
     ok &= ~(np.abs(cos_tp) < PHI_EPS)
-    return per_element(np.where(ok, res, np.nan))
+    return np.where(ok, res, np.nan)
 
 
 def tau_nu(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,

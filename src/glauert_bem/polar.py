@@ -185,7 +185,7 @@ class PolarTable:
         else:
             cl_coef = np.stack([cl[:-1], np.diff(cl) / dal], axis=1)
             cd_coef = np.stack([cd[:-1], np.diff(cd) / dal], axis=1)
-        self._lo, self._hi = float(alpha[0]), float(alpha[-1])
+        self.alpha_min, self.alpha_max = float(alpha[0]), float(alpha[-1])
         self._left_a = alpha[:-1]
         self._left = self._left_a.tolist()
         coefs = {"cl": cl_coef, "cd": cd_coef,
@@ -204,14 +204,6 @@ class PolarTable:
         return tuple(PolarSample(float(a), float(l), float(d))
                      for a, l, d in zip(self._alpha, self._cl, self._cd))
 
-    @property
-    def alpha_min(self):
-        return float(self._alpha[0])
-
-    @property
-    def alpha_max(self):
-        return float(self._alpha[-1])
-
     def __repr__(self):
         return (f"PolarTable({self.label!r}, n={self._alpha.size}, "
                 f"alpha=[{self.alpha_min:g}, {self.alpha_max:g}], "
@@ -220,7 +212,8 @@ class PolarTable:
     # -- evaluation ------------------------------------------------------
 
     def _outside(self):
-        return DomainError(f"cl evaluation outside sampled range [{self._lo:g}, {self._hi:g}]")
+        return DomainError("cl evaluation outside sampled range "
+                           f"[{self.alpha_min:g}, {self.alpha_max:g}]")
 
     def _on_array(self, alpha, *names):
         """Any of ``cl``, ``cd``, ``cl_prime`` and ``cd_prime`` at one array (or
@@ -229,25 +222,25 @@ class PolarTable:
         raise or clamp as :meth:`cl` does."""
         arr = np.asarray(alpha, dtype=float)
         if self.clamp_cl or not ("cl" in names or "cl_prime" in names):
-            at = arr.clip(self._lo, self._hi)
-        elif (arr < self._lo).any() or (arr > self._hi).any():
+            at = arr.clip(self.alpha_min, self.alpha_max)
+        elif (arr < self.alpha_min).any() or (arr > self.alpha_max).any():
             raise self._outside()
         else:
             at = arr  # in range
         out = _power_sum_array(self._left_a, [self._cols[name] for name in names], at)
         if "cd_prime" in names:  # zero outside the range, where cd is clamped
             k = names.index("cd_prime")
-            out[k] = np.where((arr >= self._lo) & (arr <= self._hi), out[k], 0.0)
+            out[k] = np.where((arr >= self.alpha_min) & (arr <= self.alpha_max), out[k], 0.0)
         return out if np.ndim(alpha) else [float(v) for v in out]
 
     def _lift(self, alpha, rows, name):
         """cl or cl' at alpha: clamped with ``clamp_cl``, else range-checked."""
         if isinstance(alpha, float):
             alpha = float(alpha)
-            if alpha < self._lo or alpha > self._hi:
+            if alpha < self.alpha_min or alpha > self.alpha_max:
                 if not self.clamp_cl:
                     raise self._outside()
-                alpha = self._lo if alpha < self._lo else self._hi
+                alpha = self.alpha_min if alpha < self.alpha_min else self.alpha_max
             return _power_sum(self._left, rows, alpha)
         return self._on_array(alpha, name)[0]
 
@@ -262,14 +255,14 @@ class PolarTable:
     def cd(self, alpha):
         """Drag coefficient; clamped to the nearest sample outside the range."""
         if isinstance(alpha, float):
-            alpha = min(max(float(alpha), self._lo), self._hi)  # NaN stays NaN
+            alpha = min(max(float(alpha), self.alpha_min), self.alpha_max)  # NaN stays NaN
             return _power_sum(self._left, self._cd_rows, alpha)
         return self._on_array(alpha, "cd")[0]
 
     def cd_prime(self, alpha):
         """Derivative dcd/dalpha; zero outside the sampled range (clamping)."""
         if isinstance(alpha, float):
-            inside = self._lo <= alpha <= self._hi
+            inside = self.alpha_min <= alpha <= self.alpha_max
             return _power_sum(self._left, self._cd_prime_rows, float(alpha)) if inside else 0.0
         return self._on_array(alpha, "cd_prime")[0]
 

@@ -576,10 +576,9 @@ def check_appendix_conditions(geom: ElementGeometry, polar: PolarTable) -> Appen
     if phi_upper(geom, polar) < theta:
         return replace(not_applicable,
                        message="needs max I+ = theta (polar window too narrow)")
-    trivial = CorrectionSpec(variant="none", tip_loss=False)
-    grid = grid_I_plus(geom, polar)
-    max_mu = float((0.25 * geom.solidity * polar.cl(grid - geom.gamma)).max())
-    max_dmu = float(_mu_c_prime_grid(geom, polar, trivial, grid).max())
+    cl, cl_prime = polar._on_array(grid_I_plus(geom, polar) - geom.gamma, "cl", "cl_prime")
+    max_mu = float((0.25 * geom.solidity * cl).max())
+    max_dmu = float((0.25 * geom.solidity * cl_prime).max())
     stability_margin = mu_G(theta, geom.gamma) - mu_L(geom, polar, theta)
     c1 = math.sin(theta) * max_dmu * _h_map(geom.lam, geom.gamma)
     c2 = math.sin(theta) * max_mu * abs(_h_map_prime(geom.lam, geom.gamma))
@@ -688,23 +687,25 @@ def _scan_many(geoms, polar, corr, grid_size):
     if grid_size < 100:
         raise ValidationError("grid_size must be >= 100")
     out = list(geoms)
-    batch = []  # (index, geometry, grid) of every element with a scan domain
+    batch = []  # (index, geometry, (lo, hi)) of every element with a scan domain
     for i, geom in enumerate(geoms):
         if isinstance(geom, BemError):
             continue
         try:
-            lo, hi = _scan_domain(geom, polar, corr)
+            domain = _scan_domain(geom, polar, corr)
             if corr.tip_loss:
                 _tip_rate(geom)
         except BemError as exc:
             out[i] = exc
             continue
-        batch.append((i, geom, np.linspace(lo, hi, grid_size)))
+        batch.append((i, geom, domain))
     if not batch:
         return out
-    values = _residual_grid([geom for _, geom, _ in batch], polar, corr,
-                            [grid for _, _, grid in batch])
-    for (i, geom, grid), vals in zip(batch, values):
+    lo, hi = np.array([domain for _, _, domain in batch]).T
+    # row i holds the bits of np.linspace(lo[i], hi[i], grid_size)
+    grids = np.linspace(lo, hi, grid_size, axis=1)
+    values = _residual_grid([geom for _, geom, _ in batch], polar, corr, grids)
+    for (i, geom, _), grid, vals in zip(batch, grids, values):
         try:
             out[i] = _grid_roots(geom, polar, corr, grid, vals)
         except BemError as exc:

@@ -27,6 +27,8 @@ run.lambda_count=5
 design.mode=simplified
 """
 
+DEMO = Path(__file__).resolve().parents[1] / "demo"
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -230,20 +232,79 @@ def test_design_corrected_mode_runs(workdir, capsys):
     assert len(flags) == 2 and set(flags) <= {"true", "false"}
 
 
-def test_design_failure_row_is_labelled_like_the_mode_rows(workdir):
-    # fixed mode's design rows are the simplified optimum, and so is its failure
-    # row: this polar's lift is negative at its best glide angle
+def _negative_lift_cfg(workdir, mode):
+    """One lambda on a polar whose lift is negative at its best glide angle, so
+    that its simplified optimum fails."""
     (workdir / "neg.csv").write_text("alpha_rad,cl,cd\n-0.5,-1,0.01\n-0.1,-0.5,0.01\n"
                                      "0.6,-0.2,0.01\n1.0,0.5,0.01\n")
-    cfg = _write_cfg(workdir, "run.lambda=1.4\npolar.alpha_s=0.3\n"
-                              "design.gamma=0.1\ndesign.chord=0.1\n",
-                     base=BASE_CFG.replace("run.lambda_count=5\n", "")
-                                  .replace("polar.csv", "neg.csv")
-                                  .replace("design.mode=simplified", "design.mode=fixed"),
-                     name="neg.cfg")
+    return _write_cfg(workdir, "run.lambda=1.4\npolar.alpha_s=0.3\n"
+                               "design.gamma=0.1\ndesign.chord=0.1\n",
+                      base=BASE_CFG.replace("run.lambda_count=5\n", "")
+                                   .replace("polar.csv", "neg.csv")
+                                   .replace("design.mode=simplified", f"design.mode={mode}"),
+                      name=f"neg-{mode}.cfg")
+
+
+def test_design_failure_row_is_labelled_like_the_mode_rows(workdir):
+    # fixed mode's design rows are the simplified optimum, and so is its failure row
+    cfg = _negative_lift_cfg(workdir, "fixed")
     out = workdir / "neg_design.csv"
     assert main(["design", "--config", cfg, "--out", str(out)]) == 1
     assert out.read_text().splitlines()[1:] == ["1.4,nan,nan,nan,nan,simplified,false"]
+
+
+def test_failed_design_rows_of_solve_scan_and_check(workdir, capsys, caplog):
+    cfg = _negative_lift_cfg(workdir, "simplified")
+    error = "cl <= 0 everywhere on (0, 0.3]"
+    with caplog.at_level(logging.WARNING, logger="bem"):
+        assert main(["solve", "--config", cfg]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            ROW_HEADER, "1.4,nan,nan,nan,nan,nan,nan,0,design,nan,design_failed"]
+        assert main(["scan", "--config", cfg]) == 0  # the lambda is skipped
+        assert capsys.readouterr().out.splitlines() == [ROW_HEADER]
+    assert caplog.text.count(f"lambda=1.4: {error}") == 2
+    assert main(["check", "--config", cfg]) == 0
+    assert capsys.readouterr().out == f"lambda=1.4 design FAIL ({error})\n"
+
+
+def _demo_cfg(workdir, settings, name):
+    """demo/run.cfg with its polar path made absolute and each key of
+    ``settings`` set to its value, or dropped where the value is None."""
+    settings = {"polar.path": str(DEMO / "polar.csv"), **settings}
+    kept = [line for line in (DEMO / "run.cfg").read_text().splitlines()
+            if line.partition("=")[0] not in settings]
+    extra = "".join(f"{key}={value}\n" for key, value in settings.items()
+                    if value is not None)
+    return _write_cfg(workdir, extra, base="\n".join(kept) + "\n", name=name)
+
+
+def test_solve_rows_without_a_state(workdir, capsys):
+    # phi0 = 1.6 lies outside (0, pi/2), so the three methods that start there
+    # stop with no state, and bisection rejects the bracket (1e-4, 1.6)
+    cfg = _demo_cfg(workdir, {"run.lambda_count": None, "run.lambda": "1.5",
+                              "solver.phi0": "1.6", "solver.bracket_hi": "1.6"},
+                    "nostate.cfg")
+    assert main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().out.splitlines() == [ROW_HEADER] + [
+        f"1.5,1.6,nan,nan,nan,nan,nan,0,{name},nan,not_converged"
+        for name in ("usual", "fixed", "newton")] + [
+        "1.5,nan,nan,nan,nan,nan,nan,0,bisect,nan,solver_error"]
+
+
+def test_sweep_rows_of_failed_elements(workdir, capsys):
+    # a twist of 0.9 leaves no root in I+ from lambda 0.85 up
+    cfg = _demo_cfg(workdir, {"design.mode": "fixed", "design.gamma": "0.9",
+                              "design.chord": "0.1"}, "failing.cfg")
+    out = workdir / "failing.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 40
+    failed = [row for row in rows if row.endswith(",false")]
+    assert len(failed) == 36 and failed == rows[4:]
+    assert failed[0] == "0.8461538461538461,0.9,0.1,nan,nan,nan,nan,nan,0.0,false"
+    assert all(row.endswith(",true") for row in rows[:4])
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "warning: 36 element(s) failed; Cp computed with J=0 contributions")
 
 
 def test_sweep_emits_cp_summary(workdir, capsys):

@@ -112,6 +112,23 @@ def test_unknown_duplicate_and_missing_keys(workdir):
         "line 6: duplicate key 'turbine.radius'")
     missing = {k: v for k, v in MINIMAL.items() if k != "turbine.upstream_speed"}
     assert _error(workdir, missing) == "missing required key 'turbine.upstream_speed'"
+    assert _error(workdir, MINIMAL, "turbine.radius 1.0\n") == (
+        "line 6: expected key=value, got 'turbine.radius 1.0'")
+    gone = workdir / "gone.cfg"
+    with pytest.raises(ConfigError, match=f"^cannot read config file {gone}: "):
+        parse_config(gone)
+
+
+def test_lambdas_and_design_mode_are_config_errors(workdir):
+    no_lambda = {k: v for k, v in MINIMAL.items() if k != "run.lambda_count"}
+    assert _error(workdir, no_lambda) == "missing run.lambda or run.lambda_count"
+    assert _error(workdir, {**no_lambda, "run.lambda": "3.5"}) == (
+        "run.lambda outside [lambda_min, lambda_max]")
+    assert _error(workdir, {**MINIMAL, "design.mode": "optimal"}) == (
+        "design.mode must be fixed|simplified|corrected, got 'optimal'")
+    for given in ("design.gamma", "design.chord"):
+        assert _error(workdir, {**MINIMAL, "design.mode": "fixed", given: "0.1"}) == (
+            "design.mode=fixed requires design.gamma and design.chord")
 
 
 def test_single_lambda_excludes_a_lambda_count(workdir):
@@ -140,6 +157,9 @@ def test_unset_object_keys_take_the_object_defaults(workdir):
     ("design.tol", "nan", "must be positive"),
     ("design.max_steps", "0", "must be >= 1"),
     ("sweep.grid_n", "1", "must be >= 2"),
+    ("run.lambda_count", "0", "must be >= 1"),
+    ("design.chord", "0", "must be positive"),
+    ("design.gamma", "-1.6", "must satisfy |gamma| < pi/2"),
 ])
 def test_run_settings_out_of_range_are_config_errors(workdir, key, value, rule):
     # checked whatever the design mode: MINIMAL runs the simplified design

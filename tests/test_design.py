@@ -682,6 +682,22 @@ def test_optimizer_trials_keep_the_start_placement(polar_name, monkeypatch):
     assert set(placements) == {(geom.lam, geom.r, 2, 1.2)}
 
 
+def test_optimizer_stops_when_no_ascent_step_is_acceptable():
+    # with tol = 0 the gradient never falls below it: backtracking from the
+    # plain model's optimum ends with a step too small to change the design
+    polar = _design_polar()
+    tb = TurbineConfig(radius=1.2, upstream_speed=1.0, rotation_speed=3.0)
+    start = simplified_optimum(1.4, polar, tb)
+    geom = ElementGeometry.from_turbine(tb, 1.4, start.gamma, start.chord)
+    result = optimize_element(geom, polar, CorrectionSpec(variant="none"), step=0.25,
+                              tol=0.0, max_steps=5000, lambda_max=3.0)
+    assert result.message == "no acceptable ascent step"
+    assert result.converged is False
+    assert result.iterations < 5000 and result.accepted_steps > 0
+    history = result.j_history
+    assert all(b >= a for a, b in zip(history, history[1:]))
+
+
 def test_optimizer_rejects_bad_step():
     with pytest.raises(ValidationError):
         optimize_element(make_geom(), synthetic_polar("linear_lift"), wilson(),

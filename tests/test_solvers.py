@@ -723,6 +723,19 @@ def test_batched_scan_calls_the_grid_kernel_once(monkeypatch):
     assert [type(result).__name__ for result in out[1::2]] == ["ValidationError"] * 2
 
 
+def test_batched_grids_hold_each_elements_own_grid():
+    # _scan_many makes all its grids with one linspace: a row that differed in
+    # a bit from the element's own grid could move a batched root
+    gen = rng(16)
+    for _ in range(200):
+        count, size = int(gen.integers(1, 12)), int(gen.integers(100, 500))
+        lo = gen.uniform(1e-9, 0.8, count)
+        hi = lo + gen.uniform(1e-6, 1.5, count)
+        grids = np.linspace(lo, hi, size, axis=1)
+        for row, a, b in zip(grids, lo.tolist(), hi.tolist()):
+            assert row.tobytes() == np.linspace(a, b, size).tobytes()
+
+
 def test_scan_tip_loss_without_tip_radius_raises(linear_polar):
     geom = make_geom(gamma=0.05)  # no tip_radius
     with pytest.raises(ValidationError, match="tip_radius"):
