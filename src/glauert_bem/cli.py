@@ -300,11 +300,14 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()  # built once: parsing leaves no state in it
+
+
 def main(argv=None) -> int:
     level = os.environ.get("BEM_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:

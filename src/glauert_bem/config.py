@@ -113,8 +113,8 @@ class RunConfig:
 
 def _read_pairs(path):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -171,6 +171,8 @@ def parse_config(path) -> RunConfig:
         solver = SolveOptions(**_section(cfg, "solver"))
     except BemError as exc:
         raise ConfigError(str(exc))
+    except OSError as exc:  # the polar path names a directory or an unreadable file
+        raise ConfigError(f"cannot read polar file {polar_path}: {exc.strerror or exc}")
 
     lam_single, lam_count = cfg["run.lambda"], cfg["run.lambda_count"]
     if lam_single is not None and lam_count is not None:

@@ -21,7 +21,6 @@ order, so scalars and arrays give the same bits.
 
 from __future__ import annotations
 
-import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -271,28 +270,31 @@ def load_polar(source, *, beta=None, alpha_s=None, label=None, clamp_cl=False) -
     """Load a polar from CSV text: columns alpha_rad,cl,cd.
 
     ``source`` may be a filesystem path or any object with ``read()``
-    (e.g. ``sys.stdin``).  Comment lines start with '#'; a single header
-    line is allowed.  At least four data rows are required.
+    (e.g. ``sys.stdin``).  The text is UTF-8; rows may come in any order.
+    Comment lines start with '#'; a single header line is allowed.  At
+    least four data rows are required.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        name = label or getattr(source, "name", "polar")
-    else:
-        path = Path(source)
-        text = path.read_text()
-        name = label or path.stem
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+            name = label or getattr(source, "name", "polar")
+        else:
+            path = Path(source)
+            text = path.read_text(encoding="utf-8")
+            name = label or path.stem
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PolarFormatError(f"polar is not UTF-8 text: {exc}") from exc
 
     rows = []
     header_allowed = True
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
         try:
-            values = tuple(float(p) for p in parts)
+            values = tuple(map(float, line.split(",")))  # float strips the spaces
         except ValueError:
             if header_allowed:
                 header_allowed = False  # one non-numeric header line is fine
@@ -317,7 +319,6 @@ def best_glide_angle(polar: PolarTable) -> float:
     The result is computed once per table and cached.  Raises
     :class:`NoPositiveLiftError` when cl <= 0 on the whole window.
     """
-    # Threads may race to fill the cache; each computes the same float.
     if polar._best_glide is not None:
         return polar._best_glide
     lo = min(polar.beta, polar.alpha_max) / _GLIDE_GRID

@@ -352,6 +352,26 @@ def test_config_errors_exit_2(workdir, capsys):
     assert main(["solve", "--config", nofile]) == 2
     capsys.readouterr()
 
+    # files that cannot be read: each of these once ended in a traceback and exit 1
+    (workdir / "latin.csv").write_bytes(b"\xff" + (workdir / "polar.csv").read_bytes())
+    (workdir / "latin.cfg").write_bytes(BASE_CFG.encode() + b"# caf\xe9\n")
+    at = len(BASE_CFG.encode()) + 5  # the offset of the byte 0xe9
+    for cfg, err in [
+        (_write_cfg(workdir, "", base=BASE_CFG.replace("polar.csv", "."), name="dir.cfg"),
+         f"cannot read polar file {workdir}: Is a directory"),
+        (_write_cfg(workdir, "", base=BASE_CFG.replace("polar.csv", "latin.csv"),
+                    name="latin-polar.cfg"),
+         "polar is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
+        (str(workdir / "latin.cfg"),
+         f"cannot read config file {workdir / 'latin.cfg'}: 'utf-8' codec can't decode "
+         f"byte 0xe9 in position {at}: invalid continuation byte")]:
+        for cmd in ("solve", "scan", "check"):
+            assert main([cmd, "--config", cfg]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: {err}\n"  # one line, no traceback
+            assert captured.out == ""
+
     # run settings out of range, and a reversed bracket, in every subcommand
     for k, (extra, key) in enumerate([("design.step=-1\n", "design.step"),
                                       ("design.tol=-1\n", "design.tol"),

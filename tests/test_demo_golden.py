@@ -92,25 +92,51 @@ def mismatches(expected, got):
     return bad
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_demo_output_matches_golden(name, tmp_path):
-    text, out, err, code = run_demo(name, tmp_path / f"{name}.out")
-    streams = json.loads((GOLDEN / "demo_streams.json").read_text())[name]
+def assert_matches_golden(prefix, name, result):
+    """One :func:`run_demo` result against the golden files of ``prefix``."""
+    text, out, err, code = result
+    streams = json.loads((GOLDEN / f"{prefix}_streams.json").read_text())[name]
     assert code == streams["exit"]
-    assert mismatches((GOLDEN / f"demo_{name}.out").read_text(), text) == []
+    assert mismatches((GOLDEN / f"{prefix}_{name}.out").read_text(), text) == []
     assert mismatches(streams["stdout"], out) == []
     assert mismatches(streams["stderr"], err) == []
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_demo_output_matches_golden(name, tmp_path):
+    assert_matches_golden("demo", name, run_demo(name, tmp_path / f"{name}.out"))
 
 
 @pytest.mark.parametrize("name", CORRECTED_COMMANDS)
 def test_corrected_design_output_matches_golden(name, tmp_path):
     cfg = write_corrected_config(tmp_path)
-    text, out, err, code = run_demo(name, tmp_path / f"{name}.out", cfg)
-    streams = json.loads((GOLDEN / "corrected_streams.json").read_text())[name]
-    assert code == streams["exit"]
-    assert mismatches((GOLDEN / f"corrected_{name}.out").read_text(), text) == []
-    assert mismatches(streams["stdout"], out) == []
-    assert mismatches(streams["stderr"], err) == []
+    assert_matches_golden("corrected", name, run_demo(name, tmp_path / f"{name}.out", cfg))
+
+
+def test_one_process_runs_every_subcommand_twice_alike(tmp_path):
+    # main parses with one parser built at import: an argparse error or a config
+    # error between two runs of a subcommand must leave the second run's output,
+    # streams and exit code those of the first
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("bogus.key=1\n")
+    runs, failures = [{}, {}], []
+    for k, run in enumerate(runs):
+        for name in COMMANDS:
+            err = io.StringIO()
+            with redirect_stderr(err), pytest.raises(SystemExit) as stop:
+                main(["scan", "--method", "newton", "--config", str(DEMO_CFG)])
+            failures.append((stop.value.code, err.getvalue()))
+            run[name] = run_demo(name, tmp_path / f"{name}{k}.out")
+            err = io.StringIO()
+            with redirect_stderr(err):
+                failures.append((main(["check", "--config", str(bad_cfg)]), err.getvalue()))
+    assert runs[1] == runs[0]
+    assert failures[0][0] == 2
+    assert failures[0][1].endswith("bem: error: unrecognized arguments: --method newton\n")
+    assert failures[1] == (2, "config error: line 1: unknown key 'bogus.key'\n")
+    assert failures == failures[:2] * len(runs) * len(COMMANDS)
+    for name, result in runs[0].items():
+        assert_matches_golden("demo", name, result)
 
 
 def test_comparison_tolerates_last_digits_only():

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glauert_bem import (
@@ -80,6 +80,101 @@ def test_csv_round_trip():
 def test_load_accepts_byte_streams():
     table = load_polar(io.BytesIO(BASIC_CSV.encode()))
     assert table.alpha_s == 0.2
+
+
+# ---------------------------------------------------------------------------
+# the CSV reader: comments, blank lines, line ends, padded cells, row order
+
+MESSY_CSV = (" # demo polar, rows out of order\r\n"
+             "\r\n"
+             "alpha_rad , cl , cd   # header\r\n"
+             "\t0.1,\t0.6 ,0.01\r\n"
+             "# a full-line comment\r\n"
+             "  -0.1 , -0.6,\t0.01 # trailing comment\r\n"
+             "0.2,1.1,0.02#\r\n"
+             "   \r\n"
+             "0,0,0.008\r\n")
+
+
+def _table_bits(table):
+    """The samples, stall angle, window and every coefficient of a table, as bits."""
+    return ([(s.alpha.hex(), s.cl.hex(), s.cd.hex()) for s in table.samples],
+            table.alpha_s.hex(), table.beta.hex(),
+            {name: [c.tobytes() for c in cols] for name, cols in table._cols.items()})
+
+
+def test_load_reads_comments_blank_lines_crlf_and_padded_cells_in_any_order(tmp_path):
+    clean = _table_bits(load_polar(io.StringIO(BASIC_CSV)))
+    path = tmp_path / "messy.csv"
+    path.write_bytes(MESSY_CSV.encode())
+    for source in (io.StringIO(MESSY_CSV), io.BytesIO(MESSY_CSV.encode()), path):
+        assert _table_bits(load_polar(source)) == clean
+    assert load_polar(path).label == "messy"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "need at least 4 data rows, got 0"),
+    ("# only comments\n\n  \t\n#\n", "need at least 4 data rows, got 0"),
+    (BASIC_CSV.replace("0.2,1.1,0.02\n", ""), "need at least 4 data rows, got 3"),
+    ("alpha,cl,cd\nname,x,y\n", "line 2: cannot parse row 'name,x,y'"),
+    ("0,0,0.008\nalpha_rad,cl,cd\n", "line 2: cannot parse row 'alpha_rad,cl,cd'"),
+    (MESSY_CSV + "\t0.3 , oops ,0.03 # bad\r\n", "line 10: cannot parse row '0.3 , oops ,0.03'"),
+    ("\r\n# c\r\nalpha_rad,cl,cd\r\n 0.1 ,0.6\r\n", "line 4: expected 3 columns, got 2"),
+    ("0,0,0.008\n0.1, 0.6 ,0.01,\t0.5  # four\n", "line 2: expected 3 columns, got 4"),
+    ("0,0,0.008\n0.1,0.6,0.01,\n", "line 2: cannot parse row '0.1,0.6,0.01,'"),
+    ("0,0,0.008\n\n0.1,,0.01\n", "line 3: cannot parse row '0.1,,0.01'"),
+    ("0,0,0.008\n0.1;0.6;0.01\n", "line 2: cannot parse row '0.1;0.6;0.01'"),
+    ("# only \\n ends a line: \r \x0c \x85 \u2028\n0,0\n", "line 2: expected 3 columns, got 2"),
+])
+def test_load_error_texts_name_the_line(text, message):
+    for source in (io.StringIO(text), io.BytesIO(text.encode())):
+        with pytest.raises(PolarFormatError) as info:
+            load_polar(source)
+        assert str(info.value) == message
+
+
+def test_load_rejects_text_that_is_not_utf8(tmp_path):
+    data = BASIC_CSV.encode().replace(b"# demo", b"# d\xe9mo")
+    path = tmp_path / "latin.csv"
+    path.write_bytes(data)
+    for source in (io.BytesIO(data), path):
+        with pytest.raises(PolarFormatError) as info:
+            load_polar(source)
+        assert str(info.value) == ("polar is not UTF-8 text: 'utf-8' codec can't decode "
+                                   "byte 0xe9 in position 3: invalid continuation byte")
+
+
+_PAD = st.text(alphabet=" \t", max_size=3)
+_COMMENT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                   max_size=8).map(lambda text: "#" + text)
+_EXTRA_LINE = st.tuples(_PAD, st.sampled_from(["", "#"]) | _COMMENT).map("".join)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_dump_then_load_of_a_padded_commented_shuffled_text_is_bit_identical(data):
+    # angles at least 0.006 apart, each with all the digits a float can have
+    nodes = sorted(data.draw(st.lists(st.integers(-100, 140), min_size=4, max_size=30,
+                                      unique=True)))
+    assume(nodes[-1] > 0)
+    alpha = [k / 100 + data.draw(st.floats(0.0, 0.004)) for k in nodes]
+    n = len(alpha)
+    cl = data.draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n))
+    cl[-1] = 3.0  # the stall estimate, the alpha of the largest cl, lies in (0, 1.41)
+    cd = data.draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n))
+    table = PolarTable(alpha, cl, cd)
+    buf = io.StringIO()
+    dump_polar(table, buf)
+    header, *rows = buf.getvalue().splitlines()
+
+    lines = []
+    for line in [header] + data.draw(st.permutations(rows)):
+        lines += data.draw(st.lists(_EXTRA_LINE, max_size=2))
+        cells = [data.draw(_PAD) + cell + data.draw(_PAD) for cell in line.split(",")]
+        lines.append(",".join(cells) + data.draw(st.just("") | _PAD | _COMMENT))
+    text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    source = io.BytesIO(text.encode()) if data.draw(st.booleans()) else io.StringIO(text)
+    assert _table_bits(load_polar(source)) == _table_bits(table)
 
 
 def test_interpolant_exact_at_nodes():
