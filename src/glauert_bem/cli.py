@@ -37,6 +37,7 @@ from .model import ElementGeometry, phi_upper
 from .solvers import (
     _SCAN_NODES,
     METHODS,
+    _attempt,
     _scan_many,
     check_appendix_conditions,
     check_existence,
@@ -147,24 +148,21 @@ def cmd_solve(cfg: RunConfig, method: str, out_path) -> int:
     lines = [ROW_HEADER]
     all_ok = True
     for lam in cfg.lambdas:
-        try:
-            geom = _element_geometry(cfg, lam)
-        except BemError as exc:
-            log.warning("lambda=%g: %s", lam, exc)
+        geom = _attempt(_element_geometry, cfg, lam)
+        if isinstance(geom, BemError):
+            log.warning("lambda=%g: %s", lam, geom)
             lines.append(_failed_row(lam, "design", "design_failed"))
             all_ok = False
             continue
         for name in methods:
-            try:
-                report = METHODS[name](geom, cfg.polar, cfg.correction, cfg.solver)
-            except BracketError:
-                lines.append(_failed_row(lam, name, "wrong_initial_guess"))
+            report = _attempt(METHODS[name], geom, cfg.polar, cfg.correction, cfg.solver)
+            if isinstance(report, BemError):
                 all_ok = False
-                continue
-            except BemError as exc:
-                log.warning("lambda=%g method=%s: %s", lam, name, exc)
+                if isinstance(report, BracketError):
+                    lines.append(_failed_row(lam, name, "wrong_initial_guess"))
+                    continue
+                log.warning("lambda=%g method=%s: %s", lam, name, report)
                 lines.append(_failed_row(lam, name, "solver_error"))
-                all_ok = False
                 continue
             all_ok = all_ok and report.converged
             state = report.state
@@ -180,12 +178,7 @@ def cmd_solve(cfg: RunConfig, method: str, out_path) -> int:
 
 
 def cmd_scan(cfg: RunConfig, out_path) -> int:
-    geoms = []  # each lambda's element, or the error of its design
-    for lam in cfg.lambdas:
-        try:
-            geoms.append(_element_geometry(cfg, lam))
-        except BemError as exc:
-            geoms.append(exc)
+    geoms = [_attempt(_element_geometry, cfg, lam) for lam in cfg.lambdas]  # or design errors
     lines = [ROW_HEADER]
     for lam, geom, roots in zip(cfg.lambdas, geoms,
                                 _scan_many(geoms, cfg.polar, cfg.correction, _SCAN_NODES)):
@@ -207,10 +200,9 @@ def cmd_design(cfg: RunConfig, out_path) -> int:
     all_ok = True
     mode = "corrected" if cfg.design_mode == "corrected" else "simplified"
     for lam in cfg.lambdas:
-        try:
-            point = _designed(cfg, lam)
-        except BemError as exc:
-            log.warning("lambda=%g: %s", lam, exc)
+        point = _attempt(_designed, cfg, lam)
+        if isinstance(point, BemError):
+            log.warning("lambda=%g: %s", lam, point)
             lines.append(_row(lam, *[math.nan] * 4, mode, False))
             all_ok = False
             continue
@@ -254,10 +246,9 @@ def cmd_sweep(cfg: RunConfig, out_path) -> int:
 def cmd_check(cfg: RunConfig, out_path) -> int:
     lines = []
     for lam in cfg.lambdas:
-        try:
-            geom = _element_geometry(cfg, lam)
-        except BemError as exc:
-            lines.append(f"lambda={_fmt(lam)} {_verdict('design', False, None, exc)}")
+        geom = _attempt(_element_geometry, cfg, lam)
+        if isinstance(geom, BemError):
+            lines.append(f"lambda={_fmt(lam)} {_verdict('design', False, None, geom)}")
             continue
         ex = check_existence(geom, cfg.polar, cfg.correction)
         lines.append(f"lambda={_fmt(lam)} " + " ".join([

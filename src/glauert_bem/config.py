@@ -117,7 +117,7 @@ def _read_pairs(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # read_text ends every line with "\n"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -44,7 +44,7 @@ from .model import (
     residual,  # unused here; benchmarks/selftest.py checks the tracer rebinds it here
 )
 from .polar import PolarTable, best_glide_angle
-from .solvers import _scan_domain, _scan_many, _unwrap, scan_roots
+from .solvers import _attempt, _scan_domain, _scan_many, _unwrap, scan_roots
 
 
 @dataclass(frozen=True)
@@ -479,7 +479,8 @@ def landscape(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     and below 16 cells per axis, :class:`ValidationError` is raised.  The
     cells of one twist are scanned in one batch (``solvers._scan_many``),
     which keeps the memory of a call to one row of the table; each cell's
-    roots are those of its own scan.
+    roots are those of its own scan.  A cell is ``invalid`` where it has no
+    root, or where ``ElementGeometry`` rejects its design (chord <= 0, say).
     """
     if resolution < 16:
         raise ValidationError("resolution must be >= 16 per axis")
@@ -489,10 +490,9 @@ def landscape(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     multiple = np.zeros((resolution, resolution), dtype=bool)
     invalid = np.ones((resolution, resolution), dtype=bool)
     for i, gam in enumerate(gammas):
-        cells = {k: replace(geom, gamma=float(gam), chord=float(ch))
-                 for k, ch in enumerate(chords) if ch > 0.0 and abs(gam) < math.pi / 2.0}
-        scans = _scan_many(list(cells.values()), polar, corr, grid_size)
-        for (k, cell), roots in zip(cells.items(), scans):
+        cells = [_attempt(replace, geom, gamma=float(gam), chord=float(ch)) for ch in chords]
+        scans = _scan_many(cells, polar, corr, grid_size)
+        for k, (cell, roots) in enumerate(zip(cells, scans)):
             try:
                 chosen = _chosen_root(_unwrap(roots))
             except BemError:

@@ -636,6 +636,8 @@ def _scan_domain(geom, polar, corr):
         lo = max(hi * 1e-4, geom.gamma + polar.alpha_min + 1e-12, PHI_EPS)
     if not lo < hi:
         raise ValidationError("scan domain is empty for this element")
+    if corr.tip_loss:
+        _tip_rate(geom)  # the grid kernel's one error, raised before any grid is made
     return lo, hi
 
 
@@ -648,19 +650,28 @@ def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
 
     The grid values come from one call of the array kernel
     ``model._residual_grid`` (NaN where the residual is undefined); nodes
-    within its error of 0 are evaluated again on the scalar path.  Only
-    each sign change between two finite neighbours, refined by Brent's
-    method on the scalar residual, and each node where the residual is
-    exactly 0 give a root: a close pair between two nodes, or a tangential
-    root, is missed.  The scan covers I for the trivial correction and I+
-    otherwise, so no root above phi_upper is looked for.  Roots closer
-    than 1e-10 are merged, and a root is kept where |residual| <= 1e-10.
-    This is :func:`_scan_many` on one element.  ``cp_sweep``, ``landscape``
-    and ``bem scan`` scan their elements in batches through it: only the
-    grid values are computed together, and each element keeps its own
+    within its error of 0 are evaluated again on the scalar path.  Only each
+    sign change between two finite neighbours, refined by Brent's method on
+    the scalar residual, and each node where the residual is exactly 0 give a
+    root: a close pair between two nodes, or a tangential root, is missed.
+    The scan covers I for the trivial correction and I+ otherwise, so no root
+    above phi_upper is looked for; where that domain is empty, or tip loss has
+    no ``tip_radius``, :class:`ValidationError` is raised.  Roots closer than
+    1e-10 are merged, and a root is kept where |residual| <= 1e-10.  This is
+    :func:`_scan_many` on one element.  ``cp_sweep``, ``landscape`` and
+    ``bem scan`` scan their elements in batches through it: only the grid
+    values are computed together, and each element keeps its own checks,
     recheck, Brent refinement and error, so its roots are the same.
     """
     return _unwrap(_scan_many([geom], polar, corr, grid_size)[0])
+
+
+def _attempt(make, *args, **kwargs):
+    """A batch entry: ``make(*args, **kwargs)``, or the :class:`BemError` it raises."""
+    try:
+        return make(*args, **kwargs)
+    except BemError as exc:
+        return exc
 
 
 def _unwrap(outcome):
@@ -679,26 +690,19 @@ def _scan_many(geoms, polar, corr, grid_size):
     grid, the scalar recheck near 0 against its own largest |value|, Brent
     and the root records are its own, so the roots are those of a scan of
     the element alone.  An entry of ``geoms`` that is a :class:`BemError`
-    (a design that failed, say) is passed through.  A ``grid_size`` below
-    100 raises before any element.  The grid kernel's one error, tip loss
-    without a ``tip_radius``, is checked per element as the batch is made,
-    so the kernel is called once and the error stays with its element.
+    (a design that failed, say) is passed through, and so is the error of
+    an element's scan domain (``_scan_domain``).  A ``grid_size`` below
+    100 raises before any element.
     """
     if grid_size < 100:
         raise ValidationError("grid_size must be >= 100")
     out = list(geoms)
     batch = []  # (index, geometry, (lo, hi)) of every element with a scan domain
     for i, geom in enumerate(geoms):
-        if isinstance(geom, BemError):
-            continue
-        try:
-            domain = _scan_domain(geom, polar, corr)
-            if corr.tip_loss:
-                _tip_rate(geom)
-        except BemError as exc:
-            out[i] = exc
-            continue
-        batch.append((i, geom, domain))
+        if not isinstance(geom, BemError):
+            out[i] = domain = _attempt(_scan_domain, geom, polar, corr)
+            if not isinstance(domain, BemError):
+                batch.append((i, geom, domain))
     if not batch:
         return out
     lo, hi = np.array([domain for _, _, domain in batch]).T
@@ -706,10 +710,7 @@ def _scan_many(geoms, polar, corr, grid_size):
     grids = np.linspace(lo, hi, grid_size, axis=1)
     values = _residual_grid([geom for _, geom, _ in batch], polar, corr, grids)
     for (i, geom, _), grid, vals in zip(batch, grids, values):
-        try:
-            out[i] = _grid_roots(geom, polar, corr, grid, vals)
-        except BemError as exc:
-            out[i] = exc
+        out[i] = _attempt(_grid_roots, geom, polar, corr, grid, vals)
     return out
 
 

@@ -1,4 +1,6 @@
 import math
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +172,27 @@ def test_reversed_solver_bracket_is_a_config_error(workdir):
     message = _error(workdir, {**MINIMAL, "solver.bracket_lo": "0.5",
                                "solver.bracket_hi": "0.1"})
     assert message == "bracket endpoints must satisfy lo < hi"
+
+
+DEMO = Path(__file__).resolve().parents[1] / "demo"
+
+
+def _fields(cfg):
+    """Every field of a parsed config, the polar by its samples."""
+    return {**vars(cfg), "polar": cfg.polar.samples}
+
+
+@pytest.mark.parametrize("text", [
+    *[f"# note{sep}design.mode=fixed\n" for sep in
+      ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")],
+    "\r\n", "\r",
+], ids=lambda text: {"\r\n": "CRLF", "\r": "CR"}.get(text) or f"U+{ord(text[6]):04X}")
+def test_only_a_newline_ends_a_config_line(tmp_path, text):
+    # str.splitlines() also ends a line at each character inside the comment,
+    # so the rest of the comment would be read as a key (here a duplicate one);
+    # CRLF and CR line ends are read as "\n"
+    shutil.copy(DEMO / "polar.csv", tmp_path)
+    demo = (DEMO / "run.cfg").read_text(encoding="utf-8")
+    text = demo.replace("\n", text) if text[0] == "\r" else demo + text
+    (tmp_path / "run.cfg").write_bytes(text.encode("utf-8"))
+    assert _fields(parse_config(tmp_path / "run.cfg")) == _fields(parse_config(DEMO / "run.cfg"))

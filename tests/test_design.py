@@ -448,6 +448,23 @@ def test_solve_element_never_takes_a_singular_angle_root():
     assert abs(state.a - 0.064) <= 1e-3
 
 
+@pytest.mark.parametrize("gamma, message", [
+    (0.05, "tip loss requires a tip_radius on the element geometry"),
+    (-1.5, "scan domain is empty for this element"),  # that error comes first
+])
+def test_an_element_without_a_scan_reports_why_on_every_path(linear_polar, gamma, message):
+    geom = make_geom(gamma=gamma)  # no tip_radius
+    corr = wilson(tip=True)
+    lo, hi = _scan_domain(make_geom(gamma=0.05, tip_radius=1.2), linear_polar, corr)
+    for scan in (lambda: solve_element(geom, linear_polar, corr),
+                 lambda: solve_element(geom, linear_polar, corr, phi_hint=0.5 * (lo + hi)),
+                 lambda: solve_element(geom, linear_polar, corr, phi_hint=hi + 0.1),
+                 lambda: scan_roots(geom, linear_polar, corr)):
+        with pytest.raises(ValidationError) as info:
+            scan()
+        assert type(info.value) is ValidationError and str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 

@@ -89,6 +89,20 @@ def test_turbine_config_rejects_non_finite_numbers(field, value):
         TurbineConfig(**{**fields, field: value})
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: TurbineConfig(radius=1.1, upstream_speed=1.0, rotation_speed=3.0,
+                           blade_count=0), "blade_count must be >= 1"),
+    (lambda: ElementGeometry(lam=1.0, r=0.5, gamma=0.1, chord=0.1, blade_count=0),
+     "blade_count must be >= 1"),
+    (lambda: CorrectionSpec(variant="buhl", a_c=0.0), "a_c must lie in (0, 1]"),
+    (lambda: CorrectionSpec(variant="buhl", a_c=1.5), "a_c must lie in (0, 1]"),
+])
+def test_configuration_types_reject_out_of_range_settings(make, message):
+    with pytest.raises(ValidationError) as info:
+        make()
+    assert type(info.value) is ValidationError and str(info.value) == message
+
+
 def test_element_from_turbine_places_radius_by_lambda():
     tb = TurbineConfig(radius=1.1, upstream_speed=1.0, rotation_speed=3.0,
                        lambda_max=3.0)

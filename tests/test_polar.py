@@ -301,6 +301,25 @@ def test_polar_invariants_rejected_at_construction():
                    beta=0.25, alpha_s=0.3)
 
 
+@pytest.mark.parametrize("alpha, cl, kw, message", [
+    ([0.1], [0.5], {}, "polar needs at least two samples"),
+    ([0.0, 0.1, 0.2], [0.1, 0.2], {}, "alpha, cl, cd must have matching lengths"),
+    ([0.0, 0.2, 0.1], [0.1, 0.3, 0.2], {}, "polar samples must be sorted by alpha"),
+    ([0.0, 0.1, 0.2], [0.1, 0.2, 0.3], {"alpha_s": 0.0},
+     "stall angle estimate 0 outside (0, pi/2); pass alpha_s explicitly"),
+    ([0.0, 0.1, 0.2], [0.1, 0.2, 0.3], {"alpha_s": 2.0},
+     "stall angle estimate 2 outside (0, pi/2); pass alpha_s explicitly"),
+    ([-0.1, 0.0, 0.1], [0.5, 0.2, 0.1], {},  # the default: the argmax of cl
+     "stall angle estimate -0.1 outside (0, pi/2); pass alpha_s explicitly"),
+    ([0.0, 0.1, 0.2], [0.1, 0.2, 0.3], {"beta": 0.3, "alpha_s": 0.2},
+     "beta=0.3 must satisfy 0 < beta <= alpha_s=0.2"),
+])
+def test_polar_table_input_errors(alpha, cl, kw, message):
+    with pytest.raises(ValidationError) as info:
+        PolarTable(alpha, cl, [0.01] * len(alpha), **kw)
+    assert type(info.value) is ValidationError and str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # scalar fast path: bit-identical to the array path
 

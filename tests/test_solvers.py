@@ -67,6 +67,12 @@ def test_solve_options_reject_non_finite_numbers(field, value):
         SolveOptions(**{field: value})
 
 
+def test_solve_options_reject_a_zero_iteration_limit():
+    with pytest.raises(ValidationError) as info:
+        SolveOptions(max_iter=0)
+    assert type(info.value) is ValidationError and str(info.value) == "max_iter must be >= 1"
+
+
 # ---------------------------------------------------------------------------
 # usual procedure
 
@@ -557,6 +563,21 @@ def test_brent_matches_scipy_brentq_step_for_step(coef, a, b, wave):
     else:
         assert _brentq(lambda x: seen.append(x) or float(f(x)), a, b) == want
     assert seen == seen_ref
+
+
+def test_brent_returns_a_root_at_a_bracket_end_and_needs_a_sign_change():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 0.25
+
+    assert _brentq(f, 0.25, 1.0) == 0.25 and seen == [0.25, 1.0]
+    seen.clear()
+    assert _brentq(f, 0.0, 0.25) == 0.25 and seen == [0.0, 0.25]
+    with pytest.raises(BracketError) as info:
+        _brentq(f, 0.5, 1.0)
+    assert type(info.value) is BracketError and str(info.value) == "no sign change on [0.5, 1]"
 
 
 def _scan_per_node(geom, polar, corr, grid_size=400, tol=1e-10):
