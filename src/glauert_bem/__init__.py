@@ -49,7 +49,6 @@ from .design import (
     J_lambda,
     assemble_adjoint,
     cp_sweep,
-    gradient,
     landscape,
     optimize_element,
     simplified_closed_forms,

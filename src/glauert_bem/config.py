@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BemError, ConfigError
 from .model import CorrectionSpec, TurbineConfig
-from .polar import PolarTable, load_polar
+from .polar import PolarTable, _content_lines, load_polar
 from .solvers import SolveOptions
 
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True,
@@ -117,10 +117,7 @@ def _read_pairs(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     values = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):  # read_text ends every line with "\n"
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):  # read_text ends every line with "\n"
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")

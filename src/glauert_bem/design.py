@@ -59,14 +59,13 @@ class DesignPoint:
 
 @dataclass(frozen=True)
 class AdjointState:
-    """Multipliers and gradient of the constrained power density."""
+    """Multipliers and gradient of the constrained power density, and the root's response."""
 
     p: np.ndarray
     M: np.ndarray
     b: np.ndarray
     grad: np.ndarray
     scale: float
-    at_threshold: bool
     phi_sensitivity: tuple  # (dphi/dgamma, dphi/dchord) of the root at fixed lambda
 
 
@@ -192,16 +191,15 @@ def solve_element(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec
     takes more than 8 steps, the residual is scanned on 240 nodes and the
     scanned root nearest the hint is taken.  Without a hint the scan's
     largest principal root is taken, else its largest root; a root at a
-    singular angle of the original system is never taken.
+    singular angle of the original system is never taken.  The same Newton
+    polishes a scanned root to 1e-13 where it can (the scan stops at 1e-10).
     """
-    lo_dom, hi_dom = _scan_domain(geom, polar, corr)
-    if phi_hint is not None and lo_dom < phi_hint < hi_dom:
-        delta = max(1e-4, 1e-3 * (hi_dom - lo_dom))
-        state = _newton_near(geom, polar, corr, phi_hint, max(lo_dom, phi_hint - delta),
-                             min(hi_dom, phi_hint + delta))
+    domain = _scan_domain(geom, polar, corr)
+    if phi_hint is not None and domain[0] < phi_hint < domain[1]:
+        state = _newton_near(geom, polar, corr, phi_hint, domain)
         if state is not None:
             return state
-    return _chosen_root(scan_roots(geom, polar, corr, grid_size=_SOLVE_NODES), phi_hint).state
+    return _root_state(geom, polar, corr, scan_roots(geom, polar, corr, _SOLVE_NODES), phi_hint)
 
 
 def _chosen_root(roots, phi_hint=None):
@@ -217,13 +215,23 @@ def _chosen_root(roots, phi_hint=None):
     return max(principals or records, key=lambda rec: rec.phi)
 
 
+def _root_state(geom, polar, corr, roots, phi_hint=None):
+    """:func:`_chosen_root`'s state, polished by Newton where its |residual| > ``_HINT_TOL``."""
+    state = _chosen_root(roots, phi_hint).state
+    if abs(state.residual) <= _HINT_TOL:
+        return state
+    return _newton_near(geom, polar, corr, state.phi, _scan_domain(geom, polar, corr)) or state
+
+
 _HINT_TOL = 1e-13
 _HINT_STEPS = 8
 
 
-def _newton_near(geom, polar, corr, phi, lo, hi):
-    """The state at a root reached by Newton from ``phi`` with every iterate
-    in [lo, hi]; None where it is not reached in ``_HINT_STEPS`` steps."""
+def _newton_near(geom, polar, corr, phi, domain):
+    """The state at a root Newton reaches from ``phi`` in ``_HINT_STEPS`` steps,
+    every iterate in the scan ``domain`` and within +-delta of ``phi``; else None."""
+    delta = max(1e-4, 1e-3 * (domain[1] - domain[0]))
+    lo, hi = max(domain[0], phi - delta), min(domain[1], phi + delta)
     for _ in range(_HINT_STEPS + 1):
         try:
             ev = _evaluation(geom, polar, corr, phi)
@@ -261,7 +269,7 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     balances.
 
     psi is differenced one-sidedly at a = a_c (derivative from below,
-    i.e. zero); such states are flagged ``at_threshold``.
+    i.e. zero).
     """
     phi, a, ap = state.phi, state.a, state.a_prime
     lam = geom.lam
@@ -325,15 +333,7 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     sensitivity = tuple(-(c01 * dg2[k] + c02 * dg3[k]) / det for k in (0, 1))
     return AdjointState(p=p, M=np.array([[m00, m01, m02], [m10, m11, m12], [m20, 0.0, m22]]),
                         b=np.array([b0, b1, b2]), grad=grad, scale=scale,
-                        at_threshold=abs(excess) < 1e-9, phi_sensitivity=sensitivity)
-
-
-def gradient(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
-             state: FlowState = None, lambda_max: float = None) -> np.ndarray:
-    """Adjoint gradient of the power density with respect to (gamma, chord)."""
-    if state is None:
-        state = solve_element(geom, polar, corr)
-    return assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max).grad
+                        phi_sensitivity=sensitivity)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +456,7 @@ def cp_sweep(turbine: TurbineConfig, polar: PolarTable, corr: CorrectionSpec,
     for (lam, gamma, chord), geom, roots in zip(designs, geoms,
                                                 _scan_many(geoms, polar, corr, _SOLVE_NODES)):
         try:
-            state = _chosen_root(_unwrap(roots)).state
+            state = _root_state(geom, polar, corr, _unwrap(roots))
             j = J_lambda(geom, polar, corr, state)
             elements.append(ElementSolution(lam, gamma, chord, state, j, True))
         except BemError as exc:
@@ -494,13 +494,13 @@ def landscape(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
         scans = _scan_many(cells, polar, corr, grid_size)
         for k, (cell, roots) in enumerate(zip(cells, scans)):
             try:
-                chosen = _chosen_root(_unwrap(roots))
+                state = _root_state(cell, polar, corr, _unwrap(roots))
             except BemError:
                 continue
             invalid[i, k] = False
             multiple[i, k] = len(roots.records) > 1
             try:
-                j[i, k] = J_lambda(cell, polar, corr, chosen.state)
+                j[i, k] = J_lambda(cell, polar, corr, state)
             except DesignEvaluationError:
                 invalid[i, k] = True
                 multiple[i, k] = True  # multivalued/undefined objective

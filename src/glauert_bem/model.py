@@ -649,7 +649,6 @@ def _residual_grid(geoms, polar: PolarTable, corr: CorrectionSpec, grids):
             return np.full(phis.shape, np.nan)
         # clipped, so that cl does not raise; it is read only where ok
         cl, cd = polar._on_array(alpha.clip(polar.alpha_min, polar.alpha_max), "cl", "cd")
-        cl = np.where(ok, cl, np.nan)
         t = np.tan(theta - phi)
         cos_tp = np.cos(theta - phi)
         f = (_tip_grid(np.array([_tip_rate(geom) for geom in geoms])[:, None], phi)[0]

@@ -266,6 +266,13 @@ class PolarTable:
         return self._on_array(alpha, "cd_prime")[0]
 
 
+def _content_lines(text):
+    """(line number, stripped text) of each line of ``text`` that is not blank or a
+    comment; in both readers only "\\n" ends a line, and "#" starts a comment."""
+    lines = [raw.partition("#")[0].strip() for raw in text.split("\n")]
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
+
+
 def load_polar(source, *, beta=None, alpha_s=None, label=None, clamp_cl=False) -> PolarTable:
     """Load a polar from CSV text: columns alpha_rad,cl,cd.
 
@@ -289,10 +296,7 @@ def load_polar(source, *, beta=None, alpha_s=None, label=None, clamp_cl=False) -
 
     rows = []
     header_allowed = True
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         try:
             values = tuple(map(float, line.split(",")))  # float strips the spaces
         except ValueError:

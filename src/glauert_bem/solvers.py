@@ -93,14 +93,12 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: final angle, state, and iteration diagnostics."""
+    """Outcome of one solve: final angle, state, iterates and their native errors."""
 
-    method: str
     phi_star: float
     state: Optional[FlowState]
     iterations: int
     converged: bool
-    monotone: bool
     phi_history: list = field(default_factory=list)
     native_err_history: list = field(default_factory=list)
     message: str = ""
@@ -108,9 +106,10 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class RootRecord:
+    """A scanned root: its angle, its state and its :func:`classify_root` category."""
+
     phi: float
     state: FlowState
-    lift_sign: int
     category: str
 
 
@@ -129,9 +128,10 @@ class RootSet:
 
 @dataclass(frozen=True)
 class ExistenceReport:
+    """Margins of the interval, simplified and corrected existence criteria at max I+."""
+
     interval_ok: bool
     interval_margin: float
-    phi_hi: float
     upper_is_theta: bool
     simplified_ok: bool
     simplified_margin: float
@@ -231,7 +231,7 @@ def _brentq(f, xa, xb):
     raise BracketError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
 
 
-def _finish(geom, polar, corr, method, phi, ev, opts, iters, phi_hist, err_hist, message=""):
+def _finish(geom, polar, corr, phi, ev, opts, iters, phi_hist, err_hist, message=""):
     """The report of a solve ending at ``phi``, with the state from its record ``ev``;
     ``phi`` is evaluated here only where the solve holds no record (``ev=None``)."""
     state = None
@@ -253,9 +253,8 @@ def _finish(geom, polar, corr, method, phi, ev, opts, iters, phi_hist, err_hist,
             # a genuine solution, but beyond the trusted working interval
             message = (message + "; " if message else "") + \
                 "converged outside the working interval"
-    return SolveReport(method=method, phi_star=float(phi), state=state,
+    return SolveReport(phi_star=float(phi), state=state,
                        iterations=iters, converged=converged,
-                       monotone=all(b <= a + 1e-12 for a, b in zip(phi_hist, phi_hist[1:])),
                        phi_history=phi_hist, native_err_history=err_hist, message=message)
 
 
@@ -263,7 +262,7 @@ class _Stop(Exception):
     """Raised by a step that cannot go on; its text is the report's message."""
 
 
-def _iterate(geom, polar, corr, method, opts, step, phi0=None, fenced=True,
+def _iterate(geom, polar, corr, opts, step, phi0=None, fenced=True,
              last=None, note=None, undefined="diverged: residual undefined at iterate"):
     """The one iteration loop of the four methods: stop rules, histories, report.
 
@@ -313,7 +312,7 @@ def _iterate(geom, polar, corr, method, opts, step, phi0=None, fenced=True,
         phi, ev = last(phi, ev), None
     if note is not None:
         message = "; ".join(filter(None, [message, note()]))
-    return _finish(geom, polar, corr, method, phi, ev, opts, len(phi_hist) - uncounted,
+    return _finish(geom, polar, corr, phi, ev, opts, len(phi_hist) - uncounted,
                    phi_hist, err_hist, message)
 
 
@@ -353,7 +352,7 @@ def solve_usual(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
             raise _Stop("diverged: 1 + a' reached zero")
         return math.atan2(1.0 - a, denom), abs(math.tan(phi) - (1.0 - a) / denom)
 
-    return _iterate(geom, polar, corr, "usual", opts, step, undefined="diverged: {}")
+    return _iterate(geom, polar, corr, opts, step, undefined="diverged: {}")
 
 
 def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -380,7 +379,7 @@ def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: Correction
         phi_next = phi - rho * ev.value
         return phi_next, abs(phi_next - phi)
 
-    return _iterate(geom, polar, corr, "fixed_point", opts, step,
+    return _iterate(geom, polar, corr, opts, step,
                     phi0=opts.phi0 if opts.phi0 is not None else geom.theta)
 
 
@@ -438,7 +437,7 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
 
     phi0 = opts.phi0 if opts.phi0 is not None else (0.5 * (lo + hi) if have_bracket else geom.theta)
     # a fallback stays in the caller's bracket, which may reach past (0, pi/2)
-    return _iterate(geom, polar, corr, "newton", opts, step, phi0=phi0, fenced=False,
+    return _iterate(geom, polar, corr, opts, step, phi0=phi0, fenced=False,
                     note=lambda: f"{fallbacks} bisection fallback step(s)" if fallbacks else "")
 
 
@@ -461,7 +460,7 @@ def solve_bisection(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSp
         raise BracketError(f"wrong initial guess: residual undefined at a bracket end ({exc})")
     for end, f_end in ((lo, f_lo), (hi, f_hi)):
         if f_end == 0.0:
-            return _finish(geom, polar, corr, "bisection", end, None, opts, 0, [end], [])
+            return _finish(geom, polar, corr, end, None, opts, 0, [end], [])
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise BracketError(
             f"wrong initial guess: residual has the same sign at both ends "
@@ -484,7 +483,7 @@ def solve_bisection(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSp
         width *= 0.5  # exact in binary floating point
         return lo + width, width
 
-    return _iterate(geom, polar, corr, "bisection", opts, step, last=shrink, undefined=None)
+    return _iterate(geom, polar, corr, opts, step, last=shrink, undefined=None)
 
 
 METHODS = {
@@ -544,7 +543,7 @@ def check_existence(geom: ElementGeometry, polar: PolarTable,
     simplified_ok = math.isfinite(simplified_margin) and simplified_margin >= 0.0
     corrected_ok = math.isfinite(corrected_margin) and corrected_margin >= 0.0
     return ExistenceReport(interval_ok=interval_ok, interval_margin=interval_margin,
-                           phi_hi=hi, upper_is_theta=upper_is_theta,
+                           upper_is_theta=upper_is_theta,
                            simplified_ok=simplified_ok,
                            simplified_margin=simplified_margin,
                            corrected_ok=corrected_ok,
@@ -741,6 +740,5 @@ def _grid_roots(geom, polar, corr, grid, vals):
         if not math.isfinite(state.residual) or abs(state.residual) > 1e-10:
             continue
         records.append(RootRecord(phi=phi, state=state,
-                                  lift_sign=state.lift_sign,
                                   category=classify_root(geom, polar, corr, phi, state)))
     return RootSet(records=records)

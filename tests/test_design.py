@@ -21,7 +21,6 @@ from glauert_bem import (
     J_lambda,
     assemble_adjoint,
     cp_sweep,
-    gradient,
     landscape,
     load_polar,
     mu_G,
@@ -34,7 +33,7 @@ from glauert_bem import (
 from glauert_bem.design import _chosen_root, _objective_pieces, cp_integral
 from glauert_bem.model import (CORRECTION_VARIANTS, _evaluation, _slope, mu_L, recover_induction,
                                residual)
-from glauert_bem.solvers import _brentq, _scan_domain, classify_root, scan_roots
+from glauert_bem.solvers import RootSet, _brentq, _scan_domain, classify_root, scan_roots
 
 from conftest import make_geom, rng, trivial, wilson
 
@@ -267,7 +266,8 @@ def test_gradient_scaling_against_fd_when_chord_doubles(dragfree_polar):
         geom = make_geom(gamma=0.05, chord=chord)
         for g in (geom, replace(geom, chord=2 * chord)):
             fd = _fd_gradient(g, dragfree_polar, corr)
-            adj = gradient(g, dragfree_polar, corr)
+            adj = assemble_adjoint(g, dragfree_polar, corr,
+                                   solve_element(g, dragfree_polar, corr)).grad
             assert np.all(np.abs(adj - fd) <= 1e-5 * np.maximum(np.abs(fd), 1e-8))
 
 
@@ -448,6 +448,64 @@ def test_solve_element_never_takes_a_singular_angle_root():
     assert abs(state.a - 0.064) <= 1e-3
 
 
+def _nudged(geom, polar, corr, roots):
+    """``roots`` (or a batch entry's error) with every root moved off its angle to
+    |residual| of about 1e-11, inside the 1e-10 that a scan holds its roots to."""
+    if isinstance(roots, BemError):
+        return roots
+    records = []
+    for rec in roots.records:
+        slope = _slope(geom, polar, corr, _evaluation(geom, polar, corr, rec.phi))
+        phi = rec.phi + 1e-11 / slope
+        records.append(replace(rec, phi=phi, state=recover_induction(geom, polar, corr, phi)))
+    return RootSet(records=records)
+
+
+def _nudged_scan(geom, polar, corr, grid_size):
+    return _nudged(geom, polar, corr, scan_roots(geom, polar, corr, grid_size))
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+def test_an_unhinted_solve_polishes_its_scanned_root(variant, linear_polar, monkeypatch):
+    # the optimizer's start is an unhinted solve: it must hold the hint path's
+    # 1e-13, and be the state a hinted re-solve from its own angle returns
+    geom, corr = make_geom(gamma=0.05, tip_radius=1.2), CorrectionSpec(variant=variant,
+                                                                        tip_loss=True)
+    nudged = _nudged(geom, linear_polar, corr, scan_roots(geom, linear_polar, corr, 240))
+    assert all(1e-12 < abs(rec.state.residual) < 1e-10 for rec in nudged.records)
+    monkeypatch.setattr(design, "scan_roots", _nudged_scan)
+    state = solve_element(geom, linear_polar, corr)
+    assert abs(state.residual) <= 1e-13
+    assert state == solve_element(geom, linear_polar, corr, phi_hint=state.phi)
+
+
+def test_sweep_and_landscape_polish_their_scanned_roots(linear_polar, monkeypatch):
+    # both promise the root solve_element takes without a hint, from the same scan
+    corr, scan_many = wilson(tip=True), design._scan_many
+    monkeypatch.setattr(design, "_scan_many", lambda geoms, p, c, n: [
+        _nudged(g, p, c, roots) for g, roots in zip(geoms, scan_many(geoms, p, c, n))])
+    monkeypatch.setattr(design, "scan_roots", _nudged_scan)
+    tb = _turbine(lambda_min=1.0, lambda_max=2.5)
+    sweep = cp_sweep(tb, linear_polar, corr, lambda lam: (0.05, 0.3), grid_n=4)
+    assert sweep.failures == 0
+    for el in sweep.elements:
+        geom = ElementGeometry.from_turbine(tb, el.lam, el.gamma, el.chord)
+        assert abs(el.state.residual) <= 1e-13
+        assert el.state == solve_element(geom, linear_polar, corr, phi_hint=el.state.phi)
+    geom = make_geom(gamma=0.05, tip_radius=1.2)
+    table = landscape(geom, linear_polar, corr, (0.0, 0.1), (0.1, 0.4), resolution=16,
+                      grid_size=240)
+    assert (~table.invalid).sum() >= 250
+    for i, gam in enumerate(table.gammas):
+        for k, ch in enumerate(table.chords):
+            if table.invalid[i, k]:
+                continue
+            cell = replace(geom, gamma=float(gam), chord=float(ch))
+            state = solve_element(cell, linear_polar, corr)
+            assert abs(state.residual) <= 1e-13
+            assert table.J[i, k] == J_lambda(cell, linear_polar, corr, state)
+
+
 @pytest.mark.parametrize("gamma, message", [
     (0.05, "tip loss requires a tip_radius on the element geometry"),
     (-1.5, "scan domain is empty for this element"),  # that error comes first
@@ -558,7 +616,7 @@ def test_optimizer_halves_a_step_that_takes_the_chord_below_zero(monkeypatch):
     # the base step takes the chord to -0.2: ElementGeometry rejects that trial,
     # and the first trial solved is the halved step
     polar, corr, geom, step = _design_polar(), trivial(), make_geom(gamma=0.05), 20.0
-    grad = gradient(geom, polar, corr)
+    grad = assemble_adjoint(geom, polar, corr, solve_element(geom, polar, corr)).grad
     assert geom.chord + step * grad[1] <= 0.0
     trials = []
 

@@ -19,6 +19,16 @@ effect of Brent's stopping width on phi along the steepest of the three
 curves where two of the equations hold (away from the root, the package's
 states lie on a curve where the torque balance and a combination of the
 other two hold).
+
+The adjoint's derivatives are checked against the implicit-function
+derivative of the same three equations in (gamma, chord), and of the
+power density J = F a'(1 - a)(1 - (C_D/C_L) cot(phi)), both at 50 digits
+and at the package's own state, so that they test the derivative formulas
+and not the root, which the forward-error bound covers.  Their bound is
+the effect of the same backward error of ``ULPS`` units on every term of
+every derivative, through the system's Jacobian, plus the one difference
+that the package's form of the equations makes off the root: it writes
+the first equation divided by lambda (1 + a').
 """
 
 import math
@@ -27,7 +37,8 @@ from pathlib import Path
 
 import pytest
 
-from glauert_bem import CorrectionSpec, ElementGeometry, load_polar, scan_roots, synthetic_polar
+from glauert_bem import (CorrectionSpec, ElementGeometry, assemble_adjoint, load_polar,
+                         scan_roots, synthetic_polar)
 
 from conftest import rng
 
@@ -88,13 +99,14 @@ def _psi(corr, x, tip):
     return (f ** 2 * x ** 2 + (2 * a_c * f ** 2 - mp.mpf("0.286") * f) * x) / mp.mpf("2.5708")
 
 
-def _terms(geom, polar, corr, phi, a, ap):
-    """The terms of each equation, moved to one side: each equation is the sum of its row."""
+def _terms(geom, polar, corr, phi, a, ap, gamma, chord):
+    """The terms of each equation, moved to one side: each equation is the sum of its row.
+    The twist ``gamma`` and the ``chord`` are arguments, so that they can be differentiated."""
     lam = mp.mpf(geom.lam)
     s, c = mp.sin(phi), mp.cos(phi)
     tip = _tip_factor(geom, phi) if corr.tip_loss else mp.one
-    cl, cd = _coefficients(polar, phi - geom.gamma)
-    quarter = mp.mpf(geom.blade_count) * geom.chord / (2 * mp.pi * geom.r) / (4 * tip)
+    cl, cd = _coefficients(polar, phi - gamma)
+    quarter = mp.mpf(geom.blade_count) * chord / (2 * mp.pi * geom.r) / (4 * tip)
     lift, drag = quarter * cl, quarter * cd
     psi = _psi(corr, a - mp.mpf(corr.a_c), tip)
     return ([mp.tan(phi) * lam * (1 + ap), a - 1],
@@ -105,7 +117,8 @@ def _terms(geom, polar, corr, phi, a, ap):
 def _check_root(geom, polar, corr, state):
     """(forward error / bound) of phi, a and a' at one scanned root's state."""
     def system(phi, a, ap):
-        return [mp.fsum(row) for row in _terms(geom, polar, corr, phi, a, ap)]
+        return [mp.fsum(row) for row in _terms(geom, polar, corr, phi, a, ap,
+                                               geom.gamma, geom.chord)]
 
     with mp.workdps(DIGITS):
         found = [mp.mpf(state.phi), mp.mpf(state.a), mp.mpf(state.a_prime)]
@@ -113,7 +126,7 @@ def _check_root(geom, polar, corr, state):
         jac = mpmath.jacobian(lambda *x: system(*x), list(exact))
         inverse = jac ** -1
         scale = [mp.fsum(abs(t) for t in row)
-                 for row in _terms(geom, polar, corr, *exact)]
+                 for row in _terms(geom, polar, corr, *exact, geom.gamma, geom.chord)]
         # (da/dphi, da'/dphi) on each curve where two of the three equations hold
         slopes = [mpmath.lu_solve(mpmath.matrix([[jac[k, 1], jac[k, 2]] for k in rows]),
                                   mpmath.matrix([-jac[k, 0] for k in rows]))
@@ -124,6 +137,56 @@ def _check_root(geom, polar, corr, state):
             backward = ULPS * UNIT * mp.fsum(abs(inverse[i, j]) * scale[j] for j in range(3))
             along = width * (1 if i == 0 else max(abs(slope[i - 1]) for slope in slopes))
             ratios.append(float(abs(found[i] - exact[i]) / (backward + along)))
+    return ratios
+
+
+def _power_terms(geom, polar, corr, phi, a, ap, gamma, chord):
+    """The two terms of J = F a'(1 - a) - F a'(1 - a)(C_D/C_L) cot(phi)."""
+    tip = _tip_factor(geom, phi) if corr.tip_loss else mp.one
+    cl, cd = _coefficients(polar, phi - gamma)
+    base = tip * ap * (1 - a)
+    return [base, -base * cd / cl * mp.cos(phi) / mp.sin(phi)]
+
+
+def _check_adjoint(geom, polar, corr, state, adj):
+    """(error / bound) of dphi/dx and dJ/dx, x = gamma, chord, at one state."""
+    def terms(*v):
+        return [t for row in _terms(geom, polar, corr, *v) for t in row]
+
+    with mp.workdps(DIGITS):
+        v = [mp.mpf(state.phi), mp.mpf(state.a), mp.mpf(state.a_prime),
+             mp.mpf(geom.gamma), mp.mpf(geom.chord)]
+        rows = _terms(geom, polar, corr, *v)
+        per_term = mpmath.jacobian(terms, v)  # term by (phi, a, a', gamma, chord)
+        power = mpmath.jacobian(lambda *u: _power_terms(geom, polar, corr, *u), v)
+        grad, size, first = [], [], 0
+        for row in rows:  # each equation's derivatives, and the sum of its terms' |derivatives|
+            span = range(first, first + len(row))
+            grad.append([mp.fsum(per_term[t, k] for t in span) for k in range(5)])
+            size.append([mp.fsum(abs(per_term[t, k]) for t in span) for k in range(5)])
+            first += len(row)
+        d_power = [power[0, k] + power[1, k] for k in range(5)]
+        power_size = [abs(power[0, k]) + abs(power[1, k]) for k in range(5)]
+        inverse = mpmath.matrix([row[:3] for row in grad]) ** -1
+        adjoint = [mp.fsum(d_power[k] * inverse[k, j] for k in range(3)) for j in range(3)]
+        # the package divides the first equation by lambda (1 + a'): off the root,
+        # that moves its a'-derivative (scaled back) by the equation's value / (1 + a')
+        off_root = abs(mp.fsum(rows[0])) / (1 + v[2])
+        ratios = []
+        for m in (3, 4):
+            dx = [mp.fsum(inverse[i, j] * grad[j][m] for j in range(3)) for i in range(3)]
+            moved = [ULPS * UNIT * (size[j][m]
+                                    + mp.fsum(size[j][k] * abs(dx[k]) for k in range(3)))
+                     for j in range(3)]
+            moved[0] += off_root * abs(dx[2])
+            want_phi = -dx[0]
+            want_j = d_power[m] - mp.fsum(d_power[k] * dx[k] for k in range(3))
+            bound_phi = mp.fsum(abs(inverse[0, j]) * moved[j] for j in range(3))
+            bound_j = (ULPS * UNIT * (power_size[m] + mp.fsum(power_size[k] * abs(dx[k])
+                                                              for k in range(3)))
+                       + mp.fsum(abs(adjoint[j]) * moved[j] for j in range(3)))
+            ratios.append(float(abs(adj.phi_sensitivity[m - 3] - want_phi) / bound_phi))
+            ratios.append(float(abs(adj.grad[m - 3] - want_j) / bound_j))
     return ratios
 
 
@@ -149,6 +212,25 @@ def test_scanned_roots_agree_with_the_50_digit_oracle(kind, variant, tip):
                 continue
             ratios = _check_root(geom, polar, corr, rec.state)
             worst = max(worst, *ratios)
+            checked += 1
+    assert checked >= 1
+    assert worst <= 1.0
+
+
+@pytest.mark.parametrize("kind", sorted(POLARS))
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("tip", [False, True], ids=["no_tip", "tip"])
+def test_adjoint_derivatives_agree_with_the_50_digit_oracle(kind, variant, tip):
+    polar = POLARS[kind]()
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    checked, worst = 0, 0.0
+    for geom in _elements(7000 + VARIANTS.index(variant), 3):
+        for rec in scan_roots(geom, polar, corr).records:
+            # a singular angle, or the kink of psi, where psi' is one-sided
+            if rec.state.note or abs(rec.state.a - corr.a_c) <= 1e-6:
+                continue
+            adj = assemble_adjoint(geom, polar, corr, rec.state)
+            worst = max(worst, *_check_adjoint(geom, polar, corr, rec.state, adj))
             checked += 1
     assert checked >= 1
     assert worst <= 1.0

@@ -254,6 +254,23 @@ def test_synthetic_rejects_bad_params():
         synthetic_polar("linear_lift", slope=1.0, bogus=3)
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("linear_lift", dict(span=0.0), "span must be positive and n >= 4"),
+    ("constant", dict(n=3), "span must be positive and n >= 4"),
+    ("linear_lift", dict(span=math.pi / 2.0), "span must stay below pi/2 for linear_lift"),
+    ("linear_lift_with_stall", dict(alpha_s=1.2), "inconsistent stall parameters"),
+    ("linear_lift_with_stall", dict(alpha_s=0.0), "inconsistent stall parameters"),
+    ("linear_lift_with_stall", dict(drop=1.0), "inconsistent stall parameters"),
+    ("linear_lift_with_stall", dict(transition=0.0), "inconsistent stall parameters"),
+    ("constant", dict(cd0=0.01, cd2=-0.1), "drag law goes negative; adjust cd0/cd2"),
+])
+def test_synthetic_polar_names_each_inconsistent_setting(kind, params, message):
+    # the default span is 1.2, so alpha_s = 1.2 leaves no room for the stall
+    with pytest.raises(ValidationError) as info:
+        synthetic_polar(kind, **params)
+    assert type(info.value) is ValidationError and str(info.value) == message
+
+
 def test_best_glide_matches_brute_force_oracle():
     # cl = 2 pi a, cd = 0.01 + 0.1 a^2 has its ratio minimum at sqrt(0.1)
     table = synthetic_polar("linear_lift", slope=2.0 * math.pi, cd0=0.01,

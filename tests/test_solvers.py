@@ -45,6 +45,7 @@ from glauert_bem.solvers import (
     _scan_many,
     classify_root,
     fixed_point_rate_bound,
+    grid_I_plus,
 )
 
 from conftest import make_geom, rng, trivial, wilson
@@ -131,7 +132,6 @@ def test_fixed_point_monotone_to_largest_root(epsilon, linear_polar):
     phis = report.phi_history
     assert phis[0] == geom.theta
     assert all(b <= a + 1e-12 for a, b in zip(phis, phis[1:]))
-    assert report.monotone
     largest = max(r.phi for r in scan_roots(geom, linear_polar, corr).records)
     assert abs(report.phi_star - largest) < 1e-8
 
@@ -288,6 +288,25 @@ def test_bisection_width_halves_exactly(linear_polar):
         assert width == w0 * 0.5 ** k  # exact float equality
 
 
+def test_bisection_stops_on_phi_tol_at_the_last_brackets_midpoint(linear_polar):
+    # the bracket falls below phi_tol = 1e-3 long before a midpoint has |residual| <= 1e-15
+    geom, corr, phi_tol = make_geom(gamma=0.05), wilson(), 1e-3
+    report = solve_bisection(geom, linear_polar, corr, SolveOptions(tol=1e-15, phi_tol=phi_tol))
+    lo, width, mids, widths = 1e-4, geom.theta - 1e-4, [], []
+    below = residual(geom, linear_polar, corr, lo) < 0.0
+    while width > phi_tol:  # the halving written out: keep the half with the sign change
+        width *= 0.5
+        mids.append(lo + width)
+        widths.append(width)
+        if (residual(geom, linear_polar, corr, mids[-1]) < 0.0) == below:
+            lo = mids[-1]
+    assert (report.phi_history, report.native_err_history) == (mids, widths)
+    assert (report.iterations, report.converged, report.message) == (len(mids), False, "")
+    assert report.phi_star == lo + 0.5 * width
+    assert report.state == recover_induction(geom, linear_polar, corr, lo + 0.5 * width)
+    assert abs(report.state.residual) > 1e-15
+
+
 def test_bisection_immediate_when_root_at_midpoint(linear_polar):
     geom = make_geom(gamma=0.05)
     corr = wilson()
@@ -438,6 +457,14 @@ def test_bracket_psi0_empty_bracket_error():
 
 # ---------------------------------------------------------------------------
 # existence and appendix checks
+
+
+def test_grid_I_plus_of_an_element_with_an_empty_working_interval(linear_polar):
+    # gamma <= -beta puts max I+ = beta + gamma at or below 0
+    with pytest.raises(ValidationError) as info:
+        grid_I_plus(make_geom(gamma=-0.5), linear_polar)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "working interval I+ is empty for this element"
 
 
 def test_existence_auto_satisfied_when_window_reaches_theta(linear_polar):
@@ -670,7 +697,7 @@ def _outcome(result):
     as float hex, or the error's type and text."""
     if isinstance(result, BemError):
         return type(result).__name__, str(result)
-    return [(rec.phi.hex(), rec.lift_sign, rec.category, rec.state.phi.hex(),
+    return [(rec.phi.hex(), rec.category, rec.state.phi.hex(),
              rec.state.a.hex(), rec.state.a_prime.hex(), rec.state.tip_factor.hex(),
              rec.state.residual.hex(), rec.state.lift_sign, rec.state.note)
             for rec in result.records]
