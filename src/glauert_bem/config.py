@@ -117,7 +117,7 @@ def _read_pairs(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     values = {}
-    for lineno, line in _content_lines(text):  # read_text ends every line with "\n"
+    for lineno, line in _content_lines(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")

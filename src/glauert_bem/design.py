@@ -28,7 +28,6 @@ from .errors import (
     BemError,
     DesignEvaluationError,
     DomainError,
-    NoPositiveLiftError,
     ValidationError,
 )
 from .model import (
@@ -140,9 +139,7 @@ def simplified_optimum(lam: float, polar: PolarTable, turbine: TurbineConfig) ->
     theta = math.atan2(1.0, lam)
     phi_star = 2.0 * theta / 3.0
     alpha_bar = best_glide_angle(polar)
-    cl_bar = polar.cl(alpha_bar)
-    if cl_bar <= 0.0:
-        raise NoPositiveLiftError(f"C_L({alpha_bar:g}) <= 0")
+    cl_bar = polar.cl(alpha_bar)  # > 0: best_glide_angle returns no other angle, or raises
     r = turbine.element_radius(lam)
     chord = 8.0 * math.pi * r * mu_G(theta, phi_star) / (turbine.blade_count * cl_bar)
     j = simplified_closed_forms(theta, phi_star)[2]

@@ -645,8 +645,6 @@ def _residual_grid(geoms, polar: PolarTable, corr: CorrectionSpec, grids):
         alpha = phi - gamma
         if not polar.clamp_cl:  # cl is undefined outside the polar's range
             ok &= (polar.alpha_min <= alpha) & (alpha <= polar.alpha_max)
-        if not ok.any():
-            return np.full(phis.shape, np.nan)
         # clipped, so that cl does not raise; it is read only where ok
         cl, cd = polar._on_array(alpha.clip(polar.alpha_min, polar.alpha_max), "cl", "cd")
         t = np.tan(theta - phi)

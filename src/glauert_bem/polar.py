@@ -268,8 +268,10 @@ class PolarTable:
 
 def _content_lines(text):
     """(line number, stripped text) of each line of ``text`` that is not blank or a
-    comment; in both readers only "\\n" ends a line, and "#" starts a comment."""
-    lines = [raw.partition("#")[0].strip() for raw in text.split("\n")]
+    comment; in both readers "\\n", "\\r\\n" and a lone "\\r" end a line, whatever
+    the text was read from (a path, a text stream or bytes), and "#" starts a comment."""
+    ends = text.replace("\r\n", "\n").replace("\r", "\n")  # not splitlines(), which ends more
+    lines = [raw.partition("#")[0].strip() for raw in ends.split("\n")]
     return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
 
 
@@ -277,9 +279,12 @@ def load_polar(source, *, beta=None, alpha_s=None, label=None, clamp_cl=False) -
     """Load a polar from CSV text: columns alpha_rad,cl,cd.
 
     ``source`` may be a filesystem path or any object with ``read()``
-    (e.g. ``sys.stdin``).  The text is UTF-8; rows may come in any order.
-    Comment lines start with '#'; a single header line is allowed.  At
-    least four data rows are required.
+    (e.g. ``sys.stdin``) that returns text or bytes.  The text is UTF-8;
+    rows may come in any order.  Lines end at "\\n", "\\r\\n" or a lone
+    "\\r" from a path, a text stream and bytes alike, so all three give the
+    same table (:func:`_content_lines`).  Comment lines start with '#'; the
+    first content line may be a header.  At least four data rows are
+    required.
     """
     try:
         if hasattr(source, "read"):
@@ -295,16 +300,13 @@ def load_polar(source, *, beta=None, alpha_s=None, label=None, clamp_cl=False) -
         raise PolarFormatError(f"polar is not UTF-8 text: {exc}") from exc
 
     rows = []
-    header_allowed = True
-    for lineno, line in _content_lines(text):
+    for k, (lineno, line) in enumerate(_content_lines(text)):
         try:
             values = tuple(map(float, line.split(",")))  # float strips the spaces
         except ValueError:
-            if header_allowed:
-                header_allowed = False  # one non-numeric header line is fine
+            if k == 0:  # the first content line may be a non-numeric header
                 continue
             raise PolarFormatError(f"line {lineno}: cannot parse row {line!r}")
-        header_allowed = False
         if len(values) != 3:
             raise PolarFormatError(f"line {lineno}: expected 3 columns, got {len(values)}")
         rows.append(values)
@@ -320,8 +322,8 @@ def load_polar(source, *, beta=None, alpha_s=None, label=None, clamp_cl=False) -
 def best_glide_angle(polar: PolarTable) -> float:
     """Angle in (0, beta] minimizing cd/cl, by grid scan + golden section.
 
-    The result is computed once per table and cached.  Raises
-    :class:`NoPositiveLiftError` when cl <= 0 on the whole window.
+    The result is computed once per table and cached, and has cl > 0.
+    Raises :class:`NoPositiveLiftError` when cl <= 0 on the whole window.
     """
     if polar._best_glide is not None:
         return polar._best_glide
@@ -414,15 +416,10 @@ def synthetic_polar(kind, **params) -> PolarTable:
         breaks = np.array([alpha_s, alpha_s + transition])
         alphas = np.union1d(alphas, np.concatenate([breaks, -breaks]))
 
-        def cl_of(a):
-            mag, sign = abs(a), math.copysign(1.0, a)
-            if mag <= alpha_s:
-                return slope * a
-            peak = slope * alpha_s
-            frac = min(1.0, (mag - alpha_s) / transition)
-            return sign * peak * (1.0 - drop * frac)
-
-        cl = np.array([cl_of(a) for a in alphas])
+        mag = np.abs(alphas)
+        frac = np.minimum(1.0, (mag - alpha_s) / transition)
+        cl = np.where(mag <= alpha_s, slope * alphas,
+                      np.copysign(1.0, alphas) * (slope * alpha_s) * (1.0 - drop * frac))
     elif kind == "constant":
         level = float(params.pop("level", 1.0))
         alpha_s = float(params.pop("alpha_s", 0.75 * span))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from glauert_bem import CorrectionSpec, ElementGeometry, synthetic_polar
+from glauert_bem import CorrectionSpec, ElementGeometry, PolarTable, synthetic_polar
 
 
 @pytest.fixture
@@ -22,6 +22,14 @@ def dragfree_polar():
 def stall_polar():
     return synthetic_polar("linear_lift_with_stall", slope=6.0, alpha_s=0.3,
                            drop=0.5, transition=0.05, cd0=0.012, cd2=0.1)
+
+
+def zero_lift_polar():
+    """Lift exactly 0 on [0.4, 0.7], beyond beta = 0.2: PCHIP takes slope 0 at each
+    node of a flat run, so each of its cubics there is 0."""
+    return PolarTable([-0.2, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
+                      [-1.0, 0.0, 0.6, 1.1, 0.5, 0.0, 0.0, 0.0, 0.0],
+                      [0.02, 0.01, 0.012, 0.02, 0.1, 0.3, 0.4, 0.5, 0.6])
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ from glauert_bem import DomainError, best_glide_angle, cli, load_polar, syntheti
 from glauert_bem.cli import ROW_HEADER, main
 from glauert_bem.polar import dump_polar
 
+from conftest import zero_lift_polar
+
 BASE_CFG = """
 turbine.blade_count=3
 turbine.radius=1.2
@@ -175,6 +177,28 @@ def test_scan_reports_categories(workdir):
     cats = [row["root_category"] for row in _rows(out)]
     assert "negative_lift_branch" in cats
     assert "principal" in cats
+
+
+def test_scan_writes_a_root_with_zero_lift_with_J_nan(workdir):
+    # lift is exactly 0 on [0.4, 0.7]; theta - gamma = pi/4 - 0.25 lies there, so the
+    # plain model has a root at phi = theta, where J divides by C_L = 0
+    dump_polar(zero_lift_polar(), workdir / "zero.csv")
+    cfg = _write_cfg(workdir, "run.lambda=1.0\ndesign.gamma=0.25\ndesign.chord=0.3\n",
+                     base=BASE_CFG.replace("run.lambda_count=5\n", "")
+                                  .replace("polar.path=polar.csv", "polar.path=zero.csv")
+                                  .replace("design.mode=simplified", "design.mode=fixed")
+                                  .replace("correction.variant=wilson_spera",
+                                           "correction.variant=none")
+                                  .replace("correction.tip_loss=true",
+                                           "correction.tip_loss=false"),
+                     name="zero.cfg")
+    out = workdir / "zero-scan.csv"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    [row] = _rows(out)
+    assert abs(float(row["phi"]) - math.pi / 4) <= 1e-15
+    assert float(row["alpha"]) == float(row["phi"]) - 0.25
+    assert abs(float(row["residual"])) <= 1e-10 and math.isfinite(float(row["a"]))
+    assert (row["method"], row["J"]) == ("scan", "nan")
 
 
 def test_scan_warns_when_it_finds_no_root(workdir, caplog):

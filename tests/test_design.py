@@ -16,6 +16,8 @@ from glauert_bem import (
     DomainError,
     ElementGeometry,
     FlowState,
+    NoPositiveLiftError,
+    PolarTable,
     TurbineConfig,
     ValidationError,
     J_lambda,
@@ -30,12 +32,12 @@ from glauert_bem import (
     solve_element,
     synthetic_polar,
 )
-from glauert_bem.design import _chosen_root, _objective_pieces, cp_integral
+from glauert_bem.design import _chosen_root, _newton_near, _objective_pieces, cp_integral
 from glauert_bem.model import (CORRECTION_VARIANTS, _evaluation, _slope, mu_L, recover_induction,
                                residual)
 from glauert_bem.solvers import RootSet, _brentq, _scan_domain, classify_root, scan_roots
 
-from conftest import make_geom, rng, trivial, wilson
+from conftest import make_geom, rng, trivial, wilson, zero_lift_polar
 
 
 def _turbine(**kw):
@@ -138,6 +140,16 @@ def _golden_max(fn, lo, hi, tol=1e-12):
             x2 = lo + g * (hi - lo)
             f2 = fn(x2)
     return 0.5 * (lo + hi)
+
+
+def test_simplified_optimum_without_positive_lift_raises_from_best_glide_angle():
+    # the glide window (0, 0.3] holds no sample, and the interpolant is negative on it
+    polar = PolarTable([-0.5, -0.2, 0.4, 0.5], [-1.0, -1.0, -0.1, -0.05], [0.01] * 4,
+                       beta=0.3, alpha_s=0.5)
+    with pytest.raises(NoPositiveLiftError) as info:
+        simplified_optimum(1.5, polar, _turbine())
+    assert str(info.value) == "cl <= 0 everywhere on (0, 0.3]"
+    assert info.traceback[-1].name == "best_glide_angle"
 
 
 def test_simplified_optimum_design_meets_the_momentum_curve(dragfree_polar):
@@ -415,6 +427,23 @@ def test_hint_path_newton_agrees_with_the_bracket_oracle(variant, tip, monkeypat
             assert state == recover_induction(geom, polar, corr, state.phi)
             solved += 1
     assert solved >= 24
+
+
+def test_a_hint_where_the_residual_is_undefined_falls_back_to_the_scan(monkeypatch):
+    # near the tip, Glauert empirical without strict_lemma_mode loses the axial
+    # balance's monotonicity on about (0.38, 0.46); the one root is at 0.3378
+    calls = _counting_scans(monkeypatch)
+    polar = synthetic_polar("linear_lift", slope=6.0, cd0=0.01, beta=0.4)
+    corr = CorrectionSpec(variant="glauert_empirical", tip_loss=True, strict_lemma_mode=False)
+    geom = make_geom(lam=1.0, r=0.97, gamma=0.1, chord=0.3, tip_radius=1.0)
+    hint = 0.42
+    with pytest.raises(DomainError, match="lost monotonicity"):
+        residual(geom, polar, corr, hint)
+    assert _newton_near(geom, polar, corr, hint, _scan_domain(geom, polar, corr)) is None
+    state = solve_element(geom, polar, corr, phi_hint=hint)
+    assert len(calls) == 1
+    assert abs(state.phi - 0.3377625077681839) <= 1e-12
+    assert state == solve_element(geom, polar, corr)
 
 
 def test_far_hint_takes_the_scanned_root_nearest_the_hint():
@@ -935,6 +964,30 @@ def test_landscape_flags_unsolvable_cells(linear_polar):
     assert grid.invalid.any()
     assert (~grid.invalid).any()
     assert np.all(np.isnan(grid.J[grid.invalid]))
+
+
+def test_landscape_marks_a_cell_whose_root_has_zero_lift_invalid_and_multiple():
+    # with theta - gamma in the flat run, the plain model has a root at phi = theta
+    # where C_L = 0, so J is undefined there
+    polar = zero_lift_polar()
+    geom = ElementGeometry(lam=1.0, r=1.0, gamma=0.25, chord=0.3)
+    grid = landscape(geom, polar, trivial(), (0.25, 0.4), (0.1, 1.0), resolution=16,
+                     grid_size=160)
+    zero_lift = single_root = 0
+    for i, gam in enumerate(grid.gammas):
+        for k, ch in enumerate(grid.chords):
+            cell = replace(geom, gamma=float(gam), chord=float(ch))
+            state = solve_element(cell, polar, trivial())
+            if polar.cl(state.phi - cell.gamma) != 0.0:
+                assert not grid.invalid[i, k] and math.isfinite(grid.J[i, k])
+                continue
+            zero_lift += 1
+            assert abs(state.phi - cell.theta) <= 1e-12
+            assert grid.invalid[i, k] and grid.multiple[i, k] and math.isnan(grid.J[i, k])
+            # multiple also where the scan has one root: it flags the undefined objective
+            single_root += len(scan_roots(cell, polar, trivial(), 160).records) == 1
+    assert 0 < zero_lift < 16 * 16
+    assert single_root > 0
 
 
 def test_landscape_multiplicity_flag_on_stall_polar(stall_polar):

@@ -627,6 +627,22 @@ def test_grid_paths_raise_like_the_scalar_path(linear_polar):
         _mu_c_prime_grid(make_geom(gamma=0.05), linear_polar, trivial(), phis + 2.0)
 
 
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+def test_residual_grid_of_an_all_invalid_batch_is_all_nan(variant, tip, linear_polar):
+    # every angle past (0, pi/2) and I, or with alpha outside the polar's [-1.2, 1.2]
+    geoms = [make_geom(gamma=0.05, tip_radius=1.2),
+             make_geom(lam=0.6, gamma=-0.3, chord=0.8, tip_radius=1.2)]
+    grids = np.array([[-2.0, -1.7, 1.7, 2.5], [-1.9, 1.65, 1.8, 3.0]])
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    for geom, row in zip(geoms, grids.tolist()):
+        for phi in row:
+            with pytest.raises(DomainError):
+                residual(geom, linear_polar, corr, phi)
+    got = _residual_grid(geoms, linear_polar, corr, grids)
+    assert got.shape == grids.shape and np.isnan(got).all()
+
+
 @pytest.mark.parametrize("variant", ["glauert3", "glauert_empirical", "buhl"])
 def test_axial_newton_out_of_steps_is_a_domain_error(monkeypatch, linear_polar, variant):
     geom = make_geom(gamma=0.05, chord=0.6)

@@ -37,8 +37,10 @@ from pathlib import Path
 
 import pytest
 
-from glauert_bem import (CorrectionSpec, ElementGeometry, assemble_adjoint, load_polar,
-                         scan_roots, synthetic_polar)
+from glauert_bem import (CorrectionSpec, DomainError, ElementGeometry, assemble_adjoint,
+                         load_polar, scan_roots, synthetic_polar)
+from glauert_bem.model import _evaluation, _slope
+from glauert_bem.solvers import _scan_domain
 
 from conftest import rng
 
@@ -86,9 +88,14 @@ def _tip_factor(geom, phi):
 
 def _psi(corr, x, tip):
     """psi(x) at the excess x = (a - a_c)_+ of each variant."""
-    a_c = mp.mpf(corr.a_c)
     if x <= 0 or corr.variant == "none":
         return mp.zero
+    return _psi_branch(corr, x, tip)
+
+
+def _psi_branch(corr, x, tip):
+    """psi's formula on its branch x > 0 of a corrected variant, at any x."""
+    a_c = mp.mpf(corr.a_c)
     if corr.variant == "glauert3":
         return (x ** 3 / a_c + 2 * x ** 2 + a_c * x) / 4
     if corr.variant == "wilson_spera":
@@ -190,6 +197,99 @@ def _check_adjoint(geom, polar, corr, state, adj):
     return ratios
 
 
+def _scalar_terms(geom, polar, corr, phi, nu, active):
+    """The terms of the scalar residual mu_L^c - tan(theta - phi) mu_D^c - mu_G^c and of
+    the axial balance B = (1 - nu)/nu - g + w psi/nu^2 at (phi, nu), each row summing to
+    its function, with g = cot(phi) t + (mu_D^c/sin(phi)) (1 + cot(phi) t), t = tan(theta
+    - phi), w = sin(theta) sin(phi)/cos(theta - phi) and mu_G^c = sin(phi) t + cos(theta)
+    sin^2(phi) psi/(cos(theta - phi) nu^2).  psi is its formula on the branch a > a_c
+    where ``active``, else 0 (there the residual does not read nu)."""
+    theta = mp.atan(1 / mp.mpf(geom.lam))
+    s, c = mp.sin(phi), mp.cos(phi)
+    t, cos_tp = mp.tan(theta - phi), mp.cos(theta - phi)
+    tip = _tip_factor(geom, phi) if corr.tip_loss else mp.one
+    cl, cd = _coefficients(polar, phi - mp.mpf(geom.gamma))
+    quarter = mp.mpf(geom.blade_count) * geom.chord / (2 * mp.pi * geom.r) / (4 * tip)
+    lift, drag = quarter * cl, quarter * cd
+    psi = _psi_branch(corr, 1 - nu - mp.mpf(corr.a_c), tip) if active else mp.zero
+    cot = c / s
+    return ([lift, -t * drag, -s * t, -mp.cos(theta) * s ** 2 * psi / (cos_tp * nu ** 2)],
+            [(1 - nu) / nu, -cot * t, -drag / s, -drag / s * cot * t,
+             mp.sin(theta) * s / cos_tp * psi / nu ** 2])
+
+
+def _check_slope(geom, polar, corr, phi):
+    """(error / bound) of ``model._slope`` at ``phi``, against ``mpmath.diff`` of the
+    scalar residual with nu solved from the axial balance at 50 digits.
+
+    The branch of psi is the package's (a > a_c in its floats, so at a = a_c the
+    derivative from below, as ``_slope`` takes), and on it the residual is smooth.  The
+    bound is the effect of a backward error of ``ULPS`` units on every term of every
+    derivative: those of the residual and, through nu' = -B_phi/B_nu, of the balance."""
+    ev = _evaluation(geom, polar, corr, phi)
+    got = _slope(geom, polar, corr, ev)
+    active = corr.variant != "none" and (1.0 - ev.nu) - corr.a_c > 0.0
+
+    with mp.workdps(DIGITS):
+        def solved(p):  # nu on the balance at p, where the residual reads it
+            if not active:
+                return mp.one
+            return mpmath.findroot(
+                lambda v: mp.fsum(_scalar_terms(geom, polar, corr, p, v, True)[1]),
+                (mp.mpf(ev.nu), mp.mpf(ev.nu) * (1 + mp.mpf(1e-8))))
+
+        x = mp.mpf(ev.phi)
+        want = mpmath.diff(
+            lambda p: mp.fsum(_scalar_terms(geom, polar, corr, p, solved(p), active)[0]), x)
+        nu = solved(x)
+        per_term = mpmath.jacobian(  # term by (phi, nu), the residual's terms first
+            lambda p, v: [t for row in _scalar_terms(geom, polar, corr, p, v, active)
+                          for t in row], [x, nu])
+        n_res = len(_scalar_terms(geom, polar, corr, x, nu, active)[0])
+        res, bal = range(n_res), range(n_res, per_term.rows)
+        d_nu = (-mp.fsum(per_term[k, 0] for k in bal) / mp.fsum(per_term[k, 1] for k in bal)
+                if active else mp.zero)
+
+        def moved(rows):  # the effect of ULPS on each term of the rows' derivative in phi
+            return ULPS * UNIT * mp.fsum(abs(per_term[k, 0]) + abs(per_term[k, 1] * d_nu)
+                                         for k in rows)
+
+        bound = moved(res)
+        if active:
+            bound += (abs(mp.fsum(per_term[k, 1] for k in res)) * moved(bal)
+                      / abs(mp.fsum(per_term[k, 1] for k in bal)))
+        return float(abs(got - want) / bound)
+
+
+def _excess(geom, polar, corr, phi):
+    """a - a_c on the package's axial map at ``phi``."""
+    return (1.0 - _evaluation(geom, polar, corr, phi).nu) - corr.a_c
+
+
+def _kink(geom, polar, corr):
+    """Two adjacent floats of the scan domain between which a = a_c on the package's
+    axial map (a > a_c at the smaller one), or none."""
+    if corr.variant == "none":
+        return []
+    lo, hi = _scan_domain(geom, polar, corr)
+    nodes = []  # (phi, a > a_c) where the axial map is defined
+    for phi in (lo + (hi - lo) * k / 63 for k in range(64)):
+        try:
+            nodes.append((phi, _excess(geom, polar, corr, phi) > 0.0))
+        except DomainError:
+            continue
+    for (lo, above), (hi, above_next) in zip(nodes, nodes[1:]):
+        try:
+            while above and not above_next and math.nextafter(lo, hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _excess(geom, polar, corr, mid) > 0.0 else (lo, mid)
+        except DomainError:  # the axial map is undefined in between
+            continue
+        if above and not above_next:
+            return [lo, hi]
+    return []
+
+
 def _elements(seed, count):
     gen = rng(seed)
     for _ in range(count):
@@ -233,4 +333,26 @@ def test_adjoint_derivatives_agree_with_the_50_digit_oracle(kind, variant, tip):
             worst = max(worst, *_check_adjoint(geom, polar, corr, rec.state, adj))
             checked += 1
     assert checked >= 1
+    assert worst <= 1.0
+
+
+@pytest.mark.parametrize("kind", sorted(POLARS))
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("tip", [False, True], ids=["no_tip", "tip"])
+def test_residual_slope_agrees_with_the_50_digit_oracle(kind, variant, tip):
+    polar = POLARS[kind]()
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    checked, worst, off_root = 0, 0.0, None
+    for geom in _elements(7000 + VARIANTS.index(variant), 3):
+        for rec in scan_roots(geom, polar, corr).records:
+            if rec.state.note:  # a singular angle of the original system
+                continue
+            worst = max(worst, _check_slope(geom, polar, corr, rec.phi))
+            checked += 1
+            if off_root is None:  # halfway between the root and the domain's left end
+                off_root = (geom, 0.5 * (_scan_domain(geom, polar, corr)[0] + rec.phi))
+    assert checked >= 1
+    geom, phi = off_root
+    for p in [phi, *_kink(geom, polar, corr)]:
+        worst = max(worst, _check_slope(geom, polar, corr, p))
     assert worst <= 1.0

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from glauert_bem import (
@@ -124,7 +124,9 @@ def test_load_reads_comments_blank_lines_crlf_and_padded_cells_in_any_order(tmp_
     ("0,0,0.008\n0.1,0.6,0.01,\n", "line 2: cannot parse row '0.1,0.6,0.01,'"),
     ("0,0,0.008\n\n0.1,,0.01\n", "line 3: cannot parse row '0.1,,0.01'"),
     ("0,0,0.008\n0.1;0.6;0.01\n", "line 2: cannot parse row '0.1;0.6;0.01'"),
-    ("# only \\n ends a line: \r \x0c \x85 \u2028\n0,0\n", "line 2: expected 3 columns, got 2"),
+    # a lone \r ends a line; a form feed, U+0085 and U+2028 do not, else line 3 would be 0,0
+    pytest.param("# lone CR\r# \x0c 0,0 \x85 0,0 \u2028 0,0\r0,0,0.008\r0.1\n",
+                 "line 4: expected 3 columns, got 1", id="a-lone-CR-ends-a-line-FF-NEL-LS-do-not"),
 ])
 def test_load_error_texts_name_the_line(text, message):
     for source in (io.StringIO(text), io.BytesIO(text.encode())):
@@ -175,6 +177,46 @@ def test_dump_then_load_of_a_padded_commented_shuffled_text_is_bit_identical(dat
     text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
     source = io.BytesIO(text.encode()) if data.draw(st.booleans()) else io.StringIO(text)
     assert _table_bits(load_polar(source)) == _table_bits(table)
+
+
+def _outcome(source):
+    """The loaded table's bits, or the error's type and text."""
+    try:
+        return _table_bits(load_polar(source))
+    except (PolarFormatError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# str.splitlines() ends a line at each of these; the polar reader does not
+_NOT_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_ODD_COMMENT = st.text(st.sampled_from(_NOT_LINE_ENDS + "0.,x "), max_size=8).map("#".__add__)
+_BAD_LINE = st.sampled_from(["0.3,oops,0.03", "0.3,0.9", "0.1;0.6;0.01", "alpha_rad,cl,cd",
+                             "0.2,1.0,0.03", "0.1,-0.5,0.01"])
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_text_reads_the_same_from_a_path_a_stream_and_bytes_whatever_its_line_ends(
+        tmp_path, data):
+    header, *rows = BASIC_CSV.splitlines()[1:]
+    content = [header] + data.draw(st.permutations(rows))
+    bad = data.draw(st.none() | _BAD_LINE)  # a row that fails, or a second header
+    if bad is not None:
+        content.insert(data.draw(st.integers(0, len(content))), bad)
+    lines = []
+    for line in content:
+        lines += data.draw(st.lists(_EXTRA_LINE | _ODD_COMMENT, max_size=2))
+        lines.append(line + data.draw(st.just("") | _PAD | _COMMENT | _ODD_COMMENT))
+    expected = _outcome(io.StringIO("\n".join(lines) + "\n"))
+    if bad is None:
+        assert expected == _outcome(io.StringIO(BASIC_CSV))
+    path = tmp_path / "polar.csv"
+    for end in ("\n", "\r\n", "\r"):
+        text = end.join(lines) + end
+        path.write_bytes(text.encode())
+        for source in (path, io.StringIO(text), io.BytesIO(text.encode())):
+            assert _outcome(source) == expected, (end, source)
 
 
 def test_interpolant_exact_at_nodes():
@@ -243,6 +285,26 @@ def test_synthetic_stall_drop_values():
     assert abs(table.cl(0.3) - 6.0 * 0.3) < 1e-12
 
 
+def _stall_lift(a, slope, alpha_s, drop, transition):
+    """The stall polar's lift at one angle, written out per angle: the reference."""
+    mag, sign = abs(a), math.copysign(1.0, a)
+    if mag <= alpha_s:
+        return slope * a
+    frac = min(1.0, (mag - alpha_s) / transition)
+    return sign * (slope * alpha_s) * (1.0 - drop * frac)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(4, 300), slope=st.floats(0.5, 8.0), alpha_s=st.floats(0.01, 1.19),
+       drop=st.floats(0.0, 0.999), transition=st.floats(1e-4, 1.0))
+def test_synthetic_stall_lift_equals_the_per_angle_formula_bit_for_bit(n, slope, alpha_s, drop,
+                                                                       transition):
+    table = synthetic_polar("linear_lift_with_stall", n=n, slope=slope, alpha_s=alpha_s,
+                            drop=drop, transition=transition)
+    want = [_stall_lift(a, slope, alpha_s, drop, transition) for a in table._alpha.tolist()]
+    assert [c.hex() for c in table._cl.tolist()] == [c.hex() for c in want]
+
+
 def test_synthetic_rejects_bad_params():
     with pytest.raises(ValidationError):
         synthetic_polar("linear_lift", slope=-1.0)
@@ -297,6 +359,19 @@ def test_best_glide_optimality_property(stall_polar):
         if lift <= 0.0:
             continue
         assert best_ratio <= stall_polar.cd(a) / lift + 1e-9
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(below=st.lists(st.floats(-2.0, 0.5), min_size=2, max_size=2),
+       inside=st.floats(0.01, 0.29), lift=st.floats(1e-3, 1.0),
+       cd=st.lists(st.floats(0.0, 0.2), min_size=5, max_size=5))
+def test_best_glide_angle_has_positive_lift(below, inside, lift, cd):
+    # simplified_optimum divides by cl at this angle; the interpolant may be <= 0
+    # on part of the window, between the samples below 0 and the one inside it
+    table = PolarTable([-0.4, -0.2, inside, 0.35, 0.5], below + [lift, 1.0, 1.2], cd,
+                       beta=0.3, alpha_s=0.5)
+    found = best_glide_angle(table)
+    assert 0.0 < found <= 0.3 and table.cl(found) > 0.0
 
 
 def test_best_glide_requires_positive_lift():

@@ -427,6 +427,20 @@ def test_converged_solve_builds_its_state_from_the_last_record(method, monkeypat
 # bracketing via the psi-free subproblem
 
 
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_a_root_above_phi_upper_is_converged_outside_the_working_interval(method):
+    # beta + gamma = 0.15 < theta = 0.519: the root at 0.289 lies beyond max I+
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, beta=0.1)
+    geom = make_geom(gamma=0.05, tip_radius=1.2)
+    corr = wilson(tip=True)
+    report = METHODS[method](geom, polar, corr)
+    assert report.converged
+    assert report.message == "converged outside the working interval"
+    assert abs(report.phi_star - 0.28889883755) <= 1e-9
+    assert abs(residual(geom, polar, corr, report.phi_star)) <= 1e-10
+    assert scan_roots(geom, polar, corr).records == []  # the scan does not look there
+
+
 def test_bracket_psi0_degenerate_for_none(linear_polar):
     geom = make_geom(gamma=0.05)
     corr = trivial()
@@ -490,6 +504,27 @@ def test_existence_symmetric_profile_in_window(dragfree_polar):
     roots = scan_roots(geom, dragfree_polar, trivial())
     hi = min(geom.theta, dragfree_polar.beta + geom.gamma)
     assert any(geom.gamma <= r.phi <= hi for r in roots.records)
+
+
+@pytest.mark.parametrize("polar, geom, corr, message", [
+    # theta - gamma = -0.58 lies below the polar's alpha_min = -0.5: cl raises at max I+
+    (synthetic_polar("linear_lift", span=0.5, beta=0.4), make_geom(gamma=1.1), wilson(),
+     "simplified criterion not evaluable: cl evaluation outside sampled range [-0.5, 0.5]; "
+     "corrected criterion not evaluable: cl evaluation outside sampled range [-0.5, 0.5]"),
+    # near the tip, Glauert empirical without strict_lemma_mode loses monotonicity at max I+
+    (synthetic_polar("linear_lift", slope=6.0, cd0=0.01, beta=0.4),
+     make_geom(lam=1.0, r=0.97, gamma=0.02, tip_radius=1.0),
+     CorrectionSpec(variant="glauert_empirical", tip_loss=True, strict_lemma_mode=False),
+     "corrected criterion not evaluable: axial balance lost monotonicity (psi < 0 under the "
+     "current tip factor); use strict_lemma_mode or another variant"),
+], ids=["cl_outside_the_polar", "axial_balance_undefined"])
+def test_existence_criteria_that_cannot_be_evaluated_say_why(polar, geom, corr, message):
+    report = check_existence(geom, polar, corr)
+    assert report.interval_ok
+    assert report.message == message
+    assert math.isnan(report.corrected_margin) and not report.corrected_ok
+    assert math.isnan(report.simplified_margin) == message.startswith("simplified")
+    assert not report.simplified_ok
 
 
 def test_appendix_conditions_pass_and_fail():
