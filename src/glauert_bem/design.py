@@ -154,11 +154,10 @@ def _objective_pieces(geom, polar, corr, state):
     """The polar terms of J and of its derivatives at a solved state."""
     phi = state.phi
     alpha = phi - geom.gamma
-    cl, cd = polar.cl(alpha), polar.cd(alpha)
+    cl, cd, dcl, dcd = polar._on_scalar(alpha, "cl", "cd", "cl_prime", "cd_prime")
     if cl == 0.0:
         raise DesignEvaluationError(
             f"C_L vanishes at the operating angle alpha={alpha:g}; power density undefined")
-    dcl, dcd = polar.cl_prime(alpha), polar.cd_prime(alpha)
     cot = math.cos(phi) / math.sin(phi)
     ratio = cd / cl
     dratio = (dcd * cl - cd * dcl) / (cl * cl)

@@ -82,7 +82,17 @@ class TurbineConfig:
 
 @dataclass(frozen=True)
 class ElementGeometry:
-    """One blade element: local speed ratio, placement and section design."""
+    """One blade element: local speed ratio, placement and section design.
+
+    The constants of every evaluation are computed once, when the element
+    is made, as plain attributes that are not fields (so ``==``, ``hash``,
+    ``repr`` and ``replace`` see the six fields alone):
+
+    * ``theta = atan(1/lambda)``, the zero-induction relative angle;
+    * ``solidity = B c / (2 pi r)``, the annulus fraction occupied by blades;
+    * ``tip_rate = (B/2)(1 - r/R)/(r/R)``, with which the Prandtl decay is
+      ``exp(-k/sin(phi))``; None without a tip radius ``R``.
+    """
 
     lam: float
     r: float
@@ -102,22 +112,18 @@ class ElementGeometry:
         if self.tip_radius is not None and not (
                 self.r <= self.tip_radius * (1.0 + 1e-12) < math.inf):
             raise ValidationError("tip radius must be finite and not below the element radius")
+        # written to __dict__ directly: a third of the cost of object.__setattr__
+        const = self.__dict__
+        const["theta"] = math.atan2(1.0, self.lam)
+        const["solidity"] = self.blade_count * self.chord / (2.0 * math.pi * self.r)
+        ratio = None if self.tip_radius is None else self.r / self.tip_radius
+        const["tip_rate"] = None if ratio is None else 0.5 * self.blade_count * (1.0 - ratio) / ratio
 
     @classmethod
     def from_turbine(cls, turbine: TurbineConfig, lam: float, gamma: float,
                      chord: float) -> "ElementGeometry":
         return cls(lam=lam, r=turbine.element_radius(lam), gamma=gamma, chord=chord,
                    blade_count=turbine.blade_count, tip_radius=turbine.radius)
-
-    @property
-    def solidity(self) -> float:
-        """sigma = B c / (2 pi r), the annulus fraction occupied by blades."""
-        return self.blade_count * self.chord / (2.0 * math.pi * self.r)
-
-    @property
-    def theta(self) -> float:
-        """theta = atan(1/lambda), the zero-induction relative angle."""
-        return math.atan2(1.0, self.lam)
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,9 @@ class CorrectionSpec:
     ``variant='none'`` means the plain momentum law (acts like a_c = 1).
     ``strict_lemma_mode`` pins F = 1 inside the Glauert empirical formula,
     whose behavior with F != 1 is discontinuous at a = a_c; the other
-    variants never depend on this flag.
+    variants never depend on this flag.  ``is_trivial``, true when no
+    correction alters the plain momentum balance, is computed once as
+    ``a_c`` is filled in, as a plain attribute that is not a field.
     """
 
     variant: str = "none"
@@ -143,11 +151,7 @@ class CorrectionSpec:
             object.__setattr__(self, "a_c", DEFAULT_A_C[self.variant])
         if not 0.0 < self.a_c <= 1.0:
             raise ValidationError("a_c must lie in (0, 1]")
-
-    @property
-    def is_trivial(self) -> bool:
-        """True when no correction alters the plain momentum balance."""
-        return self.variant == "none" and not self.tip_loss
+        object.__setattr__(self, "is_trivial", self.variant == "none" and not self.tip_loss)
 
     def _psi_tip(self, tip_factor: float) -> float:
         if self.variant == "glauert_empirical" and self.strict_lemma_mode:
@@ -222,11 +226,10 @@ class FlowState:
 
 
 def _tip_rate(geom: ElementGeometry) -> float:
-    """k = (B/2)(1 - r/R)/(r/R), with which the Prandtl decay is exp(-k/sin(phi))."""
-    if geom.tip_radius is None:
+    """The element's Prandtl rate ``geom.tip_rate``; raises without a tip radius."""
+    if geom.tip_rate is None:
         raise ValidationError("tip loss requires a tip_radius on the element geometry")
-    ratio = geom.r / geom.tip_radius
-    return 0.5 * geom.blade_count * (1.0 - ratio) / ratio
+    return geom.tip_rate
 
 
 def _decay(geom: ElementGeometry, phi: float):
@@ -382,15 +385,16 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
     if corr.variant == "wilson_spera":
         nu = _wilson_nu(rhs, weight, corr.a_c, nu0)
     else:
-        f_lo, f_hi = terms(nu0)[0], terms(cap)[0]
-        if f_lo == 0.0:
+        # at nu0 the balance is w psi(cap - nu0)/nu0^2 exactly, and a rounded
+        # terms(nu0) may take either sign where psi is below its last bit: decide
+        # on psi itself (only Glauert's empirical psi with F != 1 goes below 0)
+        psi = corr.psi(cap - nu0, tip_factor)
+        if psi == 0.0:
             return nu0
-        if f_hi == 0.0:
-            return cap
-        if f_lo < 0.0 or f_hi > 0.0:
+        if psi < 0.0:
             raise DomainError(
-                "axial balance lost monotonicity (psi < 0 under the current "
-                "tip factor); use strict_lemma_mode or another variant")
+                f"axial balance lost monotonicity ({corr.variant} psi < 0 under the "
+                "current tip factor); use strict_lemma_mode or another variant")
         nu = _newton_nu(terms, nu0, cap)
     # one Newton step in nu tightens closed-form roots to machine accuracy
     value, slope = terms(nu)
@@ -410,8 +414,9 @@ _NU_MAX_STEPS = 100
 def _newton_nu(terms, nu0, cap):
     """Newton on the axial balance from nu0, kept inside a shrinking bracket.
 
-    ``terms(nu)`` is the balance, positive at nu0 and negative at cap, and
-    its slope.  A step that would leave the bracket is replaced by its
+    ``terms(nu)`` is the balance, positive at nu0 (but for rounding where
+    psi there is below its last bit; Newton then stays at nu0) and negative
+    at cap, and its slope.  A step that would leave the bracket is replaced by its
     midpoint; a step onto a bracket end is taken.  Raises
     :class:`DomainError` if it has not converged after ``_NU_MAX_STEPS`` steps.
     """
@@ -484,10 +489,10 @@ def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
         if corr.variant == "wilson_spera":
             sol = _wilson_nu_grid(rhs, weight, corr.a_c, nu0)
         else:
-            f_lo, f_hi = terms(nu0)[0], terms(np.full_like(nu0, cap))[0]
-            sol = np.where(f_hi == 0.0, cap, _newton_nu_grid(terms, nu0, cap))
-            sol = np.where(f_lo == 0.0, nu0, sol)
-            sol[(f_lo != 0.0) & (f_hi != 0.0) & ((f_lo < 0.0) | (f_hi > 0.0))] = np.nan
+            x = cap - nu0  # the sign of psi at nu0 decides, as in _axial_nu
+            psi = np.where(x > 0.0, corr._psi(x, f), 0.0)
+            sol = np.where(psi == 0.0, nu0, _newton_nu_grid(terms, nu0, cap))
+            sol[psi < 0.0] = np.nan
         # the polishing step of _axial_nu; a no-op where the balance is 0
         value, slope = terms(sol)
         cand = sol - value / slope
@@ -595,10 +600,11 @@ def _slope(geom, polar, corr, ev):
     the slope is the one-sided one from below, as ``psi_prime`` is.
     """
     phi, theta, f = ev.phi, geom.theta, ev.tip_factor
-    alpha, fp = phi - geom.gamma, _tip(geom, corr, phi)[1]
+    fp = _tip(geom, corr, phi)[1]
+    dcl, dcd = polar._on_scalar(phi - geom.gamma, "cl_prime", "cd_prime")
     t = math.tan(theta - phi)
-    d_drag = (0.25 * geom.solidity * polar.cd_prime(alpha) - ev.mu_D_c * fp) / f
-    slope = ((0.25 * geom.solidity * polar.cl_prime(alpha) - ev.mu_L_c * fp) / f
+    d_drag = (0.25 * geom.solidity * dcd - ev.mu_D_c * fp) / f
+    slope = ((0.25 * geom.solidity * dcl - ev.mu_L_c * fp) / f
              + (1.0 + t * t) * ev.mu_D_c - t * d_drag - mu_G_prime(theta, phi))
     excess = (1.0 - ev.nu) - corr.a_c
     if corr.variant == "none" or not excess > 0.0:

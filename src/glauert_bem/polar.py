@@ -190,8 +190,7 @@ class PolarTable:
         coefs = {"cl": cl_coef, "cd": cd_coef,
                  "cl_prime": _derivative(cl_coef), "cd_prime": _derivative(cd_coef)}
         # rows (lists) for the scalar path, contiguous columns for the array path
-        self._cl_rows, self._cd_rows, self._cl_prime_rows, self._cd_prime_rows = (
-            coef.tolist() for coef in coefs.values())
+        self._rows = {name: coef.tolist() for name, coef in coefs.items()}
         self._cols = {name: [np.ascontiguousarray(c) for c in coef.T]
                       for name, coef in coefs.items()}
         self._best_glide = None  # filled by the first best_glide_angle call
@@ -232,37 +231,68 @@ class PolarTable:
             out[k] = np.where((arr >= self.alpha_min) & (arr <= self.alpha_max), out[k], 0.0)
         return out if np.ndim(alpha) else [float(v) for v in out]
 
-    def _lift(self, alpha, rows, name):
-        """cl or cl' at alpha: clamped with ``clamp_cl``, else range-checked."""
+    def _on_scalar(self, alpha, *names):
+        """:meth:`_on_array` at one float angle: any of ``cl``, ``cd``,
+        ``cl_prime`` and ``cd_prime`` from one interval search, a list with,
+        for each name, what that method returns, bit for bit.  A lift name
+        makes the call raise or clamp as :meth:`cl` does."""
+        at = alpha
+        if alpha < self.alpha_min or alpha > self.alpha_max:
+            if not self.clamp_cl and ("cl" in names or "cl_prime" in names):
+                raise self._outside()
+            at = self.alpha_min if alpha < self.alpha_min else self.alpha_max
+        # a NaN angle takes the last interval and gives NaN sums
+        i = bisect_right(self._left, at) - 1
+        s = at - self._left[i]
+        s2 = s * s
+        s3 = s2 * s
+        out = []
+        for name in names:
+            row = self._rows[name][i]
+            if name == "cd_prime" and at != alpha:  # 0 where cd is clamped, and at NaN
+                out.append(0.0)
+            # c0 + c1 s + c2 s^2 (+ c3 s^3) from 0.0, in _power_sum's order: a
+            # cubic, or its derivative
+            elif len(row) == 4:
+                out.append(0.0 + row[0] + row[1] * s + row[2] * s2 + row[3] * s3)
+            elif len(row) == 3:
+                out.append(0.0 + row[0] + row[1] * s + row[2] * s2)
+            else:  # a table of fewer than four samples
+                out.append(_power_sum(self._left, self._rows[name], at))
+        return out
+
+    def cl(self, alpha):
+        """Lift coefficient at angle of attack ``alpha`` (rad)."""
         if isinstance(alpha, float):
             alpha = float(alpha)
             if alpha < self.alpha_min or alpha > self.alpha_max:
                 if not self.clamp_cl:
                     raise self._outside()
                 alpha = self.alpha_min if alpha < self.alpha_min else self.alpha_max
-            return _power_sum(self._left, rows, alpha)
-        return self._on_array(alpha, name)[0]
-
-    def cl(self, alpha):
-        """Lift coefficient at angle of attack ``alpha`` (rad)."""
-        return self._lift(alpha, self._cl_rows, "cl")
+            return _power_sum(self._left, self._rows["cl"], alpha)
+        return self._on_array(alpha, "cl")[0]
 
     def cl_prime(self, alpha):
         """Derivative dcl/dalpha of the interpolant."""
-        return self._lift(alpha, self._cl_prime_rows, "cl_prime")
+        if isinstance(alpha, float):
+            return self._on_scalar(float(alpha), "cl_prime")[0]
+        return self._on_array(alpha, "cl_prime")[0]
 
     def cd(self, alpha):
         """Drag coefficient; clamped to the nearest sample outside the range."""
         if isinstance(alpha, float):
-            alpha = min(max(float(alpha), self.alpha_min), self.alpha_max)  # NaN stays NaN
-            return _power_sum(self._left, self._cd_rows, alpha)
+            alpha = float(alpha)
+            if alpha < self.alpha_min:  # NaN stays NaN
+                alpha = self.alpha_min
+            elif alpha > self.alpha_max:
+                alpha = self.alpha_max
+            return _power_sum(self._left, self._rows["cd"], alpha)
         return self._on_array(alpha, "cd")[0]
 
     def cd_prime(self, alpha):
         """Derivative dcd/dalpha; zero outside the sampled range (clamping)."""
         if isinstance(alpha, float):
-            inside = self.alpha_min <= alpha <= self.alpha_max
-            return _power_sum(self._left, self._cd_prime_rows, float(alpha)) if inside else 0.0
+            return self._on_scalar(float(alpha), "cd_prime")[0]
         return self._on_array(alpha, "cd_prime")[0]
 
 
@@ -338,12 +368,12 @@ def best_glide_angle(polar: PolarTable) -> float:
     ratios[positive] = drag[positive] / lift[positive]
     k = int(np.argmin(ratios))
 
-    a = alphas[max(k - 1, 0)]
-    b = alphas[min(k + 1, _GLIDE_GRID - 1)]
+    a = float(alphas[max(k - 1, 0)])
+    b = float(alphas[min(k + 1, _GLIDE_GRID - 1)])
 
     def ratio(x):
-        lift = polar.cl(x)
-        return polar.cd(x) / lift if lift > 0.0 else math.inf
+        lift, drag = polar._on_scalar(x, "cl", "cd")
+        return drag / lift if lift > 0.0 else math.inf
 
     # golden-section refinement on the bracketing cell pair
     x1 = b - _GOLDEN * (b - a)

@@ -1,9 +1,17 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from glauert_bem import CorrectionSpec, ElementGeometry, PolarTable, synthetic_polar
+
+# On CI a falsifying example of a random test is printed as a blob that
+# @reproduce_failure replays, since the tests keep no example database.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
-"""Golden output of the five ``bem`` subcommands on ``demo/run.cfg``, and of
-``bem design`` and ``bem sweep`` on its corrected-design copy.
+"""Golden output of the five ``bem`` subcommands on ``demo/run.cfg`` and on
+its copies under the four other correction variants, and of ``bem design``
+and ``bem sweep`` on its corrected-design copy.
 
 Each subcommand runs through ``cli.main``; its CSV (or report) file, its
 stdout, its stderr and its exit code are compared with the files under
@@ -31,16 +32,23 @@ COMMANDS = {
     "sweep": ["sweep"],
     "check": ["check"],
 }
-# The corrected-design copy of the demo, as CI writes it: a line that sets
-# a key on the left is replaced by the line on the right.
+# Copies of the demo, as CI writes them: a line that sets a key on the left
+# is replaced by the line on the right.
+POLAR_LINE = {"polar.path": f"polar.path={DEMO_CFG.parent / 'polar.csv'}"}
 CORRECTED_LINES = {
-    "polar.path": f"polar.path={DEMO_CFG.parent / 'polar.csv'}",
+    **POLAR_LINE,
     "design.mode": "design.mode=corrected",
     "run.lambda_count": "run.lambda=1.4",
     "sweep.grid_n": "sweep.grid_n=3",
     "sweep.refine": "sweep.refine=false",
 }
 CORRECTED_COMMANDS = ("design", "sweep")
+# the demo runs wilson_spera; the golden files of the others carry the variant's name
+VARIANTS = ("glauert3", "glauert_empirical", "buhl", "none")
+
+
+def variant_lines(variant):
+    return {**POLAR_LINE, "correction.variant": f"correction.variant={variant}"}
 REL_TOL = 1e-12
 _FLOAT = re.compile(r"[-+]?(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?|[-+]?inf")
 _SEPARATORS = re.compile(r"([,=()\s]+)")
@@ -54,11 +62,12 @@ def run_demo(name, out_path, cfg=DEMO_CFG):
     return Path(out_path).read_text(), out.getvalue(), err.getvalue(), code
 
 
-def write_corrected_config(directory):
-    """The corrected-design copy of ``demo/run.cfg``, written to ``directory``."""
-    lines = [CORRECTED_LINES.get(line.split("=", 1)[0], line)
+def write_config(directory, name, replaced):
+    """The copy ``name`` of ``demo/run.cfg`` with the lines ``replaced``, written
+    to ``directory``."""
+    lines = [replaced.get(line.split("=", 1)[0], line)
              for line in DEMO_CFG.read_text().splitlines()]
-    path = Path(directory) / "corrected.cfg"
+    path = Path(directory) / f"{name}.cfg"
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -109,8 +118,15 @@ def test_demo_output_matches_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", CORRECTED_COMMANDS)
 def test_corrected_design_output_matches_golden(name, tmp_path):
-    cfg = write_corrected_config(tmp_path)
+    cfg = write_config(tmp_path, "corrected", CORRECTED_LINES)
     assert_matches_golden("corrected", name, run_demo(name, tmp_path / f"{name}.out", cfg))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_other_variant_output_matches_golden(name, variant, tmp_path):
+    cfg = write_config(tmp_path, variant, variant_lines(variant))
+    assert_matches_golden(variant, name, run_demo(name, tmp_path / f"{name}.out", cfg))
 
 
 def test_one_process_runs_every_subcommand_twice_alike(tmp_path):
@@ -150,13 +166,16 @@ def test_comparison_tolerates_last_digits_only():
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_corrected_config(tmp)
-        for prefix, names, config in (("demo", COMMANDS, DEMO_CFG),
-                                      ("corrected", CORRECTED_COMMANDS, cfg)):
+        runs = [("demo", COMMANDS, DEMO_CFG),
+                ("corrected", CORRECTED_COMMANDS,
+                 write_config(tmp, "corrected", CORRECTED_LINES))]
+        runs += [(variant, COMMANDS, write_config(tmp, variant, variant_lines(variant)))
+                 for variant in VARIANTS]
+        for prefix, names, config in runs:
             streams = {}
             for name in names:
                 text, out, err, code = run_demo(name, Path(tmp) / f"{name}.out", config)
                 (GOLDEN / f"{prefix}_{name}.out").write_text(text)
                 streams[name] = {"exit": code, "stdout": out, "stderr": err}
             (GOLDEN / f"{prefix}_streams.json").write_text(json.dumps(streams, indent=1) + "\n")
-    print(f"wrote {len(COMMANDS) + len(CORRECTED_COMMANDS)} golden outputs to {GOLDEN}")
+    print(f"wrote {sum(len(names) for _, names, _ in runs)} golden outputs to {GOLDEN}")

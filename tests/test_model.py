@@ -1,5 +1,7 @@
+import copy
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,53 @@ def test_geometry_derived_quantities():
     geom = ElementGeometry(lam=2.0, r=0.8, gamma=0.1, chord=0.25, blade_count=3)
     assert abs(geom.solidity - 3 * 0.25 / (2 * math.pi * 0.8)) < 1e-15
     assert abs(geom.theta - math.atan(0.5)) < 1e-15
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(lam=st.floats(0.05, 20.0), r=st.floats(0.01, 5.0), gamma=st.floats(-1.5, 1.5),
+       chord=st.floats(1e-3, 3.0), blades=st.integers(1, 12),
+       tip=st.none() | st.floats(1.0, 4.0), moved=st.floats(0.05, 20.0))
+def test_element_constants_equal_their_formulas_and_are_not_fields(lam, r, gamma, chord,
+                                                                  blades, tip, moved):
+    tip_radius = None if tip is None else tip * r
+    geom = ElementGeometry(lam=lam, r=r, gamma=gamma, chord=chord, blade_count=blades,
+                           tip_radius=tip_radius)
+    twin = ElementGeometry(lam, r, gamma, chord, blades, tip_radius)
+    for g in (geom, twin, pickle.loads(pickle.dumps(geom)), copy.deepcopy(geom),
+              replace(geom, lam=moved), replace(geom, tip_radius=None), replace(geom, r=r / 2)):
+        ratio = None if g.tip_radius is None else g.r / g.tip_radius
+        assert g.theta == math.atan2(1.0, g.lam)
+        assert g.solidity == g.blade_count * g.chord / (2.0 * math.pi * g.r)
+        if ratio is None:
+            assert g.tip_rate is None
+            with pytest.raises(ValidationError, match="tip_radius"):
+                model._tip_rate(g)
+        else:
+            assert g.tip_rate == 0.5 * g.blade_count * (1.0 - ratio) / ratio
+            assert model._tip_rate(g) == g.tip_rate
+    assert [f.name for f in fields(geom)] == ["lam", "r", "gamma", "chord", "blade_count",
+                                              "tip_radius"]
+    assert twin == geom and hash(twin) == hash(geom) and repr(twin) == repr(geom)
+    assert "theta" not in repr(geom) and "solidity" not in repr(geom)
+    assert replace(geom, lam=moved) == ElementGeometry(moved, r, gamma, chord, blades, tip_radius)
+    with pytest.raises(FrozenInstanceError):
+        geom.theta = 0.0
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+def test_correction_is_trivial_is_computed_once_and_is_not_a_field(variant, tip):
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    flipped = replace(corr, tip_loss=not tip)
+    for c in (corr, flipped, pickle.loads(pickle.dumps(corr)), copy.deepcopy(corr),
+              replace(corr, variant="none")):
+        assert c.is_trivial is (c.variant == "none" and not c.tip_loss)
+    assert [f.name for f in fields(corr)] == ["variant", "a_c", "tip_loss", "strict_lemma_mode"]
+    twin = CorrectionSpec(variant=variant, tip_loss=tip)
+    assert twin == corr and hash(twin) == hash(corr) and "is_trivial" not in repr(corr)
+    assert flipped != corr
+    with pytest.raises(FrozenInstanceError):
+        corr.is_trivial = True
 
 
 def test_geometry_validation():
@@ -250,9 +299,87 @@ def test_nonstrict_empirical_near_tip_raises_named_error(linear_polar):
                             tip_loss=True)
     geom = ElementGeometry(lam=2.0, r=0.999, gamma=0.0, chord=0.5,
                            blade_count=3, tip_radius=1.0)
-    with pytest.raises(DomainError, match="strict_lemma_mode"):
+    with pytest.raises(DomainError, match=r"\(glauert_empirical psi < 0 .*strict_lemma_mode"):
         tau_nu(geom, linear_polar, loose, 0.1)
     assert 0.0 <= (1.0 - tau_nu(geom, linear_polar, strict, 0.1)) < 1.0
+
+
+def test_buhl_just_above_the_threshold_is_solved_not_refused():
+    # just above a = a_c Buhl's psi ~ x^2 lies below the last bit of the balance at
+    # nu0, so the rounded balance there must not be read as lost monotonicity
+    polar = synthetic_polar("linear_lift", slope=2.0 * math.pi, cd0=0.01, cd2=0.3, beta=0.4)
+    geom = ElementGeometry(lam=1.9292595570125335, r=0.393810551951639,
+                           gamma=0.10847077274318241, chord=0.05562862534620501,
+                           tip_radius=1.0)
+    corr = CorrectionSpec("buhl")
+    phi = 0.2855094369764342
+    # a 4e-9 span of angles with 0 < a - a_c < 1e-8, where psi falls below that bit
+    phis = phi - 1e-12 * np.arange(4000)
+    values = np.array([residual(geom, polar, corr, p) for p in phis.tolist()])
+    grid = _residual_grid([geom], polar, corr, [phis])[0]
+    _assert_within_ulp(grid, values, 8)
+    assert not np.isnan(grid).any()
+    a = recover_induction(geom, polar, corr, phi).a
+    assert 0.0 <= a - corr.a_c < 1e-6
+
+
+def _first_crossing(fn, lo, hi, nodes=400):
+    """An angle where ``fn`` changes sign, found on a grid then bisected to the last
+    bit (the float below the change); None without a sign change on the grid."""
+    grid = np.linspace(lo, hi, nodes).tolist()
+    values = [fn(p) for p in grid]
+    for k in range(nodes - 1):
+        if (values[k] > 0.0) != (values[k + 1] > 0.0):
+            a, b, above = grid[k], grid[k + 1], values[k] > 0.0
+            while True:
+                mid = 0.5 * (a + b)
+                if mid in (a, b):
+                    return a
+                if (fn(mid) > 0.0) == above:
+                    a = mid
+                else:
+                    b = mid
+    return None
+
+
+_PSI_VARIANTS = [("glauert3", True), ("glauert_empirical", True), ("glauert_empirical", False),
+                 ("buhl", True), ("wilson_spera", True)]
+
+
+@pytest.mark.parametrize("variant, strict", _PSI_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+@settings(max_examples=20, deadline=None, database=None)
+@given(lam=st.floats(1.0, 3.0), r=st.floats(0.2, 0.9), gamma=st.floats(-0.1, 0.2),
+       chord=st.floats(0.02, 0.8), cd2=st.floats(0.0, 0.5),
+       step=st.sampled_from([1e-14, 1e-13, 1e-12, 1e-11, 1e-10]))
+def test_no_angle_just_above_the_threshold_raises_where_psi_is_not_negative(
+        variant, strict, tip, lam, r, gamma, chord, cd2, step):
+    # a - a_c <= a0 - a_c, with a0 = 1 - 1/(1 + g) the uncorrected induction: the
+    # corrected root lies in [a_c, a0]
+    polar = synthetic_polar("linear_lift", slope=2.0 * math.pi, cd0=0.01, cd2=cd2, beta=0.4)
+    geom = make_geom(lam=lam, r=r, gamma=gamma, chord=chord, tip_radius=1.0)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip, strict_lemma_mode=strict)
+
+    def excess(phi):  # a0 - a_c, with the operations of _axial_nu's branch test
+        return (1.0 - 1.0 / (1.0 + g_func(geom, polar, corr, phi))) - corr.a_c
+
+    phi_c = _first_crossing(excess, 1e-3, geom.theta)
+    if phi_c is None:
+        return  # the correction is never active, or always
+    phis = phi_c + step * np.arange(-600.0, 600.0)
+    raised = []
+    for phi in phis.tolist():
+        try:
+            residual(geom, polar, corr, phi)
+            raised.append(False)
+        except DomainError:
+            raised.append(True)
+            x = excess(phi)
+            f = tip_loss_factor(geom, phi) if tip else 1.0
+            # only a negative psi may refuse an angle of the band
+            assert not (0.0 < x < 1e-6 and corr.psi(x, f) >= 0.0), (phi, x)
+    grid = _residual_grid([geom], polar, corr, [phis])[0]
+    assert np.isnan(grid).tolist() == raised
 
 
 # ---------------------------------------------------------------------------

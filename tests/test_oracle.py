@@ -76,7 +76,7 @@ def _coefficients(polar, alpha):
     if not polar.alpha_min <= alpha <= polar.alpha_max:
         raise ValueError("cl is not defined outside the sampled range")
     clamped = min(max(alpha, mp.mpf(polar.alpha_min)), mp.mpf(polar.alpha_max))
-    return _piecewise(polar, polar._cl_rows, alpha), _piecewise(polar, polar._cd_rows, clamped)
+    return _piecewise(polar, polar._rows["cl"], alpha), _piecewise(polar, polar._rows["cd"], clamped)
 
 
 def _tip_factor(geom, phi):

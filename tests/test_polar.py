@@ -493,6 +493,42 @@ def test_one_interval_search_gives_each_coefficient_its_own_bits(kind, clamp_cl,
             table._on_array(np.concatenate([inside, outside[:1]]), *names)
 
 
+def _hex_or_error(values):
+    """The bits of each value ``values()`` returns, or the type and text of its error."""
+    try:
+        return [float(v).hex() for v in values()]
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("clamp_cl", [False, True])
+@settings(max_examples=150, deadline=None, database=None)
+@given(n=st.integers(min_value=2, max_value=30), seed=st.integers(0, 2 ** 32 - 1),
+       names=st.lists(st.sampled_from(SCALAR_FNS), min_size=1, max_size=4, unique=True))
+def test_one_search_scalar_lookup_gives_each_public_method_its_bits(clamp_cl, n, seed, names):
+    """The scalar twin of ``_on_array``: for each name the public method's value,
+    bit for bit, or its error, on PCHIP and linear tables alike."""
+    gen = rng(seed)
+    alpha = np.unique(np.round(gen.uniform(-0.5, 0.8, n), 6))
+    if alpha.size < 2:
+        return
+    lift = gen.normal(size=alpha.size)
+    lift[(alpha > 0.0) & (alpha <= 0.2)] = np.abs(lift[(alpha > 0.0) & (alpha <= 0.2)]) + 0.1
+    table = PolarTable(alpha, lift, np.abs(gen.normal(0.02, 0.01, alpha.size)), alpha_s=0.2,
+                       clamp_cl=clamp_cl)
+    lo, hi = table.alpha_min, table.alpha_max
+    angles = (alpha.tolist() + gen.uniform(lo, hi, 50).tolist()
+              + [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), lo - 0.5,
+                 hi + 0.5, -math.inf, math.inf, math.nan])
+    for a in angles:
+        got = _hex_or_error(lambda: table._on_scalar(a, *names))
+        # the public methods, and the array path, which has its own code
+        assert got == _hex_or_error(lambda: [getattr(table, name)(a) for name in names])
+        assert got == _hex_or_error(lambda: table._on_array(np.array(a), *names)), (names, a)
+        if isinstance(got, list):
+            assert all(type(v) is float for v in table._on_scalar(a, *names))
+
+
 @pytest.mark.parametrize("kind", sorted(TABLES))
 def test_scalar_edge_behaviour(kind):
     table, clamped = TABLES[kind](), TABLES[kind](clamp_cl=True)

@@ -515,8 +515,8 @@ def test_existence_symmetric_profile_in_window(dragfree_polar):
     (synthetic_polar("linear_lift", slope=6.0, cd0=0.01, beta=0.4),
      make_geom(lam=1.0, r=0.97, gamma=0.02, tip_radius=1.0),
      CorrectionSpec(variant="glauert_empirical", tip_loss=True, strict_lemma_mode=False),
-     "corrected criterion not evaluable: axial balance lost monotonicity (psi < 0 under the "
-     "current tip factor); use strict_lemma_mode or another variant"),
+     "corrected criterion not evaluable: axial balance lost monotonicity (glauert_empirical "
+     "psi < 0 under the current tip factor); use strict_lemma_mode or another variant"),
 ], ids=["cl_outside_the_polar", "axial_balance_undefined"])
 def test_existence_criteria_that_cannot_be_evaluated_say_why(polar, geom, corr, message):
     report = check_existence(geom, polar, corr)
