@@ -14,9 +14,14 @@ Conventions:
     :class:`DomainError` outside it, unless the table was built with
     ``clamp_cl=True``.
 
-A scalar ``float`` (``np.float64`` included) is evaluated in pure Python,
-an array in numpy, both summing the power series in scipy's ``PPoly``
-order, so scalars and arrays give the same bits.
+Every piece is stored as a cubic, constant term first; a linear piece
+and a derivative have zero high coefficients.  A scalar ``float``
+(``np.float64`` included) is evaluated in pure Python, an array in
+numpy, and each path sums one four-term expression,
+``0 + c0 + c1 s + c2 s^2 + c3 s^3``, in scipy's ``PPoly`` order (Horner's
+rule would differ in the last bit).  So scalars and arrays give the same
+bits as scipy.  The zero terms change no bit: ``s >= 0`` in range, and the
+partial sum is never ``-0.0``.
 """
 
 from __future__ import annotations
@@ -76,40 +81,11 @@ def _pchip(x, y):
 
 
 def _derivative(coef):
-    """Coefficients of the derivative, as scipy's ``PPoly.derivative``."""
-    return coef[:, 1:] * np.arange(1.0, coef.shape[1])
-
-
-def _power_sum_array(left, col_sets, alpha):
-    """:func:`_power_sum` of each coefficient set elementwise on one array in
-    range (NaN gives NaN), sharing the interval search and the powers of s."""
-    i = np.searchsorted(left, alpha, side="right") - 1
-    s = alpha - left.take(i)
-    powers = [1.0]
-    while len(powers) < max(map(len, col_sets)):
-        powers.append(powers[-1] * s)
-    sums = []
-    for cols in col_sets:
-        res = 0.0 * s  # NaN where alpha is NaN
-        for c, z in zip(cols, powers):
-            res = res + c.take(i) * z
-        sums.append(res)
-    return sums
-
-
-def _power_sum(left, rows, alpha):
-    """Piecewise polynomial at a scalar in range (NaN gives NaN), summed
-    c0 + c1 s + c2 s^2 + ... as scipy's PPoly does; Horner's rule would
-    differ in the last bit."""
-    if alpha != alpha:
-        return math.nan
-    i = bisect_right(left, alpha) - 1
-    s = alpha - left[i]
-    res, z = 0.0, 1.0
-    for c in rows[i]:
-        res += c * z
-        z *= s
-    return res
+    """Coefficients of the derivative, as scipy's ``PPoly.derivative``, with a
+    zero ``c3`` column to keep every set four wide."""
+    deriv = np.zeros_like(coef)
+    deriv[:, :-1] = coef[:, 1:] * np.arange(1.0, coef.shape[1])
+    return deriv
 
 
 class PolarTable:
@@ -181,9 +157,10 @@ class PolarTable:
 
         if alpha.size >= 4:
             cl_coef, cd_coef = _pchip(alpha, cl), _pchip(alpha, cd)
-        else:
-            cl_coef = np.stack([cl[:-1], np.diff(cl) / dal], axis=1)
-            cd_coef = np.stack([cd[:-1], np.diff(cd) / dal], axis=1)
+        else:  # linear pieces, as cubics with c2 = c3 = 0
+            zero = np.zeros(dal.size)
+            cl_coef = np.stack([cl[:-1], np.diff(cl) / dal, zero, zero], axis=1)
+            cd_coef = np.stack([cd[:-1], np.diff(cd) / dal, zero, zero], axis=1)
         self.alpha_min, self.alpha_max = float(alpha[0]), float(alpha[-1])
         self._left_a = alpha[:-1]
         self._left = self._left_a.tolist()
@@ -225,10 +202,17 @@ class PolarTable:
             raise self._outside()
         else:
             at = arr  # in range
-        out = _power_sum_array(self._left_a, [self._cols[name] for name in names], at)
-        if "cd_prime" in names:  # zero outside the range, where cd is clamped
-            k = names.index("cd_prime")
-            out[k] = np.where((arr >= self.alpha_min) & (arr <= self.alpha_max), out[k], 0.0)
+        i = np.searchsorted(self._left_a, at, side="right") - 1
+        s = at - self._left_a.take(i)
+        s2 = s * s
+        s3 = s2 * s
+        out = []
+        for name in names:
+            c0, c1, c2, c3 = (c.take(i) for c in self._cols[name])
+            value = 0.0 * s + c0 + c1 * s + c2 * s2 + c3 * s3  # NaN where alpha is NaN
+            if name == "cd_prime":  # zero outside the range, where cd is clamped
+                value = np.where((arr >= self.alpha_min) & (arr <= self.alpha_max), value, 0.0)
+            out.append(value)
         return out if np.ndim(alpha) else [float(v) for v in out]
 
     def _on_scalar(self, alpha, *names):
@@ -248,28 +232,17 @@ class PolarTable:
         s3 = s2 * s
         out = []
         for name in names:
-            row = self._rows[name][i]
+            c0, c1, c2, c3 = self._rows[name][i]
             if name == "cd_prime" and at != alpha:  # 0 where cd is clamped, and at NaN
                 out.append(0.0)
-            # c0 + c1 s + c2 s^2 (+ c3 s^3) from 0.0, in _power_sum's order: a
-            # cubic, or its derivative
-            elif len(row) == 4:
-                out.append(0.0 + row[0] + row[1] * s + row[2] * s2 + row[3] * s3)
-            elif len(row) == 3:
-                out.append(0.0 + row[0] + row[1] * s + row[2] * s2)
-            else:  # a table of fewer than four samples
-                out.append(_power_sum(self._left, self._rows[name], at))
+            else:  # in _on_array's order
+                out.append(0.0 + c0 + c1 * s + c2 * s2 + c3 * s3)
         return out
 
     def cl(self, alpha):
         """Lift coefficient at angle of attack ``alpha`` (rad)."""
         if isinstance(alpha, float):
-            alpha = float(alpha)
-            if alpha < self.alpha_min or alpha > self.alpha_max:
-                if not self.clamp_cl:
-                    raise self._outside()
-                alpha = self.alpha_min if alpha < self.alpha_min else self.alpha_max
-            return _power_sum(self._left, self._rows["cl"], alpha)
+            return self._on_scalar(float(alpha), "cl")[0]
         return self._on_array(alpha, "cl")[0]
 
     def cl_prime(self, alpha):
@@ -281,12 +254,7 @@ class PolarTable:
     def cd(self, alpha):
         """Drag coefficient; clamped to the nearest sample outside the range."""
         if isinstance(alpha, float):
-            alpha = float(alpha)
-            if alpha < self.alpha_min:  # NaN stays NaN
-                alpha = self.alpha_min
-            elif alpha > self.alpha_max:
-                alpha = self.alpha_max
-            return _power_sum(self._left, self._rows["cd"], alpha)
+            return self._on_scalar(float(alpha), "cd")[0]
         return self._on_array(alpha, "cd")[0]
 
     def cd_prime(self, alpha):

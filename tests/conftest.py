@@ -1,11 +1,15 @@
+import io
+import logging
 import math
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from glauert_bem import CorrectionSpec, ElementGeometry, PolarTable, synthetic_polar
+from glauert_bem.cli import main
 
 # On CI a falsifying example of a random test is printed as a blob that
 # @reproduce_failure replays, since the tests keep no example database.
@@ -66,3 +70,19 @@ def wilson(a_c=None, tip=False):
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+def run_main(argv):
+    """(stdout, stderr, exit code) of ``cli.main(argv)``, with the ``bem`` log on
+    stderr as the command line writes it: ``main``'s own logging set-up finds the
+    root logger without handlers and binds one to the captured stderr."""
+    root = logging.getLogger()
+    saved = root.handlers[:]
+    root.handlers.clear()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        root.handlers[:] = saved
+    return out.getvalue(), err.getvalue(), code

@@ -4,15 +4,18 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from glauert_bem import DomainError, best_glide_angle, cli, load_polar, synthetic_polar
 from glauert_bem.cli import ROW_HEADER, main
 from glauert_bem.polar import dump_polar
 
-from conftest import zero_lift_polar
+from conftest import run_main, zero_lift_polar
 
 BASE_CFG = """
 turbine.blade_count=3
@@ -434,6 +437,65 @@ def test_empty_default_bracket_fails_newton_and_bisection_only(workdir):
     for name in ("usual", "fixed"):
         assert rows[name]["root_category"] == "principal"
         assert abs(float(rows[name]["residual"])) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# fuzz: configs the schema accepts, through every subcommand
+
+SUBCOMMANDS = (["solve", "--method", "all"], ["scan"], ["design"], ["sweep"], ["check"])
+_FLAG = st.sampled_from(["true", "false"])
+_FUZZ_POLARS = st.one_of(
+    st.none(),  # the demo polar
+    st.tuples(st.just("linear_lift"), st.fixed_dictionaries({
+        "slope": st.floats(2.0, 8.0), "cd0": st.floats(0.0, 0.03),
+        "cd2": st.floats(0.0, 0.5), "beta": st.floats(0.05, 0.6)})),
+    st.tuples(st.just("linear_lift_with_stall"), st.fixed_dictionaries({
+        "slope": st.floats(2.0, 8.0), "alpha_s": st.floats(0.1, 0.5),
+        "drop": st.floats(0.0, 0.9), "transition": st.floats(0.01, 0.2),
+        "cd0": st.floats(0.0, 0.03), "cd2": st.floats(0.0, 0.5)})),
+)
+
+
+@st.composite
+def _fuzz_config(draw):
+    """A config's text, without ``polar.path``: every variant, tip loss and strict
+    mode on and off, the three design modes, few lambdas and a small sweep grid."""
+    lam_min = draw(st.floats(0.5, 2.0))
+    mode = draw(st.sampled_from(["simplified", "fixed", "corrected"]))
+    lines = ["turbine.blade_count=3", "turbine.radius=1.1", "turbine.upstream_speed=1.0",
+             "turbine.rotation_speed=3.0", f"turbine.lambda_min={lam_min!r}",
+             f"turbine.lambda_max={lam_min + draw(st.floats(0.1, 2.5))!r}",
+             "correction.variant=" + draw(st.sampled_from(
+                 ["none", "glauert3", "glauert_empirical", "buhl", "wilson_spera"])),
+             f"correction.tip_loss={draw(_FLAG)}",
+             f"correction.strict_lemma_mode={draw(_FLAG)}",
+             f"run.lambda_count={draw(st.integers(1, 3))}", f"design.mode={mode}",
+             f"design.max_steps={draw(st.integers(1, 4))}",
+             f"sweep.grid_n={draw(st.integers(2, 4))}", f"sweep.refine={draw(_FLAG)}"]
+    if mode == "fixed":
+        lines += [f"design.gamma={draw(st.floats(-0.3, 0.6))!r}",
+                  f"design.chord={draw(st.floats(0.01, 1.0))!r}"]
+    return "\n".join(lines) + "\n"
+
+
+@seed(20261019)
+@settings(max_examples=80, deadline=None, database=None)
+@given(polar=_FUZZ_POLARS, config=_fuzz_config())
+def test_every_subcommand_exits_0_1_or_2_without_a_traceback(polar, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = DEMO / "polar.csv"
+        if polar is not None:
+            path = Path(tmp) / "polar.csv"
+            dump_polar(synthetic_polar(polar[0], **polar[1]), path)
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(config + f"polar.path={path}\n")
+        for command in SUBCOMMANDS:
+            # an exception out of main fails the test
+            _, err, code = run_main(command + ["--config", str(cfg),
+                                               "--out", str(Path(tmp) / "out.csv")])
+            assert code in (0, 1, 2), command
+            assert code != 2 or err.count("\n") == 1 and err.endswith("\n"), (command, err)
+            assert "Traceback" not in err, command
 
 
 def test_console_script_is_installed():

@@ -1,12 +1,13 @@
 """Golden output of the five ``bem`` subcommands on ``demo/run.cfg`` and on
-its copies under the four other correction variants, and of ``bem design``
-and ``bem sweep`` on its corrected-design copy.
+its copies under the four other correction variants, of ``bem design``
+and ``bem sweep`` on its corrected-design copy, and of ``bem scan`` and
+``bem sweep`` on its copy whose batches hold failing elements.
 
 Each subcommand runs through ``cli.main``; its CSV (or report) file, its
-stdout, its stderr and its exit code are compared with the files under
-``tests/golden/``.  Text fields and exit codes must match exactly, floats
-to 1e-12 relative.  To write the golden files again (only on purpose,
-from a tree whose output is the reference)::
+stdout, its stderr (the ``bem`` log included) and its exit code are
+compared with the files under ``tests/golden/``.  Text fields and exit
+codes must match exactly, floats to 1e-12 relative.  To write the golden
+files again (only on purpose, from a tree whose output is the reference)::
 
     PYTHONPATH=src python tests/test_demo_golden.py
 """
@@ -15,12 +16,14 @@ import io
 import json
 import re
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
 
 from glauert_bem.cli import main
+
+from conftest import run_main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_CFG = ROOT / "demo" / "run.cfg"
@@ -43,6 +46,16 @@ CORRECTED_LINES = {
     "sweep.refine": "sweep.refine=false",
 }
 CORRECTED_COMMANDS = ("design", "sweep")
+# a fixed design whose scan and sweep batches hold failing elements: lambda 0.6
+# and 3 have no root below phi_upper, lambda 1.8 has one
+FAILING_LINES = {
+    **POLAR_LINE,
+    "design.mode": "design.mode=fixed\ndesign.gamma=0.4\ndesign.chord=0.05",
+    "run.lambda_count": "run.lambda_count=3",
+    "sweep.grid_n": "sweep.grid_n=3",
+    "sweep.refine": "sweep.refine=false",
+}
+FAILING_COMMANDS = ("scan", "sweep")
 # the demo runs wilson_spera; the golden files of the others carry the variant's name
 VARIANTS = ("glauert3", "glauert_empirical", "buhl", "none")
 
@@ -56,10 +69,8 @@ _SEPARATORS = re.compile(r"([,=()\s]+)")
 
 def run_demo(name, out_path, cfg=DEMO_CFG):
     """(output file text, stdout, stderr, exit code) of one subcommand."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(COMMANDS[name] + ["--config", str(cfg), "--out", str(out_path)])
-    return Path(out_path).read_text(), out.getvalue(), err.getvalue(), code
+    out, err, code = run_main(COMMANDS[name] + ["--config", str(cfg), "--out", str(out_path)])
+    return Path(out_path).read_text(), out, err, code
 
 
 def write_config(directory, name, replaced):
@@ -122,6 +133,12 @@ def test_corrected_design_output_matches_golden(name, tmp_path):
     assert_matches_golden("corrected", name, run_demo(name, tmp_path / f"{name}.out", cfg))
 
 
+@pytest.mark.parametrize("name", FAILING_COMMANDS)
+def test_failing_elements_output_matches_golden(name, tmp_path):
+    cfg = write_config(tmp_path, "failing", FAILING_LINES)
+    assert_matches_golden("failing", name, run_demo(name, tmp_path / f"{name}.out", cfg))
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_other_variant_output_matches_golden(name, variant, tmp_path):
@@ -168,7 +185,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         runs = [("demo", COMMANDS, DEMO_CFG),
                 ("corrected", CORRECTED_COMMANDS,
-                 write_config(tmp, "corrected", CORRECTED_LINES))]
+                 write_config(tmp, "corrected", CORRECTED_LINES)),
+                ("failing", FAILING_COMMANDS, write_config(tmp, "failing", FAILING_LINES))]
         runs += [(variant, COMMANDS, write_config(tmp, variant, variant_lines(variant)))
                  for variant in VARIANTS]
         for prefix, names, config in runs:

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from glauert_bem import (
@@ -504,10 +504,11 @@ def _hex_or_error(values):
 @pytest.mark.parametrize("clamp_cl", [False, True])
 @settings(max_examples=150, deadline=None, database=None)
 @given(n=st.integers(min_value=2, max_value=30), seed=st.integers(0, 2 ** 32 - 1),
-       names=st.lists(st.sampled_from(SCALAR_FNS), min_size=1, max_size=4, unique=True))
+       names=st.lists(st.sampled_from(SCALAR_FNS), min_size=1, max_size=4))
 def test_one_search_scalar_lookup_gives_each_public_method_its_bits(clamp_cl, n, seed, names):
-    """The scalar twin of ``_on_array``: for each name the public method's value,
-    bit for bit, or its error, on PCHIP and linear tables alike."""
+    """The lookup behind every public method: for each name, repeated or not,
+    the public method's value, bit for bit, or its error, on PCHIP and linear
+    tables alike, from the scalar and the array path."""
     gen = rng(seed)
     alpha = np.unique(np.round(gen.uniform(-0.5, 0.8, n), 6))
     if alpha.size < 2:
@@ -564,12 +565,13 @@ def _scipy_interpolants(alpha, cl, cd):
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(n=st.integers(min_value=3, max_value=40), seed=st.integers(0, 2 ** 32 - 1),
+@given(n=st.integers(min_value=2, max_value=40), seed=st.integers(0, 2 ** 32 - 1),
        shape=st.sampled_from(["random", "monotone", "plateaus"]))
+@example(n=2, seed=0, shape="random")  # linear pieces, stored as zero-tailed cubics
 def test_interpolants_match_scipy_bit_for_bit(n, seed, shape):
     gen = rng(seed)
     alpha = np.unique(np.round(gen.uniform(-0.5, 0.8, n), 6))
-    if alpha.size < 3:
+    if alpha.size < 2:
         return
     lift = {"random": gen.normal(size=alpha.size),
             "monotone": np.cumsum(gen.uniform(0.0, 0.3, alpha.size)) - 0.5,
