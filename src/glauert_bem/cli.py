@@ -295,10 +295,25 @@ _PARSER = build_parser()  # built once: parsing leaves no state in it
 
 
 def main(argv=None) -> int:
+    # the bem log goes once to this call's stderr: a handler of its own, and no
+    # propagation to the root logger's handlers, all undone on return
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     level = os.environ.get("BEM_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-    args = _PARSER.parse_args(argv)
+    saved = log.level, log.propagate
+    log.setLevel(getattr(logging, level, logging.WARNING))
+    log.addHandler(handler)
+    log.propagate = False
+    try:
+        return _run(_PARSER.parse_args(argv))
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved[0])
+        log.propagate = saved[1]
+
+
+def _run(args) -> int:
+    """The exit code of the subcommand that the parsed ``args`` name."""
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:

@@ -360,10 +360,12 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
     The left side is strictly increasing in a, so the root is unique.  It
     is computed in nu-space to keep full precision as a approaches 1.
     Negative rhs down to -1 maps to the exact uncorrected branch (a < 0).
-    Wilson/Spera has a closed form (:func:`_wilson_nu`).  The other
-    variants run Newton (:func:`_newton_nu`) from nu0 = 1/(1 + rhs) inside
-    [nu0, 1 - a_c], where the balance in nu is decreasing and, for
-    psi >= 0, convex.  Either result gets one polishing Newton step.
+    An active correction puts the root in [nu0, 1 - a_c], nu0 = 1/(1 + rhs).
+    Wilson/Spera's balance times nu^2 is a quadratic, whose root there is
+    read off by the sign of its stable q, with no search (:func:`_wilson_nu`).
+    The other variants run Newton (:func:`_newton_nu`) from nu0, where the
+    balance in nu is decreasing and, for psi >= 0, convex.  Either result
+    gets one polishing Newton step.
     :func:`_axial_nu_grid` is the same computation on arrays.
     """
     if rhs <= -1.0:
@@ -383,7 +385,7 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
                 -1.0 / nn - weight * dpsi / nn - 2.0 * weight * psi / (nn * nu))
 
     if corr.variant == "wilson_spera":
-        nu = _wilson_nu(rhs, weight, corr.a_c, nu0)
+        nu = _wilson_nu(rhs, weight, corr.a_c)
     else:
         # at nu0 the balance is w psi(cap - nu0)/nu0^2 exactly, and a rounded
         # terms(nu0) may take either sign where psi is below its last bit: decide
@@ -441,8 +443,13 @@ def _newton_nu(terms, nu0, cap):
     return nu
 
 
-def _wilson_nu(rhs, weight, a_c, nu0):
-    """Closed-form quadratic branch for psi(x) = x^2."""
+def _wilson_nu(rhs, weight, a_c):
+    """The active root for psi(x) = x^2.  Times nu^2 the balance is f(nu) =
+    qa nu^2 + qb nu + qc, with f(nu0) = weight (cap - nu0)^2 >= 0 > f(cap) and
+    f(0) = qc > 0 (cap = 1 - a_c): where qa > 0 the root is the smaller of two
+    positive roots, where qa < 0 the positive one.  For the stable q = -(qb +
+    sign(qb) sqrt(disc))/2 that root is qc/q exactly when q > 0, else q/qa.
+    q = 0 needs qb = 0 with qa > 0, which only rounding gives: it raises."""
     cap = 1.0 - a_c
     qa = weight - 1.0 - rhs
     qb = 1.0 - 2.0 * weight * cap
@@ -451,16 +458,9 @@ def _wilson_nu(rhs, weight, a_c, nu0):
         return -qc / qb
     disc = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
     q = -0.5 * (qb + math.copysign(disc, qb))
-    roots = []
-    if q != 0.0:
-        roots.append(qc / q)
-    roots.append(q / qa)
-    good = [nu for nu in roots if nu0 * (1.0 - 1e-9) <= nu <= cap * (1.0 + 1e-9)]
-    if not good:
-        raise DomainError("no axial root in [a_c, 1); inconsistent inputs")
-    # the unguarded (cap - nu)^2: past cap it differs from the psi of terms in _axial_nu
-    return min(good, key=lambda nu: abs((1.0 - nu) / nu - rhs
-                                        + weight * (cap - nu) ** 2 / (nu * nu)))
+    if q == 0.0:
+        raise DomainError("no axial root: the quadratic of the balance has q = 0")
+    return qc / q if q > 0.0 else q / qa
 
 
 def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
@@ -487,7 +487,7 @@ def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
                     -1.0 / nn - weight * dpsi / nn - 2.0 * weight * psi / (nn * v))
 
         if corr.variant == "wilson_spera":
-            sol = _wilson_nu_grid(rhs, weight, corr.a_c, nu0)
+            sol = _wilson_nu_grid(rhs, weight, corr.a_c)
         else:
             x = cap - nu0  # the sign of psi at nu0 decides, as in _axial_nu
             psi = np.where(x > 0.0, corr._psi(x, f), 0.0)
@@ -522,25 +522,15 @@ def _newton_nu_grid(terms, nu0, cap):
     return np.where(live, np.nan, nu)
 
 
-def _wilson_nu_grid(rhs, weight, a_c, nu0):
-    """:func:`_wilson_nu` elementwise, NaN where it finds no root."""
+def _wilson_nu_grid(rhs, weight, a_c):
+    """:func:`_wilson_nu` elementwise, NaN where it raises."""
     cap = 1.0 - a_c
     qa = weight - 1.0 - rhs
     qb = 1.0 - 2.0 * weight * cap
     qc = weight * cap * cap
     disc = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
     q = -0.5 * (qb + np.copysign(disc, qb))
-    r1, r2 = qc / q, q / qa
-
-    def fits(nu):
-        return (nu0 * (1.0 - 1e-9) <= nu) & (nu <= cap * (1.0 + 1e-9))
-
-    def miss(nu):
-        return np.abs((1.0 - nu) / nu - rhs + weight * (cap - nu) ** 2 / (nu * nu))
-
-    good1, good2 = fits(r1), fits(r2)  # r1 = qc/q is not finite where q == 0
-    nu = np.where(good1 & ~(good2 & (miss(r2) < miss(r1))), r1,
-                  np.where(good2, r2, np.nan))
+    nu = np.where(q > 0.0, qc / q, np.where(q == 0.0, np.nan, q / qa))
     return np.where(qa == 0.0, -qc / qb, nu)
 
 

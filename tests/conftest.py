@@ -1,5 +1,4 @@
 import io
-import logging
 import math
 import os
 from contextlib import redirect_stderr, redirect_stdout
@@ -74,15 +73,8 @@ def rng(seed):
 
 def run_main(argv):
     """(stdout, stderr, exit code) of ``cli.main(argv)``, with the ``bem`` log on
-    stderr as the command line writes it: ``main``'s own logging set-up finds the
-    root logger without handlers and binds one to the captured stderr."""
-    root = logging.getLogger()
-    saved = root.handlers[:]
-    root.handlers.clear()
+    stderr as the command line writes it."""
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        root.handlers[:] = saved
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     return out.getvalue(), err.getvalue(), code

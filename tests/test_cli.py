@@ -1,4 +1,3 @@
-import logging
 import math
 import re
 import shutil
@@ -204,7 +203,7 @@ def test_scan_writes_a_root_with_zero_lift_with_J_nan(workdir):
     assert (row["method"], row["J"]) == ("scan", "nan")
 
 
-def test_scan_warns_when_it_finds_no_root(workdir, caplog):
+def test_scan_warns_when_it_finds_no_root(workdir, capsys):
     # twist 1.2 at lambda 2 puts the one root, phi = 0.50, above phi_upper =
     # theta = 0.4636, where the scan does not look: the CSV holds the header only
     cfg = _write_cfg(workdir, "run.lambda=2.0\ndesign.gamma=1.2\ndesign.chord=0.1\n",
@@ -212,11 +211,10 @@ def test_scan_warns_when_it_finds_no_root(workdir, caplog):
                                   .replace("design.mode=simplified", "design.mode=fixed"),
                      name="noroot.cfg")
     out = workdir / "noroot.csv"
-    with caplog.at_level(logging.WARNING, logger="bem"):
-        assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_text().splitlines() == [ROW_HEADER]
-    assert ("lambda=2: the scan found no root (it does not look above phi_upper=0.463648)"
-            in caplog.text)
+    assert capsys.readouterr().err == ("WARNING bem: lambda=2: the scan found no root "
+                                       "(it does not look above phi_upper=0.463648)\n")
 
 
 def test_design_simplified_matches_closed_form(workdir):
@@ -280,16 +278,18 @@ def test_design_failure_row_is_labelled_like_the_mode_rows(workdir):
     assert out.read_text().splitlines()[1:] == ["1.4,nan,nan,nan,nan,simplified,false"]
 
 
-def test_failed_design_rows_of_solve_scan_and_check(workdir, capsys, caplog):
+def test_failed_design_rows_of_solve_scan_and_check(workdir, capsys):
     cfg = _negative_lift_cfg(workdir, "simplified")
     error = "cl <= 0 everywhere on (0, 0.3]"
-    with caplog.at_level(logging.WARNING, logger="bem"):
-        assert main(["solve", "--config", cfg]) == 1
-        assert capsys.readouterr().out.splitlines() == [
-            ROW_HEADER, "1.4,nan,nan,nan,nan,nan,nan,0,design,nan,design_failed"]
-        assert main(["scan", "--config", cfg]) == 0  # the lambda is skipped
-        assert capsys.readouterr().out.splitlines() == [ROW_HEADER]
-    assert caplog.text.count(f"lambda=1.4: {error}") == 2
+    assert main(["solve", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        ROW_HEADER, "1.4,nan,nan,nan,nan,nan,nan,0,design,nan,design_failed"]
+    assert captured.err == f"WARNING bem: lambda=1.4: {error}\n"
+    assert main(["scan", "--config", cfg]) == 0  # the lambda is skipped
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [ROW_HEADER]
+    assert captured.err == f"WARNING bem: lambda=1.4: {error}\n"
     assert main(["check", "--config", cfg]) == 0
     assert capsys.readouterr().out == f"lambda=1.4 design FAIL ({error})\n"
 
@@ -498,10 +498,15 @@ def test_every_subcommand_exits_0_1_or_2_without_a_traceback(polar, config):
             assert "Traceback" not in err, command
 
 
-def test_console_script_is_installed():
+def test_console_script_is_installed(tmp_path):
     exe = shutil.which("bem")
     if exe is None:
         pytest.skip("console script not on PATH in this environment")
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+    # an output that cannot be written: exit 2 and one error line from the script too
+    proc = subprocess.run([exe, "check", "--config", str(DEMO / "run.cfg"),
+                           "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {tmp_path}: Is a directory\n"

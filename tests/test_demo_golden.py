@@ -1,7 +1,7 @@
-"""Golden output of the five ``bem`` subcommands on ``demo/run.cfg`` and on
-its copies under the four other correction variants, of ``bem design``
-and ``bem sweep`` on its corrected-design copy, and of ``bem scan`` and
-``bem sweep`` on its copy whose batches hold failing elements.
+"""Golden output of the five ``bem`` subcommands on ``demo/run.cfg``, on
+its copies under the four other correction variants and on its
+corrected-design copy, and of ``bem scan`` and ``bem sweep`` on its copy
+whose batches hold failing elements.
 
 Each subcommand runs through ``cli.main``; its CSV (or report) file, its
 stdout, its stderr (the ``bem`` log included) and its exit code are
@@ -14,9 +14,10 @@ files again (only on purpose, from a tree whose output is the reference)::
 
 import io
 import json
+import logging
 import re
 import tempfile
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -35,8 +36,8 @@ COMMANDS = {
     "sweep": ["sweep"],
     "check": ["check"],
 }
-# Copies of the demo, as CI writes them: a line that sets a key on the left
-# is replaced by the line on the right.
+# Copies of the demo: a line that sets a key on the left is replaced by the
+# line on the right.
 POLAR_LINE = {"polar.path": f"polar.path={DEMO_CFG.parent / 'polar.csv'}"}
 CORRECTED_LINES = {
     **POLAR_LINE,
@@ -45,7 +46,7 @@ CORRECTED_LINES = {
     "sweep.grid_n": "sweep.grid_n=3",
     "sweep.refine": "sweep.refine=false",
 }
-CORRECTED_COMMANDS = ("design", "sweep")
+CORRECTED_COMMANDS = tuple(COMMANDS)
 # a fixed design whose scan and sweep batches hold failing elements: lambda 0.6
 # and 3 have no root below phi_upper, lambda 1.8 has one
 FAILING_LINES = {
@@ -170,6 +171,32 @@ def test_one_process_runs_every_subcommand_twice_alike(tmp_path):
     assert failures == failures[:2] * len(runs) * len(COMMANDS)
     for name, result in runs[0].items():
         assert_matches_golden("demo", name, result)
+
+
+def test_each_run_logs_once_to_its_own_stderr(tmp_path):
+    # the bem log was bound to the stderr of the first run in a process, so a
+    # second run's warnings went to the first run's stream; a handler of the
+    # root logger on the same stream must not write them again
+    cfg = write_config(tmp_path, "failing", FAILING_LINES)
+    expected = json.loads((GOLDEN / "failing_streams.json").read_text())["scan"]["stderr"]
+    root = logging.getLogger()
+    before = root.handlers[:], root.level
+    errs = [io.StringIO(), io.StringIO()]
+    echo = logging.StreamHandler(errs[1])
+    for k, err in enumerate(errs):
+        if k:
+            root.addHandler(echo)
+        try:
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                assert main(["scan", "--config", str(cfg),
+                             "--out", str(tmp_path / f"{k}.csv")]) == 0
+        finally:
+            root.removeHandler(echo)
+    assert expected.count("\n") == 2
+    assert [err.getvalue() for err in errs] == [expected, expected]
+    assert (root.handlers, root.level) == before
+    bem = logging.getLogger("bem")
+    assert (bem.handlers, bem.level, bem.propagate) == ([], logging.NOTSET, True)
 
 
 def test_comparison_tolerates_last_digits_only():

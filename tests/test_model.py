@@ -479,6 +479,114 @@ def _bisect_axial(g, weight, a_c, psi):
     return 0.5 * (lo + hi)
 
 
+def _wilson_quadratic(rhs, weight, a_c, sqrt=math.sqrt, copysign=math.copysign):
+    """(nu0, cap, qa, qb, qc, q) of Wilson/Spera's balance times nu^2."""
+    cap = 1.0 - a_c
+    qa = weight - 1.0 - rhs
+    qb = 1.0 - 2.0 * weight * cap
+    qc = weight * cap * cap
+    q = -0.5 * (qb + copysign(sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+    return 1.0 / (1.0 + rhs), cap, qa, qb, qc, q
+
+
+def _wilson_search(rhs, weight, a_c):
+    """Wilson/Spera's axial root as a search over both roots of the quadratic
+    once found it: the roots inside [nu0, cap] up to a 1e-9 slack, the one of
+    least balance residual; DomainError where none fits.  ``_wilson_nu``'s
+    reference."""
+    nu0, cap, qa, qb, qc, q = _wilson_quadratic(rhs, weight, a_c)
+    if qa == 0.0:
+        return -qc / qb
+    roots = ([qc / q] if q != 0.0 else []) + [q / qa]
+    good = [nu for nu in roots if nu0 * (1.0 - 1e-9) <= nu <= cap * (1.0 + 1e-9)]
+    if not good:
+        raise DomainError("no axial root in [a_c, 1)")
+    return min(good, key=lambda nu: abs((1.0 - nu) / nu - rhs
+                                        + weight * (cap - nu) ** 2 / (nu * nu)))
+
+
+def _wilson_search_grid(rhs, weight, a_c):
+    """:func:`_wilson_search` elementwise, NaN where it finds no root."""
+    nu0, cap, qa, qb, qc, q = _wilson_quadratic(rhs, weight, a_c, np.sqrt, np.copysign)
+    r1, r2 = qc / q, q / qa
+    fits1, fits2 = [(nu0 * (1.0 - 1e-9) <= r) & (r <= cap * (1.0 + 1e-9)) for r in (r1, r2)]
+    miss1, miss2 = [np.abs((1.0 - r) / r - rhs + weight * (cap - r) ** 2 / (r * r))
+                    for r in (r1, r2)]
+    nu = np.where(fits1 & ~(fits2 & (miss2 < miss1)), r1, np.where(fits2, r2, np.nan))
+    return np.where(qa == 0.0, -qc / qb, nu)
+
+
+# a_c of every variant whose correction can be active, and any other
+_WILSON_A_C = st.one_of(st.sampled_from(sorted({a for a in model.DEFAULT_A_C.values()
+                                                if a < 1.0})),
+                        st.floats(1e-4, 0.999))
+# weight = sin(theta) sin(phi)/cos(theta - phi) < 1 on (0, pi/2); larger ones
+# reach the quadratic's branch qa > 0 as well
+_WILSON_WEIGHT = st.one_of(st.floats(1e-9, 1.0), st.floats(1.0, 1e4))
+
+
+def _active_rhs(a_c, u):
+    """An rhs above the threshold a_c/(1 - a_c) by the relative amount ``u``,
+    or None where the kernel's own test finds the correction inactive."""
+    rhs = a_c / (1.0 - a_c) * (1.0 + u)
+    return rhs if 1.0 - 1.0 / (1.0 + rhs) > a_c else None
+
+
+def _assert_wilson_matches_search(rhs, weight, a_c):
+    try:
+        expected = _wilson_search(rhs, weight, a_c)
+    except DomainError:
+        with pytest.raises(DomainError):
+            model._wilson_nu(rhs, weight, a_c)
+        return
+    nu = model._wilson_nu(rhs, weight, a_c)
+    assert nu.hex() == expected.hex()
+    assert (1.0 / (1.0 + rhs)) * (1.0 - 1e-9) <= nu <= (1.0 - a_c) * (1.0 + 1e-9)
+
+
+@example(a_c=1.0 / 3.0, u=1.0, weight=2.0)  # qa == 0: the linear case
+@settings(max_examples=1000, deadline=None, database=None)
+@given(a_c=_WILSON_A_C, u=st.floats(0.0, 1e3), weight=_WILSON_WEIGHT)
+def test_wilson_root_is_the_search_result_bit_for_bit(a_c, u, weight):
+    # the root read off the quadratic by the sign of q is the one root the
+    # monotone balance has in [nu0, cap], as a search over both roots finds it
+    rhs = _active_rhs(a_c, u)
+    if rhs is not None:
+        _assert_wilson_matches_search(rhs, weight, a_c)
+
+
+def test_wilson_root_without_a_real_root_raises_and_is_nan_on_a_grid():
+    # qb = 0 with qa > 0 (here at an inactive input: active ones reach it only by
+    # rounding) makes q = 0, where the search finds no root and neither kernel
+    # divides by it
+    rhs, weight, a_c = 0.5, 2.0, 0.75
+    assert _wilson_quadratic(rhs, weight, a_c)[-1] == 0.0
+    _assert_wilson_matches_search(rhs, weight, a_c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.isnan(model._wilson_nu_grid(np.array([rhs]), np.array([weight]), a_c)).all()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(a_c=_WILSON_A_C,
+       draws=st.lists(st.tuples(st.floats(0.0, 1e3), _WILSON_WEIGHT), min_size=1, max_size=40))
+def test_wilson_grid_root_is_the_search_result_bit_for_bit(a_c, draws):
+    active = [(_active_rhs(a_c, u), weight) for u, weight in draws]
+    rhs, weight = np.array([pair for pair in active if pair[0] is not None]).reshape(-1, 2).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = model._wilson_nu_grid(rhs, weight, a_c)
+        expected = _wilson_search_grid(rhs, weight, a_c)
+    assert (np.isnan(nu) == np.isnan(expected)).all()
+    assert nu[~np.isnan(nu)].tobytes() == expected[~np.isnan(expected)].tobytes()
+    nu0, cap = 1.0 / (1.0 + rhs), 1.0 - a_c
+    kept = nu[~np.isnan(nu)]
+    assert ((nu0[~np.isnan(nu)] * (1.0 - 1e-9) <= kept) & (kept <= cap * (1.0 + 1e-9))).all()
+    for k in range(rhs.size):  # the scalar kernel's bits, or its error
+        try:
+            assert model._wilson_nu(rhs[k], weight[k], a_c).hex() == nu[k].hex()
+        except DomainError:
+            assert np.isnan(nu[k])
+
+
 @pytest.mark.parametrize("variant", ["none", "glauert3", "glauert_empirical", "buhl",
                                      "wilson_spera"])
 def test_tau_small_angle_asymptotes_match_bisection_oracle(variant):

@@ -16,6 +16,7 @@ from glauert_bem import (
     ElementGeometry,
     FlowState,
     HypothesisError,
+    PolarTable,
     ValidationError,
     bracket_via_psi0,
     check_appendix_conditions,
@@ -32,6 +33,7 @@ from glauert_bem import (
 )
 from glauert_bem.model import (
     CORRECTION_VARIANTS,
+    _residual_grid,
     mu_G_prime,
     mu_L,
     recover_induction,
@@ -714,6 +716,47 @@ def test_scan_keeps_an_exact_zero_next_to_an_undefined_node(monkeypatch, linear_
     monkeypatch.setattr(solvers, "recover_induction", state_at)
     assert scan_roots(geom, linear_polar, corr).phis == [grid[150]]
     assert angles and {type(phi) for phi in angles} == {float}
+
+
+# lift jumps by 1.3 across two samples 1e-13 apart, at alpha = 0.1
+_JUMP_POLAR = PolarTable([-0.3, -0.1, 0.0, 0.1, 0.1 + 1e-13, 0.3, 0.45],
+                         [-1.0, -0.3, 0.05, 0.1, 1.4, 1.5, 1.6],
+                         [0.02, 0.01, 0.01, 0.01, 0.012, 0.03, 0.05], alpha_s=0.45)
+
+
+@pytest.mark.parametrize("lam, gamma, chord", [(1.5, 0.0, 0.4), (2.0, 0.1, 0.4),
+                                               (3.0, 0.2, 0.2), (3.0, 0.2, 0.4)])
+def test_scan_reports_no_root_inside_a_jump_of_the_lift(lam, gamma, chord):
+    # the residual changes sign across the jump, so a grid cell brackets it and
+    # Brent ends inside it, where |residual| is about 1e-4: not a root
+    geom, corr = make_geom(lam=lam, gamma=gamma, chord=chord), trivial()
+    lo, hi = _scan_domain(geom, _JUMP_POLAR, corr)
+    grid = np.linspace(lo, hi, 400)
+    vals = _residual_grid([geom], _JUMP_POLAR, corr, [grid])[0]
+    k = np.searchsorted(grid, gamma + 0.1) - 1
+    assert vals[k] * vals[k + 1] < 0.0
+    jump = _brentq(lambda p: residual(geom, _JUMP_POLAR, corr, p), grid[k], grid[k + 1])
+    assert abs(jump - gamma - 0.1) < 1e-12
+    assert abs(residual(geom, _JUMP_POLAR, corr, jump)) > 1e-6
+    found = scan_roots(geom, _JUMP_POLAR, corr).phis
+    assert all(abs(phi - jump) > 1e-3 for phi in found)
+
+
+def test_scan_merges_roots_closer_than_1e_10():
+    # a polar sampled across 3e-11, on which the plain residual is 0 but for
+    # rounding: its scan grid shows zeros and sign changes, and their roots, all
+    # within 3e-11 of each other, make one record
+    geom, corr = make_geom(gamma=0.1), trivial()
+    quarter, theta = 0.25 * geom.solidity, geom.theta
+    alphas = 0.1 + 3e-11 * np.linspace(0.0, 1.0, 7)
+    lift = [math.tan(theta - 0.1 - a) * (math.sin(0.1 + a) + 0.01 * quarter) / quarter
+            for a in alphas.tolist()]
+    polar = PolarTable(alphas, lift, [0.01] * 7, alpha_s=alphas[-1])
+    lo, hi = _scan_domain(geom, polar, corr)
+    vals = _residual_grid([geom], polar, corr, [np.linspace(lo, hi, 400)])[0]
+    assert np.count_nonzero(vals == 0.0) + np.count_nonzero(vals[:-1] * vals[1:] < 0.0) > 1
+    [root] = scan_roots(geom, polar, corr).records
+    assert lo <= root.phi <= hi and abs(root.state.residual) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
