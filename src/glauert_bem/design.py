@@ -281,9 +281,7 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     if nu == 0.0:
         raise AdjointError("adjoint system undefined at a = 1 (the balances divide by 1 - a)")
     excess = a - corr.a_c
-    psi = corr.psi(excess, f)
-    dpsi = corr.psi_prime(excess, f)
-    psi_f = corr.psi_tip_grad(excess, f)
+    psi, dpsi, psi_f = corr.psi_terms(excess, f)
 
     # M[i, j] is the derivative of constraint j (geometric relation tan(phi) -
     # (1-a)/(lam (1+a')), thrust balance, torque balance) in unknown i

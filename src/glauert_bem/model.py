@@ -38,8 +38,6 @@ from .polar import PolarTable
 # evaluation.
 PHI_EPS = 1e-9
 
-CORRECTION_VARIANTS = ("none", "glauert3", "glauert_empirical", "buhl", "wilson_spera")
-
 # high-induction threshold defaults per correction model
 DEFAULT_A_C = {
     "none": 1.0,
@@ -48,6 +46,8 @@ DEFAULT_A_C = {
     "buhl": 0.4,
     "wilson_spera": 1.0 / 3.0,
 }
+
+CORRECTION_VARIANTS = tuple(DEFAULT_A_C)
 
 
 @dataclass(frozen=True)
@@ -153,59 +153,38 @@ class CorrectionSpec:
             raise ValidationError("a_c must lie in (0, 1]")
         object.__setattr__(self, "is_trivial", self.variant == "none" and not self.tip_loss)
 
-    def _psi_tip(self, tip_factor: float) -> float:
-        if self.variant == "glauert_empirical" and self.strict_lemma_mode:
-            return 1.0
-        return tip_factor
-
     def psi(self, excess: float, tip_factor: float = 1.0) -> float:
         """psi(x) with x = (a - a_c)_+, the additive thrust correction."""
-        x = max(0.0, excess)
-        if x == 0.0 or self.variant == "none":
-            return 0.0
-        return self._psi(x, tip_factor)
+        return self.psi_terms(excess, tip_factor)[0]
 
-    def psi_prime(self, excess: float, tip_factor: float = 1.0) -> float:
-        """One-sided d psi/da for a > a_c; zero at or below the threshold."""
-        x = max(0.0, excess)
-        if x == 0.0 or self.variant == "none":
-            return 0.0
-        return self._psi_prime(x, tip_factor)
+    def psi_terms(self, excess: float, tip_factor: float = 1.0):
+        """(psi, d psi/da, d psi/dF) at x = (a - a_c)_+; zeros at or below the
+        threshold, so d psi/da there is the one-sided derivative from below."""
+        if not excess > 0.0 or self.variant == "none":
+            return 0.0, 0.0, 0.0
+        return self._law(excess, tip_factor)
 
-    def _psi(self, x, tip_factor):
-        """psi at an excess x > 0 of a corrected variant; elementwise on arrays."""
+    def _law(self, x, tip_factor):
+        """(psi, d psi/da, d psi/dF) at an excess x > 0 of a corrected variant;
+        elementwise on arrays."""
+        a_c = self.a_c
         if self.variant == "glauert3":
-            return 0.25 * x * (x * x / self.a_c + 2.0 * x + self.a_c)
+            return (0.25 * x * (x * x / a_c + 2.0 * x + a_c),
+                    0.75 * x * x / a_c + x + 0.25 * a_c, 0.0)
         if self.variant == "wilson_spera":
-            return x * x
-        f = self._psi_tip(tip_factor)
+            return x * x, 2.0 * x, 0.0
         if self.variant == "buhl":
-            q = x / (1.0 - self.a_c)
-            return q * q / (2.0 * f)
-        # Glauert empirical, excess part only so that psi(0) = 0
-        return x * (f * (x + 2.0 * self.a_c) - 0.286) * f / 2.5708
-
-    def _psi_prime(self, x, tip_factor):
-        """d psi/da at an excess x > 0 of a corrected variant; elementwise on arrays."""
-        if self.variant == "glauert3":
-            return 0.75 * x * x / self.a_c + x + 0.25 * self.a_c
-        if self.variant == "wilson_spera":
-            return 2.0 * x
-        f = self._psi_tip(tip_factor)
-        if self.variant == "buhl":
-            return x / (f * (1.0 - self.a_c) ** 2)
-        return (2.0 * f * x + 2.0 * self.a_c * f - 0.286) * f / 2.5708
-
-    def psi_tip_grad(self, excess: float, tip_factor: float = 1.0) -> float:
-        """d psi/dF at fixed excess; nonzero only for F-dependent variants."""
-        x = max(0.0, excess)
-        if x == 0.0:
-            return 0.0
-        if self.variant == "buhl":
-            return -((x / (1.0 - self.a_c)) ** 2) / (2.0 * tip_factor ** 2)
-        if self.variant == "glauert_empirical" and not self.strict_lemma_mode:
-            return x * (2.0 * tip_factor * (x + 2.0 * self.a_c) - 0.286) / 2.5708
-        return 0.0
+            q = x / (1.0 - a_c)
+            return (q * q / (2.0 * tip_factor), x / (tip_factor * (1.0 - a_c) ** 2),
+                    -(q ** 2) / (2.0 * tip_factor ** 2))
+        # Glauert empirical, excess part only so that psi(0) = 0; strict_lemma_mode
+        # pins F = 1 inside it, so that psi does not depend on F
+        if self.strict_lemma_mode:
+            f, d_tip = 1.0, 0.0
+        else:
+            f, d_tip = tip_factor, x * (2.0 * tip_factor * (x + 2.0 * a_c) - 0.286) / 2.5708
+        return (x * (f * (x + 2.0 * a_c) - 0.286) * f / 2.5708,
+                (2.0 * f * x + 2.0 * a_c * f - 0.286) * f / 2.5708, d_tip)
 
 
 @dataclass(frozen=True)
@@ -377,9 +356,7 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
     cap = 1.0 - corr.a_c  # correction active: root lies in nu in [nu0, cap]
 
     def terms(nu):  # the balance and its slope in nu, as in _axial_nu_grid
-        x = cap - nu
-        psi, dpsi = ((corr._psi(x, tip_factor), corr._psi_prime(x, tip_factor))
-                     if x > 0.0 else (0.0, 0.0))
+        psi, dpsi, _ = corr.psi_terms(cap - nu, tip_factor)
         nn = nu * nu
         return ((1.0 - nu) / nu - rhs + weight * psi / nn,
                 -1.0 / nn - weight * dpsi / nn - 2.0 * weight * psi / (nn * nu))
@@ -480,8 +457,8 @@ def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
         def terms(v):
             """The balance and its slope at v, as ``terms`` in _axial_nu."""
             x = cap - v
-            psi = np.where(x > 0.0, corr._psi(x, f), 0.0)
-            dpsi = np.where(x > 0.0, corr._psi_prime(x, f), 0.0)
+            psi, dpsi, _ = corr._law(x, f)
+            psi, dpsi = np.where(x > 0.0, psi, 0.0), np.where(x > 0.0, dpsi, 0.0)
             nn = v * v
             return ((1.0 - v) / v - rhs + weight * psi / nn,
                     -1.0 / nn - weight * dpsi / nn - 2.0 * weight * psi / (nn * v))
@@ -490,7 +467,7 @@ def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
             sol = _wilson_nu_grid(rhs, weight, corr.a_c)
         else:
             x = cap - nu0  # the sign of psi at nu0 decides, as in _axial_nu
-            psi = np.where(x > 0.0, corr._psi(x, f), 0.0)
+            psi = np.where(x > 0.0, corr._law(x, f)[0], 0.0)
             sol = np.where(psi == 0.0, nu0, _newton_nu_grid(terms, nu0, cap))
             sol[psi < 0.0] = np.nan
         # the polishing step of _axial_nu; a no-op where the balance is 0
@@ -574,7 +551,7 @@ def _evaluation(geom, polar, corr, phi, lift=True):
                                           corr, f)
     excess = (1.0 - nu) - corr.a_c
     if corr.variant != "none" and excess > 0.0:
-        momentum = momentum + (math.cos(theta) * s * s / cos_tp * corr.psi(excess, f)
+        momentum = momentum + (math.cos(theta) * s * s / cos_tp * corr._law(excess, f)[0]
                                / (nu * nu))
     return tuple.__new__(_Eval, (phi, s, f, cl, lift_c, drag, nu, momentum,
                                  lift_c - t * drag - momentum))
@@ -586,8 +563,9 @@ def _slope(geom, polar, corr, ev):
     From cl', cd' and F' (:func:`_tip`).  Where the correction is active,
     nu' = -B_phi / B_nu by implicit differentiation of the axial balance
     B = (1 - nu)/nu - g + w psi/nu^2 with w = sin(theta) sin(phi) /
-    cos(theta - phi); psi depends on F too (``psi_tip_grad``).  At a = a_c
-    the slope is the one-sided one from below, as ``psi_prime`` is.
+    cos(theta - phi); psi depends on F too, and ``CorrectionSpec._law``
+    gives both of its derivatives.  At a = a_c the slope is the one-sided
+    one from below, where ``psi_terms`` gives d psi/da = 0.
     """
     phi, theta, f = ev.phi, geom.theta, ev.tip_factor
     fp = _tip(geom, corr, phi)[1]
@@ -599,6 +577,7 @@ def _slope(geom, polar, corr, ev):
     excess = (1.0 - ev.nu) - corr.a_c
     if corr.variant == "none" or not excess > 0.0:
         return slope
+    _, dpsi, dpsi_tip = corr._law(excess, f)
     s, c, nu, cos_tp = ev.s, math.cos(phi), ev.nu, math.cos(theta - phi)
     d_g = ((-t / (s * s) - c / s * (1.0 + t * t)) * (1.0 + ev.mu_D_c / s)
            + (d_drag - ev.mu_D_c * c / s) / s * (1.0 + c / s * t))
@@ -606,8 +585,8 @@ def _slope(geom, polar, corr, ev):
     p = _g(phi, s, t, ev.mu_D_c) - (1.0 - nu) / nu
     w = math.sin(theta) * s / cos_tp  # w'/w = cos(theta) / (s cos(theta - phi))
     b_phi = ((math.cos(theta) / (s * cos_tp) * p - d_g) * nu * nu  # nu^2 B_phi
-             + w * corr.psi_tip_grad(excess, f) * fp)
-    d_nu = b_phi / (1.0 + w * corr.psi_prime(excess, f) + 2.0 * p * nu)  # -nu^2 B_nu
+             + w * dpsi_tip * fp)
+    d_nu = b_phi / (1.0 + w * dpsi + 2.0 * p * nu)  # -nu^2 B_nu
     return slope - (c * p + s * (d_g + d_nu / (nu * nu))) * math.cos(theta) / math.sin(theta)
 
 
@@ -660,7 +639,7 @@ def _residual_grid(geoms, polar: PolarTable, corr: CorrectionSpec, grids):
                 excess = (1.0 - nu) - corr.a_c
                 momentum = np.where(excess > 0.0,
                                     momentum + (cos_theta * s * s / cos_tp
-                                                * corr._psi(excess, f) / (nu * nu)),
+                                                * corr._law(excess, f)[0] / (nu * nu)),
                                     momentum)
         res = lift_c - t * drag - momentum
     ok &= ~(np.abs(cos_tp) < PHI_EPS)

@@ -630,6 +630,12 @@ def _scan_domain(geom, polar, corr):
         lo = max(geom.gamma + polar.alpha_min, theta - math.pi / 2.0 + 1e-6)
         hi = min(geom.gamma + polar.alpha_max, theta + math.pi / 2.0 - 1e-6,
                  math.pi / 2.0 - 1e-9)
+        # gamma + alpha_max may round so that hi - gamma exceeds alpha_max (and
+        # likewise at lo), where cl is undefined: step each end inward until not
+        while hi - geom.gamma > polar.alpha_max:
+            hi = math.nextafter(hi, -math.inf)
+        while lo - geom.gamma < polar.alpha_min:
+            lo = math.nextafter(lo, math.inf)
     else:
         hi = phi_upper(geom, polar)
         lo = max(hi * 1e-4, geom.gamma + polar.alpha_min + 1e-12, PHI_EPS)

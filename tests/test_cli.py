@@ -15,6 +15,7 @@ from glauert_bem.cli import ROW_HEADER, main
 from glauert_bem.polar import dump_polar
 
 from conftest import run_main, zero_lift_polar
+from test_demo_golden import COMMANDS, assert_matches_golden
 
 BASE_CFG = """
 turbine.blade_count=3
@@ -505,6 +506,13 @@ def test_console_script_is_installed(tmp_path):
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+    # the five subcommands through the script give the demo's golden outputs
+    for name, command in COMMANDS.items():
+        out = tmp_path / f"{name}.out"
+        proc = subprocess.run([exe, *command, "--config", str(DEMO / "run.cfg"), "--out", str(out)],
+                              capture_output=True, text=True)
+        assert_matches_golden("demo", name,
+                              (out.read_text(), proc.stdout, proc.stderr, proc.returncode))
     # an output that cannot be written: exit 2 and one error line from the script too
     proc = subprocess.run([exe, "check", "--config", str(DEMO / "run.cfg"),
                            "--out", str(tmp_path)], capture_output=True, text=True)

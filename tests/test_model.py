@@ -260,7 +260,7 @@ def test_psi_vanishes_at_or_below_threshold(variant):
     corr = CorrectionSpec(variant=variant)
     for a in (0.0, 0.2, corr.a_c):
         assert corr.psi(a - corr.a_c) == 0.0
-        assert corr.psi_prime(a - corr.a_c) == 0.0
+        assert corr.psi_terms(a - corr.a_c)[1] == 0.0
 
 
 def test_psi_wilson_spera_value():
@@ -566,6 +566,15 @@ def test_wilson_root_without_a_real_root_raises_and_is_nan_on_a_grid():
         assert np.isnan(model._wilson_nu_grid(np.array([rhs]), np.array([weight]), a_c)).all()
 
 
+def test_wilson_axial_root_where_the_quadratic_is_linear():
+    # rhs = 1 and weight = 2 make qa = weight - 1 - rhs = 0: the balance times nu^2
+    # is qb nu + qc, whose root -qc/qb = 8/15 zeroes the balance exactly
+    corr = CorrectionSpec(variant="wilson_spera")
+    assert model._axial_nu(1.0, 2.0, corr, 1.0) == 8.0 / 15.0
+    assert model._axial_nu_grid(np.array([1.0]), np.array([2.0]), corr, 1.0).tolist() == [
+        8.0 / 15.0]
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(a_c=_WILSON_A_C,
        draws=st.lists(st.tuples(st.floats(0.0, 1e3), _WILSON_WEIGHT), min_size=1, max_size=40))
@@ -760,6 +769,13 @@ def test_recovery_at_theta_with_zero_lift(dragfree_polar):
     corr = trivial()
     st = recover_induction(geom, dragfree_polar, corr, geom.theta)
     assert abs(st.a) < 1e-14 and abs(st.a_prime) < 1e-14
+
+
+def test_recovery_at_phi_zero_raises(linear_polar):
+    # the plain model is evaluated at phi = 0 unclamped, and its thrust balance
+    # divides by sin^2(phi)
+    with pytest.raises(DomainError, match="phi = 0: original system undefined"):
+        recover_induction(make_geom(gamma=0.05), linear_polar, trivial(), 0.0)
 
 
 _STALL = synthetic_polar("linear_lift_with_stall", slope=6.0, alpha_s=0.3, drop=0.5,

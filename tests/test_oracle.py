@@ -95,15 +95,21 @@ def _psi(corr, x, tip):
 
 def _psi_branch(corr, x, tip):
     """psi's formula on its branch x > 0 of a corrected variant, at any x."""
+    return mp.fsum(_psi_parts(corr, x, tip))
+
+
+def _psi_parts(corr, x, tip):
+    """The terms of :func:`_psi_branch`, a sum of monomials in x."""
     a_c = mp.mpf(corr.a_c)
     if corr.variant == "glauert3":
-        return (x ** 3 / a_c + 2 * x ** 2 + a_c * x) / 4
+        return [x ** 3 / (4 * a_c), x ** 2 / 2, a_c * x / 4]
     if corr.variant == "wilson_spera":
-        return x ** 2
+        return [x ** 2]
     if corr.variant == "buhl":
-        return x ** 2 / (2 * tip * (1 - a_c) ** 2)
+        return [x ** 2 / (2 * tip * (1 - a_c) ** 2)]
     f = 1 if corr.strict_lemma_mode else tip  # glauert_empirical
-    return (f ** 2 * x ** 2 + (2 * a_c * f ** 2 - mp.mpf("0.286") * f) * x) / mp.mpf("2.5708")
+    return [t / mp.mpf("2.5708") for t in (f ** 2 * x ** 2, 2 * a_c * f ** 2 * x,
+                                           -mp.mpf("0.286") * f * x)]
 
 
 def _terms(geom, polar, corr, phi, a, ap, gamma, chord):
@@ -297,6 +303,31 @@ def _elements(seed, count):
                               gamma=float(gen.uniform(-0.05, 0.2)),
                               chord=float(gen.uniform(0.05, 0.6)),
                               blade_count=3, tip_radius=1.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS[1:])
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "loose"])
+def test_psi_and_its_derivatives_agree_with_the_50_digit_oracle(variant, strict):
+    # psi_terms gives psi, d psi/da and d psi/dF, which the axial Newton, the
+    # residual's slope and the adjoint read; each is checked against mpmath.diff
+    # of the formula, within the effect of ULPS units on each of its monomials
+    corr = CorrectionSpec(variant=variant, strict_lemma_mode=strict)
+    gen = rng(7100 + VARIANTS.index(variant))
+    worst = 0.0
+    for _ in range(25):
+        x, tip = 1e-6 + float(gen.uniform(0.0, 1.0 - corr.a_c)), 1.0 - float(gen.uniform())
+        got = corr.psi_terms(x, tip)
+        with mp.workdps(DIGITS):
+            v = [mp.mpf(x), mp.mpf(tip)]
+            parts = [lambda *u, k=k: _psi_parts(corr, *u)[k]
+                     for k in range(len(_psi_parts(corr, *v)))]
+            for order, value in zip(((0, 0), (1, 0), (0, 1)), got):
+                want = mp.fsum(mpmath.diff(part, v, order) for part in parts)
+                bound = ULPS * UNIT * mp.fsum(abs(mpmath.diff(part, v, order))
+                                               for part in parts)
+                error = abs(value - want)
+                worst = max(worst, float(error / bound) if error else 0.0)
+    assert worst <= 1.0
 
 
 @pytest.mark.parametrize("kind", sorted(POLARS))

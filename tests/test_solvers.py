@@ -693,6 +693,22 @@ def test_scan_roots_matches_per_node_scalar_scan(variant, tip, stall, cd0, lam, 
     assert (got.phis, got.categories) == want
 
 
+@pytest.mark.parametrize("lam, gamma, end", [(1.0, -0.297975, 1), (3.0, 0.12, 0)],
+                         ids=["hi", "lo"])
+def test_plain_scan_domain_ends_lie_inside_the_polar(lam, gamma, end):
+    # gamma + alpha_max (gamma + alpha_min) rounds so that hi - gamma > alpha_max
+    # (lo - gamma < alpha_min) on these elements: cl, so the end node, was undefined
+    polar = load_polar(Path(__file__).resolve().parents[1] / "demo" / "polar.csv")
+    geom, corr = make_geom(lam=lam, gamma=gamma, chord=0.2, r=0.5), trivial()
+    lo, hi = _scan_domain(geom, polar, corr)
+    assert polar.alpha_min <= lo - gamma and hi - gamma <= polar.alpha_max
+    # the end moved inward by the least step that puts it inside
+    outward = math.nextafter((lo, hi)[end], (-math.inf, math.inf)[end]) - gamma
+    assert not polar.alpha_min <= outward <= polar.alpha_max
+    assert all(math.isfinite(residual(geom, polar, corr, phi)) for phi in (lo, hi))
+    assert np.isfinite(_residual_grid([geom], polar, corr, np.array([[lo, hi]]))).all()
+
+
 def test_scan_keeps_an_exact_zero_next_to_an_undefined_node(monkeypatch, linear_polar):
     geom, corr = make_geom(gamma=0.05), wilson()
     lo, hi = _scan_domain(geom, linear_polar, corr)
