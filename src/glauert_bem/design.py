@@ -150,7 +150,7 @@ def simplified_optimum(lam: float, polar: PolarTable, turbine: TurbineConfig) ->
 # power density and a deterministic element solve
 
 
-def _objective_pieces(geom, polar, corr, state):
+def _objective_pieces(geom, polar, state):
     """The polar terms of J and of its derivatives at a solved state."""
     phi = state.phi
     alpha = phi - geom.gamma
@@ -167,7 +167,7 @@ def _objective_pieces(geom, polar, corr, state):
 def J_lambda(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
              state: FlowState) -> float:
     """Element power density F a'(1-a)(1 - (C_D/C_L) cot(phi)) at a solved state."""
-    _, _, _, _, _, cot, ratio, _ = _objective_pieces(geom, polar, corr, state)
+    _, _, _, _, _, cot, ratio, _ = _objective_pieces(geom, polar, state)
     return state.tip_factor * state.a_prime * (1.0 - state.a) * (1.0 - ratio * cot)
 
 
@@ -272,7 +272,7 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     s, c = math.sin(phi), math.cos(phi)
     cot = c / s
     f, fp = _tip(geom, corr, phi)
-    _, cl, cd, dcl, dcd, _, ratio, dratio = _objective_pieces(geom, polar, corr, state)
+    _, cl, cd, dcl, dcd, _, ratio, dratio = _objective_pieces(geom, polar, state)
     quarter = 0.25 * geom.solidity
     muL, muD = quarter * cl / f, quarter * cd / f
     dmuL = quarter * (dcl / f - cl * fp / (f * f))

@@ -133,7 +133,9 @@ class CorrectionSpec:
     ``variant='none'`` means the plain momentum law (acts like a_c = 1).
     ``strict_lemma_mode`` pins F = 1 inside the Glauert empirical formula,
     whose behavior with F != 1 is discontinuous at a = a_c; the other
-    variants never depend on this flag.  ``is_trivial``, true when no
+    variants never depend on this flag.  That psi is below 0 where F (a +
+    a_c) < 0.286, so with a_c < 0.143 just above a_c even with F = 1, and
+    the axial balance raises there.  ``is_trivial``, true when no
     correction alters the plain momentum balance, is computed once as
     ``a_c`` is filled in, as a plain attribute that is not a field.
     """
@@ -366,14 +368,18 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
     else:
         # at nu0 the balance is w psi(cap - nu0)/nu0^2 exactly, and a rounded
         # terms(nu0) may take either sign where psi is below its last bit: decide
-        # on psi itself (only Glauert's empirical psi with F != 1 goes below 0)
+        # on psi itself.  Only Glauert's empirical psi goes below 0, where F (a +
+        # a_c) < 0.286 (F = 1 under strict_lemma_mode): whatever F for a < 0.286 -
+        # a_c if a_c < 0.143, and else only under a tip factor F < 1
         psi = corr.psi(cap - nu0, tip_factor)
         if psi == 0.0:
             return nu0
         if psi < 0.0:
-            raise DomainError(
-                f"axial balance lost monotonicity ({corr.variant} psi < 0 under the "
-                "current tip factor); use strict_lemma_mode or another variant")
+            cause = (f"for a < 0.286 - a_c, as a_c = {corr.a_c:g} < 0.143); use a_c >= 0.143"
+                     if (cap - nu0) + 2.0 * corr.a_c < 0.286 else
+                     "under the current tip factor); use strict_lemma_mode")
+            raise DomainError(f"axial balance lost monotonicity ({corr.variant} psi < 0 "
+                              f"{cause} or another variant")
         nu = _newton_nu(terms, nu0, cap)
     # one Newton step in nu tightens closed-form roots to machine accuracy
     value, slope = terms(nu)
@@ -469,7 +475,7 @@ def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
             x = cap - nu0  # the sign of psi at nu0 decides, as in _axial_nu
             psi = np.where(x > 0.0, corr._law(x, f)[0], 0.0)
             sol = np.where(psi == 0.0, nu0, _newton_nu_grid(terms, nu0, cap))
-            sol[psi < 0.0] = np.nan
+            sol[psi < 0.0] = np.nan  # Glauert empirical's psi, where F (a + a_c) < 0.286
         # the polishing step of _axial_nu; a no-op where the balance is 0
         value, slope = terms(sol)
         cand = sol - value / slope

@@ -245,10 +245,8 @@ def _finish(geom, polar, corr, phi, ev, opts, iters, phi_hist, err_hist, message
         message = (message + "; " if message else "") + f"state recovery failed: {exc}"
     converged = math.isfinite(res) and abs(res) <= opts.tol
     if converged:
-        try:
-            lo, hi = _scan_domain(geom, polar, corr)
-        except ValidationError:
-            lo, hi = phi, phi
+        domain = _attempt(_scan_domain, geom, polar, corr)
+        lo, hi = (phi, phi) if isinstance(domain, BemError) else domain
         if not lo - 1e-9 <= phi <= hi + 1e-9:
             # a genuine solution, but beyond the trusted working interval
             message = (message + "; " if message else "") + \
@@ -316,13 +314,37 @@ def _iterate(geom, polar, corr, opts, step, phi0=None, fenced=True,
                    phi_hist, err_hist, message)
 
 
+def _interval(geom, polar, plus=True):
+    """(lo, hi) of the working interval I+ (``plus``) or of the plain model's I,
+    ends inside the polar; :class:`ValidationError` where it is empty.
+
+    I+ runs from max(1e-4 max I+, PHI_EPS) to max I+ = ``phi_upper``; I from
+    theta - pi/2 + 1e-6 to min(theta + pi/2 - 1e-6, pi/2 - 1e-9).  Each is cut
+    to gamma + [alpha_min, alpha_max], and an end whose angle of attack rounds
+    outside that range, where cl is undefined, steps inward until it lies inside.
+    """
+    gamma = geom.gamma
+    if plus:
+        hi = phi_upper(geom, polar)
+        lo = max(1e-4 * hi, PHI_EPS)
+    else:
+        lo = geom.theta - math.pi / 2.0 + 1e-6
+        hi = min(geom.theta + math.pi / 2.0 - 1e-6, math.pi / 2.0 - 1e-9)
+    lo, hi = max(gamma + polar.alpha_min, lo), min(gamma + polar.alpha_max, hi)
+    while hi - gamma > polar.alpha_max:
+        hi = math.nextafter(hi, -math.inf)
+    while lo - gamma < polar.alpha_min:
+        lo = math.nextafter(lo, math.inf)
+    if not lo < hi:
+        raise ValidationError(
+            f"working interval {'I+' if plus else 'I'} is empty for this element")
+    return lo, hi
+
+
 def grid_I_plus(geom: ElementGeometry, polar: PolarTable):
-    """1000-point sampling grid of the working interval I+, kept inside the polar window."""
-    hi = phi_upper(geom, polar)
-    lo = max(hi / 1000, geom.gamma + polar.alpha_min + 1e-12, PHI_EPS)
-    if hi <= lo:
-        raise ValidationError("working interval I+ is empty for this element")
-    return np.linspace(lo, hi, 1000)
+    """The 1000-node grid of I+ (:func:`_interval`) on which ``solve_fixed_point``,
+    ``fixed_point_rate_bound`` and ``check_appendix_conditions`` take their maxima."""
+    return np.linspace(*_interval(geom, polar), 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +531,7 @@ def bracket_via_psi0(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     itself a root (degenerate bracket).
     """
     base = replace(corr, variant="none", a_c=1.0)
-    hi = phi_upper(geom, polar)
+    hi = _interval(geom, polar)[1]
     phi0 = solve_bisection(geom, polar, base, replace(opts, bracket_hi=hi)).phi_star
     if corr.variant != "none" and phi0 >= hi - max(1e-9, 10.0 * opts.phi_tol):
         raise BracketError("empty bracket: psi=0 root sits at the right endpoint")
@@ -518,11 +540,16 @@ def bracket_via_psi0(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
 
 def check_existence(geom: ElementGeometry, polar: PolarTable,
                     corr: CorrectionSpec) -> ExistenceReport:
-    """Numeric margins for the solvability criteria of both model versions."""
+    """Numeric margins for the solvability criteria of both model versions.
+
+    Both are evaluated at max I+, the right end of :func:`_interval`; where I+
+    has no end inside the polar, at ``phi_upper``, and the message says why not.
+    """
     theta = geom.theta
     interval_margin = (polar.beta + geom.gamma) - (theta - math.pi / 2.0)
     interval_ok = interval_margin >= 0.0
-    hi = phi_upper(geom, polar)
+    domain = _attempt(_interval, geom, polar)
+    hi = phi_upper(geom, polar) if isinstance(domain, BemError) else domain[1]
     upper_is_theta = interval_ok and hi >= theta - 1e-12
     message = ""
 
@@ -562,10 +589,11 @@ def _h_map_prime(lam, x):
 def check_appendix_conditions(geom: ElementGeometry, polar: PolarTable) -> AppendixReport:
     """Guarantee check for the usual procedure on the drag-free model.
 
-    Evaluates the stability condition mu_L(theta) <= mu_G(gamma) and the
-    two contraction bounds sin(theta) max mu_L' h(gamma) <= 1 and
-    sin(theta) max mu_L |h'(gamma)| <= 1.  Grid maxima over I+ stand in
-    for the exact suprema.
+    Applies where max I+ = theta.  Evaluates the stability condition
+    mu_L(theta) <= mu_G(gamma) and the two contraction bounds sin(theta)
+    max mu_L' h(gamma) <= 1 and sin(theta) max mu_L |h'(gamma)| <= 1 on the
+    1000 nodes of :func:`grid_I_plus`, whose last node is theta.  Grid maxima
+    stand in for the exact suprema, so a peak between two nodes is missed.
     """
     theta = geom.theta
     not_applicable = AppendixReport(False, False, math.nan, False, math.nan,
@@ -576,11 +604,11 @@ def check_appendix_conditions(geom: ElementGeometry, polar: PolarTable) -> Appen
         return replace(not_applicable,
                        message="needs max I+ = theta (polar window too narrow)")
     cl, cl_prime = polar._on_array(grid_I_plus(geom, polar) - geom.gamma, "cl", "cl_prime")
-    max_mu = float((0.25 * geom.solidity * cl).max())
+    mu = 0.25 * geom.solidity * cl  # mu_L on the grid, whose last node is max I+ = theta
     max_dmu = float((0.25 * geom.solidity * cl_prime).max())
-    stability_margin = mu_G(theta, geom.gamma) - mu_L(geom, polar, theta)
+    stability_margin = mu_G(theta, geom.gamma) - float(mu[-1])
     c1 = math.sin(theta) * max_dmu * _h_map(geom.lam, geom.gamma)
-    c2 = math.sin(theta) * max_mu * abs(_h_map_prime(geom.lam, geom.gamma))
+    c2 = math.sin(theta) * float(mu.max()) * abs(_h_map_prime(geom.lam, geom.gamma))
     stability_ok = stability_margin >= 0.0
     c1_ok, c2_ok = c1 <= 1.0, c2 <= 1.0
     return AppendixReport(applicable=True, stability_ok=stability_ok,
@@ -595,7 +623,8 @@ def fixed_point_rate_bound(geom: ElementGeometry, polar: PolarTable,
     """Geometric decay factor for the damped fixed point, when applicable.
 
     Applies when tan(theta) (1 + max mu_D^c') < min mu_L^c' over I+; the
-    bound is |phi^k - phi*| <= factor**k * initial.
+    bound is |phi^k - phi*| <= factor**k * initial from phi^0 = max I+ (the
+    default start theta, where max I+ = theta).
     """
     theta = geom.theta
     grid = grid_I_plus(geom, polar)
@@ -604,11 +633,12 @@ def fixed_point_rate_bound(geom: ElementGeometry, polar: PolarTable,
     max_dmu_D = float(_mu_c_prime_grid(geom, polar, corr, grid, lift=False).max())
     lhs = math.tan(theta) * (1.0 + max_dmu_D)
     applies = lhs < min_dmu_L
-    ev = _evaluation(geom, polar, corr, theta)
-    # max(0, -mu_G'(theta)) = sin(theta): denom is rho_eps's denominator at theta
-    denom = max_dmu_L + math.sin(theta) + (1.0 + math.tan(theta) ** 2) * ev.mu_D_c
+    ev = _evaluation(geom, polar, corr, float(grid[-1]))  # at the start, max I+
+    # rho_eps's denominator there; at theta, max(0, -mu_G') = sin(theta)
+    denom = (max(0.0, -mu_G_prime(theta, ev.phi)) + max_dmu_L
+             + (1.0 + math.tan(theta) ** 2) * ev.mu_D_c)
     factor = 1.0 - (min_dmu_L - lhs) / denom
-    initial = abs(theta - epsilon / denom * ev.mu_L_c)
+    initial = abs(ev.phi - epsilon / denom * ev.value)
     return RateBound(applies=applies, factor=factor, initial=initial)
 
 
@@ -625,22 +655,8 @@ def classify_root(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec
 
 
 def _scan_domain(geom, polar, corr):
-    theta = geom.theta
-    if corr.is_trivial:
-        lo = max(geom.gamma + polar.alpha_min, theta - math.pi / 2.0 + 1e-6)
-        hi = min(geom.gamma + polar.alpha_max, theta + math.pi / 2.0 - 1e-6,
-                 math.pi / 2.0 - 1e-9)
-        # gamma + alpha_max may round so that hi - gamma exceeds alpha_max (and
-        # likewise at lo), where cl is undefined: step each end inward until not
-        while hi - geom.gamma > polar.alpha_max:
-            hi = math.nextafter(hi, -math.inf)
-        while lo - geom.gamma < polar.alpha_min:
-            lo = math.nextafter(lo, math.inf)
-    else:
-        hi = phi_upper(geom, polar)
-        lo = max(hi * 1e-4, geom.gamma + polar.alpha_min + 1e-12, PHI_EPS)
-    if not lo < hi:
-        raise ValidationError("scan domain is empty for this element")
+    """A scan's (lo, hi): I for the trivial correction, I+ otherwise (:func:`_interval`)."""
+    lo, hi = _interval(geom, polar, plus=not corr.is_trivial)
     if corr.tip_loss:
         _tip_rate(geom)  # the grid kernel's one error, raised before any grid is made
     return lo, hi
@@ -672,7 +688,7 @@ def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
 
 
 def _attempt(make, *args, **kwargs):
-    """A batch entry: ``make(*args, **kwargs)``, or the :class:`BemError` it raises."""
+    """``make(*args, **kwargs)``, or the :class:`BemError` it raises (a batch entry, say)."""
     try:
         return make(*args, **kwargs)
     except BemError as exc:

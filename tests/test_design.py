@@ -253,7 +253,7 @@ def test_printed_form_disagrees_and_is_reported(linear_polar):
     fd = _fd_gradient(geom, linear_polar, corr)
     assert np.all(np.abs(adj.grad - fd) <= 1e-5 * np.abs(fd))
 
-    _, cl, cd, dcl, dcd, cot, ratio, dratio = _objective_pieces(geom, linear_polar, corr, state)
+    _, cl, cd, dcl, dcd, cot, ratio, dratio = _objective_pieces(geom, linear_polar, state)
     s, c, nu, ap = math.sin(state.phi), math.cos(state.phi), 1.0 - state.a, state.a_prime
     b_printed = adj.b.copy()
     b_printed[0] = ap * nu * (-dratio) * cot + ratio / (s * s)  # F = 1, F' = 0, unscaled
@@ -541,7 +541,7 @@ def test_sweep_and_landscape_polish_their_scanned_roots(linear_polar, monkeypatc
 
 @pytest.mark.parametrize("gamma, message", [
     (0.05, "tip loss requires a tip_radius on the element geometry"),
-    (-1.5, "scan domain is empty for this element"),  # that error comes first
+    (-1.5, "working interval I+ is empty for this element"),  # that error comes first
 ])
 def test_an_element_without_a_scan_reports_why_on_every_path(linear_polar, gamma, message):
     geom = make_geom(gamma=gamma)  # no tip_radius

@@ -304,6 +304,35 @@ def test_nonstrict_empirical_near_tip_raises_named_error(linear_polar):
     assert 0.0 <= (1.0 - tau_nu(geom, linear_polar, strict, 0.1)) < 1.0
 
 
+_LOW_A_C = ("axial balance lost monotonicity (glauert_empirical psi < 0 for a < 0.286 - a_c, "
+            "as a_c = 0.1 < 0.143); use a_c >= 0.143 or another variant")
+_TIP = ("axial balance lost monotonicity (glauert_empirical psi < 0 under the current tip "
+        "factor); use strict_lemma_mode or another variant")
+
+
+@pytest.mark.parametrize("a_c, rhs, tip, strict, message", [
+    # a = 1/6 above a_c = 0.1: F (a + a_c) < 0.286 even with F = 1
+    (0.1, 0.2, 1.0, True, _LOW_A_C),
+    (0.1, 0.2, 1.0, False, _LOW_A_C),
+    (0.1, 0.2, 0.5, False, _LOW_A_C),
+    # a = 1/2 above a_c = 0.4: only a tip factor F < 0.318 puts psi below 0
+    (0.4, 1.0, 0.3, False, _TIP),
+    (0.4, 1.0, 0.3, True, None),
+], ids=["strict", "loose", "loose_tip", "loose_below_the_tip_bound", "strict_tip"])
+def test_empirical_psi_below_zero_names_its_cause(a_c, rhs, tip, strict, message):
+    # Glauert's empirical psi is below 0 where F (a + a_c) < 0.286, with F = 1 under
+    # strict_lemma_mode: there both kernels refuse the axial balance
+    corr = CorrectionSpec("glauert_empirical", a_c=a_c, strict_lemma_mode=strict)
+    grid = model._axial_nu_grid(np.array([rhs]), np.array([1.0]), corr, tip)
+    if message is None:
+        assert 0.0 < model._axial_nu(rhs, 1.0, corr, tip) == grid[0] < 1.0 - a_c
+        return
+    with pytest.raises(DomainError) as info:
+        model._axial_nu(rhs, 1.0, corr, tip)
+    assert str(info.value) == message
+    assert np.isnan(grid).all()
+
+
 def test_buhl_just_above_the_threshold_is_solved_not_refused():
     # just above a = a_c Buhl's psi ~ x^2 lies below the last bit of the balance at
     # nu0, so the rounded balance there must not be read as lost monotonicity

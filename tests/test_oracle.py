@@ -33,12 +33,14 @@ the first equation divided by lambda (1 + a').
 
 import math
 from bisect import bisect_right
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from glauert_bem import (CorrectionSpec, DomainError, ElementGeometry, assemble_adjoint,
-                         load_polar, scan_roots, synthetic_polar)
+from glauert_bem import (BemError, CorrectionSpec, DomainError, ElementGeometry,
+                         assemble_adjoint, load_polar, scan_roots, solve_element,
+                         synthetic_polar)
 from glauert_bem.model import _evaluation, _slope
 from glauert_bem.solvers import _scan_domain
 
@@ -112,16 +114,23 @@ def _psi_parts(corr, x, tip):
                                            -mp.mpf("0.286") * f * x)]
 
 
-def _terms(geom, polar, corr, phi, a, ap, gamma, chord):
+def _terms(geom, polar, corr, phi, a, ap, gamma, chord, active=None):
     """The terms of each equation, moved to one side: each equation is the sum of its row.
-    The twist ``gamma`` and the ``chord`` are arguments, so that they can be differentiated."""
+    The twist ``gamma`` and the ``chord`` are arguments, so that they can be differentiated.
+    ``active`` fixes the branch of psi (its formula of a > a_c, or 0), as the package's
+    floats pick it at a state, so that at a = a_c a derivative is the one from below;
+    by default the branch follows ``a``."""
     lam = mp.mpf(geom.lam)
     s, c = mp.sin(phi), mp.cos(phi)
     tip = _tip_factor(geom, phi) if corr.tip_loss else mp.one
     cl, cd = _coefficients(polar, phi - gamma)
     quarter = mp.mpf(geom.blade_count) * chord / (2 * mp.pi * geom.r) / (4 * tip)
     lift, drag = quarter * cl, quarter * cd
-    psi = _psi(corr, a - mp.mpf(corr.a_c), tip)
+    excess = a - mp.mpf(corr.a_c)
+    if active is None:
+        psi = _psi(corr, excess, tip)
+    else:
+        psi = _psi_branch(corr, excess, tip) if active else mp.zero
     return ([mp.tan(phi) * lam * (1 + ap), a - 1],
             [a / (1 - a), -lift * c / s ** 2, -drag * s / s ** 2, psi / (1 - a) ** 2],
             [ap / (1 - a), -lift * s / (lam * s ** 2), drag * c / (lam * s ** 2)])
@@ -162,14 +171,17 @@ def _power_terms(geom, polar, corr, phi, a, ap, gamma, chord):
 
 
 def _check_adjoint(geom, polar, corr, state, adj):
-    """(error / bound) of dphi/dx and dJ/dx, x = gamma, chord, at one state."""
+    """(error / bound) of dphi/dx and dJ/dx, x = gamma, chord, at one state, with psi on
+    the package's branch there (a > a_c in its floats), as ``assemble_adjoint`` reads it."""
+    active = corr.variant != "none" and state.a - corr.a_c > 0.0
+
     def terms(*v):
-        return [t for row in _terms(geom, polar, corr, *v) for t in row]
+        return [t for row in _terms(geom, polar, corr, *v, active=active) for t in row]
 
     with mp.workdps(DIGITS):
         v = [mp.mpf(state.phi), mp.mpf(state.a), mp.mpf(state.a_prime),
              mp.mpf(geom.gamma), mp.mpf(geom.chord)]
-        rows = _terms(geom, polar, corr, *v)
+        rows = _terms(geom, polar, corr, *v, active=active)
         per_term = mpmath.jacobian(terms, v)  # term by (phi, a, a', gamma, chord)
         power = mpmath.jacobian(lambda *u: _power_terms(geom, polar, corr, *u), v)
         grad, size, first = [], [], 0
@@ -296,6 +308,34 @@ def _kink(geom, polar, corr):
     return []
 
 
+def _kink_roots(polar, corr, geoms):
+    """(element, state) at the roots of two adjacent chords between which the root's a
+    crosses a_c, so a = a_c to about 1e-12 on either side: the first of ``geoms`` whose
+    root is below a_c at a chord of 0.05 (or 0.1) and above it at 1.2, its chord bisected
+    along the hint path from below; empty where none crosses."""
+    def root(geom, chord, hint=None):
+        geom = replace(geom, chord=chord)
+        return geom, solve_element(geom, polar, corr, phi_hint=hint)
+
+    for geom in geoms:
+        for lo, hi in ((0.05, 1.2), (0.1, 1.2)):
+            try:
+                below, above = root(geom, lo), root(geom, hi)
+            except BemError:  # no root in the working interval at that chord
+                continue
+            if not below[1].a - corr.a_c <= 0.0 < above[1].a - corr.a_c:
+                continue
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                point = root(geom, mid, below[1].phi)
+                if point[1].a - corr.a_c > 0.0:
+                    hi, above = mid, point
+                else:
+                    lo, below = mid, point
+            return [below, above]
+    return []
+
+
 def _elements(seed, count):
     gen = rng(seed)
     for _ in range(count):
@@ -354,16 +394,22 @@ def test_scanned_roots_agree_with_the_50_digit_oracle(kind, variant, tip):
 def test_adjoint_derivatives_agree_with_the_50_digit_oracle(kind, variant, tip):
     polar = POLARS[kind]()
     corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    geoms = list(_elements(7000 + VARIANTS.index(variant), 3))
+    # the scanned roots, and two roots within 1e-12 of the kink a = a_c of psi, where
+    # the package takes psi' from below on one and from above on the other
+    at_kink = _kink_roots(polar, corr, geoms) if variant != "none" else []
+    roots = [(geom, rec.state) for geom in geoms for rec in scan_roots(geom, polar, corr).records]
     checked, worst = 0, 0.0
-    for geom in _elements(7000 + VARIANTS.index(variant), 3):
-        for rec in scan_roots(geom, polar, corr).records:
-            # a singular angle, or the kink of psi, where psi' is one-sided
-            if rec.state.note or abs(rec.state.a - corr.a_c) <= 1e-6:
-                continue
-            adj = assemble_adjoint(geom, polar, corr, rec.state)
-            worst = max(worst, *_check_adjoint(geom, polar, corr, rec.state, adj))
-            checked += 1
+    for geom, state in roots + at_kink:
+        if state.note:  # a singular angle of the original system
+            continue
+        adj = assemble_adjoint(geom, polar, corr, state)
+        worst = max(worst, *_check_adjoint(geom, polar, corr, state, adj))
+        checked += 1
     assert checked >= 1
+    if variant != "none":
+        assert [state.a - corr.a_c <= 0.0 for _, state in at_kink] == [True, False]
+        assert all(abs(state.a - corr.a_c) <= 1e-12 for _, state in at_kink)
     assert worst <= 1.0
 
 

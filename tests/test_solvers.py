@@ -36,8 +36,10 @@ from glauert_bem.model import (
     _residual_grid,
     mu_G_prime,
     mu_L,
+    phi_upper,
     recover_induction,
 )
+from glauert_bem.design import solve_element
 from glauert_bem.solvers import (
     METHODS,
     SolveOptions,
@@ -709,6 +711,82 @@ def test_plain_scan_domain_ends_lie_inside_the_polar(lam, gamma, end):
     assert np.isfinite(_residual_grid([geom], polar, corr, np.array([[lo, hi]]))).all()
 
 
+def test_max_I_plus_one_ulp_past_the_polar_steps_inside():
+    # a linear-lift polar is sampled up to beta = alpha_max, and on this element max
+    # I+ = beta + gamma, where (beta + gamma) - gamma rounds one ulp past alpha_max
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01)
+    geom = ElementGeometry(lam=0.276297, r=0.5, gamma=-0.097217, chord=0.1,
+                           blade_count=3, tip_radius=1.0)
+    corr = CorrectionSpec("glauert3")
+    top = phi_upper(geom, polar)
+    assert top == polar.beta + geom.gamma and top - geom.gamma > polar.alpha_max
+    lo, hi = _scan_domain(geom, polar, corr)
+    assert hi == math.nextafter(top, 0.0) and hi - geom.gamma <= polar.alpha_max
+    assert tuple(grid_I_plus(geom, polar)[[0, -1]]) == (lo, hi)
+    # the principal root lies in the last cell of the scan grid
+    (root,) = scan_roots(geom, polar, corr).records
+    assert root.category == "principal" and abs(root.phi - 1.1022894898) <= 1e-10
+    assert abs(root.state.residual) <= 1e-10
+    assert abs(solve_element(geom, polar, corr).phi - root.phi) <= 1e-12
+    # nothing evaluated at max I+ meets the undefined lift any more
+    for correction in (corr, trivial()):
+        assert isinstance(solve_fixed_point(geom, polar, correction), solvers.SolveReport)
+        assert fixed_point_rate_bound(geom, polar, correction).factor > 0.0
+    report = check_existence(geom, polar, corr)
+    assert report.message == "" and report.simplified_ok and report.corrected_ok
+    with pytest.raises(BracketError) as info:  # two psi-free roots: no sign change
+        bracket_via_psi0(geom, polar, corr)
+    assert "undefined" not in str(info.value)
+
+
+def _interval_polar(kind, span, slope):
+    if kind == "linear":  # sampled up to beta = alpha_max = span
+        return synthetic_polar("linear_lift", slope=slope, cd0=0.01, span=span)
+    if kind == "stall":
+        return synthetic_polar("linear_lift_with_stall", slope=slope, alpha_s=0.3, drop=0.5,
+                               transition=0.05, cd0=0.012, cd2=0.1, span=span)
+    return _BATCH_POLARS["demo"]
+
+
+@pytest.mark.parametrize("kind", ["linear", "stall", "demo"])
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True], ids=["no_tip", "tip"])
+@settings(max_examples=30, deadline=None, database=None)
+@given(span=st.floats(0.4, 1.2), slope=st.floats(3.0, 7.0), lam=st.floats(0.2, 3.0),
+       gamma=st.floats(-0.4, 0.4), chord=st.floats(0.02, 1.0), r=st.floats(0.2, 0.95))
+@example(span=1.2, slope=2 * math.pi, lam=0.276297, gamma=-0.097217, chord=0.1, r=0.5)
+def test_interval_ends_lie_inside_the_polar(kind, variant, tip, span, slope, lam, gamma,
+                                            chord, r):
+    polar = _interval_polar(kind, span, slope)
+    geom = ElementGeometry(lam=lam, r=r, gamma=gamma, chord=chord, blade_count=3,
+                           tip_radius=1.0)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    ends = []
+    for interval in (lambda: _scan_domain(geom, polar, corr),
+                     lambda: grid_I_plus(geom, polar)[[0, -1]].tolist()):
+        try:
+            ends.extend(interval())
+        except ValidationError:  # an empty interval
+            pass
+    assert all(polar.alpha_min <= end - gamma <= polar.alpha_max for end in ends)
+    try:
+        top = float(grid_I_plus(geom, polar)[-1])
+    except ValidationError:
+        return  # I+ is empty: nothing is evaluated at max I+
+    outside = "outside sampled range"
+    # the fixed point from max I+: its iterate 0 there is defined
+    try:
+        report = solve_fixed_point(geom, polar, corr, SolveOptions(phi0=top, max_iter=1))
+        assert not (report.phi_star == top and outside in report.message)
+    except HypothesisError:
+        pass  # rho_eps's hypothesis fails: no step is taken
+    try:
+        fixed_point_rate_bound(geom, polar, corr)
+    except DomainError as exc:
+        assert outside not in str(exc)
+    assert outside not in check_existence(geom, polar, corr).message
+
+
 def test_scan_keeps_an_exact_zero_next_to_an_undefined_node(monkeypatch, linear_polar):
     geom, corr = make_geom(gamma=0.05), wilson()
     lo, hi = _scan_domain(geom, linear_polar, corr)
@@ -837,7 +915,7 @@ def test_batched_scan_keeps_each_outcome_with_its_element():
              for kind in ("plain", "empty", "no_root", "no_tip_radius")]
     out = _scan_many(geoms + [design_error], polar, corr, 240)
     assert len(out[0].records) == 1 and out[2].records == []
-    assert isinstance(out[1], ValidationError) and "scan domain is empty" in str(out[1])
+    assert isinstance(out[1], ValidationError) and "I+ is empty" in str(out[1])
     assert isinstance(out[3], ValidationError) and "tip_radius" in str(out[3])
     assert out[4] is design_error  # passed through
     assert [_outcome(result) for result in out[:4]] == [
