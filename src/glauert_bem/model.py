@@ -168,25 +168,35 @@ class CorrectionSpec:
 
     def _law(self, x, tip_factor):
         """(psi, d psi/da, d psi/dF) at an excess x > 0 of a corrected variant;
-        elementwise on arrays."""
-        a_c = self.a_c
+        elementwise on arrays.  Only glauert3 is a cubic; every other law is
+        the quadratic of :meth:`_quadratic`."""
         if self.variant == "glauert3":
+            a_c = self.a_c
             return (0.25 * x * (x * x / a_c + 2.0 * x + a_c),
                     0.75 * x * x / a_c + x + 0.25 * a_c, 0.0)
+        p2, p1, d_p2, d_p1 = self._quadratic(tip_factor)
+        return (x * (p2 * x + p1), 2.0 * p2 * x + p1,
+                0.0 if d_p2 is None else x * (d_p2 * x + d_p1))
+
+    def _quadratic(self, tip_factor):
+        """(p2, p1, d p2/dF, d p1/dF) of a quadratic law psi = p2 x^2 + p1 x in
+        the excess x, p2 > 0; elementwise on arrays of F.  The F-derivatives
+        are None where psi does not depend on F.  Wilson/Spera's psi and d
+        psi/da are exact in floats: x^2 and 2 x."""
         if self.variant == "wilson_spera":
-            return x * x, 2.0 * x, 0.0
+            return 1.0, 0.0, None, None
+        a_c = self.a_c
         if self.variant == "buhl":
-            q = x / (1.0 - a_c)
-            return (q * q / (2.0 * tip_factor), x / (tip_factor * (1.0 - a_c) ** 2),
-                    -(q ** 2) / (2.0 * tip_factor ** 2))
-        # Glauert empirical, excess part only so that psi(0) = 0; strict_lemma_mode
-        # pins F = 1 inside it, so that psi does not depend on F
+            p2 = 0.5 / (tip_factor * (1.0 - a_c) ** 2)
+            return p2, 0.0, -p2 / tip_factor, 0.0
+        # Glauert empirical, excess part only so that psi(0) = 0: psi = f x (f (x +
+        # 2 a_c) - 0.286)/2.5708; strict_lemma_mode pins f = 1 inside it, so that
+        # psi does not depend on F
         if self.strict_lemma_mode:
-            f, d_tip = 1.0, 0.0
-        else:
-            f, d_tip = tip_factor, x * (2.0 * tip_factor * (x + 2.0 * a_c) - 0.286) / 2.5708
-        return (x * (f * (x + 2.0 * a_c) - 0.286) * f / 2.5708,
-                (2.0 * f * x + 2.0 * a_c * f - 0.286) * f / 2.5708, d_tip)
+            return 1.0 / 2.5708, (2.0 * a_c - 0.286) / 2.5708, None, None
+        f = tip_factor
+        return (f * f / 2.5708, f * (2.0 * a_c * f - 0.286) / 2.5708,
+                2.0 * f / 2.5708, (4.0 * a_c * f - 0.286) / 2.5708)
 
 
 @dataclass(frozen=True)
@@ -342,11 +352,11 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
     is computed in nu-space to keep full precision as a approaches 1.
     Negative rhs down to -1 maps to the exact uncorrected branch (a < 0).
     An active correction puts the root in [nu0, 1 - a_c], nu0 = 1/(1 + rhs).
-    Wilson/Spera's balance times nu^2 is a quadratic, whose root there is
-    read off by the sign of its stable q, with no search (:func:`_wilson_nu`).
-    The other variants run Newton (:func:`_newton_nu`) from nu0, where the
-    balance in nu is decreasing and, for psi >= 0, convex.  Either result
-    gets one polishing Newton step.
+    Where psi is a quadratic (every law but glauert3's), the balance times
+    nu^2 is a quadratic in nu, whose root there is read off by the sign of
+    its stable q, with no search (:func:`_quadratic_nu`).  Glauert3's cubic
+    runs Newton (:func:`_newton_nu`) from nu0, where the balance in nu is
+    decreasing and convex.  Either result gets one polishing Newton step.
     :func:`_axial_nu_grid` is the same computation on arrays.
     """
     if rhs <= -1.0:
@@ -358,46 +368,53 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
     cap = 1.0 - corr.a_c  # correction active: root lies in nu in [nu0, cap]
 
     def terms(nu):  # the balance and its slope in nu, as in _axial_nu_grid
-        psi, dpsi, _ = corr.psi_terms(cap - nu, tip_factor)
+        x = cap - nu  # psi and d psi/da of psi_terms
+        psi, dpsi, _ = corr._law(x, tip_factor) if x > 0.0 else (0.0, 0.0, 0.0)
         nn = nu * nu
         return ((1.0 - nu) / nu - rhs + weight * psi / nn,
                 -1.0 / nn - weight * dpsi / nn - 2.0 * weight * psi / (nn * nu))
 
-    if corr.variant == "wilson_spera":
-        nu = _wilson_nu(rhs, weight, corr.a_c)
-    else:
-        # at nu0 the balance is w psi(cap - nu0)/nu0^2 exactly, and a rounded
-        # terms(nu0) may take either sign where psi is below its last bit: decide
-        # on psi itself.  Only Glauert's empirical psi goes below 0, where F (a +
-        # a_c) < 0.286 (F = 1 under strict_lemma_mode): whatever F for a < 0.286 -
-        # a_c if a_c < 0.143, and else only under a tip factor F < 1
-        psi = corr.psi(cap - nu0, tip_factor)
-        if psi == 0.0:
-            return nu0
-        if psi < 0.0:
-            cause = (f"for a < 0.286 - a_c, as a_c = {corr.a_c:g} < 0.143); use a_c >= 0.143"
-                     if (cap - nu0) + 2.0 * corr.a_c < 0.286 else
-                     "under the current tip factor); use strict_lemma_mode")
-            raise DomainError(f"axial balance lost monotonicity ({corr.variant} psi < 0 "
-                              f"{cause} or another variant")
+    # at nu0 the balance is w psi(cap - nu0)/nu0^2 exactly, and a rounded
+    # terms(nu0) may take either sign where psi is below its last bit: decide
+    # on psi itself.  Only Glauert's empirical psi goes below 0, where F (a +
+    # a_c) < 0.286 (F = 1 under strict_lemma_mode): whatever F for a < 0.286 -
+    # a_c if a_c < 0.143, and else only under a tip factor F < 1
+    x = cap - nu0
+    psi = corr._law(x, tip_factor)[0] if x > 0.0 else 0.0
+    if psi == 0.0:
+        return nu0
+    if psi < 0.0:
+        cause = (f"for a < 0.286 - a_c, as a_c = {corr.a_c:g} < 0.143); use a_c >= 0.143"
+                 if x + 2.0 * corr.a_c < 0.286 else
+                 "under the current tip factor); use strict_lemma_mode")
+        raise DomainError(f"axial balance lost monotonicity ({corr.variant} psi < 0 "
+                          f"{cause} or another variant")
+    if corr.variant == "glauert3":
         nu = _newton_nu(terms, nu0, cap)
-    # one Newton step in nu tightens closed-form roots to machine accuracy
+    else:
+        nu = _quadratic_nu(rhs, weight, cap, *corr._quadratic(tip_factor)[:2])
+    # one Newton step in nu tightens closed-form roots to machine accuracy.  Its
+    # step is cut to [nu0, cap], which holds the root: near a double root of the
+    # quadratic, or with the root within an ulp of an end, it may step past
     value, slope = terms(nu)
     if slope != 0.0:
         candidate = nu - value / slope
-        if nu0 <= candidate <= cap and abs(terms(candidate)[0]) <= abs(value):
+        candidate = nu0 if candidate < nu0 else cap if candidate > cap else candidate
+        if abs(terms(candidate)[0]) <= abs(value):
             nu = candidate
     return nu
 
 
-# Newton on the axial balance stops once a step moves nu by at most about
-# two ulp; from nu0 a convex balance needs fewer than ten steps.
+# Newton on glauert3's axial balance stops once a step moves nu by at most
+# about two ulp; from nu0 its convex balance needs fewer than ten steps.
 _NU_STEP_TOL = 4.4e-16
 _NU_MAX_STEPS = 100
 
 
 def _newton_nu(terms, nu0, cap):
-    """Newton on the axial balance from nu0, kept inside a shrinking bracket.
+    """Newton on the axial balance from nu0, kept inside a shrinking bracket:
+    glauert3's, the one cubic psi, as every other law is read off its
+    quadratic (:func:`_quadratic_nu`).
 
     ``terms(nu)`` is the balance, positive at nu0 (but for rounding where
     psi there is below its last bit; Newton then stays at nu0) and negative
@@ -426,17 +443,29 @@ def _newton_nu(terms, nu0, cap):
     return nu
 
 
-def _wilson_nu(rhs, weight, a_c):
-    """The active root for psi(x) = x^2.  Times nu^2 the balance is f(nu) =
-    qa nu^2 + qb nu + qc, with f(nu0) = weight (cap - nu0)^2 >= 0 > f(cap) and
-    f(0) = qc > 0 (cap = 1 - a_c): where qa > 0 the root is the smaller of two
-    positive roots, where qa < 0 the positive one.  For the stable q = -(qb +
-    sign(qb) sqrt(disc))/2 that root is qc/q exactly when q > 0, else q/qa.
-    q = 0 needs qb = 0 with qa > 0, which only rounding gives: it raises."""
-    cap = 1.0 - a_c
-    qa = weight - 1.0 - rhs
-    qb = 1.0 - 2.0 * weight * cap
-    qc = weight * cap * cap
+def _quadratic_nu(rhs, weight, cap, p2, p1):
+    """The active root of the axial balance for psi(x) = p2 x^2 + p1 x, x = cap
+    - nu, cap = 1 - a_c, p2 > 0 (:meth:`CorrectionSpec._quadratic`).
+
+    Times nu^2 the balance is f(nu) = qa nu^2 + qb nu + qc, with qa = w p2 - 1
+    - rhs, qb = 1 - 2 w p2 cap - w p1 and qc = w psi(cap) (w the weight), and
+    f(nu0) = w psi(cap - nu0) > 0 > f(cap), so one root lies in (nu0, cap).
+    psi(cap - nu0) > 0 is the caller's guard, and as psi/x = p2 x + p1 rises
+    with x, it makes qc > 0.  Then where qa > 0 the root is the smaller of two
+    positive roots, whose sum -qb/qa > 0 makes qb < 0; where qa < 0 it is the
+    positive one of two of opposite signs.  For the stable q = -(qb + sign(qb)
+    sqrt(disc))/2 the roots are qc/q and q/qa, and that root is qc/q exactly
+    when q > 0, else q/qa.  Were qc <= 0 (Glauert empirical where f (1 + a_c)
+    <= 0.286, which the guard refuses), f(0) <= 0 < f(nu0) would make f
+    concave, so qa < 0, with the root the larger of two in [0, cap]: their sum
+    makes qb > 0, so q < 0 and the pick q/qa is still the root.
+
+    qa = 0 leaves the linear root -qc/qb.  q = 0 needs qb = 0 with qa > 0,
+    which only rounding gives: it raises.  With p2 = 1 and p1 = 0
+    (Wilson/Spera) every added operation is exact."""
+    qa = weight * p2 - 1.0 - rhs
+    qb = 1.0 - 2.0 * weight * p2 * cap - weight * p1
+    qc = weight * cap * (p2 * cap + p1)
     if qa == 0.0:
         return -qc / qb
     disc = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
@@ -448,7 +477,8 @@ def _wilson_nu(rhs, weight, a_c):
 
 def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
     """:func:`_axial_nu` elementwise on arrays, NaN where it raises
-    :class:`DomainError`; the same closed form, Newton iteration and polish."""
+    :class:`DomainError`; the same guard, closed form or Newton iteration, and
+    polish."""
     with np.errstate(divide="ignore", invalid="ignore"):
         nu = np.where(rhs > -1.0, 1.0 / (1.0 + rhs), np.nan)
         if corr.variant == "none":
@@ -469,18 +499,18 @@ def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
             return ((1.0 - v) / v - rhs + weight * psi / nn,
                     -1.0 / nn - weight * dpsi / nn - 2.0 * weight * psi / (nn * v))
 
-        if corr.variant == "wilson_spera":
-            sol = _wilson_nu_grid(rhs, weight, corr.a_c)
+        x = cap - nu0  # the sign of psi at nu0 decides, as in _axial_nu
+        psi = np.where(x > 0.0, corr._law(x, f)[0], 0.0)
+        if corr.variant == "glauert3":
+            sol = _newton_nu_grid(terms, nu0, cap)
         else:
-            x = cap - nu0  # the sign of psi at nu0 decides, as in _axial_nu
-            psi = np.where(x > 0.0, corr._law(x, f)[0], 0.0)
-            sol = np.where(psi == 0.0, nu0, _newton_nu_grid(terms, nu0, cap))
-            sol[psi < 0.0] = np.nan  # Glauert empirical's psi, where F (a + a_c) < 0.286
+            sol = _quadratic_nu_grid(rhs, weight, cap, *corr._quadratic(f)[:2])
+        sol = np.where(psi == 0.0, nu0, sol)
+        sol[psi < 0.0] = np.nan  # Glauert empirical's psi, where F (a + a_c) < 0.286
         # the polishing step of _axial_nu; a no-op where the balance is 0
         value, slope = terms(sol)
-        cand = sol - value / slope
-        better = ((slope != 0.0) & (nu0 <= cand) & (cand <= cap)
-                  & (np.abs(terms(cand)[0]) <= np.abs(value)))
+        cand = np.clip(sol - value / slope, nu0, cap)
+        better = (slope != 0.0) & (np.abs(terms(cand)[0]) <= np.abs(value))
         nu[on] = np.where(better, cand, sol)
     return nu
 
@@ -505,12 +535,11 @@ def _newton_nu_grid(terms, nu0, cap):
     return np.where(live, np.nan, nu)
 
 
-def _wilson_nu_grid(rhs, weight, a_c):
-    """:func:`_wilson_nu` elementwise, NaN where it raises."""
-    cap = 1.0 - a_c
-    qa = weight - 1.0 - rhs
-    qb = 1.0 - 2.0 * weight * cap
-    qc = weight * cap * cap
+def _quadratic_nu_grid(rhs, weight, cap, p2, p1):
+    """:func:`_quadratic_nu` elementwise, NaN where it raises."""
+    qa = weight * p2 - 1.0 - rhs
+    qb = 1.0 - 2.0 * weight * p2 * cap - weight * p1
+    qc = weight * cap * (p2 * cap + p1)
     disc = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
     q = -0.5 * (qb + np.copysign(disc, qb))
     nu = np.where(q > 0.0, qc / q, np.where(q == 0.0, np.nan, q / qa))

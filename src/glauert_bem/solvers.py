@@ -65,9 +65,9 @@ class SolveOptions:
     tol: float = 1e-10
     max_iter: int = 10_000
     epsilon: float = 1.0
-    phi0: Optional[float] = None           # default: theta
+    phi0: Optional[float] = None           # default: theta, where cl is defined (_start)
     bracket_lo: float = 1e-4               # Newton's and bisection's initial bracket
-    bracket_hi: Optional[float] = None     # default: theta
+    bracket_hi: Optional[float] = None     # default: as phi0
     phi_tol: float = 1e-12
 
     def __post_init__(self):
@@ -83,9 +83,10 @@ class SolveOptions:
         if self.bracket_hi is not None and not self.bracket_lo < self.bracket_hi:
             raise ValidationError("bracket endpoints must satisfy lo < hi")
 
-    def bracket(self, geom: ElementGeometry):
-        """The initial bracket on ``geom`` (hi defaults to theta); BracketError if empty."""
-        hi = geom.theta if self.bracket_hi is None else self.bracket_hi
+    def bracket(self, geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec):
+        """The initial bracket on ``geom`` (hi defaults to the solvers' start,
+        :func:`_start`); BracketError if empty."""
+        hi = _start(geom, polar, corr) if self.bracket_hi is None else self.bracket_hi
         if not self.bracket_lo < hi:
             raise BracketError(f"wrong initial guess: empty bracket ({self.bracket_lo:g}, {hi:g})")
         return self.bracket_lo, hi
@@ -341,6 +342,19 @@ def _interval(geom, polar, plus=True):
     return lo, hi
 
 
+def _start(geom, polar, corr):
+    """The four solvers' default start: theta, the angle at rest, wherever the
+    residual can be defined there (``polar.clamp_cl``, or theta - gamma <=
+    alpha_max); else the right end of the scan domain (:func:`_interval`, I
+    for the trivial correction and I+ otherwise), whose angle of attack lies
+    inside the polar, or theta still where that domain is empty."""
+    theta = geom.theta
+    if polar.clamp_cl or theta - geom.gamma <= polar.alpha_max:
+        return theta
+    domain = _attempt(_interval, geom, polar, plus=not corr.is_trivial)
+    return theta if isinstance(domain, BemError) else domain[1]
+
+
 def grid_I_plus(geom: ElementGeometry, polar: PolarTable):
     """The 1000-node grid of I+ (:func:`_interval`) on which ``solve_fixed_point``,
     ``fixed_point_rate_bound`` and ``check_appendix_conditions`` take their maxima."""
@@ -355,14 +369,15 @@ def solve_usual(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                 opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Classical sequential iteration: phi from (a, a'), then a, then a'.
 
-    Starts from rest, (a, a') = (0, 0), whose angle is theta; a given
-    opts.phi0 replaces that first angle (useful to start the recursion at
-    a chosen angle).  Divergence (iterate leaving the domain) is flagged in
-    the report, not raised.
+    Starts from rest, (a, a') = (0, 0), whose angle is theta; where theta's
+    angle of attack lies beyond the polar, from the right end of the scan
+    domain (:func:`_start`).  A given opts.phi0 replaces that first angle
+    (useful to start the recursion at a chosen angle).  Divergence (iterate
+    leaving the domain) is flagged in the report, not raised.
     """
     def step(phi, ev):
         if phi is None:
-            return (opts.phi0 if opts.phi0 is not None else geom.theta), None
+            return (opts.phi0 if opts.phi0 is not None else _start(geom, polar, corr)), None
         s, c, lift, drag = math.sin(phi), math.cos(phi), ev.mu_L_c, ev.mu_D_c
         try:  # invert the thrust balance at phi
             a = 1.0 - _axial_nu((lift * c + drag * s) / (s * s), 1.0, corr, ev.tip_factor)
@@ -386,7 +401,9 @@ def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: Correction
     maximum over a 1000-point grid of I+, evaluated in one numpy call (to
     a few ulp of the scalar path).  From phi0 = theta with no active
     correction and non-decreasing mu_L^c, mu_D^c, the iterates decrease
-    monotonically to the largest root.
+    monotonically to the largest root.  phi0 defaults to theta, or where
+    theta's angle of attack lies beyond the polar to the right end of the
+    scan domain (:func:`_start`).
     """
     max_dmu_L = float(_mu_c_prime_grid(geom, polar, corr, grid_I_plus(geom, polar)).max())
 
@@ -402,7 +419,7 @@ def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: Correction
         return phi_next, abs(phi_next - phi)
 
     return _iterate(geom, polar, corr, opts, step,
-                    phi0=opts.phi0 if opts.phi0 is not None else geom.theta)
+                    phi0=opts.phi0 if opts.phi0 is not None else _start(geom, polar, corr))
 
 
 _STALL_STEPS = 50  # unbracketed Newton steps without a new least |residual|
@@ -422,7 +439,7 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     to an earlier iterate ends the solve as a cycle, and 50 steps in which
     the least |residual| seen does not fall end it as making no progress.
     """
-    lo, hi = opts.bracket(geom)
+    lo, hi = opts.bracket(geom, polar, corr)
     f_lo = _residual_safe(geom, polar, corr, lo)
     f_hi = _residual_safe(geom, polar, corr, hi)
     have_bracket = (math.isfinite(f_lo) and math.isfinite(f_hi)
@@ -457,7 +474,8 @@ def solve_newton(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
                 raise _Stop("diverged: unbracketed Newton makes no progress")
         return phi_next, abs(phi_next - phi)
 
-    phi0 = opts.phi0 if opts.phi0 is not None else (0.5 * (lo + hi) if have_bracket else geom.theta)
+    phi0 = opts.phi0 if opts.phi0 is not None else (
+        0.5 * (lo + hi) if have_bracket else _start(geom, polar, corr))
     # a fallback stays in the caller's bracket, which may reach past (0, pi/2)
     return _iterate(geom, polar, corr, opts, step, phi0=phi0, fenced=False,
                     note=lambda: f"{fallbacks} bisection fallback step(s)" if fallbacks else "")
@@ -473,7 +491,7 @@ def solve_bisection(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSp
     so after k iterations it equals the initial width times 2**-k.  Short
     of a root, the solve reports the midpoint of its last bracket.
     """
-    lo, hi = opts.bracket(geom)
+    lo, hi = opts.bracket(geom, polar, corr)
     if not 0.0 < lo < hi < math.pi / 2.0:
         raise ValidationError(f"bracket ({lo:g}, {hi:g}) must sit inside (0, pi/2)")
     try:

@@ -333,6 +333,48 @@ def test_empirical_psi_below_zero_names_its_cause(a_c, rhs, tip, strict, message
     assert np.isnan(grid).all()
 
 
+# Glauert empirical inputs on which a Newton iteration on the axial balance stopped
+# after 100 steps without converging, with their roots to 22 digits (a 50-digit
+# bisection of the balance in mpmath; tests/test_oracle.py checks such roots)
+@pytest.mark.parametrize("strict, rhs, weight, tip, root", [
+    (False, 74.24912383311747, 4.5654898899374325, 0.2064265931530092,
+     0.01334129767586483629257),
+    (False, 161.3406902461565, 0.9679821267038039, 0.21327869599335636,
+     0.006652752192687402777241),
+    (True, 356.8804362113973, 0.6078501680587562, 0.7045488815968293,
+     0.02186906929111103766254),
+], ids=["loose_heavy", "loose", "strict"])
+def test_empirical_roots_where_a_newton_iteration_gave_up(strict, rhs, weight, tip, root):
+    corr = CorrectionSpec("glauert_empirical", strict_lemma_mode=strict)
+    nu = model._axial_nu(rhs, weight, corr, tip)
+    assert abs(nu - root) <= 4.0 * math.ulp(root)
+    assert model._axial_nu_grid(np.array([rhs]), np.array([weight]), corr, tip)[0] == nu
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+@settings(max_examples=60, deadline=None, database=None)
+@given(a_c=st.one_of(st.none(), st.floats(0.01, 0.7)), strict=st.booleans(),
+       draws=st.lists(st.tuples(st.one_of(st.floats(-2.0, 1e3), st.floats(-1e-9, 1e-9)),
+                                st.floats(1e-9, 1.0), st.floats(0.01, 1.0)),
+                      min_size=1, max_size=30))
+def test_axial_kernels_agree_bit_for_bit_and_on_nan(variant, tip, a_c, strict, draws):
+    # the grid kernel is NaN exactly where the scalar one raises, and elsewhere
+    # has its bits: rhs on both sides of -1, 0 and the threshold a_c/(1 - a_c)
+    # (within 1e-9 relative), F = 1 without tip loss
+    corr = CorrectionSpec(variant, a_c=a_c, strict_lemma_mode=strict)
+    ratio = corr.a_c / (1.0 - corr.a_c) if corr.a_c < 1.0 else 1.0
+    rhs = np.array([ratio * (1.0 + u) for u, _, _ in draws])
+    weight = np.array([w for _, w, _ in draws])
+    f = np.array([f if tip else 1.0 for _, _, f in draws])
+    grid = model._axial_nu_grid(rhs, weight, corr, f)
+    for k in range(rhs.size):
+        try:
+            assert model._axial_nu(rhs[k], weight[k], corr, f[k]).hex() == grid[k].hex()
+        except DomainError:
+            assert np.isnan(grid[k])
+
+
 def test_buhl_just_above_the_threshold_is_solved_not_refused():
     # just above a = a_c Buhl's psi ~ x^2 lies below the last bit of the balance at
     # nu0, so the rounded balance there must not be read as lost monotonicity
@@ -508,91 +550,115 @@ def _bisect_axial(g, weight, a_c, psi):
     return 0.5 * (lo + hi)
 
 
-def _wilson_quadratic(rhs, weight, a_c, sqrt=math.sqrt, copysign=math.copysign):
-    """(nu0, cap, qa, qb, qc, q) of Wilson/Spera's balance times nu^2."""
-    cap = 1.0 - a_c
-    qa = weight - 1.0 - rhs
-    qb = 1.0 - 2.0 * weight * cap
-    qc = weight * cap * cap
+def _quadratic(rhs, weight, cap, p2, p1, sqrt=math.sqrt, copysign=math.copysign):
+    """(nu0, qa, qb, qc, q) of the balance times nu^2 for psi = p2 x^2 + p1 x."""
+    qa = weight * p2 - 1.0 - rhs
+    qb = 1.0 - 2.0 * weight * p2 * cap - weight * p1
+    qc = weight * cap * (p2 * cap + p1)
     q = -0.5 * (qb + copysign(sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
-    return 1.0 / (1.0 + rhs), cap, qa, qb, qc, q
+    return 1.0 / (1.0 + rhs), qa, qb, qc, q
 
 
-def _wilson_search(rhs, weight, a_c):
-    """Wilson/Spera's axial root as a search over both roots of the quadratic
-    once found it: the roots inside [nu0, cap] up to a 1e-9 slack, the one of
-    least balance residual; DomainError where none fits.  ``_wilson_nu``'s
-    reference."""
-    nu0, cap, qa, qb, qc, q = _wilson_quadratic(rhs, weight, a_c)
+def _miss(nu, rhs, weight, cap, p2, p1):
+    """|balance| at nu for psi = p2 x^2 + p1 x, x = cap - nu."""
+    x = cap - nu
+    return abs((1.0 - nu) / nu - rhs + weight * x * (p2 * x + p1) / (nu * nu))
+
+
+def _quadratic_search(rhs, weight, cap, p2, p1):
+    """The axial root of a quadratic psi as a search over both roots of the
+    quadratic once found it: the roots inside [nu0, cap] up to a 1e-9 slack,
+    the one of least balance residual; DomainError where none fits.
+    ``_quadratic_nu``'s reference."""
+    nu0, qa, qb, qc, q = _quadratic(rhs, weight, cap, p2, p1)
     if qa == 0.0:
         return -qc / qb
     roots = ([qc / q] if q != 0.0 else []) + [q / qa]
     good = [nu for nu in roots if nu0 * (1.0 - 1e-9) <= nu <= cap * (1.0 + 1e-9)]
     if not good:
         raise DomainError("no axial root in [a_c, 1)")
-    return min(good, key=lambda nu: abs((1.0 - nu) / nu - rhs
-                                        + weight * (cap - nu) ** 2 / (nu * nu)))
+    return min(good, key=lambda nu: _miss(nu, rhs, weight, cap, p2, p1))
 
 
-def _wilson_search_grid(rhs, weight, a_c):
-    """:func:`_wilson_search` elementwise, NaN where it finds no root."""
-    nu0, cap, qa, qb, qc, q = _wilson_quadratic(rhs, weight, a_c, np.sqrt, np.copysign)
+def _quadratic_search_grid(rhs, weight, cap, p2, p1):
+    """:func:`_quadratic_search` elementwise, NaN where it finds no root."""
+    nu0, qa, qb, qc, q = _quadratic(rhs, weight, cap, p2, p1, np.sqrt, np.copysign)
     r1, r2 = qc / q, q / qa
     fits1, fits2 = [(nu0 * (1.0 - 1e-9) <= r) & (r <= cap * (1.0 + 1e-9)) for r in (r1, r2)]
-    miss1, miss2 = [np.abs((1.0 - r) / r - rhs + weight * (cap - r) ** 2 / (r * r))
-                    for r in (r1, r2)]
+    miss1, miss2 = [_miss(r, rhs, weight, cap, p2, p1) for r in (r1, r2)]
     nu = np.where(fits1 & ~(fits2 & (miss2 < miss1)), r1, np.where(fits2, r2, np.nan))
     return np.where(qa == 0.0, -qc / qb, nu)
 
 
+# the laws read off their quadratic: (variant, strict_lemma_mode)
+_QUADRATIC_LAWS = [("wilson_spera", True), ("buhl", True), ("glauert_empirical", True),
+                   ("glauert_empirical", False)]
 # a_c of every variant whose correction can be active, and any other
-_WILSON_A_C = st.one_of(st.sampled_from(sorted({a for a in model.DEFAULT_A_C.values()
-                                                if a < 1.0})),
-                        st.floats(1e-4, 0.999))
+_QUADRATIC_A_C = st.one_of(st.sampled_from(sorted({a for a in model.DEFAULT_A_C.values()
+                                                  if a < 1.0})),
+                           st.floats(1e-4, 0.999))
 # weight = sin(theta) sin(phi)/cos(theta - phi) < 1 on (0, pi/2); larger ones
-# reach the quadratic's branch qa > 0 as well
-_WILSON_WEIGHT = st.one_of(st.floats(1e-9, 1.0), st.floats(1.0, 1e4))
+# reach the quadratic's branch qa > 0 as well, as a tip factor F < 1 does for Buhl
+_QUADRATIC_WEIGHT = st.one_of(st.floats(1e-9, 1.0), st.floats(1.0, 1e4))
+_TIP_FACTOR = st.one_of(st.just(1.0), st.floats(0.01, 1.0))
+
+
+def _active(rhs, a_c):
+    """Whether the kernel's own test finds the correction active at ``rhs``."""
+    return rhs > 0.0 and 1.0 - 1.0 / (1.0 + rhs) > a_c
 
 
 def _active_rhs(a_c, u):
     """An rhs above the threshold a_c/(1 - a_c) by the relative amount ``u``,
-    or None where the kernel's own test finds the correction inactive."""
+    or None where the correction is inactive there."""
     rhs = a_c / (1.0 - a_c) * (1.0 + u)
-    return rhs if 1.0 - 1.0 / (1.0 + rhs) > a_c else None
+    return rhs if _active(rhs, a_c) else None
 
 
-def _assert_wilson_matches_search(rhs, weight, a_c):
+def _assert_quadratic_matches_search(rhs, weight, cap, p2, p1):
     try:
-        expected = _wilson_search(rhs, weight, a_c)
+        expected = _quadratic_search(rhs, weight, cap, p2, p1)
     except DomainError:
         with pytest.raises(DomainError):
-            model._wilson_nu(rhs, weight, a_c)
+            model._quadratic_nu(rhs, weight, cap, p2, p1)
         return
-    nu = model._wilson_nu(rhs, weight, a_c)
+    nu = model._quadratic_nu(rhs, weight, cap, p2, p1)
     assert nu.hex() == expected.hex()
-    assert (1.0 / (1.0 + rhs)) * (1.0 - 1e-9) <= nu <= (1.0 - a_c) * (1.0 + 1e-9)
+    assert (1.0 / (1.0 + rhs)) * (1.0 - 1e-9) <= nu <= cap * (1.0 + 1e-9)
 
 
-@example(a_c=1.0 / 3.0, u=1.0, weight=2.0)  # qa == 0: the linear case
+@example(law=("wilson_spera", True), a_c=1.0 / 3.0, u=1.0, weight=2.0, tip=1.0,
+         linear=False)  # qa == 0: the linear case
+@example(law=("buhl", True), a_c=0.4, u=1.0, weight=3.0, tip=0.3, linear=True)
+@example(law=("glauert_empirical", False), a_c=0.4, u=1.0, weight=7.0, tip=0.8, linear=True)
 @settings(max_examples=1000, deadline=None, database=None)
-@given(a_c=_WILSON_A_C, u=st.floats(0.0, 1e3), weight=_WILSON_WEIGHT)
-def test_wilson_root_is_the_search_result_bit_for_bit(a_c, u, weight):
+@given(law=st.sampled_from(_QUADRATIC_LAWS), a_c=_QUADRATIC_A_C, u=st.floats(0.0, 1e3),
+       weight=_QUADRATIC_WEIGHT, tip=_TIP_FACTOR, linear=st.booleans())
+def test_quadratic_root_is_the_search_result_bit_for_bit(law, a_c, u, weight, tip, linear):
     # the root read off the quadratic by the sign of q is the one root the
-    # monotone balance has in [nu0, cap], as a search over both roots finds it
-    rhs = _active_rhs(a_c, u)
-    if rhs is not None:
-        _assert_wilson_matches_search(rhs, weight, a_c)
+    # monotone balance has in [nu0, cap], as a search over both roots finds
+    # it, wherever psi at nu0 is positive, which the kernel checks first
+    corr = CorrectionSpec(law[0], a_c=a_c, strict_lemma_mode=law[1])
+    cap, (p2, p1) = 1.0 - a_c, corr._quadratic(tip)[:2]
+    # linear: the rhs that makes qa = weight p2 - 1 - rhs exactly 0
+    rhs = weight * p2 - 1.0 if linear else _active_rhs(a_c, u)
+    if rhs is None or not _active(rhs, a_c):
+        return
+    assert (_quadratic(rhs, weight, cap, p2, p1)[1] == 0.0) >= linear
+    if corr.psi(cap - 1.0 / (1.0 + rhs), tip) > 0.0:
+        _assert_quadratic_matches_search(rhs, weight, cap, p2, p1)
 
 
 def test_wilson_root_without_a_real_root_raises_and_is_nan_on_a_grid():
     # qb = 0 with qa > 0 (here at an inactive input: active ones reach it only by
     # rounding) makes q = 0, where the search finds no root and neither kernel
     # divides by it
-    rhs, weight, a_c = 0.5, 2.0, 0.75
-    assert _wilson_quadratic(rhs, weight, a_c)[-1] == 0.0
-    _assert_wilson_matches_search(rhs, weight, a_c)
+    rhs, weight, cap = 0.5, 2.0, 0.25
+    assert _quadratic(rhs, weight, cap, 1.0, 0.0)[-1] == 0.0
+    _assert_quadratic_matches_search(rhs, weight, cap, 1.0, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert np.isnan(model._wilson_nu_grid(np.array([rhs]), np.array([weight]), a_c)).all()
+        assert np.isnan(model._quadratic_nu_grid(np.array([rhs]), np.array([weight]), cap,
+                                                 1.0, 0.0)).all()
 
 
 def test_wilson_axial_root_where_the_quadratic_is_linear():
@@ -605,24 +671,54 @@ def test_wilson_axial_root_where_the_quadratic_is_linear():
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(a_c=_WILSON_A_C,
-       draws=st.lists(st.tuples(st.floats(0.0, 1e3), _WILSON_WEIGHT), min_size=1, max_size=40))
-def test_wilson_grid_root_is_the_search_result_bit_for_bit(a_c, draws):
-    active = [(_active_rhs(a_c, u), weight) for u, weight in draws]
-    rhs, weight = np.array([pair for pair in active if pair[0] is not None]).reshape(-1, 2).T
+@given(law=st.sampled_from(_QUADRATIC_LAWS), a_c=_QUADRATIC_A_C,
+       draws=st.lists(st.tuples(st.floats(0.0, 1e3), _QUADRATIC_WEIGHT, _TIP_FACTOR),
+                      min_size=1, max_size=40))
+def test_quadratic_grid_root_is_the_search_result_bit_for_bit(law, a_c, draws):
+    corr = CorrectionSpec(law[0], a_c=a_c, strict_lemma_mode=law[1])
+    cap = 1.0 - a_c
+    kept = [(rhs, weight, tip) for rhs, weight, tip in
+            ((_active_rhs(a_c, u), weight, tip) for u, weight, tip in draws)
+            if rhs is not None and corr.psi(cap - 1.0 / (1.0 + rhs), tip) > 0.0]
+    rhs, weight, tip = np.array(kept).reshape(-1, 3).T
+    p2, p1 = corr._quadratic(tip)[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        nu = model._wilson_nu_grid(rhs, weight, a_c)
-        expected = _wilson_search_grid(rhs, weight, a_c)
+        nu = model._quadratic_nu_grid(rhs, weight, cap, p2, p1)
+        expected = _quadratic_search_grid(rhs, weight, cap, p2, p1)
     assert (np.isnan(nu) == np.isnan(expected)).all()
     assert nu[~np.isnan(nu)].tobytes() == expected[~np.isnan(expected)].tobytes()
-    nu0, cap = 1.0 / (1.0 + rhs), 1.0 - a_c
-    kept = nu[~np.isnan(nu)]
-    assert ((nu0[~np.isnan(nu)] * (1.0 - 1e-9) <= kept) & (kept <= cap * (1.0 + 1e-9))).all()
+    nu0 = 1.0 / (1.0 + rhs)
+    found = nu[~np.isnan(nu)]
+    assert ((nu0[~np.isnan(nu)] * (1.0 - 1e-9) <= found) & (found <= cap * (1.0 + 1e-9))).all()
     for k in range(rhs.size):  # the scalar kernel's bits, or its error
+        args = rhs[k], weight[k], cap, *corr._quadratic(tip[k])[:2]
         try:
-            assert model._wilson_nu(rhs[k], weight[k], a_c).hex() == nu[k].hex()
+            assert model._quadratic_nu(*args).hex() == nu[k].hex()
         except DomainError:
             assert np.isnan(nu[k])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(a_c=_QUADRATIC_A_C, u=st.floats(0.0, 1e3), weight=_QUADRATIC_WEIGHT,
+       share=st.floats(0.01, 0.999))
+def test_a_quadratic_with_qc_at_most_zero_never_reaches_the_closed_form(a_c, u, weight, share):
+    # qc = w psi(cap) <= 0 only for Glauert empirical without strict_lemma_mode,
+    # with F (1 + a_c) <= 0.286.  psi/x = p2 x + p1 rises with x, so psi(cap - nu0)
+    # <= 0 there too, and the guard in front of the closed form refuses the input
+    # (or returns nu0 where psi is 0) in both kernels
+    corr = CorrectionSpec("glauert_empirical", a_c=a_c, strict_lemma_mode=False)
+    tip, rhs = share * 0.286 / (1.0 + a_c), _active_rhs(a_c, u)
+    cap = 1.0 - a_c
+    if rhs is None:
+        return
+    assert _quadratic(rhs, weight, cap, *corr._quadratic(tip)[:2])[3] <= 0.0
+    grid = model._axial_nu_grid(np.array([rhs]), np.array([weight]), corr, tip)[0]
+    try:
+        nu = model._axial_nu(rhs, weight, corr, tip)
+    except DomainError as exc:
+        assert "lost monotonicity" in str(exc) and np.isnan(grid)
+        return
+    assert nu == 1.0 / (1.0 + rhs) == grid
 
 
 @pytest.mark.parametrize("variant", ["none", "glauert3", "glauert_empirical", "buhl",
@@ -923,7 +1019,7 @@ def test_residual_grid_of_an_all_invalid_batch_is_all_nan(variant, tip, linear_p
     assert got.shape == grids.shape and np.isnan(got).all()
 
 
-@pytest.mark.parametrize("variant", ["glauert3", "glauert_empirical", "buhl"])
+@pytest.mark.parametrize("variant", ["glauert3"])  # every other law is read off a quadratic
 def test_axial_newton_out_of_steps_is_a_domain_error(monkeypatch, linear_polar, variant):
     geom = make_geom(gamma=0.05, chord=0.6)
     corr = CorrectionSpec(variant=variant, tip_loss=False)

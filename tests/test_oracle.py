@@ -41,7 +41,7 @@ import pytest
 from glauert_bem import (BemError, CorrectionSpec, DomainError, ElementGeometry,
                          assemble_adjoint, load_polar, scan_roots, solve_element,
                          synthetic_polar)
-from glauert_bem.model import _evaluation, _slope
+from glauert_bem.model import _axial_nu, _evaluation, _slope
 from glauert_bem.solvers import _scan_domain
 
 from conftest import rng
@@ -433,3 +433,85 @@ def test_residual_slope_agrees_with_the_50_digit_oracle(kind, variant, tip):
     for p in [phi, *_kink(geom, polar, corr)]:
         worst = max(worst, _check_slope(geom, polar, corr, p))
     assert worst <= 1.0
+
+
+def _balance_check(terms, nu):
+    """(error / bound, root) of the package's ``nu`` on an axial balance whose
+    terms at v are ``terms(v)`` (an mpmath row summing to the balance), with the
+    balance's root at 50 digits.  The bound is the effect of a backward error of
+    ``ULPS`` units on every term through the balance's slope in nu; the root is
+    found by the secant method from nu (the balance is monotone in nu)."""
+    with mp.workdps(DIGITS):
+        def balance(v):
+            return mp.fsum(terms(v))
+
+        x = mp.mpf(nu)
+        found = mpmath.findroot(balance, (x, x * (1 + mp.mpf(1e-8))))
+        bound = ULPS * UNIT * mp.fsum(abs(t) for t in terms(found)) / abs(
+            mpmath.diff(balance, found))
+        return float(abs(x - found) / bound), found
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_small_angle_axial_map_agrees_with_the_50_digit_oracle(variant):
+    # criterion 05's element, with drag and drag-free, where nu = 1 - tau(phi) ~ c_D
+    # phi^1.5 or c phi as a -> 1: down to the criterion's phi = 1e-6 and below, to
+    # 1e-10, which the package evaluates at its clamp PHI_EPS = 1e-9
+    geom = ElementGeometry(lam=1.75, r=1.0, gamma=0.0, chord=1.0)
+    corr = CorrectionSpec(variant=variant)
+    worst = 0.0
+    for cd0 in (0.0, 0.3):
+        polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=cd0, beta=0.4)
+        for phi in (1e-4, 1e-6, 1e-7, 1e-8, 1e-10):
+            ev = _evaluation(geom, polar, corr, phi, lift=False)
+            active = variant != "none" and (1.0 - ev.nu) - corr.a_c > 0.0
+            assert active == (variant != "none")  # a -> 1: every correction is active
+            worst = max(worst, _balance_check(
+                lambda v: _scalar_terms(geom, polar, corr, mp.mpf(ev.phi), v, active)[1],
+                ev.nu)[0])
+    assert worst <= 1.0
+
+
+def _axial_terms(corr, rhs, weight, tip):
+    """The terms of the axial balance (1 - nu)/nu - rhs + w psi(1 - a_c - nu)/nu^2, each
+    variant's psi written out in :func:`_psi`."""
+    rhs, weight, tip, a_c = (mp.mpf(v) for v in (rhs, weight, tip, corr.a_c))
+    return lambda v: [(1 - v) / v, -rhs, weight * _psi(corr, 1 - a_c - v, tip) / v ** 2]
+
+
+@pytest.mark.parametrize("variant, strict", [("wilson_spera", True), ("buhl", True),
+                                             ("glauert_empirical", True),
+                                             ("glauert_empirical", False)],
+                         ids=["wilson_spera", "buhl", "empirical_strict", "empirical_loose"])
+def test_quadratic_axial_roots_agree_with_the_50_digit_oracle(variant, strict):
+    # every law but glauert3's is read off its quadratic: the root, polished by one
+    # Newton step, lies within 4 ulp of the balance's root and within the effect of
+    # ULPS units on each term; the active rhs run from 1e-12 to 1e3 relative above
+    # the threshold, and include three on which a Newton iteration gave up and
+    # three where the polishing step must be cut to [nu0, 1 - a_c]
+    corr = CorrectionSpec(variant=variant, strict_lemma_mode=strict)
+    gen = rng(7200 + VARIANTS.index(variant) + strict)
+    inputs = [(corr.a_c / (1.0 - corr.a_c) * (1.0 + 10.0 ** gen.uniform(-12.0, 3.0)),
+               float(gen.uniform(1e-6, 1.0)), float(gen.uniform(0.01, 1.0)))
+              for _ in range(60)]
+    if variant == "buhl":  # near the threshold under a small F, close to a double root
+        inputs += [(0.6666666667904956, 0.5648375809135454, 0.027438399155354034),
+                   (0.6666666666697055, 0.981442909691858, 0.044539167287091536),
+                   (0.6666666667197371, 0.9879193773312339, 0.04092477125256923)]
+    if variant == "glauert_empirical":
+        inputs += [(74.24912383311747, 4.5654898899374325, 0.2064265931530092),
+                   (161.3406902461565, 0.9679821267038039, 0.21327869599335636),
+                   (356.8804362113973, 0.6078501680587562, 0.7045488815968293)]
+    checked, worst, worst_ulp = 0, 0.0, 0.0
+    for rhs, weight, tip in inputs:
+        try:
+            nu = _axial_nu(rhs, weight, corr, tip)
+        except DomainError:  # Glauert empirical's psi < 0 at nu0
+            continue
+        ratio, root = _balance_check(_axial_terms(corr, rhs, weight, tip), nu)
+        worst = max(worst, ratio)
+        worst_ulp = max(worst_ulp, float(abs(nu - root)) / math.ulp(float(root)))
+        checked += 1
+    assert checked >= 40
+    assert worst <= 1.0
+    assert worst_ulp <= 4.0

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -266,8 +266,9 @@ def test_bisection_same_sign_bracket_aborts(linear_polar):
 
 def test_bracket_defaults_to_theta_and_an_empty_one_is_a_wrong_initial_guess(linear_polar):
     geom = make_geom(gamma=0.05)
-    assert SolveOptions().bracket(geom) == (1e-4, geom.theta)
-    assert SolveOptions(bracket_lo=0.2, bracket_hi=0.3).bracket(geom) == (0.2, 0.3)
+    assert SolveOptions().bracket(geom, linear_polar, wilson()) == (1e-4, geom.theta)
+    assert SolveOptions(bracket_lo=0.2, bracket_hi=0.3).bracket(geom, linear_polar,
+                                                            wilson()) == (0.2, 0.3)
     opts = SolveOptions(bracket_lo=geom.theta + 0.01)  # no bracket_hi: (lo, theta) is empty
     for solve in (solve_newton, solve_bisection):
         with pytest.raises(BracketError, match="wrong initial guess: empty bracket"):
@@ -737,6 +738,67 @@ def test_max_I_plus_one_ulp_past_the_polar_steps_inside():
     with pytest.raises(BracketError) as info:  # two psi-free roots: no sign change
         bracket_via_psi0(geom, polar, corr)
     assert "undefined" not in str(info.value)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@pytest.mark.parametrize("variant", ["glauert3", "none"])
+def test_default_start_is_max_I_plus_where_theta_lies_beyond_the_polar(method, variant):
+    # on this element theta - gamma lies beyond the polar's alpha_max, where cl is
+    # undefined: every solver starts at the right end of the scan domain instead
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01)
+    geom = ElementGeometry(lam=0.276297, r=0.5, gamma=-0.097217, chord=0.1,
+                           blade_count=3, tip_radius=1.0)
+    corr = CorrectionSpec(variant)
+    assert geom.theta - geom.gamma > polar.alpha_max
+    assert solvers._start(geom, polar, corr) == _scan_domain(geom, polar, corr)[1]
+    if (method, variant) == ("bisect", "none"):
+        # the plain model has two roots there, 0.0040 and 1.1023: no sign change
+        with pytest.raises(BracketError, match="same sign at both ends"):
+            solve_bisection(geom, polar, corr)
+        return
+    report = METHODS[method](geom, polar, corr)
+    assert report.converged and abs(report.phi_star - 1.1022894898) <= 1e-9
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True], ids=["no_tip", "tip"])
+@settings(max_examples=30, deadline=None, database=None)
+@given(stall=st.booleans(), span=st.floats(0.4, 1.2), slope=st.floats(3.0, 7.0),
+       lam=st.floats(0.05, 1.5), gamma=st.floats(-0.3, 0.3), chord=st.floats(0.02, 1.0),
+       r=st.floats(0.2, 0.95))
+@example(stall=False, span=1.2, slope=2 * math.pi, lam=0.276297, gamma=-0.097217,
+         chord=0.1, r=0.5)
+def test_default_start_is_evaluable_where_theta_lies_beyond_the_polar(
+        variant, tip, stall, span, slope, lam, gamma, chord, r):
+    polar = _interval_polar("stall" if stall else "linear", span, slope)
+    geom = ElementGeometry(lam=lam, r=r, gamma=gamma, chord=chord, blade_count=3,
+                           tip_radius=1.0)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    assume(geom.theta - gamma > polar.alpha_max)
+    start = solvers._start(geom, polar, corr)
+    try:
+        assert start == _scan_domain(geom, polar, corr)[1]
+    except ValidationError:  # an empty scan domain: theta stays the start
+        assert start == geom.theta
+        return
+    outside = "outside sampled range"
+    try:
+        residual(geom, polar, corr, start)
+    except DomainError as exc:  # the axial balance or F = 0 may still refuse it
+        assert outside not in str(exc)
+    # the usual procedure's and the fixed point's iterate 0, and the right end of
+    # Newton's and bisection's bracket
+    for method in ("usual", "fixed"):
+        try:
+            report = METHODS[method](geom, polar, corr, SolveOptions(max_iter=1))
+        except HypothesisError:  # rho_eps's hypothesis fails: no step is taken
+            continue
+        assert report.phi_history[0] == start
+    assert SolveOptions().bracket(geom, polar, corr)[1] == start
+    try:
+        solve_bisection(geom, polar, corr, SolveOptions(max_iter=1))
+    except BracketError as exc:
+        assert outside not in str(exc)
 
 
 def _interval_polar(kind, span, slope):

@@ -6,20 +6,27 @@ Prints one fenced block, a line per file and the total, for a Markdown
 summary:
 
     python tools/source_size.py src/glauert_bem/*.py
+
+With ``--base REV`` each line also gives the change against the git
+revision REV, whose source is read with ``git show REV:./path`` (a file
+missing there counts 0):
+
+    python tools/source_size.py --base main src/glauert_bem/*.py
 """
 
-import sys
+import argparse
+import io
+import subprocess
 import tokenize
 
 NOISE = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
          tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def code_lines(path):
-    """The number of code-only lines of the file at ``path``."""
-    with open(path, "rb") as handle:
-        toks = [tok for tok in tokenize.tokenize(handle.readline)
-                if tok.type not in (tokenize.COMMENT, tokenize.NL)]
+def code_lines(source):
+    """The number of code-only lines of the Python ``source`` (bytes)."""
+    toks = [tok for tok in tokenize.tokenize(io.BytesIO(source).readline)
+            if tok.type not in (tokenize.COMMENT, tokenize.NL)]
     lines = set()
     for k, tok in enumerate(toks):
         doc = (tok.type == tokenize.STRING and toks[k - 1].type in NOISE
@@ -29,16 +36,35 @@ def code_lines(path):
     return len(lines)
 
 
-def main(paths):
+def base_lines(rev, path):
+    """The code-only lines of ``path`` at the git revision ``rev``; 0 where it is missing."""
+    shown = subprocess.run(["git", "show", f"{rev}:./{path}"], capture_output=True)
+    return code_lines(shown.stdout) if shown.returncode == 0 else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Count code-only lines of Python files.")
+    parser.add_argument("--base", metavar="REV", help="also print the change against REV")
+    parser.add_argument("paths", nargs="+")
+    args = parser.parse_args(argv)
     print("```")
-    total = 0
-    for path in paths:
-        count = code_lines(path)
-        print(f"{count:5d} {path}")
+    total = old_total = 0
+    for path in args.paths:
+        with open(path, "rb") as handle:
+            count = code_lines(handle.read())
         total += count
-    print(f"{total:5d} code-only total")
+        if args.base is None:
+            print(f"{count:5d} {path}")
+            continue
+        old = base_lines(args.base, path)
+        old_total += old
+        print(f"{count:5d} {count - old:+5d} {path}")
+    if args.base is None:
+        print(f"{total:5d} code-only total")
+    else:
+        print(f"{total:5d} {total - old_total:+5d} code-only total, change against {args.base}")
     print("```")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
