@@ -351,12 +351,20 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
     The left side is strictly increasing in a, so the root is unique.  It
     is computed in nu-space to keep full precision as a approaches 1.
     Negative rhs down to -1 maps to the exact uncorrected branch (a < 0).
-    An active correction puts the root in [nu0, 1 - a_c], nu0 = 1/(1 + rhs).
-    Where psi is a quadratic (every law but glauert3's), the balance times
-    nu^2 is a quadratic in nu, whose root there is read off by the sign of
-    its stable q, with no search (:func:`_quadratic_nu`).  Glauert3's cubic
-    runs Newton (:func:`_newton_nu`) from nu0, where the balance in nu is
-    decreasing and convex.  Either result gets one polishing Newton step.
+    An active correction puts the root in [nu0, cap], nu0 = 1/(1 + rhs) and
+    cap = 1 - a_c, where the balance in nu is decreasing and convex.  So a
+    Newton step cut to [nu0, cap] needs no bracket, and one Newton loop
+    refines the root of every law; only its start depends on the law.
+    Glauert3's cubic starts at nu0, from where each step stays left of the
+    root and climbs towards it.  Every other psi is a quadratic, and the
+    loop starts at the root read off it (:func:`_quadratic_nu`), which one
+    step usually confirms; a second step is taken where the closed form is
+    more than about two ulp off, and moves its last bits.
+
+    A step is taken while |balance| does not rise.  The loop stops after a
+    step of at most about two ulp (``_NU_STEP_TOL``), after a tie in
+    |balance| (so at a zero balance, whose step is 0), or at a zero slope,
+    and raises :class:`DomainError` after ``_NU_MAX_STEPS`` steps.
     :func:`_axial_nu_grid` is the same computation on arrays.
     """
     if rhs <= -1.0:
@@ -389,58 +397,36 @@ def _axial_nu(rhs: float, weight: float, corr: CorrectionSpec, tip_factor: float
                  "under the current tip factor); use strict_lemma_mode")
         raise DomainError(f"axial balance lost monotonicity ({corr.variant} psi < 0 "
                           f"{cause} or another variant")
-    if corr.variant == "glauert3":
-        nu = _newton_nu(terms, nu0, cap)
-    else:
-        nu = _quadratic_nu(rhs, weight, cap, *corr._quadratic(tip_factor)[:2])
-    # one Newton step in nu tightens closed-form roots to machine accuracy.  Its
-    # step is cut to [nu0, cap], which holds the root: near a double root of the
-    # quadratic, or with the root within an ulp of an end, it may step past
+    nu = (nu0 if corr.variant == "glauert3" else
+          _quadratic_nu(rhs, weight, cap, *corr._quadratic(tip_factor)[:2]))
     value, slope = terms(nu)
-    if slope != 0.0:
-        candidate = nu - value / slope
-        candidate = nu0 if candidate < nu0 else cap if candidate > cap else candidate
-        if abs(terms(candidate)[0]) <= abs(value):
-            nu = candidate
-    return nu
+    mag = abs(value)
+    for _ in range(_NU_MAX_STEPS):
+        if slope == 0.0:  # a zero balance steps by 0 and stops on the tie
+            return nu
+        # cut to [nu0, cap], which holds the root: near a double root of the
+        # quadratic, or with the root within an ulp of an end, a step may pass it
+        new = nu - value / slope
+        new = nu0 if new < nu0 else cap if new > cap else new
+        value, slope = terms(new)
+        new_mag = abs(value)
+        if new_mag > mag:
+            return nu
+        if not (new_mag < mag and abs(new - nu) > _NU_STEP_TOL * new):
+            return new  # a tie in |balance|, or a step of at most about two ulp
+        nu, mag = new, new_mag
+    raise DomainError(f"axial Newton did not converge in {_NU_MAX_STEPS} steps")
 
 
-# Newton on glauert3's axial balance stops once a step moves nu by at most
-# about two ulp; from nu0 its convex balance needs fewer than ten steps.
+# The axial Newton loop stops once a step moves nu by at most about two ulp.
+# From a closed form it takes one step, or two or three on a few percent of
+# inputs.  From nu0, glauert3's convex balance takes up to about 15 steps on
+# rhs <= 1e3 and weights below 1, and more where nu0 lies far below the root:
+# with drag nu0 ~ phi^2 against a root ~ phi^1.5 as phi -> 0, and each early
+# step multiplies nu by only about 1.5, so criterion 05's element takes 26
+# steps at phi = PHI_EPS (6 drag-free, where the root is ~ phi).
 _NU_STEP_TOL = 4.4e-16
 _NU_MAX_STEPS = 100
-
-
-def _newton_nu(terms, nu0, cap):
-    """Newton on the axial balance from nu0, kept inside a shrinking bracket:
-    glauert3's, the one cubic psi, as every other law is read off its
-    quadratic (:func:`_quadratic_nu`).
-
-    ``terms(nu)`` is the balance, positive at nu0 (but for rounding where
-    psi there is below its last bit; Newton then stays at nu0) and negative
-    at cap, and its slope.  A step that would leave the bracket is replaced by its
-    midpoint; a step onto a bracket end is taken.  Raises
-    :class:`DomainError` if it has not converged after ``_NU_MAX_STEPS`` steps.
-    """
-    lo, hi, nu = nu0, cap, nu0
-    for _ in range(_NU_MAX_STEPS):
-        value, slope = terms(nu)
-        if value == 0.0:
-            break
-        if value > 0.0:
-            lo = nu
-        else:
-            hi = nu
-        new = nu - value / slope
-        if not lo <= new <= hi:
-            new = 0.5 * (lo + hi)
-        step = abs(new - nu)
-        nu = new
-        if step <= _NU_STEP_TOL * nu:
-            break
-    else:
-        raise DomainError(f"axial Newton did not converge in {_NU_MAX_STEPS} steps")
-    return nu
 
 
 def _quadratic_nu(rhs, weight, cap, p2, p1):
@@ -477,8 +463,8 @@ def _quadratic_nu(rhs, weight, cap, p2, p1):
 
 def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
     """:func:`_axial_nu` elementwise on arrays, NaN where it raises
-    :class:`DomainError`; the same guard, closed form or Newton iteration, and
-    polish."""
+    :class:`DomainError`: the same guard, start and Newton loop, whose later
+    passes step only the nodes still stepping."""
     with np.errstate(divide="ignore", invalid="ignore"):
         nu = np.where(rhs > -1.0, 1.0 / (1.0 + rhs), np.nan)
         if corr.variant == "none":
@@ -490,7 +476,7 @@ def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
         f = np.broadcast_to(tip_factor, nu.shape)[on]
         cap = 1.0 - corr.a_c
 
-        def terms(v):
+        def terms(v, rhs, weight, f):
             """The balance and its slope at v, as ``terms`` in _axial_nu."""
             x = cap - v
             psi, dpsi, _ = corr._law(x, f)
@@ -501,38 +487,30 @@ def _axial_nu_grid(rhs, weight, corr: CorrectionSpec, tip_factor):
 
         x = cap - nu0  # the sign of psi at nu0 decides, as in _axial_nu
         psi = np.where(x > 0.0, corr._law(x, f)[0], 0.0)
-        if corr.variant == "glauert3":
-            sol = _newton_nu_grid(terms, nu0, cap)
+        go = psi > 0.0
+        sol = np.where(go, nu0 if corr.variant == "glauert3" else
+                       _quadratic_nu_grid(rhs, weight, cap, *corr._quadratic(f)[:2]), nu0)
+        # the loop of _axial_nu on the nodes ``at`` still stepping, from sol
+        at, v = np.arange(sol.size), sol
+        value, slope = terms(v, rhs, weight, f)
+        for _ in range(_NU_MAX_STEPS):
+            go &= slope != 0.0  # as in _axial_nu
+            if not go.all():
+                if not go.any():
+                    break
+                at, v, value, slope, rhs, weight, f, nu0 = (
+                    u[go] for u in (at, v, value, slope, rhs, weight, f, nu0))
+            new = np.minimum(np.maximum(v - value / slope, nu0), cap)
+            new_value, slope = terms(new, rhs, weight, f)
+            mag, new_mag = np.abs(value), np.abs(new_value)
+            go = (new_mag < mag) & (np.abs(new - v) > _NU_STEP_TOL * new)
+            sol[at] = np.where(new_mag > mag, v, new)  # after go: v may be sol itself
+            v, value = new, new_value
         else:
-            sol = _quadratic_nu_grid(rhs, weight, cap, *corr._quadratic(f)[:2])
-        sol = np.where(psi == 0.0, nu0, sol)
+            sol[at[go]] = np.nan
         sol[psi < 0.0] = np.nan  # Glauert empirical's psi, where F (a + a_c) < 0.286
-        # the polishing step of _axial_nu; a no-op where the balance is 0
-        value, slope = terms(sol)
-        cand = np.clip(sol - value / slope, nu0, cap)
-        better = (slope != 0.0) & (np.abs(terms(cand)[0]) <= np.abs(value))
-        nu[on] = np.where(better, cand, sol)
+        nu[on] = sol
     return nu
-
-
-def _newton_nu_grid(terms, nu0, cap):
-    """:func:`_newton_nu` elementwise: each point stops on its own criterion,
-    and a point not converged after ``_NU_MAX_STEPS`` steps is NaN."""
-    lo, hi, nu = nu0, np.full_like(nu0, cap), nu0
-    live = np.ones(nu0.shape, dtype=bool)
-    for _ in range(_NU_MAX_STEPS):
-        value, slope = terms(nu)
-        live &= value != 0.0
-        lo = np.where(live & (value > 0.0), nu, lo)
-        hi = np.where(live & ~(value > 0.0), nu, hi)
-        new = nu - value / slope
-        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-        step = np.abs(new - nu)
-        nu = np.where(live, new, nu)
-        live &= ~(step <= _NU_STEP_TOL * nu)
-        if not live.any():
-            break
-    return np.where(live, np.nan, nu)
 
 
 def _quadratic_nu_grid(rhs, weight, cap, p2, p1):

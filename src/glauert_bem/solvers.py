@@ -560,39 +560,57 @@ def check_existence(geom: ElementGeometry, polar: PolarTable,
                     corr: CorrectionSpec) -> ExistenceReport:
     """Numeric margins for the solvability criteria of both model versions.
 
-    Both are evaluated at max I+, the right end of :func:`_interval`; where I+
-    has no end inside the polar, at ``phi_upper``, and the message says why not.
+    Each margin is evaluated at max I+, the right end of :func:`_interval`;
+    where I+ has no end inside the polar, at ``phi_upper``.  A criterion
+    holds where its margin is >= 0 and its function (mu_L - mu_G for the
+    simplified model, the residual for the corrected one) is <= 0 at min I+,
+    so that the function changes sign on I+: the intermediate value theorem
+    needs both ends.  Where min I+ does not give that sign, the criterion
+    does not hold, and the message says why, as it does where a margin
+    cannot be evaluated.
     """
     theta = geom.theta
     interval_margin = (polar.beta + geom.gamma) - (theta - math.pi / 2.0)
     interval_ok = interval_margin >= 0.0
     domain = _attempt(_interval, geom, polar)
-    hi = phi_upper(geom, polar) if isinstance(domain, BemError) else domain[1]
+    lo, hi = (None, phi_upper(geom, polar)) if isinstance(domain, BemError) else domain
     upper_is_theta = interval_ok and hi >= theta - 1e-12
-    message = ""
 
-    simplified_margin = math.nan
-    corrected_margin = math.nan
     if interval_ok and hi > 0.0:
-        try:
-            simplified_margin = (mu_L(geom, polar, hi) - mu_G(theta, hi))
-        except DomainError as exc:
-            message = f"simplified criterion not evaluable: {exc}"
-        try:
-            corrected_margin = residual(geom, polar, corr, hi)
-        except DomainError as exc:
-            message = (message + "; " if message else "") + \
-                f"corrected criterion not evaluable: {exc}"
+        simplified = _criterion("simplified", lo, hi,
+                                lambda phi: mu_L(geom, polar, phi) - mu_G(theta, phi))
+        corrected = _criterion("corrected", lo, hi, lambda phi: residual(geom, polar, corr, phi))
+        message = "; ".join(filter(None, [simplified[2], corrected[2]]))
     else:
+        simplified = corrected = (math.nan, False, "")
         message = "working interval empty"
-    simplified_ok = math.isfinite(simplified_margin) and simplified_margin >= 0.0
-    corrected_ok = math.isfinite(corrected_margin) and corrected_margin >= 0.0
     return ExistenceReport(interval_ok=interval_ok, interval_margin=interval_margin,
                            upper_is_theta=upper_is_theta,
-                           simplified_ok=simplified_ok,
-                           simplified_margin=simplified_margin,
-                           corrected_ok=corrected_ok,
-                           corrected_margin=corrected_margin, message=message)
+                           simplified_ok=simplified[1], simplified_margin=simplified[0],
+                           corrected_ok=corrected[1], corrected_margin=corrected[0],
+                           message=message)
+
+
+def _criterion(name, lo, hi, fn):
+    """(margin, ok, message) of one existence criterion of :func:`check_existence`:
+    the margin is ``fn(hi)``, and ok where it is 0, or > 0 with ``fn(lo)`` <= 0;
+    ``lo`` is None where I+ has no end inside the polar."""
+    try:
+        margin = fn(hi)
+    except DomainError as exc:
+        return math.nan, False, f"{name} criterion not evaluable: {exc}"
+    if not margin > 0.0:
+        return margin, margin == 0.0, ""
+    if lo is None:
+        return margin, False, f"{name} criterion undecided: I+ has no end inside the polar"
+    try:
+        low = fn(lo)
+    except DomainError as exc:
+        return margin, False, f"{name} criterion undecided at min I+: {exc}"
+    if not low <= 0.0:
+        return margin, False, (f"{name} criterion undecided: {low!r} at min I+ = {lo!r} has "
+                               "the sign of max I+, so no root is guaranteed")
+    return margin, True, ""
 
 
 def _h_map(lam, x):

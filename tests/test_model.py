@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,55 @@ def test_empirical_roots_where_a_newton_iteration_gave_up(strict, rhs, weight, t
     nu = model._axial_nu(rhs, weight, corr, tip)
     assert abs(nu - root) <= 4.0 * math.ulp(root)
     assert model._axial_nu_grid(np.array([rhs]), np.array([weight]), corr, tip)[0] == nu
+
+
+# One input per law whose last bits moved when one Newton loop came to refine every
+# axial root, with ``before``, the root of the earlier refinement (glauert3's bracketed
+# Newton, or one polishing step after the closed form of the other laws), and the
+# balance's root to 25 digits (a 50-digit bisection in mpmath, with psi's constants
+# the package's floats).  Wilson/Spera's needs a weight above 1 to move.
+@pytest.mark.parametrize("variant, strict, rhs, weight, tip, before, root", [
+    ("glauert3", True, 306.5721054246375, 0.5907517947941865, 1.0,
+     0.030993328426356, "0.03099332842635599184866031"),
+    ("buhl", True, 530.3754880831851, 0.24278890828550184, 1.0,
+     0.015690410182396884, "0.01569041018239688772008805"),
+    ("wilson_spera", True, 1.8669569343284607, 468.9240234583035, 1.0,
+     0.6334631414746008, "0.633463141474600700691279"),
+    ("glauert_empirical", True, 218.11932702680414, 0.7715791536464365, 0.20525279700157117,
+     0.03140816296953182, "0.03140816296953182774489712"),
+    ("glauert_empirical", False, 604.1223938703672, 0.8283172160318831, 1.0,
+     0.019243988180808698, "0.0192439881808086925170021"),
+], ids=["glauert3", "buhl", "wilson_spera", "empirical_strict", "empirical_loose"])
+def test_axial_roots_whose_last_bits_moved_are_no_farther_from_the_root(
+        variant, strict, rhs, weight, tip, before, root):
+    corr = CorrectionSpec(variant, strict_lemma_mode=strict)
+    nu = model._axial_nu(rhs, weight, corr, tip)
+    assert abs(Decimal(nu) - Decimal(root)) <= abs(Decimal(before) - Decimal(root))
+    assert model._axial_nu_grid(np.array([rhs]), np.array([weight]), corr, tip)[0] == nu
+
+
+@pytest.mark.parametrize("cd0", [0.0, 0.3], ids=["drag_free", "drag"])
+@pytest.mark.parametrize("tip", [False, True], ids=["no_tip", "tip"])
+def test_glauert3_axial_loop_ends_well_inside_its_cap_at_the_clamp(monkeypatch, cd0, tip):
+    # criterion 05's element at phi = PHI_EPS, where nu0 ~ phi^2 lies far below the
+    # root (~ phi^1.5 with drag, ~ phi drag-free) and each early Newton step from nu0
+    # multiplies nu by only about 1.5: the loop still ends within 30 steps (26 with
+    # drag, 6 drag-free), well inside its cap _NU_MAX_STEPS
+    polar = synthetic_polar("linear_lift", slope=2.0 * math.pi, cd0=cd0, beta=0.4)
+    geom = ElementGeometry(lam=1.75, r=1.0, gamma=0.0, chord=1.0,
+                           tip_radius=1.25 if tip else None)
+    corr = CorrectionSpec("glauert3", tip_loss=tip)
+    nu, cap = tau_nu(geom, polar, corr, PHI_EPS), model._NU_MAX_STEPS
+
+    def ends_within(steps):
+        monkeypatch.setattr(model, "_NU_MAX_STEPS", steps)
+        try:
+            return tau_nu(geom, polar, corr, PHI_EPS) == nu
+        except DomainError:
+            return False
+
+    steps = next(n for n in range(cap + 1) if ends_within(n))
+    assert steps <= 30 < cap
 
 
 @pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
@@ -1019,14 +1069,18 @@ def test_residual_grid_of_an_all_invalid_batch_is_all_nan(variant, tip, linear_p
     assert got.shape == grids.shape and np.isnan(got).all()
 
 
-@pytest.mark.parametrize("variant", ["glauert3"])  # every other law is read off a quadratic
-def test_axial_newton_out_of_steps_is_a_domain_error(monkeypatch, linear_polar, variant):
+# every law runs the one axial Newton loop under its cap: glauert3 cannot end in one
+# step from nu0, while a closed form ends in one, so the other laws get none
+@pytest.mark.parametrize("variant, steps", [("glauert3", 1), ("buhl", 0),
+                                            ("glauert_empirical", 0), ("wilson_spera", 0)],
+                         ids=["glauert3", "buhl", "glauert_empirical", "wilson_spera"])
+def test_axial_newton_out_of_steps_is_a_domain_error(monkeypatch, linear_polar, variant, steps):
     geom = make_geom(gamma=0.05, chord=0.6)
     corr = CorrectionSpec(variant=variant, tip_loss=False)
     phis = np.linspace(0.05, geom.theta, 40)
     active = [p for p in phis if 1.0 - tau_nu(geom, linear_polar, corr, p) > corr.a_c]
-    assert active  # the correction is active, so Newton runs
-    monkeypatch.setattr(model, "_NU_MAX_STEPS", 1)
+    assert active  # the correction is active, so the loop runs
+    monkeypatch.setattr(model, "_NU_MAX_STEPS", steps)
     for phi in active:
         with pytest.raises(DomainError, match="converge"):
             residual(geom, linear_polar, corr, phi)

@@ -41,7 +41,7 @@ import pytest
 from glauert_bem import (BemError, CorrectionSpec, DomainError, ElementGeometry,
                          assemble_adjoint, load_polar, scan_roots, solve_element,
                          synthetic_polar)
-from glauert_bem.model import _axial_nu, _evaluation, _slope
+from glauert_bem.model import PHI_EPS, _axial_nu, _evaluation, _slope, g_func
 from glauert_bem.solvers import _scan_domain
 
 from conftest import rng
@@ -479,21 +479,43 @@ def _axial_terms(corr, rhs, weight, tip):
     return lambda v: [(1 - v) / v, -rhs, weight * _psi(corr, 1 - a_c - v, tip) / v ** 2]
 
 
+def _check_axial_roots(corr, inputs):
+    """(inputs checked, worst error / bound, worst error in ulp) of ``_axial_nu`` at
+    each (rhs, weight, F) of ``inputs`` against the balance's 50-digit root;
+    inputs it refuses (Glauert empirical's psi < 0 at nu0) are skipped."""
+    checked, worst, worst_ulp = 0, 0.0, 0.0
+    for rhs, weight, tip in inputs:
+        try:
+            nu = _axial_nu(rhs, weight, corr, tip)
+        except DomainError:
+            continue
+        ratio, root = _balance_check(_axial_terms(corr, rhs, weight, tip), nu)
+        worst = max(worst, ratio)
+        worst_ulp = max(worst_ulp, float(abs(nu - root)) / math.ulp(float(root)))
+        checked += 1
+    return checked, worst, worst_ulp
+
+
+def _active_inputs(corr, seed, count=60):
+    """``count`` active (rhs, weight, F): rhs from 1e-12 to 1e3 relative above the
+    threshold a_c/(1 - a_c), weights below 1 and tip factors from 0.01 to 1."""
+    gen = rng(seed)
+    return [(corr.a_c / (1.0 - corr.a_c) * (1.0 + 10.0 ** gen.uniform(-12.0, 3.0)),
+             float(gen.uniform(1e-6, 1.0)), float(gen.uniform(0.01, 1.0)))
+            for _ in range(count)]
+
+
 @pytest.mark.parametrize("variant, strict", [("wilson_spera", True), ("buhl", True),
                                              ("glauert_empirical", True),
                                              ("glauert_empirical", False)],
                          ids=["wilson_spera", "buhl", "empirical_strict", "empirical_loose"])
 def test_quadratic_axial_roots_agree_with_the_50_digit_oracle(variant, strict):
-    # every law but glauert3's is read off its quadratic: the root, polished by one
-    # Newton step, lies within 4 ulp of the balance's root and within the effect of
-    # ULPS units on each term; the active rhs run from 1e-12 to 1e3 relative above
-    # the threshold, and include three on which a Newton iteration gave up and
-    # three where the polishing step must be cut to [nu0, 1 - a_c]
+    # every law but glauert3's starts the axial Newton loop at the root read off its
+    # quadratic: the result lies within 4 ulp of the balance's root and within the
+    # effect of ULPS units on each term.  The inputs include three on which a
+    # Newton iteration gave up and three where a step must be cut to [nu0, 1 - a_c]
     corr = CorrectionSpec(variant=variant, strict_lemma_mode=strict)
-    gen = rng(7200 + VARIANTS.index(variant) + strict)
-    inputs = [(corr.a_c / (1.0 - corr.a_c) * (1.0 + 10.0 ** gen.uniform(-12.0, 3.0)),
-               float(gen.uniform(1e-6, 1.0)), float(gen.uniform(0.01, 1.0)))
-              for _ in range(60)]
+    inputs = _active_inputs(corr, 7200 + VARIANTS.index(variant) + strict)
     if variant == "buhl":  # near the threshold under a small F, close to a double root
         inputs += [(0.6666666667904956, 0.5648375809135454, 0.027438399155354034),
                    (0.6666666666697055, 0.981442909691858, 0.044539167287091536),
@@ -502,16 +524,30 @@ def test_quadratic_axial_roots_agree_with_the_50_digit_oracle(variant, strict):
         inputs += [(74.24912383311747, 4.5654898899374325, 0.2064265931530092),
                    (161.3406902461565, 0.9679821267038039, 0.21327869599335636),
                    (356.8804362113973, 0.6078501680587562, 0.7045488815968293)]
-    checked, worst, worst_ulp = 0, 0.0, 0.0
-    for rhs, weight, tip in inputs:
-        try:
-            nu = _axial_nu(rhs, weight, corr, tip)
-        except DomainError:  # Glauert empirical's psi < 0 at nu0
-            continue
-        ratio, root = _balance_check(_axial_terms(corr, rhs, weight, tip), nu)
-        worst = max(worst, ratio)
-        worst_ulp = max(worst_ulp, float(abs(nu - root)) / math.ulp(float(root)))
-        checked += 1
+    checked, worst, worst_ulp = _check_axial_roots(corr, inputs)
     assert checked >= 40
     assert worst <= 1.0
     assert worst_ulp <= 4.0
+
+
+def test_glauert3_axial_roots_agree_with_the_50_digit_oracle():
+    # glauert3's cubic runs the same Newton loop from nu0: the result lies within 3
+    # ulp of the balance's root and within the effect of ULPS units on each term, on
+    # random inputs and on pinned ones: criterion 05's element at phi = 1e-6 and at
+    # the clamp PHI_EPS, with drag and drag-free (rhs up to 2e16, where nu0 lies far
+    # below the root), and one input whose last bit moved as the loop replaced a
+    # bracketed Newton and a polishing step
+    corr = CorrectionSpec(variant="glauert3")
+    inputs = _active_inputs(corr, 7200 + VARIANTS.index("glauert3"))
+    geom = ElementGeometry(lam=1.75, r=1.0, gamma=0.0, chord=1.0)
+    for cd0 in (0.0, 0.3):
+        polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=cd0, beta=0.4)
+        for phi in (1e-6, PHI_EPS):
+            inputs.append((g_func(geom, polar, corr, phi),
+                           math.sin(geom.theta) * math.sin(phi) / math.cos(geom.theta - phi),
+                           1.0))
+    inputs.append((306.5721054246375, 0.5907517947941865, 1.0))
+    checked, worst, worst_ulp = _check_axial_roots(corr, inputs)
+    assert checked == len(inputs)
+    assert worst <= 1.0
+    assert worst_ulp <= 3.0

@@ -532,6 +532,62 @@ def test_existence_criteria_that_cannot_be_evaluated_say_why(polar, geom, corr, 
     assert not report.simplified_ok
 
 
+def test_existence_without_a_sign_change_on_I_plus_is_not_a_pass():
+    # the plain model's residual stays positive on all of I+ here: both margins at
+    # max I+ are >= 0, but min I+ gives the same sign, so no root is guaranteed,
+    # neither criterion holds, and the scan finds no root
+    polar = synthetic_polar("linear_lift", slope=6.283185, cd0=0.01, beta=0.612104)
+    geom = ElementGeometry(lam=2.202581, r=0.576516, gamma=-0.070055, chord=0.176581,
+                           blade_count=3, tip_radius=1.0)
+    corr = CorrectionSpec("none")
+    report = check_existence(geom, polar, corr)
+    assert report.simplified_margin == report.corrected_margin == 0.11399517425614275
+    assert not report.simplified_ok and not report.corrected_ok
+    simplified, corrected = report.message.split("; ")
+    assert simplified.startswith("simplified criterion undecided: ")
+    assert corrected.startswith("corrected criterion undecided: ")
+    assert corrected.endswith("has the sign of max I+, so no root is guaranteed")
+    assert scan_roots(geom, polar, corr).records == []
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True], ids=["no_tip", "tip"])
+@settings(max_examples=25, deadline=None, database=None)
+@given(stall=st.booleans(), slope=st.floats(3.0, 7.0), beta=st.floats(0.2, 0.7),
+       lam=st.floats(0.5, 3.0), gamma=st.floats(-0.2, 0.3), chord=st.floats(0.02, 1.0),
+       r=st.floats(0.2, 0.95))
+@example(stall=False, slope=6.283185, beta=0.612104, lam=2.202581, gamma=-0.070055,
+         chord=0.176581, r=0.576516)
+def test_an_existence_pass_means_a_sign_change_on_I_plus(variant, tip, stall, slope, beta,
+                                                         lam, gamma, chord, r):
+    # a criterion that holds has a sign change of its function on I+, as the array
+    # kernels show on the 1000-node grid of I+; where the correction's scan covers
+    # I+ with the residual defined at every node, scan_roots finds a root
+    if stall:
+        polar = synthetic_polar("linear_lift_with_stall", slope=slope, alpha_s=0.3, drop=0.5,
+                                transition=0.05, cd0=0.012, cd2=0.1)
+    else:
+        polar = synthetic_polar("linear_lift", slope=slope, cd0=0.01, beta=beta)
+    geom = ElementGeometry(lam=lam, r=r, gamma=gamma, chord=chord, blade_count=3,
+                           tip_radius=1.0)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    report = check_existence(geom, polar, corr)
+    if not (report.simplified_ok or report.corrected_ok):
+        return
+    phis = grid_I_plus(geom, polar)
+    functions = []
+    if report.simplified_ok:
+        functions.append(0.25 * geom.solidity * polar.cl(phis - geom.gamma)
+                         - np.sin(phis) * np.tan(geom.theta - phis))
+    if report.corrected_ok:
+        functions.append(_residual_grid([geom], polar, corr, [phis])[0])
+    for values in functions:
+        values = values[~np.isnan(values)]
+        assert values.min() <= 0.0 <= values.max()
+    if report.corrected_ok and not corr.is_trivial and not np.isnan(functions[-1]).any():
+        assert scan_roots(geom, polar, corr).records
+
+
 def test_appendix_conditions_pass_and_fail():
     polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.0, beta=0.5)
     good = ElementGeometry(lam=1.0, r=1.0, gamma=0.35, chord=0.0628)
@@ -733,8 +789,12 @@ def test_max_I_plus_one_ulp_past_the_polar_steps_inside():
     for correction in (corr, trivial()):
         assert isinstance(solve_fixed_point(geom, polar, correction), solvers.SolveReport)
         assert fixed_point_rate_bound(geom, polar, correction).factor > 0.0
+    # the drag-free model has two roots on I+, so mu_L - mu_G has the sign of max I+
+    # at min I+ too, and its criterion is undecided rather than not evaluable
     report = check_existence(geom, polar, corr)
-    assert report.message == "" and report.simplified_ok and report.corrected_ok
+    assert report.corrected_ok and not report.simplified_ok
+    assert report.message.startswith("simplified criterion undecided: ")
+    assert "evaluable" not in report.message and report.simplified_margin > 0.0
     with pytest.raises(BracketError) as info:  # two psi-free roots: no sign change
         bracket_via_psi0(geom, polar, corr)
     assert "undefined" not in str(info.value)
