@@ -251,6 +251,8 @@ def cmd_check(cfg: RunConfig, out_path) -> int:
             lines.append(f"lambda={_fmt(lam)} {_verdict('design', False, None, geom)}")
             continue
         ex = check_existence(geom, cfg.polar, cfg.correction)
+        if ex.message:  # why a criterion is undecided or not evaluable
+            log.warning("lambda=%g: %s", lam, ex.message)
         lines.append(f"lambda={_fmt(lam)} " + " ".join([
             _verdict("interval", ex.interval_ok, "margin", ex.interval_margin),
             _verdict("existence_simplified", ex.simplified_ok, "margin", ex.simplified_margin),

@@ -164,11 +164,15 @@ def _objective_pieces(geom, polar, state):
     return alpha, cl, cd, dcl, dcd, cot, ratio, dratio
 
 
+def _density(state, pieces):
+    """J = F a'(1-a)(1 - (C_D/C_L) cot(phi)) from the state's :func:`_objective_pieces`."""
+    return state.tip_factor * state.a_prime * (1.0 - state.a) * (1.0 - pieces[6] * pieces[5])
+
+
 def J_lambda(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
              state: FlowState) -> float:
     """Element power density F a'(1-a)(1 - (C_D/C_L) cot(phi)) at a solved state."""
-    _, _, _, _, _, cot, ratio, _ = _objective_pieces(geom, polar, state)
-    return state.tip_factor * state.a_prime * (1.0 - state.a) * (1.0 - ratio * cot)
+    return _density(state, _objective_pieces(geom, polar, state))
 
 
 _SOLVE_NODES = 240  # the scan of solve_element, and of cp_sweep's elements
@@ -265,14 +269,23 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     balances.
 
     psi is differenced one-sidedly at a = a_c (derivative from below,
-    i.e. zero).
+    i.e. zero).  The system is stated once, in floats, by :func:`_adjoint`,
+    which the optimizer calls directly.
     """
+    rows, rhs, p, grad, sensitivity, scale = _adjoint(
+        geom, corr, state, _objective_pieces(geom, polar, state), lambda_max)
+    return AdjointState(p=np.array(p), M=np.array(rows), b=np.array(rhs), grad=np.array(grad),
+                        scale=scale, phi_sensitivity=sensitivity)
+
+
+def _adjoint(geom, corr, state, pieces, lambda_max):
+    """(rows of M, b, p, grad, phi_sensitivity, scale) of :func:`assemble_adjoint`
+    in Python floats, from the state's :func:`_objective_pieces`."""
     phi, a, ap = state.phi, state.a, state.a_prime
     lam = geom.lam
     s, c = math.sin(phi), math.cos(phi)
-    cot = c / s
     f, fp = _tip(geom, corr, phi)
-    _, cl, cd, dcl, dcd, _, ratio, dratio = _objective_pieces(geom, polar, state)
+    _, cl, cd, dcl, dcd, cot, ratio, dratio = pieces
     quarter = 0.25 * geom.solidity
     muL, muD = quarter * cl / f, quarter * cd / f
     dmuL = quarter * (dcl / f - cl * fp / (f * f))
@@ -311,7 +324,7 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
         raise AdjointError(f"adjoint matrix numerically singular (det={det:g})")
     p1 = (c01 * b0 + c11 * b1 + c21 * b2) / det
     p2 = (c02 * b0 + c12 * b1 + c22 * b2) / det
-    p = np.array([(c00 * b0 + c10 * b1 + c20 * b2) / det, p1, p2])
+    p = ((c00 * b0 + c10 * b1 + c20 * b2) / det, p1, p2)
     # J and the two balances differentiated in (gamma, chord) at fixed (phi, a, a');
     # the geometric relation does not involve the design
     dj = f * ap * nu * dratio * cot  # dJ/dgamma, unscaled; dJ/dchord is 0
@@ -322,12 +335,11 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
            -(per_f * cl * c + per_f * cd * s) / (geom.chord * s * s))
     dg3 = ((muL_a * s - muD_a * c) / (lam * s * s),
            -(per_f * cl * s - per_f * cd * c) / (geom.chord * lam * s * s))
-    grad = np.array([scale * dj - p1 * dg2[0] - p2 * dg3[0], -p1 * dg2[1] - p2 * dg3[1]])
+    grad = (scale * dj - p1 * dg2[0] - p2 * dg3[0], -p1 * dg2[1] - p2 * dg3[1])
     # forward response of the root: (dphi, da, da') = -C (0, dg2, dg3) / det
-    sensitivity = tuple(-(c01 * dg2[k] + c02 * dg3[k]) / det for k in (0, 1))
-    return AdjointState(p=p, M=np.array([[m00, m01, m02], [m10, m11, m12], [m20, 0.0, m22]]),
-                        b=np.array([b0, b1, b2]), grad=grad, scale=scale,
-                        phi_sensitivity=sensitivity)
+    sensitivity = (-(c01 * dg2[0] + c02 * dg3[0]) / det, -(c01 * dg2[1] + c02 * dg3[1]) / det)
+    return (((m00, m01, m02), (m10, m11, m12), (m20, 0.0, m22)), (b0, b1, b2), p, grad,
+            sensitivity, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +360,13 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
     without bound.  A trial solve follows the current root from the angle
     predicted by its first-order response to the step
     (``AdjointState.phi_sensitivity``).
-    The optimizer steps in Python floats: it takes the adjoint's gradient
-    with ``tolist`` and builds each trial geometry from the current one's
-    fields, so the trial solves run no numpy scalar arithmetic, and the
-    returned ``gamma``, ``chord``, ``phi_opt``, ``J``, ``grad_norm`` and
+    The optimizer steps in Python floats: it looks up each solved state's
+    polar terms once (:func:`_objective_pieces`), takes the state's J and,
+    once the step is accepted, its gradient and sensitivity from them
+    (:func:`_density` and :func:`_adjoint`), and builds each trial geometry
+    from the current one's fields.  So a step builds no numpy array, the
+    trial solves run no numpy scalar arithmetic, and the returned
+    ``gamma``, ``chord``, ``phi_opt``, ``J``, ``grad_norm`` and
     ``j_history`` are floats.
     Stops at ||grad|| <= tol, after ``max_steps`` trials, or when no
     acceptable step remains.  Returns the current point, the best seen;
@@ -364,9 +379,9 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
     if not state.a_prime > 0.0:
         raise DesignEvaluationError(f"a' = {state.a_prime:g} <= 0 at the start: "
                                     "no power extracted")
-    adj = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max)
-    scale, grad, sens = adj.scale, adj.grad.tolist(), adj.phi_sensitivity
-    j_history = [scale * J_lambda(geom, polar, corr, state)]
+    pieces = _objective_pieces(geom, polar, state)
+    _, _, _, grad, sens, scale = _adjoint(geom, corr, state, pieces, lambda_max)
+    j_history = [scale * _density(state, pieces)]
     kappa = step
     message = "max_steps reached"
     iterations = 0
@@ -384,8 +399,10 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
                                          tip_radius=geom.tip_radius)
             hint = state.phi + kappa * (sens[0] * grad[0] + sens[1] * grad[1])
             trial_state = solve_element(trial_geom, polar, corr, phi_hint=hint)
-            j_trial = (scale * J_lambda(trial_geom, polar, corr, trial_state)
-                       if trial_state.a_prime > 0.0 else None)
+            j_trial = None
+            if trial_state.a_prime > 0.0:
+                trial_pieces = _objective_pieces(trial_geom, polar, trial_state)
+                j_trial = scale * _density(trial_state, trial_pieces)
         except BemError:
             j_trial = None
         if j_trial is None or j_trial < j_history[-1]:
@@ -394,12 +411,11 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
                 message = "no acceptable ascent step"
                 break
             continue
-        geom, state = trial_geom, trial_state
+        geom, state, pieces = trial_geom, trial_state, trial_pieces
         j_history.append(j_trial)
         kappa = step  # backtracking restarts from the base step
         try:
-            adj = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max)
-            grad, sens = adj.grad.tolist(), adj.phi_sensitivity
+            _, _, _, grad, sens, _ = _adjoint(geom, corr, state, pieces, lambda_max)
         except (AdjointError, DesignEvaluationError) as exc:
             message = f"stopped: {exc}"
             grad = (math.nan, math.nan)

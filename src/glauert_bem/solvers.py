@@ -24,7 +24,8 @@ the stopping iterate's record.  The usual procedure counts its first
 iterate; the fixed point and Newton count steps from phi0; bisection
 counts midpoints.  Each algorithm's native error measure is kept in the
 report for diagnostics.  Non-convergence is reported, never raised;
-only malformed inputs raise.
+only malformed inputs raise, and the fixed point where its rho_eps cannot
+be formed (:class:`HypothesisError`).
 """
 
 from __future__ import annotations
@@ -403,9 +404,16 @@ def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: Correction
     correction and non-decreasing mu_L^c, mu_D^c, the iterates decrease
     monotonically to the largest root.  phi0 defaults to theta, or where
     theta's angle of attack lies beyond the polar to the right end of the
-    scan domain (:func:`_start`).
+    scan domain (:func:`_start`).  :class:`HypothesisError` is raised where
+    rho_eps cannot be formed: where its denominator is <= 0, and where I+
+    is empty, since rho_eps needs the supremum over I+ (the trivial
+    correction's scan domain, I, can be non-empty there).
     """
-    max_dmu_L = float(_mu_c_prime_grid(geom, polar, corr, grid_I_plus(geom, polar)).max())
+    try:
+        grid = grid_I_plus(geom, polar)
+    except ValidationError as exc:
+        raise HypothesisError(f"{exc}; rho_eps needs the supremum of mu_L^c' over I+") from None
+    max_dmu_L = float(_mu_c_prime_grid(geom, polar, corr, grid).max())
 
     def step(phi, ev):
         denom = (max(0.0, -mu_G_prime(geom.theta, phi)) + max_dmu_L

@@ -359,6 +359,37 @@ def test_check_reports_pass_lines(workdir, capsys):
     assert "interval PASS" in stdout
 
 
+def test_check_warns_why_an_existence_criterion_is_undecided(workdir, capsys):
+    # the element of tests/test_solvers.py's sign-change reproducer: both margins
+    # are positive at max I+, min I+ has the same sign, so both verdicts FAIL and
+    # the log says why; the output keeps its form
+    dump_polar(synthetic_polar("linear_lift", slope=6.283185, cd0=0.01, beta=0.612104),
+               workdir / "undecided.csv")
+    cfg = _write_cfg(workdir, base="""
+turbine.blade_count=3
+turbine.radius=1.0
+turbine.upstream_speed=0.576516
+turbine.rotation_speed=2.202581
+polar.path=undecided.csv
+polar.beta=0.612104
+correction.variant=none
+run.lambda=2.202581
+design.mode=fixed
+design.gamma=-0.070055
+design.chord=0.176581
+""", name="undecided.cfg")
+    assert main(["check", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == (
+        "lambda=2.202581 interval PASS (margin=1.6866593564039598) "
+        "existence_simplified FAIL (margin=0.11399517425614275) "
+        "existence_corrected FAIL (margin=0.11399517425614275) upper_is_theta=true")
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 1 and warnings[0].startswith("WARNING bem: lambda=2.20258: ")
+    assert "simplified criterion undecided" in warnings[0]
+    assert "corrected criterion undecided" in warnings[0]
+
+
 def test_config_errors_exit_2(workdir, capsys):
     bad = _write_cfg(workdir, "bogus.key=1\n", name="unknown.cfg")
     assert main(["solve", "--config", bad]) == 2

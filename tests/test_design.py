@@ -32,7 +32,8 @@ from glauert_bem import (
     solve_element,
     synthetic_polar,
 )
-from glauert_bem.design import _chosen_root, _newton_near, _objective_pieces, cp_integral
+from glauert_bem.design import (_adjoint, _chosen_root, _density, _newton_near,
+                                _objective_pieces, cp_integral)
 from glauert_bem.model import (CORRECTION_VARIANTS, _evaluation, _slope, mu_L, recover_induction,
                                residual)
 from glauert_bem.solvers import RootSet, _brentq, _scan_domain, classify_root, scan_roots
@@ -326,6 +327,41 @@ def test_cofactor_solve_matches_numpy(variant, tip, **element):
     # random elements); a flat bound fails where M is ill-conditioned
     bound = 16.0 * np.finfo(float).eps * np.linalg.cond(adj.M) * np.linalg.norm(want)
     assert np.linalg.norm(adj.p - want) <= bound
+
+
+def _bits(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@pytest.mark.parametrize("tip", [False, True])
+@settings(max_examples=25, deadline=None, database=None)
+@given(lambda_max=st.sampled_from([None, 3.0]), **_ELEMENTS)
+def test_optimizer_kernel_gives_the_bits_of_the_public_adjoint_and_J(variant, tip, lambda_max,
+                                                                     **element):
+    # the optimizer reads J, the gradient and the sensitivity from one lookup of
+    # the state's polar terms; assemble_adjoint and J_lambda give the same bits
+    geom, polar = _random_element(**element)
+    corr = CorrectionSpec(variant=variant, tip_loss=tip)
+    try:
+        state = solve_element(geom, polar, corr)
+        pieces = _objective_pieces(geom, polar, state)
+    except BemError:
+        return  # no root, or J undefined there
+    assert _density(state, pieces).hex() == J_lambda(geom, polar, corr, state).hex()
+    try:
+        adj = assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max)
+    except AdjointError as exc:
+        with pytest.raises(AdjointError) as info:
+            _adjoint(geom, corr, state, pieces, lambda_max)
+        assert str(info.value) == str(exc)
+        return
+    rows, rhs, p, grad, sens, scale = _adjoint(geom, corr, state, pieces, lambda_max)
+    assert _bits(rows) == _bits(adj.M) and _bits(rhs) == _bits(adj.b)
+    assert _bits(p) == _bits(adj.p) and _bits(grad) == _bits(adj.grad)
+    assert _bits(sens) == _bits(adj.phi_sensitivity) and scale.hex() == adj.scale.hex()
+    assert all(type(v) is float for v in (*rows[0], *rows[1], *rows[2], *rhs, *p, *grad,
+                                          *sens, scale))
 
 
 def test_singular_adjoint_matrix_raises(linear_polar):
@@ -633,9 +669,9 @@ def test_optimizer_returns_its_last_accepted_point(monkeypatch):
         calls.append(1)
         if len(calls) == 3:
             raise DesignEvaluationError("adjoint unavailable")
-        return assemble_adjoint(*args, **kwargs)
+        return _adjoint(*args, **kwargs)
 
-    monkeypatch.setattr(design, "assemble_adjoint", failing_third)
+    monkeypatch.setattr(design, "_adjoint", failing_third)
     result = optimize_element(geom, polar, corr, step=0.25, tol=2e-4, max_steps=400,
                               lambda_max=tb.lambda_max)
     assert result.message == "stopped: adjoint unavailable"
@@ -643,6 +679,30 @@ def test_optimizer_returns_its_last_accepted_point(monkeypatch):
     scale = 8.0 * 1.6 ** 3 / tb.lambda_max ** 2
     assert result.J == result.j_history[-1] / scale
     assert math.isnan(result.grad_norm)
+
+
+def test_optimizer_reads_each_solved_states_polar_terms_once(monkeypatch):
+    # the start and each trial with a' > 0 look up their polar terms once: an
+    # accepted trial's gradient comes from the lookup its J was taken from.  A
+    # base step of 435.6 from this start meets trials with a' <= 0, which are
+    # rejected without a lookup
+    polar, corr, geom = _design_polar(), trivial(), make_geom(gamma=0.05, chord=1.5)
+    lookups, solved = [], []
+
+    def counted(*args):
+        lookups.append(1)
+        return _objective_pieces(*args)
+
+    def recorded(geom, polar, corr, phi_hint=None):
+        state = solve_element(geom, polar, corr, phi_hint=phi_hint)
+        solved.append(state.a_prime > 0.0)
+        return state
+
+    monkeypatch.setattr(design, "_objective_pieces", counted)
+    monkeypatch.setattr(design, "solve_element", recorded)
+    result = optimize_element(geom, polar, corr, step=435.6)
+    assert result.converged and result.accepted_steps > 0
+    assert not all(solved) and len(lookups) == sum(solved)
 
 
 def test_optimizer_halves_a_step_that_takes_the_chord_below_zero(monkeypatch):

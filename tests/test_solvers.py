@@ -828,6 +828,8 @@ def test_default_start_is_max_I_plus_where_theta_lies_beyond_the_polar(method, v
        r=st.floats(0.2, 0.95))
 @example(stall=False, span=1.2, slope=2 * math.pi, lam=0.276297, gamma=-0.097217,
          chord=0.1, r=0.5)
+@example(stall=True, span=1.0, slope=3.0, lam=1.0, gamma=-0.29999999999999993, chord=1.0,
+         r=0.5)  # I is not empty, I+ is: see the test below
 def test_default_start_is_evaluable_where_theta_lies_beyond_the_polar(
         variant, tip, stall, span, slope, lam, gamma, chord, r):
     polar = _interval_polar("stall" if stall else "linear", span, slope)
@@ -859,6 +861,24 @@ def test_default_start_is_evaluable_where_theta_lies_beyond_the_polar(
         solve_bisection(geom, polar, corr, SolveOptions(max_iter=1))
     except BracketError as exc:
         assert outside not in str(exc)
+
+
+def test_fixed_point_raises_hypothesis_error_where_I_plus_is_empty():
+    # a falsifying example of the property above: the trivial correction's scan
+    # domain I is not empty, so every solver starts at its right end, but I+ is
+    # empty, and rho_eps needs the supremum of mu_L^c' over I+
+    polar = synthetic_polar("linear_lift_with_stall", slope=3.0, alpha_s=0.3, drop=0.5,
+                            transition=0.05, cd0=0.012, cd2=0.1, span=1.0)
+    geom = ElementGeometry(lam=1.0, r=0.5, gamma=-0.29999999999999993, chord=1.0,
+                           blade_count=3, tip_radius=1.0)
+    corr = CorrectionSpec("none")
+    assert solvers._start(geom, polar, corr) == _scan_domain(geom, polar, corr)[1]
+    with pytest.raises(ValidationError, match="I\\+ is empty"):
+        grid_I_plus(geom, polar)
+    with pytest.raises(HypothesisError) as info:
+        solve_fixed_point(geom, polar, corr, SolveOptions(max_iter=1))
+    assert str(info.value) == ("working interval I+ is empty for this element; "
+                               "rho_eps needs the supremum of mu_L^c' over I+")
 
 
 def _interval_polar(kind, span, slope):
