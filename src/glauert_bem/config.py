@@ -13,7 +13,9 @@ Example::
     design.mode=simplified
     output.path=out.csv
 
-Unknown keys are rejected.  A turbine, polar, correction or solver key
+Unknown keys are rejected.  The turbine, correction and solver keys are
+the fields of TurbineConfig, CorrectionSpec and SolveOptions, read off
+the classes (:func:`_fields`).  A turbine, polar, correction or solver key
 left out takes the default of the object it configures, after the
 reference protocol (tol=1e-10, epsilon=1, bracket (1e-4, theta),
 per-variant a_c); the run keys' defaults and range checks live here.
@@ -22,7 +24,7 @@ per-variant a_c); the run keys' defaults and range checks live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -56,29 +58,25 @@ _CONVERT = {"int": (int, "an integer"), "float": (_number, "a number"),
 # key -> (converter tag, default); REQUIRED: no default; OWN: a key of an object's
 # section, passed only where the file sets it, so the object's own default applies
 _REQUIRED, _OWN = object(), object()
+
+
+def _fields(section, cls):
+    """The schema entries of a dataclass's fields: key ``section.field``, the
+    annotation as converter tag (Optional[float] read as float), REQUIRED where
+    the field has no default and OWN otherwise."""
+    return {f"{section}.{f.name}": (f.type.replace("Optional[float]", "float"),
+                                    _REQUIRED if f.default is MISSING else _OWN)
+            for f in fields(cls)}
+
+
 _SCHEMA = {
-    "turbine.blade_count": ("int", _OWN),
-    "turbine.radius": ("float", _REQUIRED),
-    "turbine.fluid_density": ("float", _OWN),
-    "turbine.upstream_speed": ("float", _REQUIRED),
-    "turbine.rotation_speed": ("float", _REQUIRED),
-    "turbine.lambda_min": ("float", _OWN),
-    "turbine.lambda_max": ("float", _OWN),
+    **_fields("turbine", TurbineConfig),
     "polar.path": ("str", _REQUIRED),
     "polar.beta": ("float", _OWN),
     "polar.alpha_s": ("float", _OWN),
     "polar.clamp_cl": ("bool", _OWN),
-    "correction.variant": ("str", _OWN),
-    "correction.a_c": ("float", _OWN),
-    "correction.tip_loss": ("bool", _OWN),
-    "correction.strict_lemma_mode": ("bool", _OWN),
-    "solver.tol": ("float", _OWN),
-    "solver.max_iter": ("int", _OWN),
-    "solver.epsilon": ("float", _OWN),
-    "solver.phi0": ("float", _OWN),
-    "solver.bracket_lo": ("float", _OWN),
-    "solver.bracket_hi": ("float", _OWN),
-    "solver.phi_tol": ("float", _OWN),
+    **_fields("correction", CorrectionSpec),
+    **_fields("solver", SolveOptions),
     "run.lambda": ("float", None),
     "run.lambda_count": ("int", None),
     "design.mode": ("str", "simplified"),
@@ -130,14 +128,10 @@ def _read_pairs(path):
     return values
 
 
-# keys that configure no object of their section: the polar file's location
-_NOT_KEYWORDS = ("polar.path",)
-
-
 def _section(cfg, name):
     """Keyword arguments from the keys of one schema section: the name after the dot."""
     return {key.partition(".")[2]: value for key, value in cfg.items()
-            if key.startswith(name + ".") and key not in _NOT_KEYWORDS}
+            if key.startswith(name + ".")}
 
 
 def parse_config(path) -> RunConfig:
@@ -157,7 +151,8 @@ def parse_config(path) -> RunConfig:
             cfg[key] = default
 
     base = Path(path).parent
-    polar_path = base / cfg["polar.path"]  # an absolute path replaces base
+    # the polar file's location is no keyword of load_polar
+    polar_path = base / cfg.pop("polar.path")  # an absolute path replaces base
     if not polar_path.exists():
         raise ConfigError(f"polar file not found: {polar_path}")
 

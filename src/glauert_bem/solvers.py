@@ -409,25 +409,38 @@ def solve_fixed_point(geom: ElementGeometry, polar: PolarTable, corr: Correction
     is empty, since rho_eps needs the supremum over I+ (the trivial
     correction's scan domain, I, can be non-empty there).
     """
-    try:
-        grid = grid_I_plus(geom, polar)
-    except ValidationError as exc:
-        raise HypothesisError(f"{exc}; rho_eps needs the supremum of mu_L^c' over I+") from None
-    max_dmu_L = float(_mu_c_prime_grid(geom, polar, corr, grid).max())
+    rho_eps = _rho_eps(geom, polar, corr, opts.epsilon)[0]
 
     def step(phi, ev):
-        denom = (max(0.0, -mu_G_prime(geom.theta, phi)) + max_dmu_L
-                 + (1.0 + math.tan(geom.theta) ** 2) * ev.mu_D_c)
-        if denom <= 0.0:
-            raise HypothesisError(
-                "rho_eps denominator <= 0: the non-decreasing mu_L^c/mu_D^c "
-                f"hypothesis fails at phi={phi:g} (max mu_L^c' = {max_dmu_L:g})")
-        rho = opts.epsilon / denom
-        phi_next = phi - rho * ev.value
+        phi_next = phi - rho_eps(phi, ev) * ev.value
         return phi_next, abs(phi_next - phi)
 
     return _iterate(geom, polar, corr, opts, step,
                     phi0=opts.phi0 if opts.phi0 is not None else _start(geom, polar, corr))
+
+
+def _rho_eps(geom, polar, corr, epsilon):
+    """The damped fixed point's coefficient as ``rho_eps(phi, ev)``, with the grid of
+    I+ (:func:`grid_I_plus`) and mu_L^c' on it, whose maximum stands in for the
+    supremum; :class:`HypothesisError` where I+ is empty or, at ``phi``, where the
+    denominator is <= 0.  ``ev`` is ``phi``'s record from ``model._evaluation``."""
+    try:
+        grid = grid_I_plus(geom, polar)
+    except ValidationError as exc:
+        raise HypothesisError(f"{exc}; rho_eps needs the supremum of mu_L^c' over I+") from None
+    dmu_L = _mu_c_prime_grid(geom, polar, corr, grid)
+    max_dmu_L = float(dmu_L.max())
+    sec2 = 1.0 + math.tan(geom.theta) ** 2
+
+    def rho_eps(phi, ev):
+        denom = max(0.0, -mu_G_prime(geom.theta, phi)) + max_dmu_L + sec2 * ev.mu_D_c
+        if denom <= 0.0:
+            raise HypothesisError(
+                "rho_eps denominator <= 0: the non-decreasing mu_L^c/mu_D^c "
+                f"hypothesis fails at phi={phi:g} (max mu_L^c' = {max_dmu_L:g})")
+        return epsilon / denom
+
+    return rho_eps, grid, dmu_L
 
 
 _STALL_STEPS = 50  # unbracketed Newton steps without a new least |residual|
@@ -551,14 +564,22 @@ def bracket_via_psi0(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     """Bracket the corrected solution using the psi = 0 subproblem.
 
     Solves the model with the high-induction correction switched off (tip
-    loss and drag kept); its root phi_0 has non-positive corrected
-    residual, so (phi_0, max I+] brackets a corrected root whenever the
-    existence criterion holds.  With variant 'none' the left end is
-    itself a root (degenerate bracket).
+    loss and drag kept) by bisection on [opts.bracket_lo, max I+]; its root
+    phi_0 has non-positive corrected residual, so (phi_0, max I+] brackets a
+    corrected root where the corrected residual at max I+ is >= 0.  This
+    needs the psi = 0 residual to change sign on [opts.bracket_lo, max I+],
+    which the existence criterion does not ensure: where it keeps its sign,
+    :class:`BracketError` names the psi = 0 subproblem, even where the
+    corrected model has a root.  With variant 'none' the left end is itself
+    a root (degenerate bracket).
     """
     base = replace(corr, variant="none", a_c=1.0)
     hi = _interval(geom, polar)[1]
-    phi0 = solve_bisection(geom, polar, base, replace(opts, bracket_hi=hi)).phi_star
+    try:
+        phi0 = solve_bisection(geom, polar, base, replace(opts, bracket_hi=hi)).phi_star
+    except BracketError as exc:
+        raise BracketError(f"psi=0 subproblem has no bracket on "
+                           f"[{opts.bracket_lo:g}, max I+ = {hi:g}]: {exc}") from None
     if corr.variant != "none" and phi0 >= hi - max(1e-9, 10.0 * opts.phi_tol):
         raise BracketError("empty bracket: psi=0 root sits at the right endpoint")
     return (phi0, hi)
@@ -664,26 +685,26 @@ def check_appendix_conditions(geom: ElementGeometry, polar: PolarTable) -> Appen
 
 def fixed_point_rate_bound(geom: ElementGeometry, polar: PolarTable,
                            corr: CorrectionSpec, epsilon: float = 1.0) -> RateBound:
-    """Geometric decay factor for the damped fixed point, when applicable.
+    """Geometric decay factor for the damped fixed point from phi^0 = max I+ (the
+    default start theta, where max I+ = theta), when applicable.
 
-    Applies when tan(theta) (1 + max mu_D^c') < min mu_L^c' over I+; the
-    bound is |phi^k - phi*| <= factor**k * initial from phi^0 = max I+ (the
-    default start theta, where max I+ = theta).
+    With the margin m = min mu_L^c' - tan(theta) (1 + max mu_D^c') over I+ and
+    rho = rho_eps(phi^0) of :func:`solve_fixed_point` at ``epsilon``, the factor
+    is 1 - rho m, and ``initial`` = rho |residual(phi^0)| / (1 - factor) bounds
+    |phi^0 - phi*| (inf where factor >= 1); then |phi^k - phi*| <= factor**k
+    initial.  It applies where m > 0 and the variant is 'none': the margin
+    leaves out psi's slope.  Grid extrema stand in for the exact ones, as in
+    ``solve_fixed_point``, whose :class:`HypothesisError` is raised here too.
     """
-    theta = geom.theta
-    grid = grid_I_plus(geom, polar)
-    dmu_L = _mu_c_prime_grid(geom, polar, corr, grid)
-    min_dmu_L, max_dmu_L = float(dmu_L.min()), float(dmu_L.max())
+    rho_eps, grid, dmu_L = _rho_eps(geom, polar, corr, epsilon)
     max_dmu_D = float(_mu_c_prime_grid(geom, polar, corr, grid, lift=False).max())
-    lhs = math.tan(theta) * (1.0 + max_dmu_D)
-    applies = lhs < min_dmu_L
+    margin = float(dmu_L.min()) - math.tan(geom.theta) * (1.0 + max_dmu_D)
     ev = _evaluation(geom, polar, corr, float(grid[-1]))  # at the start, max I+
-    # rho_eps's denominator there; at theta, max(0, -mu_G') = sin(theta)
-    denom = (max(0.0, -mu_G_prime(theta, ev.phi)) + max_dmu_L
-             + (1.0 + math.tan(theta) ** 2) * ev.mu_D_c)
-    factor = 1.0 - (min_dmu_L - lhs) / denom
-    initial = abs(ev.phi - epsilon / denom * ev.value)
-    return RateBound(applies=applies, factor=factor, initial=initial)
+    rho = rho_eps(ev.phi, ev)
+    factor = 1.0 - rho * margin
+    initial = rho * abs(ev.value) / (1.0 - factor) if factor < 1.0 else math.inf
+    return RateBound(applies=corr.variant == "none" and margin > 0.0,
+                     factor=factor, initial=initial)
 
 
 def classify_root(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,

@@ -1,4 +1,5 @@
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from glauert_bem import (ConfigError, CorrectionSpec, SolveOptions, TurbineConfig,
                          synthetic_polar)
-from glauert_bem.config import _SCHEMA, parse_config
+from glauert_bem.config import _CONVERT, _REQUIRED, _SCHEMA, parse_config
 from glauert_bem.polar import dump_polar
 
 # every key but run.lambda_count (it excludes run.lambda), none at its default
@@ -88,6 +89,36 @@ def test_every_key_configures_its_object(workdir):
             cfg.design_tol, cfg.design_max_steps) == ("fixed", 0.1, 0.25, 0.05, 1e-5, 50)
     assert (cfg.sweep_grid_n, cfg.sweep_refine) == (7, True)
     assert cfg.output_path == str(workdir / "out.csv")
+
+
+def test_object_keys_are_read_off_the_fields_of_their_classes():
+    assert all(tag in _CONVERT for tag, _ in _SCHEMA.values())
+    assert {key for key, (_, default) in _SCHEMA.items() if default is _REQUIRED} == {
+        "turbine.radius", "turbine.upstream_speed", "turbine.rotation_speed", "polar.path"}
+    objects = {key: tag for key, (tag, _) in _SCHEMA.items()
+               if key.startswith(("turbine.", "correction.", "solver."))}
+    assert {key: tag for key, tag in objects.items() if tag != "float"} == {
+        "turbine.blade_count": "int", "correction.variant": "str",
+        "correction.tip_loss": "bool", "correction.strict_lemma_mode": "bool",
+        "solver.max_iter": "int"}
+    assert len(objects) == 18
+
+
+def _readme_config_keys():
+    """The keys that the first column of README's Configuration table names; a
+    ``/``-joined name such as ``turbine.lambda_min/max`` names both keys."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1].split("\n### ", 1)[0]
+    keys = set()
+    for row in re.findall(r"^\| (.+?) \|", section, re.MULTILINE):
+        for name in re.findall(r"`([^`]+)`", row):
+            first, *others = name.split("/")
+            keys |= {first} | {first.rpartition("_")[0] + "_" + other for other in others}
+    return keys
+
+
+def test_readme_names_every_config_key():
+    assert _readme_config_keys() == set(_SCHEMA)
 
 
 def test_lambda_count_spans_the_turbine_range(workdir):

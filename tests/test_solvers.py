@@ -155,6 +155,69 @@ def test_fixed_point_rate_bound_case():
         assert abs(phi - star) <= bound.factor ** k * bound.initial + 1e-12
 
 
+def test_fixed_point_rate_bound_factor_reads_epsilon():
+    # the element of test_fixed_point_rate_bound_case damped by epsilon = 0.05, where the
+    # undamped factor 0.885 failed at k = 7 (an error ratio of 0.962); the iterates are
+    # checked against the bound as an example of the property test below
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, beta=0.4)
+    geom = make_geom(lam=5.0, gamma=0.05, chord=2 * math.pi * 0.16 / 3)
+    bound = fixed_point_rate_bound(geom, polar, trivial(), epsilon=0.05)
+    undamped = fixed_point_rate_bound(geom, polar, trivial())
+    assert bound.applies and bound.factor > 0.99
+    assert 1.0 - bound.factor == pytest.approx(0.05 * (1.0 - undamped.factor), rel=1e-12)
+    assert bound.initial == pytest.approx(undamped.initial, rel=1e-12)
+
+
+def test_fixed_point_rate_bound_raises_the_fixed_points_hypothesis_error():
+    # constant lift and no drag: rho_eps's denominator is 0 at max I+ = beta
+    polar = synthetic_polar("constant", level=1.0, cd0=0.0, beta=0.05)
+    geom = ElementGeometry(lam=1.75, r=1.0, gamma=0.0, chord=0.1)
+    corr = CorrectionSpec()
+    with pytest.raises(HypothesisError, match="rho_eps denominator <= 0") as bound:
+        fixed_point_rate_bound(geom, polar, corr)
+    with pytest.raises(HypothesisError) as solve:
+        solve_fixed_point(geom, polar, corr, SolveOptions(phi0=phi_upper(geom, polar)))
+    assert str(bound.value) == str(solve.value)
+
+
+@pytest.mark.parametrize("variant", [v for v in CORRECTION_VARIANTS if v != "none"])
+def test_fixed_point_rate_bound_applies_to_the_plain_momentum_law_only(variant):
+    # the margin leaves out psi's slope, so a corrected law gets no rate
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, beta=0.4)
+    geom = make_geom(lam=5.0, gamma=0.05, chord=2 * math.pi * 0.16 / 3)
+    assert fixed_point_rate_bound(geom, polar, trivial()).applies
+    assert not fixed_point_rate_bound(geom, polar, CorrectionSpec(variant)).applies
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(slope=st.floats(2.0, 7.0), cd0=st.floats(0.0, 0.03), cd2=st.floats(0.0, 0.3),
+       beta=st.floats(0.15, 0.6), lam=st.floats(0.3, 8.0), gamma=st.floats(-0.1, 0.3),
+       chord=st.floats(0.02, 0.6), r=st.floats(0.3, 0.95), tip=st.booleans(),
+       epsilon=st.floats(0.0, 1.0, exclude_min=True))
+# |phi^0 - phi*| = 0.1434 > |phi^1| = 0.0920, which bounded it before
+@example(slope=5.1398, cd0=0.0139, cd2=0.003, beta=0.3081, lam=5.267, gamma=0.0171,
+         chord=0.3892, r=1.0, tip=False, epsilon=1.0)
+# test_fixed_point_rate_bound_factor_reads_epsilon's element
+@example(slope=2 * math.pi, cd0=0.01, cd2=0.0, beta=0.4, lam=5.0, gamma=0.05,
+         chord=2 * math.pi * 0.16 / 3, r=1.0, tip=False, epsilon=0.05)
+def test_fixed_point_iterates_keep_within_the_rate_bound(slope, cd0, cd2, beta, lam, gamma,
+                                                         chord, r, tip, epsilon):
+    polar = synthetic_polar("linear_lift", slope=slope, cd0=cd0, cd2=cd2, beta=beta)
+    geom = ElementGeometry(lam=lam, r=r, gamma=gamma, chord=chord, blade_count=3,
+                           tip_radius=1.0 if tip else None)
+    corr = CorrectionSpec("none", tip_loss=tip)
+    bound = fixed_point_rate_bound(geom, polar, corr, epsilon)
+    if not bound.applies:
+        return
+    top = float(grid_I_plus(geom, polar)[-1])  # the bound's start
+    report = solve_fixed_point(geom, polar, corr, SolveOptions(epsilon=epsilon, phi0=top))
+    if not report.converged:
+        return
+    star = report.phi_star
+    for k, phi in enumerate(report.phi_history):
+        assert abs(phi - star) <= bound.factor ** k * bound.initial + 1e-12, k
+
+
 def test_fixed_point_hypothesis_error_is_named():
     # constant lift: max mu_L' = 0; no drag; below the mu_G crest the
     # damping denominator vanishes
@@ -462,6 +525,21 @@ def test_bracket_psi0_brackets_the_corrected_root(linear_polar):
     report = solve_bisection(geom, linear_polar, corr,
                              SolveOptions(bracket_lo=lo, bracket_hi=hi))
     assert report.converged
+
+
+def test_bracket_psi0_names_the_psi0_subproblem_where_it_keeps_its_sign():
+    # the corrected existence criterion holds and the corrected model has a root,
+    # but the psi = 0 residual keeps its sign on [bracket_lo, max I+]
+    polar = synthetic_polar("linear_lift", slope=5.1179, cd0=0.0183, cd2=0.2297, beta=0.2638)
+    geom = ElementGeometry(lam=4.9046, r=1.0, gamma=-0.0445, chord=0.3781)
+    corr = CorrectionSpec("buhl")
+    assert check_existence(geom, polar, corr).corrected_ok
+    (root,) = scan_roots(geom, polar, corr).records
+    assert abs(root.phi - 0.030708547453376603) <= 1e-12
+    with pytest.raises(BracketError, match=r"^psi=0 subproblem has no bracket on "
+                       r"\[0\.0001, max I\+ = 0\.201133\]: wrong initial guess: "
+                       r"residual has the same sign at both ends"):
+        bracket_via_psi0(geom, polar, corr)
 
 
 def test_bracket_psi0_empty_bracket_error():
