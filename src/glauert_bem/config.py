@@ -14,22 +14,27 @@ Example::
     output.path=out.csv
 
 Unknown keys are rejected.  The turbine, correction and solver keys are
-the fields of TurbineConfig, CorrectionSpec and SolveOptions, read off
-the classes (:func:`_fields`).  A turbine, polar, correction or solver key
-left out takes the default of the object it configures, after the
-reference protocol (tol=1e-10, epsilon=1, bracket (1e-4, theta),
-per-variant a_c); the run keys' defaults and range checks live here.
+the fields of TurbineConfig, CorrectionSpec and SolveOptions, and the
+design, sweep and output keys the defaulted fields of RunConfig, all read
+off the classes.  Every default lives on the field it configures,
+RunConfig included (its ascent and grid defaults are those of
+optimize_element and cp_sweep): a key left out is not passed on, so it
+takes the default of its object (``load_polar``'s for the polar keys),
+after the reference protocol (tol=1e-10, epsilon=1, bracket (1e-4,
+theta), per-variant a_c).  The schema keeps only each key's converter tag
+and whether it is required; the run keys' range checks live here.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
+from .design import cp_sweep, optimize_element
 from .errors import BemError, ConfigError
 from .model import CorrectionSpec, TurbineConfig
 from .polar import PolarTable, _content_lines, load_polar
@@ -55,58 +60,56 @@ _CONVERT = {"int": (int, "an integer"), "float": (_number, "a number"),
             "str": (str, None)}
 
 
-# key -> (converter tag, default); REQUIRED: no default; OWN: a key of an object's
-# section, passed only where the file sets it, so the object's own default applies
-_REQUIRED, _OWN = object(), object()
-
-
-def _fields(section, cls):
-    """The schema entries of a dataclass's fields: key ``section.field``, the
-    annotation as converter tag (Optional[float] read as float), REQUIRED where
-    the field has no default and OWN otherwise."""
-    return {f"{section}.{f.name}": (f.type.replace("Optional[float]", "float"),
-                                    _REQUIRED if f.default is MISSING else _OWN)
-            for f in fields(cls)}
-
-
-_SCHEMA = {
-    **_fields("turbine", TurbineConfig),
-    "polar.path": ("str", _REQUIRED),
-    "polar.beta": ("float", _OWN),
-    "polar.alpha_s": ("float", _OWN),
-    "polar.clamp_cl": ("bool", _OWN),
-    **_fields("correction", CorrectionSpec),
-    **_fields("solver", SolveOptions),
-    "run.lambda": ("float", None),
-    "run.lambda_count": ("int", None),
-    "design.mode": ("str", "simplified"),
-    "design.gamma": ("float", None),
-    "design.chord": ("float", None),
-    "design.step": ("float", 1e-2),
-    "design.tol": ("float", 1e-6),
-    "design.max_steps": ("int", 10_000),
-    "sweep.grid_n": ("int", 50),
-    "sweep.refine": ("bool", False),
-    "output.path": ("str", None),
-}
+_OPT = inspect.signature(optimize_element).parameters
 
 
 @dataclass
 class RunConfig:
+    """A parsed run: the objects it configures, its lambdas, and the run's own
+    settings, whose fields with a default are the ``design.*``, ``sweep.*`` and
+    ``output.path`` keys (``design_step`` stands for ``design.step``).  The
+    ascent and grid defaults are those of optimize_element and cp_sweep."""
+
     turbine: TurbineConfig
     polar: PolarTable
     correction: CorrectionSpec
     solver: SolveOptions
     lambdas: list
-    design_mode: str
-    design_gamma: Optional[float]
-    design_chord: Optional[float]
-    design_step: float
-    design_tol: float
-    design_max_steps: int
-    sweep_grid_n: int
-    sweep_refine: bool
-    output_path: Optional[str]
+    design_mode: str = "simplified"
+    design_gamma: float = None
+    design_chord: float = None
+    design_step: float = _OPT["step"].default
+    design_tol: float = _OPT["tol"].default
+    design_max_steps: int = _OPT["max_steps"].default
+    sweep_grid_n: int = inspect.signature(cp_sweep).parameters["grid_n"].default
+    sweep_refine: bool = False
+    output_path: str = None
+
+
+def _fields(section, cls):
+    """The schema entries ``key -> (converter tag, required)`` of a dataclass's
+    fields: key ``section.field``, the annotation as converter tag (Optional[float]
+    read as float), required where the field has no default."""
+    return {f"{section}.{f.name}": (f.type.replace("Optional[float]", "float"),
+                                    f.default is MISSING)
+            for f in fields(cls)}
+
+
+# RunConfig's defaulted fields are the run's own keys, the first _ read as the dot
+_RUN = {f.name.replace("_", ".", 1): (f.type, False)
+        for f in fields(RunConfig) if f.default is not MISSING}
+_SCHEMA = {
+    **_fields("turbine", TurbineConfig),
+    "polar.path": ("str", True),
+    "polar.beta": ("float", False),
+    "polar.alpha_s": ("float", False),
+    "polar.clamp_cl": ("bool", False),
+    **_fields("correction", CorrectionSpec),
+    **_fields("solver", SolveOptions),
+    "run.lambda": ("float", False),
+    "run.lambda_count": ("int", False),
+    **_RUN,
+}
 
 
 def _read_pairs(path):
@@ -118,8 +121,7 @@ def _read_pairs(path):
     for lineno, line in _content_lines(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+        key, val = map(str.strip, line.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
@@ -138,17 +140,15 @@ def parse_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
     raw = _read_pairs(path)
     cfg = {}
-    for key, (kind, default) in _SCHEMA.items():
+    for key, (kind, required) in _SCHEMA.items():
         if key in raw:
             convert, expected = _CONVERT[kind]
             try:
                 cfg[key] = convert(raw[key])
             except (ValueError, KeyError):
                 raise ConfigError(f"{key}: expected {expected}, got {raw[key]!r}")
-        elif default is _REQUIRED:
+        elif required:
             raise ConfigError(f"missing required key {key!r}")
-        elif default is not _OWN:
-            cfg[key] = default
 
     base = Path(path).parent
     # the polar file's location is no keyword of load_polar
@@ -166,7 +166,7 @@ def parse_config(path) -> RunConfig:
     except OSError as exc:  # the polar path names a directory or an unreadable file
         raise ConfigError(f"cannot read polar file {polar_path}: {exc.strerror or exc}")
 
-    lam_single, lam_count = cfg["run.lambda"], cfg["run.lambda_count"]
+    lam_single, lam_count = cfg.get("run.lambda"), cfg.get("run.lambda_count")
     if lam_single is not None and lam_count is not None:
         raise ConfigError("give either run.lambda or run.lambda_count, not both")
     if lam_single is not None:
@@ -180,29 +180,23 @@ def parse_config(path) -> RunConfig:
     else:
         raise ConfigError("missing run.lambda or run.lambda_count")
 
-    mode = cfg["design.mode"]
-    if mode not in ("fixed", "simplified", "corrected"):
-        raise ConfigError(f"design.mode must be fixed|simplified|corrected, got {mode!r}")
-    if mode == "fixed" and (cfg["design.gamma"] is None or cfg["design.chord"] is None):
+    # output.path left out or empty: stdout; a relative one is taken from base
+    cfg["output.path"] = str(base / cfg["output.path"]) if cfg.get("output.path") else None
+    run = RunConfig(turbine, polar, correction, solver, lambdas,
+                    **{key.replace(".", "_"): cfg[key] for key in _RUN if key in cfg})
+    if run.design_mode not in ("fixed", "simplified", "corrected"):
+        raise ConfigError(f"design.mode must be fixed|simplified|corrected, got {run.design_mode!r}")
+    if run.design_mode == "fixed" and (run.design_gamma is None or run.design_chord is None):
         raise ConfigError("design.mode=fixed requires design.gamma and design.chord")
-    if cfg["design.chord"] is not None and not cfg["design.chord"] > 0.0:
+    if run.design_chord is not None and not run.design_chord > 0.0:
         raise ConfigError("design.chord must be positive")
-    if cfg["design.gamma"] is not None and not abs(cfg["design.gamma"]) < math.pi / 2.0:
+    if run.design_gamma is not None and not abs(run.design_gamma) < math.pi / 2.0:
         raise ConfigError("design.gamma must satisfy |gamma| < pi/2")
-    for key in ("design.step", "design.tol"):
-        if not cfg[key] > 0.0:
+    for key, value in (("design.step", run.design_step), ("design.tol", run.design_tol)):
+        if not value > 0.0:
             raise ConfigError(f"{key} must be positive")
-    if cfg["design.max_steps"] < 1:
+    if run.design_max_steps < 1:
         raise ConfigError("design.max_steps must be >= 1")
-    if cfg["sweep.grid_n"] < 2:
+    if run.sweep_grid_n < 2:
         raise ConfigError("sweep.grid_n must be >= 2")
-
-    return RunConfig(
-        turbine=turbine, polar=polar, correction=correction, solver=solver,
-        lambdas=lambdas, design_mode=mode,
-        design_gamma=cfg["design.gamma"], design_chord=cfg["design.chord"],
-        design_step=cfg["design.step"], design_tol=cfg["design.tol"],
-        design_max_steps=cfg["design.max_steps"],
-        sweep_grid_n=cfg["sweep.grid_n"], sweep_refine=cfg["sweep.refine"],
-        output_path=str(base / cfg["output.path"]) if cfg["output.path"] else None,
-    )
+    return run

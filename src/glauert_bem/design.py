@@ -371,9 +371,14 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
     Stops at ||grad|| <= tol, after ``max_steps`` trials, or when no
     acceptable step remains.  Returns the current point, the best seen;
     its ``grad_norm`` is nan if its adjoint solve failed.
+    Raises :class:`ValidationError` for a ``step`` that is not positive
+    and finite (NaN included) and for a negative or NaN ``tol``; ``tol=0``
+    runs until no step is acceptable or ``max_steps``.
     """
-    if step <= 0.0:
-        raise ValidationError("step must be positive")
+    if not 0.0 < step < math.inf:  # written so that NaN fails, as in ElementGeometry
+        raise ValidationError("step must be positive and finite")
+    if not tol >= 0.0:
+        raise ValidationError("tol must be >= 0")
     geom = geom0
     state = solve_element(geom, polar, corr)  # initial point must be solvable
     if not state.a_prime > 0.0:

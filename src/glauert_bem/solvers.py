@@ -79,7 +79,7 @@ class SolveOptions:
             raise ValidationError("phi0 and the bracket ends must be finite")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValidationError("epsilon must lie in (0, 1]")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:  # NaN fails
             raise ValidationError("max_iter must be >= 1")
         if self.bracket_hi is not None and not self.bracket_lo < self.bracket_hi:
             raise ValidationError("bracket endpoints must satisfy lo < hi")
@@ -302,7 +302,7 @@ def _iterate(geom, polar, corr, opts, step, phi0=None, fenced=True,
         if ev is not None and abs(ev.value) <= opts.tol:
             at_root = True
             break
-        if len(phi_hist) - uncounted == opts.max_iter:
+        if len(phi_hist) - uncounted >= opts.max_iter:  # a fractional cap rounds up
             message = "max_iter reached"
             break
         if ev is None and undefined is not None:

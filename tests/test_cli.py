@@ -491,7 +491,8 @@ _FUZZ_POLARS = st.one_of(
 @st.composite
 def _fuzz_config(draw):
     """A config's text, without ``polar.path``: every variant, tip loss and strict
-    mode on and off, the three design modes, few lambdas and a small sweep grid."""
+    mode on and off, the three design modes with small positive ascent settings,
+    few lambdas and a small sweep grid."""
     lam_min = draw(st.floats(0.5, 2.0))
     mode = draw(st.sampled_from(["simplified", "fixed", "corrected"]))
     lines = ["turbine.blade_count=3", "turbine.radius=1.1", "turbine.upstream_speed=1.0",
@@ -502,6 +503,8 @@ def _fuzz_config(draw):
              f"correction.tip_loss={draw(_FLAG)}",
              f"correction.strict_lemma_mode={draw(_FLAG)}",
              f"run.lambda_count={draw(st.integers(1, 3))}", f"design.mode={mode}",
+             f"design.step={draw(st.floats(1e-3, 0.5))!r}",
+             f"design.tol={draw(st.floats(1e-6, 1e-2))!r}",
              f"design.max_steps={draw(st.integers(1, 4))}",
              f"sweep.grid_n={draw(st.integers(2, 4))}", f"sweep.refine={draw(_FLAG)}"]
     if mode == "fixed":

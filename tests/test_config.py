@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import shutil
@@ -5,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from glauert_bem import (ConfigError, CorrectionSpec, SolveOptions, TurbineConfig,
-                         synthetic_polar)
-from glauert_bem.config import _CONVERT, _REQUIRED, _SCHEMA, parse_config
+from glauert_bem import (ConfigError, CorrectionSpec, SolveOptions, TurbineConfig, cp_sweep,
+                         optimize_element, synthetic_polar)
+from glauert_bem.config import _CONVERT, _SCHEMA, parse_config
 from glauert_bem.polar import dump_polar
 
 # every key but run.lambda_count (it excludes run.lambda), none at its default
@@ -93,7 +94,7 @@ def test_every_key_configures_its_object(workdir):
 
 def test_object_keys_are_read_off_the_fields_of_their_classes():
     assert all(tag in _CONVERT for tag, _ in _SCHEMA.values())
-    assert {key for key, (_, default) in _SCHEMA.items() if default is _REQUIRED} == {
+    assert {key for key, (_, required) in _SCHEMA.items() if required} == {
         "turbine.radius", "turbine.upstream_speed", "turbine.rotation_speed", "polar.path"}
     objects = {key: tag for key, (tag, _) in _SCHEMA.items()
                if key.startswith(("turbine.", "correction.", "solver."))}
@@ -102,6 +103,15 @@ def test_object_keys_are_read_off_the_fields_of_their_classes():
         "correction.tip_loss": "bool", "correction.strict_lemma_mode": "bool",
         "solver.max_iter": "int"}
     assert len(objects) == 18
+
+
+def test_run_config_defaults_equal_the_library_defaults(workdir):
+    # a run key left out takes the keyword default of the function it configures
+    cfg = parse_config(_write(workdir, MINIMAL))
+    optimize = inspect.signature(optimize_element).parameters
+    assert (cfg.design_step, cfg.design_tol, cfg.design_max_steps) == (
+        optimize["step"].default, optimize["tol"].default, optimize["max_steps"].default)
+    assert cfg.sweep_grid_n == inspect.signature(cp_sweep).parameters["grid_n"].default
 
 
 def _readme_config_keys():

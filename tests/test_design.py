@@ -867,9 +867,11 @@ def test_optimizer_stops_when_no_ascent_step_is_acceptable():
 
 
 def test_optimizer_rejects_bad_step():
-    with pytest.raises(ValidationError):
-        optimize_element(make_geom(), synthetic_polar("linear_lift"), wilson(),
-                         step=-1.0)
+    # a NaN step or tol once passed the check and ran every trial to max_steps
+    for settings in [dict(step=-1.0), dict(step=0.0), dict(step=math.nan), dict(step=math.inf),
+                     dict(tol=math.nan), dict(tol=-1.0)]:
+        with pytest.raises(ValidationError):
+            optimize_element(make_geom(), synthetic_polar("linear_lift"), wilson(), **settings)
 
 
 # ---------------------------------------------------------------------------

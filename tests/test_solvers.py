@@ -78,6 +78,14 @@ def test_solve_options_reject_a_zero_iteration_limit():
     assert type(info.value) is ValidationError and str(info.value) == "max_iter must be >= 1"
 
 
+def test_solve_options_reject_a_nan_iteration_limit_and_take_numpy_ints():
+    # NaN passed a `max_iter < 1` check, and no iteration count ever equals it
+    with pytest.raises(ValidationError) as info:
+        SolveOptions(max_iter=math.nan)
+    assert type(info.value) is ValidationError and str(info.value) == "max_iter must be >= 1"
+    assert SolveOptions(max_iter=np.int64(3)).max_iter == 3
+
+
 # ---------------------------------------------------------------------------
 # usual procedure
 
@@ -398,6 +406,18 @@ def test_max_iter_stop_is_reported_alike(method, linear_polar):
     assert report.message == "max_iter reached"
     if method == "usual":  # no momentum inversion after the last iterate
         assert len(report.native_err_history) == report.iterations - 1
+    if method == "bisect":  # the midpoint of the last bracket, not the last midpoint
+        half = 0.5 * report.native_err_history[-1]
+        assert abs(abs(report.phi_star - report.phi_history[-1]) - half) <= 1e-15
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_a_fractional_max_iter_bounds_the_count(method, linear_polar):
+    # the cap once fired only where the count equalled it, so 2.5 never stopped
+    # a solve whose residual stays above tol
+    report = METHODS[method](make_geom(gamma=0.05), linear_polar, wilson(),
+                             SolveOptions(tol=1e-300, max_iter=2.5))
+    assert (report.converged, report.iterations, report.message) == (False, 3, "max_iter reached")
     if method == "bisect":  # the midpoint of the last bracket, not the last midpoint
         half = 0.5 * report.native_err_history[-1]
         assert abs(abs(report.phi_star - report.phi_history[-1]) - half) <= 1e-15
