@@ -22,7 +22,10 @@ optimize_element and cp_sweep): a key left out is not passed on, so it
 takes the default of its object (``load_polar``'s for the polar keys),
 after the reference protocol (tol=1e-10, epsilon=1, bracket (1e-4,
 theta), per-variant a_c).  The schema keeps only each key's converter tag
-and whether it is required; the run keys' range checks live here.
+and whether it is required.  Every range rule is the library's, checked by
+the library before any solve, save those of the keys that no library
+function takes: design.mode, the fixed mode's pair, run.lambda and
+run.lambda_count.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import cp_sweep, optimize_element
-from .errors import BemError, ConfigError
-from .model import CorrectionSpec, TurbineConfig
+from .design import _ascent_settings, _sweep_nodes, cp_sweep, optimize_element
+from .errors import BemError, ConfigError, ValidationError
+from .model import CorrectionSpec, ElementGeometry, TurbineConfig
 from .polar import PolarTable, _content_lines, load_polar
 from .solvers import SolveOptions
 
@@ -46,7 +49,7 @@ _BOOLS = {"true": True, "yes": True, "on": True, "1": True,
 
 def _number(raw):
     """float(raw), refusing an infinity: no setting can take one.  NaN passes
-    here and fails the range check of its key, which names the rule."""
+    here and fails the range rule of its key, which names the rule."""
     value = float(raw)
     if math.isinf(value):
         raise ValueError(raw)
@@ -188,15 +191,15 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"design.mode must be fixed|simplified|corrected, got {run.design_mode!r}")
     if run.design_mode == "fixed" and (run.design_gamma is None or run.design_chord is None):
         raise ConfigError("design.mode=fixed requires design.gamma and design.chord")
-    if run.design_chord is not None and not run.design_chord > 0.0:
-        raise ConfigError("design.chord must be positive")
-    if run.design_gamma is not None and not abs(run.design_gamma) < math.pi / 2.0:
-        raise ConfigError("design.gamma must satisfy |gamma| < pi/2")
-    for key, value in (("design.step", run.design_step), ("design.tol", run.design_tol)):
-        if not value > 0.0:
-            raise ConfigError(f"{key} must be positive")
-    if run.design_max_steps < 1:
-        raise ConfigError("design.max_steps must be >= 1")
-    if run.sweep_grid_n < 2:
-        raise ConfigError("sweep.grid_n must be >= 2")
+    # whatever the mode, each run key passes the check of the function it goes
+    # to: the twist and chord ElementGeometry's (a placeholder fills the one left
+    # out), the ascent keys optimize_element's and sweep.grid_n cp_sweep's
+    try:
+        ElementGeometry(lam=1.0, r=1.0, gamma=0.0 if run.design_gamma is None else run.design_gamma,
+                        chord=1.0 if run.design_chord is None else run.design_chord)
+        _ascent_settings(run.design_step, run.design_tol, run.design_max_steps)
+        _sweep_nodes(run.sweep_grid_n)
+    except ValidationError as exc:  # its text starts with the parameter, the key's last part
+        name, _, rule = str(exc).partition(" ")
+        raise ConfigError(f"{next(key for key in _RUN if key.endswith('.' + name))} {rule}")
     return run

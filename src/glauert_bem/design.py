@@ -35,6 +35,7 @@ from .model import (
     ElementGeometry,
     FlowState,
     TurbineConfig,
+    _count,
     _evaluation,
     _slope,
     _state,
@@ -259,7 +260,8 @@ def assemble_adjoint(geom: ElementGeometry, polar: PolarTable, corr: CorrectionS
     Rows of M differentiate the three flow constraints with respect to
     (phi, a, a'); b is the same derivative of the power objective, scaled
     by 8 lambda^3 / lambda_max^2 when ``lambda_max`` is given (the Cp
-    integrand) and unscaled otherwise.
+    integrand) and unscaled otherwise; :func:`_cp_scale` states the rule
+    for ``lambda_max``.
 
     M p = b is solved from the cofactors C of M (p = C^T b / det M); M is
     singular, and :class:`AdjointError` raised, where |det M| < 1e-14
@@ -308,7 +310,7 @@ def _adjoint(geom, corr, state, pieces, lambda_max):
     m12 = ap / (nu * nu)
     m22 = 1.0 / nu  # and M[2, 1] = 0: the thrust balance does not involve a'
 
-    scale = 1.0 if lambda_max is None else 8.0 * lam ** 3 / lambda_max ** 2
+    scale = _cp_scale(lam, lambda_max)
     drag_gain = 1.0 - ratio * cot
     b0 = scale * (fp * ap * nu * drag_gain + f * ap * nu * (-dratio * cot + ratio / (s * s)))
     b1 = scale * (-f * ap * drag_gain)
@@ -342,8 +344,40 @@ def _adjoint(geom, corr, state, pieces, lambda_max):
             sensitivity, scale)
 
 
+def _cp_scale(lam, lambda_max):
+    """The Cp integrand's scale 8 lambda^3 / lambda_max^2, or 1 without a
+    ``lambda_max``.  :class:`ValidationError` unless ``lambda_max`` is None
+    or positive and finite (NaN fails), with its square and the scale
+    positive and finite in floats."""
+    if lambda_max is None:
+        return 1.0
+    lambda_max = float(lambda_max)  # a numpy integer's square could wrap around
+    if lambda_max > 0.0 and 0.0 < lambda_max * lambda_max < math.inf:
+        scale = 8.0 * lam ** 3 / lambda_max ** 2
+        if 0.0 < scale < math.inf:
+            return scale
+    raise ValidationError("lambda_max must be None or positive and finite, "
+                          "with 8 lambda^3 / lambda_max^2 a positive finite float")
+
+
 # ---------------------------------------------------------------------------
 # optimization and sweeps
+
+
+def _ascent_settings(step, tol, max_steps):
+    """:func:`optimize_element`'s rule for its ascent settings: ``step``
+    positive and finite, ``tol`` >= 0 (comparisons that NaN fails), and
+    ``max_steps`` an integer >= 1, returned as an int."""
+    if not 0.0 < step < math.inf:
+        raise ValidationError("step must be positive and finite")
+    if not tol >= 0.0:
+        raise ValidationError("tol must be >= 0")
+    return _count("max_steps", max_steps, 1)
+
+
+def _sweep_nodes(grid_n):
+    """:func:`cp_sweep`'s rule for ``grid_n``: an integer >= 2, returned as an int."""
+    return _count("grid_n", grid_n, 2)
 
 
 def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
@@ -371,14 +405,14 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
     Stops at ||grad|| <= tol, after ``max_steps`` trials, or when no
     acceptable step remains.  Returns the current point, the best seen;
     its ``grad_norm`` is nan if its adjoint solve failed.
-    Raises :class:`ValidationError` for a ``step`` that is not positive
-    and finite (NaN included) and for a negative or NaN ``tol``; ``tol=0``
-    runs until no step is acceptable or ``max_steps``.
+    Raises :class:`ValidationError`, before any solve, for a ``step`` that
+    is not positive and finite (NaN included), a negative or NaN ``tol``
+    and a ``max_steps`` that is not an integer >= 1 (:func:`_ascent_settings`),
+    and at the first adjoint for a ``lambda_max`` that is not None or
+    positive and finite (:func:`_cp_scale`); ``tol=0`` runs until no step is
+    acceptable or ``max_steps``.
     """
-    if not 0.0 < step < math.inf:  # written so that NaN fails, as in ElementGeometry
-        raise ValidationError("step must be positive and finite")
-    if not tol >= 0.0:
-        raise ValidationError("tol must be >= 0")
+    max_steps = _ascent_settings(step, tol, max_steps)
     geom = geom0
     state = solve_element(geom, polar, corr)  # initial point must be solvable
     if not state.a_prime > 0.0:
@@ -389,9 +423,7 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
     j_history = [scale * _density(state, pieces)]
     kappa = step
     message = "max_steps reached"
-    iterations = 0
-    while iterations < max_steps:
-        iterations += 1
+    for iterations in range(1, max_steps + 1):
         gnorm = float(np.hypot(grad[0], grad[1]))
         if gnorm <= tol:
             message = "gradient below tolerance"
@@ -453,10 +485,10 @@ def cp_sweep(turbine: TurbineConfig, polar: PolarTable, corr: CorrectionSpec,
     chord = nan.  The sweep errors out only when every element fails.
     Every design is made first; the elements are then scanned in one batch
     (``solvers._scan_many``), and each takes the root :func:`solve_element`
-    takes without a hint, so its state is the same.
+    takes without a hint, so its state is the same.  ``grid_n`` must be an
+    integer >= 2 (:func:`_sweep_nodes`).
     """
-    if grid_n < 2:
-        raise ValidationError("grid_n must be >= 2")
+    grid_n = _sweep_nodes(grid_n)
     lambdas = np.linspace(turbine.lambda_min, turbine.lambda_max, grid_n)
     designs, geoms = [], []  # geoms: each element's geometry, or its design's error
     for lam in map(float, lambdas):
@@ -490,15 +522,15 @@ def landscape(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     """Tabulate J over a (gamma, chord) grid, flagging multivalued cells.
 
     A cell takes the root :func:`solve_element` takes without a hint, from
-    a scan of ``grid_size`` nodes; below 100 nodes, as for ``scan_roots``,
-    and below 16 cells per axis, :class:`ValidationError` is raised.  The
+    a scan of ``grid_size`` nodes.  ``resolution``, the cells per axis, must
+    be an integer >= 16, and ``grid_size`` one >= 100, as for ``scan_roots``
+    (whose batch checks it); else :class:`ValidationError` is raised.  The
     cells of one twist are scanned in one batch (``solvers._scan_many``),
     which keeps the memory of a call to one row of the table; each cell's
     roots are those of its own scan.  A cell is ``invalid`` where it has no
     root, or where ``ElementGeometry`` rejects its design (chord <= 0, say).
     """
-    if resolution < 16:
-        raise ValidationError("resolution must be >= 16 per axis")
+    resolution = _count("resolution", resolution, 16)
     gammas = np.linspace(gamma_range[0], gamma_range[1], resolution)
     chords = np.linspace(chord_range[0], chord_range[1], resolution)
     j = np.full((resolution, resolution), math.nan)

@@ -50,9 +50,28 @@ DEFAULT_A_C = {
 CORRECTION_VARIANTS = tuple(DEFAULT_A_C)
 
 
+def _count(name, value, least):
+    """``value`` as an int, where it is a finite, integer-valued Python or numpy
+    number not below ``least`` (a numpy integer or 3.0, say); else
+    :class:`ValidationError` naming ``name``.  The one rule of every count:
+    an iteration cap, a step cap, a grid size, a blade count."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and least <= value < math.inf and int(value) == value):  # NaN fails
+        return int(value)
+    raise ValidationError(f"{name} must be an integer >= {least}")
+
+
+def _positive_finite(obj, *names):
+    """:class:`ValidationError` naming the first attribute of ``obj`` among
+    ``names`` that is not positive and finite (NaN fails the comparison)."""
+    for name in names:
+        if not 0.0 < getattr(obj, name) < math.inf:
+            raise ValidationError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class TurbineConfig:
-    """Global turbine and flow parameters."""
+    """Global turbine and flow parameters; ``blade_count`` is an integer >= 1."""
 
     radius: float
     upstream_speed: float
@@ -63,11 +82,8 @@ class TurbineConfig:
     lambda_max: float = 3.0
 
     def __post_init__(self):
-        if not self.blade_count >= 1:
-            raise ValidationError("blade_count must be >= 1")
-        for name in ("radius", "upstream_speed", "rotation_speed", "fluid_density"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be positive and finite")
+        object.__setattr__(self, "blade_count", _count("blade_count", self.blade_count, 1))
+        _positive_finite(self, "radius", "upstream_speed", "rotation_speed", "fluid_density")
         if not 0.0 < self.lambda_min < self.lambda_max:
             raise ValidationError("need 0 < lambda_min < lambda_max")
         if self.element_radius(self.lambda_max) > self.radius * (1.0 + 1e-12):
@@ -82,7 +98,8 @@ class TurbineConfig:
 
 @dataclass(frozen=True)
 class ElementGeometry:
-    """One blade element: local speed ratio, placement and section design.
+    """One blade element: local speed ratio, placement and section design;
+    ``blade_count`` is an integer >= 1.
 
     The constants of every evaluation are computed once, when the element
     is made, as plain attributes that are not fields (so ``==``, ``hash``,
@@ -103,17 +120,15 @@ class ElementGeometry:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not all(0.0 < x < math.inf for x in (self.lam, self.r, self.chord)):
-            raise ValidationError("lam, r and chord must be positive and finite")
+        _positive_finite(self, "lam", "r", "chord")
         if not abs(self.gamma) < math.pi / 2.0:
-            raise ValidationError("twist must satisfy |gamma| < pi/2")
-        if not self.blade_count >= 1:
-            raise ValidationError("blade_count must be >= 1")
+            raise ValidationError("gamma must satisfy |gamma| < pi/2")
+        # written to __dict__ directly: a third of the cost of object.__setattr__
+        const = self.__dict__
+        const["blade_count"] = _count("blade_count", self.blade_count, 1)
         if self.tip_radius is not None and not (
                 self.r <= self.tip_radius * (1.0 + 1e-12) < math.inf):
             raise ValidationError("tip radius must be finite and not below the element radius")
-        # written to __dict__ directly: a third of the cost of object.__setattr__
-        const = self.__dict__
         const["theta"] = math.atan2(1.0, self.lam)
         const["solidity"] = self.blade_count * self.chord / (2.0 * math.pi * self.r)
         ratio = None if self.tip_radius is None else self.r / self.tip_radius

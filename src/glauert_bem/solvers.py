@@ -43,6 +43,7 @@ from .model import (
     ElementGeometry,
     FlowState,
     _axial_nu,
+    _count,
     _evaluation,
     _mu_c_prime_grid,
     _residual_grid,
@@ -64,7 +65,7 @@ class SolveOptions:
     """Tolerances and initial data shared by the solvers."""
 
     tol: float = 1e-10
-    max_iter: int = 10_000
+    max_iter: int = 10_000                 # an integer >= 1
     epsilon: float = 1.0
     phi0: Optional[float] = None           # default: theta, where cl is defined (_start)
     bracket_lo: float = 1e-4               # Newton's and bisection's initial bracket
@@ -79,8 +80,7 @@ class SolveOptions:
             raise ValidationError("phi0 and the bracket ends must be finite")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValidationError("epsilon must lie in (0, 1]")
-        if not self.max_iter >= 1:  # NaN fails
-            raise ValidationError("max_iter must be >= 1")
+        object.__setattr__(self, "max_iter", _count("max_iter", self.max_iter, 1))
         if self.bracket_hi is not None and not self.bracket_lo < self.bracket_hi:
             raise ValidationError("bracket endpoints must satisfy lo < hi")
 
@@ -302,7 +302,7 @@ def _iterate(geom, polar, corr, opts, step, phi0=None, fenced=True,
         if ev is not None and abs(ev.value) <= opts.tol:
             at_root = True
             break
-        if len(phi_hist) - uncounted >= opts.max_iter:  # a fractional cap rounds up
+        if len(phi_hist) - uncounted >= opts.max_iter:
             message = "max_iter reached"
             break
         if ev is None and undefined is not None:
@@ -748,6 +748,7 @@ def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     ``bem scan`` scan their elements in batches through it: only the grid
     values are computed together, and each element keeps its own checks,
     recheck, Brent refinement and error, so its roots are the same.
+    ``grid_size`` must be an integer >= 100.
     """
     return _unwrap(_scan_many([geom], polar, corr, grid_size)[0])
 
@@ -777,11 +778,10 @@ def _scan_many(geoms, polar, corr, grid_size):
     and the root records are its own, so the roots are those of a scan of
     the element alone.  An entry of ``geoms`` that is a :class:`BemError`
     (a design that failed, say) is passed through, and so is the error of
-    an element's scan domain (``_scan_domain``).  A ``grid_size`` below
-    100 raises before any element.
+    an element's scan domain (``_scan_domain``).  A ``grid_size`` that is
+    not an integer >= 100 raises before any element.
     """
-    if grid_size < 100:
-        raise ValidationError("grid_size must be >= 100")
+    grid_size = _count("grid_size", grid_size, 100)
     out = list(geoms)
     batch = []  # (index, geometry, (lo, hi)) of every element with a scan domain
     for i, geom in enumerate(geoms):

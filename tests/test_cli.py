@@ -436,12 +436,15 @@ def test_config_errors_exit_2(workdir, capsys):
                                       ("design.tol=-1\n", "design.tol"),
                                       ("design.max_steps=0\n", "design.max_steps"),
                                       ("sweep.grid_n=1\n", "sweep.grid_n"),
+                                      ("design.gamma=2\n", "design.gamma"),
+                                      ("design.chord=0\n", "design.chord"),
                                       ("solver.bracket_lo=0.5\nsolver.bracket_hi=0.1\n",
                                        "bracket")]):
         cfg = _write_cfg(workdir, extra, name=f"range{k}.cfg")
         for cmd in ("solve", "design", "sweep"):
             assert main([cmd, "--config", cfg, "--out", str(workdir / "x.csv")]) == 2
-            assert key in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert key in err and err.count("\n") == 1
 
     # non-finite numbers: an infinite radius once ended in a ZeroDivisionError, a
     # NaN tolerance ran Newton to max_iter, and a NaN radius gave nan rows

@@ -5,8 +5,11 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from glauert_bem import (ConfigError, CorrectionSpec, SolveOptions, TurbineConfig, cp_sweep,
+from glauert_bem import (ConfigError, CorrectionSpec, DesignEvaluationError, DomainError,
+                         ElementGeometry, SolveOptions, TurbineConfig, ValidationError, cp_sweep,
                          optimize_element, synthetic_polar)
 from glauert_bem.config import _CONVERT, _SCHEMA, parse_config
 from glauert_bem.polar import dump_polar
@@ -194,19 +197,79 @@ def test_unset_object_keys_take_the_object_defaults(workdir):
 
 
 @pytest.mark.parametrize("key, value, rule", [
-    ("design.step", "-1", "must be positive"),
-    ("design.step", "0", "must be positive"),
-    ("design.tol", "-1", "must be positive"),
-    ("design.tol", "nan", "must be positive"),
-    ("design.max_steps", "0", "must be >= 1"),
-    ("sweep.grid_n", "1", "must be >= 2"),
+    pytest.param("design.step", "-1", "must be positive and finite",
+                 id="design.step--1-must be positive"),
+    pytest.param("design.step", "0", "must be positive and finite",
+                 id="design.step-0-must be positive"),
+    ("design.tol", "-1", "must be >= 0"),
+    ("design.tol", "nan", "must be >= 0"),
+    pytest.param("design.max_steps", "0", "must be an integer >= 1",
+                 id="design.max_steps-0-must be >= 1"),
+    pytest.param("sweep.grid_n", "1", "must be an integer >= 2",
+                 id="sweep.grid_n-1-must be >= 2"),
     ("run.lambda_count", "0", "must be >= 1"),
-    ("design.chord", "0", "must be positive"),
+    pytest.param("design.chord", "0", "must be positive and finite",
+                 id="design.chord-0-must be positive"),
     ("design.gamma", "-1.6", "must satisfy |gamma| < pi/2"),
 ])
 def test_run_settings_out_of_range_are_config_errors(workdir, key, value, rule):
     # checked whatever the design mode: MINIMAL runs the simplified design
     assert _error(workdir, {**MINIMAL, key: value}) == f"{key} {rule}"
+
+
+def test_a_zero_design_tolerance_parses(workdir):
+    # the library's rule, tol >= 0: the ascent then runs until no step is acceptable
+    assert parse_config(_write(workdir, {**MINIMAL, "design.tol": "0"})).design_tol == 0.0
+
+
+# a start without power, which optimize_element refuses after its settings pass
+_NO_POWER = (ElementGeometry(lam=3.0, r=0.5, gamma=-0.0625, chord=1.5, tip_radius=1.0),
+             synthetic_polar("linear_lift", slope=3.0, cd0=0.0, cd2=0.125, beta=0.4),
+             CorrectionSpec(variant="glauert_empirical"))
+
+
+def _no_design(lam):
+    raise DomainError("no design")
+
+
+def _library_rule(key, value):
+    """The message with which the function that takes run key ``key`` refuses
+    ``value``, or None where it takes it and goes on to its first solve."""
+    turbine = TurbineConfig(radius=1.2, upstream_speed=1.0, rotation_speed=3.0)
+    name = key.partition(".")[2]
+    try:
+        if key == "sweep.grid_n":  # every element fails: DomainError once the grid is made
+            cp_sweep(turbine, _NO_POWER[1], _NO_POWER[2], _no_design, grid_n=value)
+        elif name in ("gamma", "chord"):  # the fixed design's elements
+            ElementGeometry.from_turbine(turbine, 1.0, **{"gamma": 0.1, "chord": 0.2, name: value})
+        else:
+            optimize_element(*_NO_POWER, **{name: value})
+    except ValidationError as exc:
+        assert str(exc).startswith(f"{name} ")  # each rule names its parameter first
+        return str(exc).partition(" ")[2]
+    except (DesignEvaluationError, DomainError):
+        pass
+    return None
+
+
+_FINITE_OR_NAN = st.floats(allow_infinity=False) | st.just(math.nan)
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key_value=st.one_of(
+    st.tuples(st.sampled_from(["design.step", "design.tol", "design.gamma", "design.chord"]),
+              _FINITE_OR_NAN | st.floats(-2.0, 2.0)),
+    st.tuples(st.sampled_from(["design.max_steps", "sweep.grid_n"]), st.integers(-5, 300))))
+def test_config_and_library_refuse_the_same_run_settings(workdir, key_value):
+    # an infinity is no number to the config reader (the library refuses one
+    # too, but for tol): the range rules are drawn on finite numbers and NaN
+    key, value = key_value
+    rule = _library_rule(key, value)
+    if rule is None:
+        parse_config(_write(workdir, {**MINIMAL, key: repr(value)}))
+    else:
+        assert _error(workdir, {**MINIMAL, key: repr(value)}) == f"{key} {rule}"
 
 
 def test_reversed_solver_bracket_is_a_config_error(workdir):

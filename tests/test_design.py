@@ -36,7 +36,8 @@ from glauert_bem.design import (_adjoint, _chosen_root, _density, _newton_near,
                                 _objective_pieces, cp_integral)
 from glauert_bem.model import (CORRECTION_VARIANTS, _evaluation, _slope, mu_L, recover_induction,
                                residual)
-from glauert_bem.solvers import RootSet, _brentq, _scan_domain, classify_root, scan_roots
+from glauert_bem.solvers import (RootSet, SolveOptions, _brentq, _scan_domain, classify_root,
+                                 scan_roots)
 
 from conftest import make_geom, rng, trivial, wilson, zero_lift_polar
 
@@ -867,11 +868,81 @@ def test_optimizer_stops_when_no_ascent_step_is_acceptable():
 
 
 def test_optimizer_rejects_bad_step():
-    # a NaN step or tol once passed the check and ran every trial to max_steps
+    # a NaN step or tol once passed the check and ran every trial to max_steps;
+    # max_steps had no check: 0, -3 or NaN returned the start as "max_steps
+    # reached", and 2.5 ran 3 trials
     for settings in [dict(step=-1.0), dict(step=0.0), dict(step=math.nan), dict(step=math.inf),
-                     dict(tol=math.nan), dict(tol=-1.0)]:
+                     dict(tol=math.nan), dict(tol=-1.0),
+                     *[dict(max_steps=n) for n in (0, -3, math.nan, math.inf, -math.inf, 2.5)]]:
         with pytest.raises(ValidationError):
             optimize_element(make_geom(), synthetic_polar("linear_lift"), wilson(), **settings)
+    with pytest.raises(ValidationError, match="^max_steps must be an integer >= 1$"):
+        optimize_element(make_geom(), synthetic_polar("linear_lift"), wilson(), max_steps=2.5)
+    for max_steps in (np.int64(1), 1.0):
+        result = optimize_element(make_geom(), synthetic_polar("linear_lift"), wilson(),
+                                  max_steps=max_steps)
+        assert result.iterations == 1 and type(result.iterations) is int
+
+
+@pytest.mark.parametrize("lambda_max", [0.0, math.inf, math.nan, -3.0])
+def test_lambda_max_must_be_none_or_positive_and_finite(lambda_max):
+    # from the criterion-07 simplified optimum at lambda 1.4: 0 raised a bare
+    # ZeroDivisionError in both functions, inf did in the optimizer and gave a
+    # zero gradient in the adjoint, NaN ran every trial on a NaN objective, and
+    # -3 was read as 3
+    polar = _design_polar()
+    tb = TurbineConfig(radius=1.2, upstream_speed=1.0, rotation_speed=3.0,
+                       lambda_min=1.2, lambda_max=2.6)
+    start = simplified_optimum(1.4, polar, tb)
+    geom = ElementGeometry.from_turbine(tb, 1.4, start.gamma, start.chord)
+    corr = CorrectionSpec(variant="buhl", tip_loss=True)
+    state = solve_element(geom, polar, corr)
+    rule = "^lambda_max must be None or positive and finite, "
+    with pytest.raises(ValidationError, match=rule):
+        assemble_adjoint(geom, polar, corr, state, lambda_max=lambda_max)
+    with pytest.raises(ValidationError, match=rule):
+        optimize_element(geom, polar, corr, max_steps=50, lambda_max=lambda_max)
+
+
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+# integers, numpy integers, and floats with NaN and both infinities
+_NUMBERS = st.one_of(_INT64, _INT64.map(np.int64), st.floats())
+
+
+def _counts(least):
+    """:data:`_NUMBERS`, each whole one not below ``least`` moved to ``least +
+    (value mod 3)``, of its own type: a valid count is small."""
+    def small(value):
+        whole = math.isfinite(value) and value == int(value) and value >= least
+        return least + value % 3 if whole else value
+    return _NUMBERS.map(small)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_only_bem_errors_escape_the_settings_of_a_run(data):
+    # at one time NaN or fractional counts ended in a bare TypeError, and a
+    # lambda_max of 0 or inf in a ZeroDivisionError
+    polar, corr = _design_polar(), wilson(tip=True)
+    geom = make_geom(gamma=0.1, chord=0.3, tip_radius=1.2)
+    run = data.draw(st.sampled_from(["options", "scan", "landscape", "sweep", "optimize"]))
+    try:
+        if run == "options":
+            SolveOptions(max_iter=data.draw(_counts(1)))
+        elif run == "scan":
+            scan_roots(geom, polar, corr, grid_size=data.draw(_counts(100)))
+        elif run == "landscape":  # every cell has chord < 0: no cell is solved
+            landscape(geom, polar, corr, (0.0, 0.1), (-0.2, -0.1),
+                      resolution=data.draw(_counts(16)), grid_size=data.draw(_counts(100)))
+        elif run == "sweep":
+            cp_sweep(_turbine(), polar, corr, lambda lam: (0.1, 0.3),
+                     grid_n=data.draw(_counts(2)))
+        else:
+            optimize_element(geom, polar, corr, step=data.draw(_NUMBERS), tol=data.draw(_NUMBERS),
+                             max_steps=data.draw(_counts(1)),
+                             lambda_max=data.draw(st.none() | _NUMBERS))
+    except BemError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -993,9 +1064,15 @@ def test_cp_sweep_elements_are_solve_element_states(variant, tip):
 
 
 def test_cp_sweep_validation(linear_polar):
+    # NaN and 2.5 once passed a `grid_n < 2` check and ended in a bare TypeError
     tb = _turbine()
-    with pytest.raises(ValidationError):
-        cp_sweep(tb, linear_polar, trivial(), lambda lam: (0.1, 0.2), grid_n=1)
+    for grid_n in (1, math.nan, math.inf, -math.inf, 2.5):
+        with pytest.raises(ValidationError, match="^grid_n must be an integer >= 2$"):
+            cp_sweep(tb, linear_polar, trivial(), lambda lam: (0.1, 0.2), grid_n=grid_n)
+    sweep = cp_sweep(tb, linear_polar, trivial(), lambda lam: (0.1, 0.2), grid_n=3)
+    for grid_n in (np.int64(3), 3.0):
+        again = cp_sweep(tb, linear_polar, trivial(), lambda lam: (0.1, 0.2), grid_n=grid_n)
+        assert again.cp == sweep.cp and np.array_equal(again.lambdas, sweep.lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,7 +1151,7 @@ def test_landscape_monotone_case_single_region():
 
 def test_landscape_rejects_a_too_small_scan_grid(linear_polar):
     geom = make_geom(gamma=0.05, chord=0.3)
-    with pytest.raises(ValidationError, match="grid_size must be >= 100"):
+    with pytest.raises(ValidationError, match="grid_size must be an integer >= 100"):
         landscape(geom, linear_polar, wilson(), (0.0, 0.1), (0.2, 0.4),
                   resolution=16, grid_size=99)
 
@@ -1127,6 +1204,13 @@ def test_landscape_equals_a_scan_per_cell(corr, polar, gamma_range, chord_range,
 
 
 def test_landscape_validation(linear_polar):
-    with pytest.raises(ValidationError):
-        landscape(make_geom(), linear_polar, trivial(), (0, 0.1), (0.1, 0.2),
-                  resolution=8)
+    for counts in [*[dict(resolution=n) for n in (15, math.nan, math.inf, -math.inf, 2.5, 16.5)],
+                   *[dict(grid_size=n) for n in (99, math.nan, math.inf, -math.inf, 2.5)]]:
+        name = next(iter(counts))
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer >= "):
+            landscape(make_geom(), linear_polar, trivial(), (0, 0.1), (0.1, 0.2), **counts)
+    table = landscape(make_geom(), linear_polar, trivial(), (0, 0.1), (0.1, 0.2),
+                      resolution=16, grid_size=100)
+    again = landscape(make_geom(), linear_polar, trivial(), (0, 0.1), (0.1, 0.2),
+                      resolution=np.int64(16), grid_size=100.0)
+    assert np.array_equal(again.J, table.J, equal_nan=True)

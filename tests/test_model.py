@@ -139,11 +139,18 @@ def test_turbine_config_rejects_non_finite_numbers(field, value):
         TurbineConfig(**{**fields, field: value})
 
 
+_TURBINE = dict(radius=1.1, upstream_speed=1.0, rotation_speed=3.0)
+_ELEMENT = dict(lam=1.0, r=0.5, gamma=0.1, chord=0.1)
+# no blade count: below 1, NaN, infinite or fractional (an infinite one gave an
+# element of infinite solidity)
+_NOT_BLADE_COUNTS = (0, math.nan, math.inf, -math.inf, 2.5)
+
+
 @pytest.mark.parametrize("make, message", [
-    (lambda: TurbineConfig(radius=1.1, upstream_speed=1.0, rotation_speed=3.0,
-                           blade_count=0), "blade_count must be >= 1"),
-    (lambda: ElementGeometry(lam=1.0, r=0.5, gamma=0.1, chord=0.1, blade_count=0),
-     "blade_count must be >= 1"),
+    *[(lambda b=b: TurbineConfig(**_TURBINE, blade_count=b), "blade_count must be an integer >= 1")
+      for b in _NOT_BLADE_COUNTS],
+    *[(lambda b=b: ElementGeometry(**_ELEMENT, blade_count=b),
+       "blade_count must be an integer >= 1") for b in _NOT_BLADE_COUNTS],
     (lambda: CorrectionSpec(variant="buhl", a_c=0.0), "a_c must lie in (0, 1]"),
     (lambda: CorrectionSpec(variant="buhl", a_c=1.5), "a_c must lie in (0, 1]"),
 ])
@@ -151,6 +158,17 @@ def test_configuration_types_reject_out_of_range_settings(make, message):
     with pytest.raises(ValidationError) as info:
         make()
     assert type(info.value) is ValidationError and str(info.value) == message
+
+
+@pytest.mark.parametrize("blade_count", [np.int64(2), np.int32(2), 2.0, np.float64(2.0)])
+def test_blade_counts_take_numpy_integers_and_whole_floats(blade_count):
+    # kept as an int: a numpy blade count made the solidity a numpy scalar
+    turbine = TurbineConfig(**_TURBINE, blade_count=blade_count)
+    geom = ElementGeometry(**_ELEMENT, blade_count=blade_count, tip_radius=1.0)
+    assert type(turbine.blade_count) is int and type(geom.blade_count) is int
+    assert turbine == TurbineConfig(**_TURBINE, blade_count=2)
+    assert geom == ElementGeometry(**_ELEMENT, blade_count=2, tip_radius=1.0)
+    assert (type(geom.solidity), type(geom.tip_rate)) == (float, float)
 
 
 def test_element_from_turbine_places_radius_by_lambda():

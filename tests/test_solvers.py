@@ -17,6 +17,7 @@ from glauert_bem import (
     FlowState,
     HypothesisError,
     PolarTable,
+    TurbineConfig,
     ValidationError,
     bracket_via_psi0,
     check_appendix_conditions,
@@ -39,7 +40,7 @@ from glauert_bem.model import (
     phi_upper,
     recover_induction,
 )
-from glauert_bem.design import solve_element
+from glauert_bem.design import simplified_optimum, solve_element
 from glauert_bem.solvers import (
     METHODS,
     SolveOptions,
@@ -75,15 +76,37 @@ def test_solve_options_reject_non_finite_numbers(field, value):
 def test_solve_options_reject_a_zero_iteration_limit():
     with pytest.raises(ValidationError) as info:
         SolveOptions(max_iter=0)
-    assert type(info.value) is ValidationError and str(info.value) == "max_iter must be >= 1"
+    assert type(info.value) is ValidationError and str(info.value) == (
+        "max_iter must be an integer >= 1")
 
 
 def test_solve_options_reject_a_nan_iteration_limit_and_take_numpy_ints():
-    # NaN passed a `max_iter < 1` check, and no iteration count ever equals it
-    with pytest.raises(ValidationError) as info:
-        SolveOptions(max_iter=math.nan)
-    assert type(info.value) is ValidationError and str(info.value) == "max_iter must be >= 1"
-    assert SolveOptions(max_iter=np.int64(3)).max_iter == 3
+    # NaN passed a `max_iter < 1` check, and no iteration count ever equals it;
+    # an infinite or fractional cap is no count either
+    for value in (math.nan, math.inf, -math.inf, 2.5, 0, np.float64(1.5)):
+        with pytest.raises(ValidationError) as info:
+            SolveOptions(max_iter=value)
+        assert type(info.value) is ValidationError and str(info.value) == (
+            "max_iter must be an integer >= 1")
+    for value in (np.int64(3), np.int32(3), 3.0, np.float64(3.0)):
+        max_iter = SolveOptions(max_iter=value).max_iter
+        assert type(max_iter) is int and max_iter == 3
+    assert SolveOptions(max_iter=3.0) == SolveOptions(max_iter=3)
+
+
+def test_an_endless_usual_solve_is_refused_before_it_starts():
+    # the plain model's usual procedure from theta does not converge on this
+    # element (the simplified optimum at lambda 0.5, its chord doubled): it runs
+    # to any finite cap, and an infinite cap once let it run without end
+    polar = load_polar(Path(__file__).resolve().parents[1] / "demo" / "polar.csv")
+    tb = TurbineConfig(radius=1.1, upstream_speed=1.0, rotation_speed=3.0, lambda_min=0.3)
+    start = simplified_optimum(0.5, polar, tb)
+    geom = ElementGeometry.from_turbine(tb, 0.5, start.gamma, 2.0 * start.chord)
+    report = solve_usual(geom, polar, CorrectionSpec("none"), SolveOptions(max_iter=2000))
+    assert (report.converged, report.iterations, report.message) == (
+        False, 2000, "max_iter reached")
+    with pytest.raises(ValidationError, match="^max_iter must be an integer >= 1$"):
+        SolveOptions(max_iter=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +437,13 @@ def test_max_iter_stop_is_reported_alike(method, linear_polar):
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_a_fractional_max_iter_bounds_the_count(method, linear_polar):
     # the cap once fired only where the count equalled it, so 2.5 never stopped
-    # a solve whose residual stays above tol
+    # a solve whose residual stays above tol; a fractional cap is now refused
+    # before any solve, and a whole float bounds the count as its int does
+    with pytest.raises(ValidationError, match="^max_iter must be an integer >= 1$"):
+        METHODS[method](make_geom(gamma=0.05), linear_polar, wilson(),
+                        SolveOptions(tol=1e-300, max_iter=2.5))
     report = METHODS[method](make_geom(gamma=0.05), linear_polar, wilson(),
-                             SolveOptions(tol=1e-300, max_iter=2.5))
+                             SolveOptions(tol=1e-300, max_iter=3.0))
     assert (report.converged, report.iterations, report.message) == (False, 3, "max_iter reached")
     if method == "bisect":  # the midpoint of the last bracket, not the last midpoint
         half = 0.5 * report.native_err_history[-1]
@@ -721,8 +748,12 @@ def test_appendix_guarantee_backed_by_random_starts():
 
 
 def test_scan_requires_reasonable_grid(linear_polar):
-    with pytest.raises(ValidationError):
-        scan_roots(make_geom(), linear_polar, trivial(), grid_size=10)
+    for grid_size in (10, 99, math.nan, math.inf, -math.inf, 2.5, 100.5):
+        with pytest.raises(ValidationError, match="^grid_size must be an integer >= 100$"):
+            scan_roots(make_geom(), linear_polar, trivial(), grid_size=grid_size)
+    roots = scan_roots(make_geom(), linear_polar, trivial(), grid_size=100)
+    for grid_size in (np.int64(100), 100.0):
+        assert scan_roots(make_geom(), linear_polar, trivial(), grid_size=grid_size) == roots
 
 
 def test_scan_category1_negative_lift_pair(dragfree_polar):
@@ -1160,7 +1191,7 @@ def test_batched_scan_keeps_each_outcome_with_its_element():
     assert out[4] is design_error  # passed through
     assert [_outcome(result) for result in out[:4]] == [
         _scanned_alone(geom, polar, corr, 240) for geom in geoms]
-    with pytest.raises(ValidationError, match="grid_size must be >= 100"):
+    with pytest.raises(ValidationError, match="grid_size must be an integer >= 100"):
         _scan_many(geoms[:2], polar, corr, 99)  # once per call, before any element
     assert _scan_many([], polar, corr, 240) == []
 
