@@ -33,11 +33,12 @@ from .design import (
     simplified_optimum,
 )
 from .errors import BemError, BracketError, ConfigError
-from .model import ElementGeometry, phi_upper
+from .model import ElementGeometry
 from .solvers import (
     _SCAN_NODES,
     METHODS,
     _attempt,
+    _scan_domain,
     _scan_many,
     check_appendix_conditions,
     check_existence,
@@ -185,9 +186,9 @@ def cmd_scan(cfg: RunConfig, out_path) -> int:
         if isinstance(roots, BemError):
             log.warning("lambda=%g: %s", lam, roots)
             continue
-        if not roots.records:
-            above = ("" if cfg.correction.is_trivial else
-                     f" (it does not look above phi_upper={phi_upper(geom, cfg.polar):g})")
+        if not roots.records:  # with a correction, name the scan domain's right end, max I+
+            above = ("" if cfg.correction.is_trivial else " (it does not look above "
+                     f"phi_upper={_scan_domain(geom, cfg.polar, cfg.correction)[1]:g})")
             log.warning("lambda=%g: the scan found no root%s", lam, above)
         lines.extend(_state_row(cfg, lam, geom, rec.state, 0, "scan", rec.category)
                      for rec in roots.records)

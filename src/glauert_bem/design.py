@@ -29,13 +29,13 @@ from .errors import (
     DesignEvaluationError,
     DomainError,
     ValidationError,
+    _count,
 )
 from .model import (
     CorrectionSpec,
     ElementGeometry,
     FlowState,
     TurbineConfig,
-    _count,
     _evaluation,
     _slope,
     _state,
@@ -344,20 +344,21 @@ def _adjoint(geom, corr, state, pieces, lambda_max):
             sensitivity, scale)
 
 
-def _cp_scale(lam, lambda_max):
+def _cp_scale(lam, lambda_max, optional=True):
     """The Cp integrand's scale 8 lambda^3 / lambda_max^2, or 1 without a
-    ``lambda_max``.  :class:`ValidationError` unless ``lambda_max`` is None
-    or positive and finite (NaN fails), with its square and the scale
-    positive and finite in floats."""
-    if lambda_max is None:
+    ``lambda_max`` where it is ``optional``.  :class:`ValidationError` unless
+    ``lambda_max`` is positive and finite (NaN fails), or None where it is
+    ``optional``, with its square and the scale positive and finite in floats."""
+    if lambda_max is None and optional:
         return 1.0
-    lambda_max = float(lambda_max)  # a numpy integer's square could wrap around
+    # a numpy integer's square could wrap around; a None that is not optional fails as NaN
+    lambda_max = float(math.nan if lambda_max is None else lambda_max)
     if lambda_max > 0.0 and 0.0 < lambda_max * lambda_max < math.inf:
         scale = 8.0 * lam ** 3 / lambda_max ** 2
         if 0.0 < scale < math.inf:
             return scale
-    raise ValidationError("lambda_max must be None or positive and finite, "
-                          "with 8 lambda^3 / lambda_max^2 a positive finite float")
+    raise ValidationError(f"lambda_max must be {'None or ' if optional else ''}positive and "
+                          "finite, with 8 lambda^3 / lambda_max^2 a positive finite float")
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +467,19 @@ def optimize_element(geom0: ElementGeometry, polar: PolarTable, corr: Correction
 
 
 def cp_integral(lambdas, j_values, lambda_max: float) -> float:
-    """Cp = (8/lambda_max^2) * trapezoid of lambda^3 J over the grid."""
+    """Cp = (8/lambda_max^2) * trapezoid of lambda^3 J over the grid.
+
+    :class:`ValidationError` unless ``lambda_max`` is positive and finite, by
+    the rule of :func:`_cp_scale` (None is refused here).
+    """
+    _cp_scale(1.0, lambda_max, optional=False)
     lambdas = np.asarray(lambdas, dtype=float)
     integrand = (lambdas ** 3 * np.asarray(j_values, dtype=float)).tolist()
     lams = lambdas.tolist()  # the loop runs on Python floats
     total = 0.0
     for k in range(len(lams) - 1):  # fixed left-to-right reduction order
         total += 0.5 * (lams[k + 1] - lams[k]) * (integrand[k] + integrand[k + 1])
-    return 8.0 * total / lambda_max ** 2
+    return 8.0 * total / float(lambda_max) ** 2  # a numpy integer's square could wrap
 
 
 def cp_sweep(turbine: TurbineConfig, polar: PolarTable, corr: CorrectionSpec,

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule of a count."""
+
+import math
+
+import numpy as np
 
 
 class BemError(Exception):
@@ -44,3 +48,14 @@ class DesignEvaluationError(BemError):
 class ConfigError(BemError):
     """Run configuration file is missing, malformed, or inconsistent, or the
     output it names (``--out`` or ``output.path``) cannot be written."""
+
+
+def _count(name, value, least):
+    """``value`` as an int, where it is a finite, integer-valued Python or numpy
+    number not below ``least`` (a numpy integer or 3.0, say); else
+    :class:`ValidationError` naming ``name``.  The one rule of every count:
+    an iteration cap, a step cap, a grid size, a blade count, a sample count."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and least <= value < math.inf and int(value) == value):  # NaN fails
+        return int(value)
+    raise ValidationError(f"{name} must be an integer >= {least}")

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, TipSingularityError, ValidationError
+from .errors import DomainError, TipSingularityError, ValidationError, _count
 from .polar import PolarTable
 
 # Internal clamp keeping evaluations away from the singular angles 0 and
@@ -48,17 +48,6 @@ DEFAULT_A_C = {
 }
 
 CORRECTION_VARIANTS = tuple(DEFAULT_A_C)
-
-
-def _count(name, value, least):
-    """``value`` as an int, where it is a finite, integer-valued Python or numpy
-    number not below ``least`` (a numpy integer or 3.0, say); else
-    :class:`ValidationError` naming ``name``.  The one rule of every count:
-    an iteration cap, a step cap, a grid size, a blade count."""
-    if (isinstance(value, (int, float, np.integer, np.floating))
-            and least <= value < math.inf and int(value) == value):  # NaN fails
-        return int(value)
-    raise ValidationError(f"{name} must be an integer >= {least}")
 
 
 def _positive_finite(obj, *names):
@@ -326,11 +315,6 @@ def mu_G_prime(theta: float, phi: float) -> float:
         raise DomainError(f"mu_G pole at theta - phi = +-pi/2 (phi={phi:g})")
     t = math.tan(theta - phi)
     return math.cos(phi) * t - math.sin(phi) * (1.0 + t * t)
-
-
-def phi_upper(geom: ElementGeometry, polar: PolarTable) -> float:
-    """max I+ = min(theta, beta + gamma), the right end of the working interval."""
-    return min(geom.theta, polar.beta + geom.gamma)
 
 
 def _clamp_phi(phi: float) -> float:

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NoPositiveLiftError, PolarFormatError, ValidationError
+from .errors import DomainError, NoPositiveLiftError, PolarFormatError, ValidationError, _count
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # best_glide_angle's scan grid size and golden-section bracket tolerance
@@ -384,13 +384,13 @@ def synthetic_polar(kind, **params) -> PolarTable:
       * ``constant``: cl = level everywhere, same drag law.
     """
     span = float(params.pop("span", 1.2))
-    n = int(params.pop("n", 161))
+    n = _count("n", params.pop("n", 161), 4)
     cd0 = float(params.pop("cd0", 0.01))
     cd2 = float(params.pop("cd2", 0.0))
     label = params.pop("label", kind)
     beta = params.pop("beta", None)
-    if span <= 0.0 or n < 4:
-        raise ValidationError("span must be positive and n >= 4")
+    if span <= 0.0:
+        raise ValidationError("span must be positive")
 
     alphas = np.linspace(-span, span, n)
 

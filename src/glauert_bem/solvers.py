@@ -36,14 +36,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BemError, BracketError, DomainError, HypothesisError, ValidationError
+from .errors import BemError, BracketError, DomainError, HypothesisError, ValidationError, _count
 from .model import (
     PHI_EPS,
     CorrectionSpec,
     ElementGeometry,
     FlowState,
     _axial_nu,
-    _count,
     _evaluation,
     _mu_c_prime_grid,
     _residual_grid,
@@ -53,7 +52,6 @@ from .model import (
     mu_G,
     mu_G_prime,
     mu_L,
-    phi_upper,
     recover_induction,
     residual,
 )
@@ -144,14 +142,17 @@ class ExistenceReport:
 
 @dataclass(frozen=True)
 class AppendixReport:
-    applicable: bool
-    stability_ok: bool
-    stability_margin: float
-    contraction1_ok: bool
-    contraction1_value: float
-    contraction2_ok: bool
-    contraction2_value: float
-    guaranteed: bool
+    """Verdicts of :func:`check_appendix_conditions`; the defaults make the report
+    where the conditions do not apply, whose message says why."""
+
+    applicable: bool = False
+    stability_ok: bool = False
+    stability_margin: float = math.nan
+    contraction1_ok: bool = False
+    contraction1_value: float = math.nan
+    contraction2_ok: bool = False
+    contraction2_value: float = math.nan
+    guaranteed: bool = False
     message: str = ""
 
 
@@ -320,14 +321,15 @@ def _interval(geom, polar, plus=True):
     """(lo, hi) of the working interval I+ (``plus``) or of the plain model's I,
     ends inside the polar; :class:`ValidationError` where it is empty.
 
-    I+ runs from max(1e-4 max I+, PHI_EPS) to max I+ = ``phi_upper``; I from
-    theta - pi/2 + 1e-6 to min(theta + pi/2 - 1e-6, pi/2 - 1e-9).  Each is cut
-    to gamma + [alpha_min, alpha_max], and an end whose angle of attack rounds
-    outside that range, where cl is undefined, steps inward until it lies inside.
+    I+ runs from max(1e-4 max I+, PHI_EPS) to max I+ = min(theta, beta + gamma);
+    I from theta - pi/2 + 1e-6 to min(theta + pi/2 - 1e-6, pi/2 - 1e-9).  Each
+    is cut to gamma + [alpha_min, alpha_max], and an end whose angle of attack
+    rounds outside that range, where cl is undefined, steps inward until it lies
+    inside.  This is the one place that computes max I+.
     """
     gamma = geom.gamma
     if plus:
-        hi = phi_upper(geom, polar)
+        hi = min(geom.theta, polar.beta + gamma)
         lo = max(1e-4 * hi, PHI_EPS)
     else:
         lo = geom.theta - math.pi / 2.0 + 1e-6
@@ -341,6 +343,13 @@ def _interval(geom, polar, plus=True):
         raise ValidationError(
             f"working interval {'I+' if plus else 'I'} is empty for this element")
     return lo, hi
+
+
+def _reaches_theta(geom, hi):
+    """Whether ``hi``, the right end of I+ (:func:`_interval`), is theta: it lies
+    within 1e-12 of it.  ``check_existence``'s ``upper_is_theta``, and where
+    ``check_appendix_conditions`` applies."""
+    return hi >= geom.theta - 1e-12
 
 
 def _start(geom, polar, corr):
@@ -358,7 +367,8 @@ def _start(geom, polar, corr):
 
 def grid_I_plus(geom: ElementGeometry, polar: PolarTable):
     """The 1000-node grid of I+ (:func:`_interval`) on which ``solve_fixed_point``,
-    ``fixed_point_rate_bound`` and ``check_appendix_conditions`` take their maxima."""
+    ``fixed_point_rate_bound`` and ``check_appendix_conditions`` take their maxima;
+    its last node is max I+.  :class:`ValidationError` where I+ is empty."""
     return np.linspace(*_interval(geom, polar), 1000)
 
 
@@ -589,49 +599,45 @@ def check_existence(geom: ElementGeometry, polar: PolarTable,
                     corr: CorrectionSpec) -> ExistenceReport:
     """Numeric margins for the solvability criteria of both model versions.
 
-    Each margin is evaluated at max I+, the right end of :func:`_interval`;
-    where I+ has no end inside the polar, at ``phi_upper``.  A criterion
-    holds where its margin is >= 0 and its function (mu_L - mu_G for the
-    simplified model, the residual for the corrected one) is <= 0 at min I+,
-    so that the function changes sign on I+: the intermediate value theorem
-    needs both ends.  Where min I+ does not give that sign, the criterion
-    does not hold, and the message says why, as it does where a margin
-    cannot be evaluated.
+    Each margin is evaluated at max I+, the right end of :func:`_interval`,
+    and ``upper_is_theta`` says whether that end is theta (within 1e-12).  A
+    criterion holds where its margin is >= 0 and its function (mu_L - mu_G
+    for the simplified model, the residual for the corrected one) is <= 0 at
+    min I+, so that the function changes sign on I+: the intermediate value
+    theorem needs both ends.  Where min I+ does not give that sign, the
+    criterion does not hold, and the message says why, as it does where a
+    margin cannot be evaluated.  Where I+ is empty, both margins are NaN,
+    neither criterion holds, ``upper_is_theta`` is false and the message is
+    :func:`_interval`'s.
     """
     theta = geom.theta
     interval_margin = (polar.beta + geom.gamma) - (theta - math.pi / 2.0)
-    interval_ok = interval_margin >= 0.0
     domain = _attempt(_interval, geom, polar)
-    lo, hi = (None, phi_upper(geom, polar)) if isinstance(domain, BemError) else domain
-    upper_is_theta = interval_ok and hi >= theta - 1e-12
-
-    if interval_ok and hi > 0.0:
-        simplified = _criterion("simplified", lo, hi,
-                                lambda phi: mu_L(geom, polar, phi) - mu_G(theta, phi))
-        corrected = _criterion("corrected", lo, hi, lambda phi: residual(geom, polar, corr, phi))
-        message = "; ".join(filter(None, [simplified[2], corrected[2]]))
-    else:
-        simplified = corrected = (math.nan, False, "")
-        message = "working interval empty"
-    return ExistenceReport(interval_ok=interval_ok, interval_margin=interval_margin,
-                           upper_is_theta=upper_is_theta,
+    if isinstance(domain, BemError):
+        return ExistenceReport(interval_margin >= 0.0, interval_margin, False,
+                               False, math.nan, False, math.nan, message=str(domain))
+    lo, hi = domain
+    simplified = _criterion("simplified", lo, hi,
+                            lambda phi: mu_L(geom, polar, phi) - mu_G(theta, phi))
+    corrected = _criterion("corrected", lo, hi, lambda phi: residual(geom, polar, corr, phi))
+    message = "; ".join(filter(None, [simplified[2], corrected[2]]))
+    return ExistenceReport(interval_ok=interval_margin >= 0.0, interval_margin=interval_margin,
+                           upper_is_theta=_reaches_theta(geom, hi),
                            simplified_ok=simplified[1], simplified_margin=simplified[0],
                            corrected_ok=corrected[1], corrected_margin=corrected[0],
                            message=message)
 
 
 def _criterion(name, lo, hi, fn):
-    """(margin, ok, message) of one existence criterion of :func:`check_existence`:
-    the margin is ``fn(hi)``, and ok where it is 0, or > 0 with ``fn(lo)`` <= 0;
-    ``lo`` is None where I+ has no end inside the polar."""
+    """(margin, ok, message) of one existence criterion of :func:`check_existence`
+    on I+ = [``lo``, ``hi``]: the margin is ``fn(hi)``, and ok where it is 0, or
+    > 0 with ``fn(lo)`` <= 0."""
     try:
         margin = fn(hi)
     except DomainError as exc:
         return math.nan, False, f"{name} criterion not evaluable: {exc}"
     if not margin > 0.0:
         return margin, margin == 0.0, ""
-    if lo is None:
-        return margin, False, f"{name} criterion undecided: I+ has no end inside the polar"
     try:
         low = fn(lo)
     except DomainError as exc:
@@ -648,28 +654,32 @@ def _h_map(lam, x):
 
 def _h_map_prime(lam, x):
     s, c = math.sin(x), math.cos(x)
-    return -(lam * (1.0 + c * c) + s * c) / s ** 3
+    # s ** 3 is 0 for x below about 1e-103, where h' lies below every float
+    return -(lam * (1.0 + c * c) + s * c) / s ** 3 if s ** 3 else -math.inf
 
 
 def check_appendix_conditions(geom: ElementGeometry, polar: PolarTable) -> AppendixReport:
     """Guarantee check for the usual procedure on the drag-free model.
 
-    Applies where max I+ = theta.  Evaluates the stability condition
-    mu_L(theta) <= mu_G(gamma) and the two contraction bounds sin(theta)
-    max mu_L' h(gamma) <= 1 and sin(theta) max mu_L |h'(gamma)| <= 1 on the
-    1000 nodes of :func:`grid_I_plus`, whose last node is theta.  Grid maxima
+    Applies where gamma > 0 and max I+, the right end of :func:`_interval`,
+    is theta (within 1e-12, as ``check_existence``'s ``upper_is_theta``);
+    where I+ is empty, or its right end is cut below theta by the polar's
+    samples, it does not.  Evaluates the stability condition mu_L(theta) <=
+    mu_G(gamma) at the last node of :func:`grid_I_plus`, which is max I+, and
+    the two contraction bounds sin(theta) max mu_L' h(gamma) <= 1 and
+    sin(theta) max mu_L |h'(gamma)| <= 1 on its 1000 nodes.  Grid maxima
     stand in for the exact suprema, so a peak between two nodes is missed.
     """
     theta = geom.theta
-    not_applicable = AppendixReport(False, False, math.nan, False, math.nan,
-                                    False, math.nan, False)
     if geom.gamma <= 0.0:
-        return replace(not_applicable, message="needs gamma > 0 (h undefined at 0)")
-    if phi_upper(geom, polar) < theta:
-        return replace(not_applicable,
-                       message="needs max I+ = theta (polar window too narrow)")
-    cl, cl_prime = polar._on_array(grid_I_plus(geom, polar) - geom.gamma, "cl", "cl_prime")
-    mu = 0.25 * geom.solidity * cl  # mu_L on the grid, whose last node is max I+ = theta
+        return AppendixReport(message="needs gamma > 0 (h undefined at 0)")
+    grid = _attempt(grid_I_plus, geom, polar)
+    if isinstance(grid, BemError):
+        return AppendixReport(message=str(grid))
+    if not _reaches_theta(geom, float(grid[-1])):
+        return AppendixReport(message="needs max I+ = theta (polar window too narrow)")
+    cl, cl_prime = polar._on_array(grid - geom.gamma, "cl", "cl_prime")
+    mu = 0.25 * geom.solidity * cl  # mu_L on the grid, whose last node is max I+
     max_dmu = float((0.25 * geom.solidity * cl_prime).max())
     stability_margin = mu_G(theta, geom.gamma) - float(mu[-1])
     c1 = math.sin(theta) * max_dmu * _h_map(geom.lam, geom.gamma)
@@ -695,8 +705,9 @@ def fixed_point_rate_bound(geom: ElementGeometry, polar: PolarTable,
     initial.  It applies where m > 0 and the variant is 'none': the margin
     leaves out psi's slope.  Grid extrema stand in for the exact ones, as in
     ``solve_fixed_point``, whose :class:`HypothesisError` is raised here too.
+    ``epsilon`` must lie in (0, 1], as :class:`SolveOptions` checks.
     """
-    rho_eps, grid, dmu_L = _rho_eps(geom, polar, corr, epsilon)
+    rho_eps, grid, dmu_L = _rho_eps(geom, polar, corr, SolveOptions(epsilon=epsilon).epsilon)
     max_dmu_D = float(_mu_c_prime_grid(geom, polar, corr, grid, lift=False).max())
     margin = float(dmu_L.min()) - math.tan(geom.theta) * (1.0 + max_dmu_D)
     ev = _evaluation(geom, polar, corr, float(grid[-1]))  # at the start, max I+
@@ -741,7 +752,7 @@ def scan_roots(geom: ElementGeometry, polar: PolarTable, corr: CorrectionSpec,
     the scalar residual, and each node where the residual is exactly 0 give a
     root: a close pair between two nodes, or a tangential root, is missed.
     The scan covers I for the trivial correction and I+ otherwise, so no root
-    above phi_upper is looked for; where that domain is empty, or tip loss has
+    above max I+ is looked for; where that domain is empty, or tip loss has
     no ``tip_radius``, :class:`ValidationError` is raised.  Roots closer than
     1e-10 are merged, and a root is kept where |residual| <= 1e-10.  This is
     :func:`_scan_many` on one element.  ``cp_sweep``, ``landscape`` and

@@ -43,6 +43,21 @@ def zero_lift_polar():
                       [0.02, 0.01, 0.012, 0.02, 0.1, 0.3, 0.4, 0.5, 0.6])
 
 
+def window_polar():
+    """Lift 2 pi alpha sampled at 30 angles on [-0.4, 0.3], with alpha_s = 0.5 (so
+    beta = 0.5) above the samples: an element's max I+ can be cut below theta."""
+    alpha = np.linspace(-0.4, 0.3, 30)
+    return PolarTable(alpha, 2 * math.pi * alpha, np.full(30, 0.01), alpha_s=0.5)
+
+
+def positive_alpha_polar():
+    """Sampled at 11 angles on [0.3, 0.8] only: lift 2 pi alpha up to 0.5, then
+    pi - (alpha - 0.5); an element with theta - gamma < 0.3 has an empty I+."""
+    alpha = np.linspace(0.3, 0.8, 11)
+    cl = np.where(alpha <= 0.5, 2 * math.pi * alpha, math.pi - (alpha - 0.5))
+    return PolarTable(alpha, cl, np.full(11, 0.01))
+
+
 @pytest.fixture
 def announce(capsys):
     """Print acceptance-criterion outcomes even under pytest capture."""

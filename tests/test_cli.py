@@ -14,7 +14,7 @@ from glauert_bem import DomainError, best_glide_angle, cli, load_polar, syntheti
 from glauert_bem.cli import ROW_HEADER, main
 from glauert_bem.polar import dump_polar
 
-from conftest import run_main, zero_lift_polar
+from conftest import positive_alpha_polar, run_main, window_polar, zero_lift_polar
 from test_demo_golden import COMMANDS, assert_matches_golden
 
 BASE_CFG = """
@@ -388,6 +388,49 @@ design.chord=0.176581
     assert len(warnings) == 1 and warnings[0].startswith("WARNING bem: lambda=2.20258: ")
     assert "simplified criterion undecided" in warnings[0]
     assert "corrected criterion undecided" in warnings[0]
+
+
+_CHECK_CFG = """
+turbine.radius=1.1
+turbine.upstream_speed=1.0
+turbine.rotation_speed=3.0
+design.mode=fixed
+"""
+
+
+def test_check_appendix_is_na_where_the_polar_cuts_max_I_plus_below_theta(workdir, capsys):
+    # alpha_s = 0.5 above the samples: min(theta, beta + gamma) is theta, but the
+    # working interval ends at gamma + alpha_max = 0.55 < theta = 0.588, where the
+    # appendix once read guaranteed=true beside upper_is_theta=false
+    dump_polar(window_polar(), workdir / "window.csv")
+    cfg = _write_cfg(workdir, "turbine.lambda_min=0.6\nturbine.lambda_max=3.0\n"
+                              "polar.path=window.csv\npolar.alpha_s=0.5\nrun.lambda=1.5\n"
+                              "design.gamma=0.25\ndesign.chord=0.01\n",
+                     base=_CHECK_CFG, name="window.cfg")
+    assert main(["check", "--config", cfg]) == 0
+    existence, appendix = capsys.readouterr().out.splitlines()
+    assert existence.endswith(" upper_is_theta=false")
+    assert appendix == ("lambda=1.5 appendix N/A "
+                        "(needs max I+ = theta (polar window too narrow))")
+
+
+def test_check_reports_an_element_whose_I_plus_is_empty(workdir, capsys):
+    # sampled at alpha >= 0.3 only: I+ is empty at lambda 2, where the check once
+    # stopped with exit code 1 and wrote no line for either lambda
+    dump_polar(positive_alpha_polar(), workdir / "positive.csv")
+    cfg = _write_cfg(workdir, "turbine.lambda_min=1.0\nturbine.lambda_max=2.0\n"
+                              "polar.path=positive.csv\nrun.lambda_count=2\n"
+                              "design.gamma=0.2\ndesign.chord=0.05\n",
+                     base=_CHECK_CFG, name="positive.cfg")
+    assert main(["check", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 4 and lines[2].startswith("lambda=2.0 interval PASS")
+    assert lines[2].endswith(" existence_simplified FAIL (margin=nan) "
+                             "existence_corrected FAIL (margin=nan) upper_is_theta=false")
+    assert lines[3] == "lambda=2.0 appendix N/A (working interval I+ is empty for this element)"
+    assert captured.err == ("WARNING bem: lambda=2: "
+                            "working interval I+ is empty for this element\n")
 
 
 def test_config_errors_exit_2(workdir, capsys):

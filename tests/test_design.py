@@ -954,6 +954,16 @@ def test_cp_integral_zero_design():
     assert cp_integral(lambdas, np.zeros(40), 3.0) == 0.0
 
 
+@pytest.mark.parametrize("lambda_max", [None, 0.0, -3.0, math.nan, math.inf])
+def test_cp_integral_refuses_a_lambda_max_that_is_not_positive_and_finite(lambda_max):
+    # _cp_scale's rule, None refused: 0 once raised a bare ZeroDivisionError, -3 was
+    # read as 3 and NaN gave a NaN Cp
+    with pytest.raises(ValidationError, match="^lambda_max must be positive and finite, "):
+        cp_integral([1.0, 2.0], [0.1, 0.2], lambda_max)
+    cp = cp_integral([1.0, 2.0], [0.1, 0.2], 3.0)
+    assert cp_integral([1.0, 2.0], [0.1, 0.2], np.int64(3)) == cp
+
+
 def test_cp_integral_exact_on_constant_integrand():
     # lambda^3 J forced to a constant k: trapezoid is exact
     lambdas = np.linspace(0.5, 3.0, 37)

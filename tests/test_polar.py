@@ -317,20 +317,29 @@ def test_synthetic_rejects_bad_params():
 
 
 @pytest.mark.parametrize("kind, params, message", [
-    ("linear_lift", dict(span=0.0), "span must be positive and n >= 4"),
-    ("constant", dict(n=3), "span must be positive and n >= 4"),
+    ("linear_lift", dict(span=0.0), "span must be positive"),
+    ("constant", dict(n=3), "n must be an integer >= 4"),
     ("linear_lift", dict(span=math.pi / 2.0), "span must stay below pi/2 for linear_lift"),
     ("linear_lift_with_stall", dict(alpha_s=1.2), "inconsistent stall parameters"),
     ("linear_lift_with_stall", dict(alpha_s=0.0), "inconsistent stall parameters"),
     ("linear_lift_with_stall", dict(drop=1.0), "inconsistent stall parameters"),
     ("linear_lift_with_stall", dict(transition=0.0), "inconsistent stall parameters"),
     ("constant", dict(cd0=0.01, cd2=-0.1), "drag law goes negative; adjust cd0/cd2"),
+    ("linear_lift", dict(n=4.5), "n must be an integer >= 4"),
+    ("linear_lift", dict(n=math.nan), "n must be an integer >= 4"),
+    ("linear_lift", dict(n=math.inf), "n must be an integer >= 4"),
 ])
 def test_synthetic_polar_names_each_inconsistent_setting(kind, params, message):
-    # the default span is 1.2, so alpha_s = 1.2 leaves no room for the stall
+    # the default span is 1.2, so alpha_s = 1.2 leaves no room for the stall; n is
+    # a count (4.5 once built 4 samples, and NaN and inf raised bare errors)
     with pytest.raises(ValidationError) as info:
         synthetic_polar(kind, **params)
     assert type(info.value) is ValidationError and str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [5, 5.0, np.int64(5)])
+def test_synthetic_polar_takes_whole_sample_counts(n):
+    assert len(synthetic_polar("linear_lift", n=n).samples) == 5
 
 
 def test_best_glide_matches_brute_force_oracle():

@@ -37,7 +37,6 @@ from glauert_bem.model import (
     _residual_grid,
     mu_G_prime,
     mu_L,
-    phi_upper,
     recover_induction,
 )
 from glauert_bem.design import simplified_optimum, solve_element
@@ -46,6 +45,7 @@ from glauert_bem.solvers import (
     SolveOptions,
     _brentq,
     _residual_safe,
+    _interval,
     _scan_domain,
     _scan_many,
     classify_root,
@@ -53,7 +53,7 @@ from glauert_bem.solvers import (
     grid_I_plus,
 )
 
-from conftest import make_geom, rng, trivial, wilson
+from conftest import make_geom, positive_alpha_polar, rng, trivial, wilson, window_polar
 
 
 def test_solve_options_validation():
@@ -207,8 +207,28 @@ def test_fixed_point_rate_bound_raises_the_fixed_points_hypothesis_error():
     with pytest.raises(HypothesisError, match="rho_eps denominator <= 0") as bound:
         fixed_point_rate_bound(geom, polar, corr)
     with pytest.raises(HypothesisError) as solve:
-        solve_fixed_point(geom, polar, corr, SolveOptions(phi0=phi_upper(geom, polar)))
+        solve_fixed_point(geom, polar, corr,
+                          SolveOptions(phi0=min(geom.theta, polar.beta + geom.gamma)))
     assert str(bound.value) == str(solve.value)
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, 0.0, 2.0, math.nan])
+def test_fixed_point_rate_bound_refuses_an_epsilon_outside_0_1(epsilon):
+    # SolveOptions' rule: -1 once gave a negative initial, 2 a factor above 1
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, beta=0.4)
+    geom = make_geom(lam=5.0, gamma=0.05, chord=2 * math.pi * 0.16 / 3)
+    with pytest.raises(ValidationError) as info:
+        fixed_point_rate_bound(geom, polar, trivial(), epsilon=epsilon)
+    assert str(info.value) == "epsilon must lie in (0, 1]"
+
+
+@pytest.mark.parametrize("epsilon, factor", [(1.0, 0.885393953121572),
+                                             (0.5, 0.942696976560786)])
+def test_fixed_point_rate_bound_inside_0_1_keeps_its_bits(epsilon, factor):
+    polar = synthetic_polar("linear_lift", slope=2 * math.pi, cd0=0.01, beta=0.4)
+    geom = make_geom(lam=5.0, gamma=0.05, chord=2 * math.pi * 0.16 / 3)
+    bound = fixed_point_rate_bound(geom, polar, trivial(), epsilon=epsilon)
+    assert (bound.applies, bound.factor, bound.initial) == (True, factor, 0.7217302215124809)
 
 
 @pytest.mark.parametrize("variant", [v for v in CORRECTION_VARIANTS if v != "none"])
@@ -636,18 +656,28 @@ def test_existence_symmetric_profile_in_window(dragfree_polar):
     assert any(geom.gamma <= r.phi <= hi for r in roots.records)
 
 
+def test_existence_on_an_empty_I_plus_gives_nan_margins_and_interval_message():
+    # theta - gamma = -0.58 lies below the polar's alpha_min = -0.5, so I+ has no
+    # point inside the polar; once both criteria were evaluated at theta, where cl
+    # is undefined
+    polar, geom = synthetic_polar("linear_lift", span=0.5, beta=0.4), make_geom(gamma=1.1)
+    report = check_existence(geom, polar, wilson())
+    assert report.interval_ok and not report.upper_is_theta
+    assert math.isnan(report.simplified_margin) and math.isnan(report.corrected_margin)
+    assert not report.simplified_ok and not report.corrected_ok
+    assert report.message == "working interval I+ is empty for this element"
+    appendix = check_appendix_conditions(geom, polar)
+    assert not appendix.applicable and appendix.message == report.message
+
+
 @pytest.mark.parametrize("polar, geom, corr, message", [
-    # theta - gamma = -0.58 lies below the polar's alpha_min = -0.5: cl raises at max I+
-    (synthetic_polar("linear_lift", span=0.5, beta=0.4), make_geom(gamma=1.1), wilson(),
-     "simplified criterion not evaluable: cl evaluation outside sampled range [-0.5, 0.5]; "
-     "corrected criterion not evaluable: cl evaluation outside sampled range [-0.5, 0.5]"),
     # near the tip, Glauert empirical without strict_lemma_mode loses monotonicity at max I+
     (synthetic_polar("linear_lift", slope=6.0, cd0=0.01, beta=0.4),
      make_geom(lam=1.0, r=0.97, gamma=0.02, tip_radius=1.0),
      CorrectionSpec(variant="glauert_empirical", tip_loss=True, strict_lemma_mode=False),
      "corrected criterion not evaluable: axial balance lost monotonicity (glauert_empirical "
      "psi < 0 under the current tip factor); use strict_lemma_mode or another variant"),
-], ids=["cl_outside_the_polar", "axial_balance_undefined"])
+], ids=["axial_balance_undefined"])
 def test_existence_criteria_that_cannot_be_evaluated_say_why(polar, geom, corr, message):
     report = check_existence(geom, polar, corr)
     assert report.interval_ok
@@ -741,6 +771,79 @@ def test_appendix_guarantee_backed_by_random_starts():
         report = solve_usual(geom, polar, trivial(), SolveOptions(phi0=float(phi0)))
         assert report.converged
         assert abs(report.phi_star - reference) < 1e-8
+
+
+def test_appendix_is_not_applicable_where_the_polar_cuts_max_I_plus_below_theta():
+    # alpha_s = 0.5 lies above the samples, so min(theta, beta + gamma) = theta =
+    # 0.588, but cl is defined only up to gamma + 0.3 = 0.55: the appendix once
+    # passed on its node 0.55, and the usual procedure diverges from every start
+    polar = window_polar()
+    turbine = TurbineConfig(radius=1.1, upstream_speed=1.0, rotation_speed=3.0,
+                            lambda_min=0.6, lambda_max=3.0)
+    geom = ElementGeometry.from_turbine(turbine, 1.5, 0.25, 0.01)
+    assert min(geom.theta, polar.beta + geom.gamma) == geom.theta
+    assert _interval(geom, polar)[1] < geom.theta
+    report = check_appendix_conditions(geom, polar)
+    assert not report.applicable and not report.guaranteed
+    assert report.message == "needs max I+ = theta (polar window too narrow)"
+    assert not check_existence(geom, polar, trivial()).upper_is_theta
+    for phi0 in (0.3, 0.4, 0.45, 0.5):
+        usual = solve_usual(geom, polar, trivial(), SolveOptions(phi0=phi0))
+        assert not usual.converged and "outside sampled range" in usual.message
+
+
+def test_appendix_and_existence_on_an_element_whose_I_plus_is_empty():
+    # sampled only at alpha >= 0.3: at lambda 2, theta - gamma = 0.26 lies below
+    # the samples, and both checks once raised or evaluated outside the polar
+    polar = positive_alpha_polar()
+    turbine = TurbineConfig(radius=1.1, upstream_speed=1.0, rotation_speed=3.0,
+                            lambda_min=1.0, lambda_max=2.0)
+    geom = ElementGeometry.from_turbine(turbine, 2.0, 0.2, 0.05)
+    empty = "working interval I+ is empty for this element"
+    appendix = check_appendix_conditions(geom, polar)
+    assert not appendix.applicable and appendix.message == empty
+    existence = check_existence(geom, polar, trivial())
+    assert not existence.upper_is_theta and existence.message == empty
+    assert math.isnan(existence.simplified_margin) and math.isnan(existence.corrected_margin)
+
+
+@st.composite
+def _window_polars(draw):
+    """A linear or stall polar whose samples may start above alpha = 0 and whose
+    alpha_s may lie above its samples."""
+    start = draw(st.floats(-0.6, 0.4))
+    stop = max(start, 0.0) + draw(st.floats(0.1, 0.9))
+    alpha = np.linspace(start, stop, draw(st.integers(4, 40)))
+    slope = draw(st.floats(3.0, 7.0))
+    cl = slope * alpha
+    if draw(st.booleans()):  # stall: lift halves over 0.05 past its peak
+        peak = draw(st.floats(0.05, 0.5))
+        cl = np.where(alpha <= peak, cl,
+                      slope * peak * (1.0 - 0.5 * np.minimum(1.0, (alpha - peak) / 0.05)))
+    above = draw(st.none() | st.floats(0.01, 0.2))
+    return PolarTable(alpha, cl, 0.01 + draw(st.floats(0.0, 0.3)) * alpha ** 2,
+                      alpha_s=None if above is None else stop + above)
+
+
+@pytest.mark.parametrize("variant", CORRECTION_VARIANTS)
+@settings(max_examples=60, deadline=None, database=None)
+@given(polar=_window_polars(), lam=st.floats(0.3, 5.0), gamma=st.floats(-0.3, 0.5),
+       chord=st.floats(0.01, 0.5), r=st.floats(0.2, 0.95), tip=st.booleans())
+# sin(gamma)**3 underflows to 0, where h' once raised a bare ZeroDivisionError
+@example(polar=synthetic_polar("linear_lift", beta=0.5), lam=2.0, gamma=1e-200, chord=0.5,
+         r=0.5, tip=False)
+def test_the_appendix_applies_only_where_max_I_plus_is_theta(variant, polar, lam, gamma,
+                                                             chord, r, tip):
+    # both checks read max I+ from _interval: neither raises, the appendix applies
+    # exactly where gamma > 0 and upper_is_theta, and its stability node is max I+
+    geom = ElementGeometry(lam=lam, r=r, gamma=gamma, chord=chord, blade_count=3,
+                           tip_radius=1.0)
+    existence = check_existence(geom, polar, CorrectionSpec(variant=variant, tip_loss=tip))
+    appendix = check_appendix_conditions(geom, polar)
+    assert appendix.applicable == (gamma > 0.0 and existence.upper_is_theta)
+    if appendix.applicable:
+        hi = _interval(geom, polar)[1]
+        assert appendix.stability_margin == mu_G(geom.theta, gamma) - mu_L(geom, polar, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +1007,7 @@ def test_max_I_plus_one_ulp_past_the_polar_steps_inside():
     geom = ElementGeometry(lam=0.276297, r=0.5, gamma=-0.097217, chord=0.1,
                            blade_count=3, tip_radius=1.0)
     corr = CorrectionSpec("glauert3")
-    top = phi_upper(geom, polar)
+    top = min(geom.theta, polar.beta + geom.gamma)
     assert top == polar.beta + geom.gamma and top - geom.gamma > polar.alpha_max
     lo, hi = _scan_domain(geom, polar, corr)
     assert hi == math.nextafter(top, 0.0) and hi - geom.gamma <= polar.alpha_max
